@@ -42,7 +42,6 @@ from .contexts import (
 from .mailbox import (
     IndexedMessageQueue,
     IndexedRecvQueue,
-    Mailbox,
     MatchCounters,
     ScanMessageQueue,
     ScanRecvQueue,
@@ -61,7 +60,6 @@ __all__ = [
     "GreenletBackend",
     "IndexedMessageQueue",
     "IndexedRecvQueue",
-    "Mailbox",
     "MatchCounters",
     "ScanMessageQueue",
     "ScanRecvQueue",

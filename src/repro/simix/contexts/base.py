@@ -103,19 +103,7 @@ def drive_on_stack(context: ExecutionContext, gen: Generator) -> Any:
         next(gen)
     except StopIteration as stop:
         return stop.value
-    while True:
-        try:
-            context.block()
-        except BaseException:
-            # ActorKilled (teardown) or anything else: run the
-            # continuation's ``finally`` blocks now, deterministically,
-            # mirroring how a real stack would unwind through them.
-            gen.close()
-            raise
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
+    return drive_on_stack_resumed(context, gen)
 
 
 def run_blocking(gen: Generator, get_actor: Callable[[], "Actor"]) -> Any:
@@ -138,6 +126,9 @@ def drive_on_stack_resumed(context: ExecutionContext, gen: Generator) -> Any:
         try:
             context.block()
         except BaseException:
+            # ActorKilled (teardown) or anything else: run the
+            # continuation's ``finally`` blocks now, deterministically,
+            # mirroring how a real stack would unwind through them.
             gen.close()
             raise
         try:

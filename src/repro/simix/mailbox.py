@@ -1,12 +1,12 @@
-"""Mailboxes and match queues: FIFO rendezvous structures for actors.
+"""Match queues: FIFO rendezvous structures for actors.
 
 MPI message matching requires two queues per destination — posted receives
 and unexpected messages — each searched *in arrival order* against a
 source/tag pattern (possibly with wildcards).  Two families live here:
 
-* :class:`Mailbox` — the original flat list with predicate scans.  Still
-  the general-purpose primitive (and the matching *oracle* behind
-  ``REPRO_MATCH=scan`` via the Scan* adapters below).
+* the **scan queues** — :class:`ScanMessageQueue` and
+  :class:`ScanRecvQueue`, a flat list with linear scans; the matching
+  *oracle* behind ``REPRO_MATCH=scan``.
 * the **indexed match queues** — :class:`IndexedMessageQueue` (concrete
   envelopes, possibly-wildcard queries) and :class:`IndexedRecvQueue`
   (possibly-wildcard patterns, concrete queries).  Every entry carries a
@@ -36,64 +36,12 @@ from typing import Callable, Generic, Iterator, TypeVar
 T = TypeVar("T")
 
 __all__ = [
-    "Mailbox",
     "MatchCounters",
     "IndexedMessageQueue",
     "IndexedRecvQueue",
     "ScanMessageQueue",
     "ScanRecvQueue",
 ]
-
-
-class Mailbox(Generic[T]):
-    """An ordered queue supporting predicate-based removal.
-
-    Insertion order is preserved; ``pop_first`` implements the MPI
-    requirement that matching scans oldest-first (non-overtaking rule for
-    identical envelopes).
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._items: list[T] = []
-
-    def push(self, item: T) -> None:
-        self._items.append(item)
-
-    def pop_first(self, predicate: Callable[[T], bool]) -> T | None:
-        """Remove and return the oldest item satisfying ``predicate``."""
-        for index, item in enumerate(self._items):
-            if predicate(item):
-                del self._items[index]
-                return item
-        return None
-
-    def peek_first(self, predicate: Callable[[T], bool]) -> T | None:
-        """Return (without removing) the oldest matching item."""
-        for item in self._items:
-            if predicate(item):
-                return item
-        return None
-
-    def remove(self, item: T) -> bool:
-        """Remove a specific item; returns whether it was present."""
-        try:
-            self._items.remove(item)
-            return True
-        except ValueError:
-            return False
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Mailbox({self.name!r}, {len(self._items)} items)"
 
 
 class MatchCounters:
@@ -474,7 +422,7 @@ class _ScanBase(Generic[T]):
 class ScanMessageQueue(_ScanBase[T]):
     """Linear-scan oracle with :class:`IndexedMessageQueue`'s interface.
 
-    This *is* the pre-index matching algorithm (``Mailbox.pop_first``
+    This *is* the pre-index matching algorithm (an oldest-first scan
     with an envelope predicate), kept selectable via ``REPRO_MATCH=scan``
     so the index can be fuzz-pinned against it forever.  Probe counting
     matches the index's metric: one probe per entry examined.

@@ -31,8 +31,6 @@ __all__ = [
     "elements_of",
     "isend_view",
     "irecv_view",
-    "send_view",
-    "recv_view",
     "co_send_view",
     "co_recv_view",
     "co_complete",
@@ -129,16 +127,8 @@ def irecv_view(
     return comm.Irecv([view, count], source, coll_tag(kind), _ctx=comm.ctx + 1)
 
 
-def send_view(comm, src_arr, offset, count, dest, kind) -> None:
-    """Blocking send of a buffer slice (drives :func:`co_send_view`)."""
-    from ...simix.contexts import run_blocking
-
-    run_blocking(co_send_view(comm, src_arr, offset, count, dest, kind),
-                 lambda: comm.world.current_actor)
-
-
 def co_send_view(comm, src_arr, offset, count, dest, kind):
-    """Generator twin of :func:`send_view`."""
+    """Blocking send of a buffer slice (``yield from``)."""
     from .. import request as rq
 
     req = isend_view(comm, src_arr, offset, count, dest, kind)
@@ -146,16 +136,8 @@ def co_send_view(comm, src_arr, offset, count, dest, kind):
     comm.world.release_request(req)
 
 
-def recv_view(comm, dst_arr, offset, count, source, kind) -> None:
-    """Blocking receive into a buffer slice (drives :func:`co_recv_view`)."""
-    from ...simix.contexts import run_blocking
-
-    run_blocking(co_recv_view(comm, dst_arr, offset, count, source, kind),
-                 lambda: comm.world.current_actor)
-
-
 def co_recv_view(comm, dst_arr, offset, count, source, kind):
-    """Generator twin of :func:`recv_view`."""
+    """Blocking receive into a buffer slice (``yield from``)."""
     from .. import request as rq
 
     req = irecv_view(comm, dst_arr, offset, count, source, kind)

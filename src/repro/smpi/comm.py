@@ -8,6 +8,10 @@ algorithm built from point-to-point messages (:mod:`repro.smpi.coll`), so
 collective traffic contends in the simulated network exactly as the paper
 prescribes (section 4.2).
 
+Every blocking operation is written once, as a generator (``_co_Send``
+...), reachable as ``comm.co.Send``; the synchronous ``comm.Send`` is
+generated from it and drives it in-stack (see ``_blocking`` below).
+
 Communicator management covers ``Dup``, ``Create``, ``Split`` (an
 extension — the paper's subset excludes split), ``Free`` and the group
 accessors.  Each communicator owns two context ids: an even one for
@@ -18,13 +22,14 @@ the standard MPICH2 trick.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..errors import MpiError
 from ..simix.contexts import run_blocking
-from . import constants, request as rq
+from . import coll, constants, request as rq
 from .constants import IN_PLACE
 from .buffer import BufferSpec, pack_object, resolve, unpack_object
 from .datatype import BYTE
@@ -85,6 +90,12 @@ class Communicator:
                 f"{what} {local} out of range [0,{self.group.size}) in {self.name}",
             )
         return self.group.world_rank(local)
+
+    def _source_rank(self, source: int) -> int:
+        """World rank of a receive's ``source``; wildcards pass through."""
+        if source == constants.ANY_SOURCE:
+            return constants.ANY_SOURCE
+        return self._world_rank(source, "source")
 
     def _check_tag(self, tag: int, allow_any: bool) -> None:
         if tag == constants.ANY_TAG:
@@ -147,14 +158,8 @@ class Communicator:
         only once the matching receive is posted, whatever the size."""
         return self.Isend(buf, dest, tag, _mode="synchronous")
 
-    def Ssend(self, buf: Any, dest: int, tag: int = 0) -> None:
-        self._run(self._co_Ssend(buf, dest, tag))
-
     def _co_Ssend(self, buf: Any, dest: int, tag: int = 0):
-        req = self.Issend(buf, dest, tag)
-        got = yield from rq.co_wait(req)
-        self.world.release_request(req)
-        return got
+        return self._co_Send(buf, dest, tag, _mode="synchronous")
 
     def Ibsend(self, buf: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking buffered send: always eager, never waits for the
@@ -162,28 +167,16 @@ class Communicator:
         simulated buffering is unbounded)."""
         return self.Isend(buf, dest, tag, _mode="buffered")
 
-    def Bsend(self, buf: Any, dest: int, tag: int = 0) -> None:
-        self._run(self._co_Bsend(buf, dest, tag))
-
     def _co_Bsend(self, buf: Any, dest: int, tag: int = 0):
-        req = self.Ibsend(buf, dest, tag)
-        got = yield from rq.co_wait(req)
-        self.world.release_request(req)
-        return got
+        return self._co_Send(buf, dest, tag, _mode="buffered")
 
     def Irsend(self, buf: Any, dest: int, tag: int = 0) -> Request:
         """Ready send: timing-wise a standard send (the "receive must be
         posted" obligation is on the application, per the standard)."""
         return self.Isend(buf, dest, tag, _mode="ready")
 
-    def Rsend(self, buf: Any, dest: int, tag: int = 0) -> None:
-        self._run(self._co_Rsend(buf, dest, tag))
-
     def _co_Rsend(self, buf: Any, dest: int, tag: int = 0):
-        req = self.Irsend(buf, dest, tag)
-        got = yield from rq.co_wait(req)
-        self.world.release_request(req)
-        return got
+        return self._co_Send(buf, dest, tag, _mode="ready")
 
     def Irecv(
         self,
@@ -200,11 +193,7 @@ class Communicator:
         if source == constants.PROC_NULL:
             req.finish()
             return req
-        src_world = (
-            constants.ANY_SOURCE
-            if source == constants.ANY_SOURCE
-            else self._world_rank(source, "source")
-        )
+        src_world = self._source_rank(source)
         spec = resolve(buf)
         self.world.protocol.start_recv(
             dst=me_world,
@@ -222,27 +211,15 @@ class Communicator:
         if req.source >= 0:
             req.source = self.group.rank_of(req.source)
 
-    def Send(self, buf: Any, dest: int, tag: int = 0) -> None:
+    def _co_Send(self, buf: Any, dest: int, tag: int = 0,
+                 _mode: str = "standard"):
         """Blocking send (eager below the threshold, rendezvous above)."""
-        self._run(self._co_Send(buf, dest, tag))
-
-    def _co_Send(self, buf: Any, dest: int, tag: int = 0):
         # a real generator (not a co_wait pass-through) so the completed
         # request can go back to the world's free list
-        req = self.Isend(buf, dest, tag)
+        req = self.Isend(buf, dest, tag, _mode=_mode)
         got = yield from rq.co_wait(req)
         self.world.release_request(req)
         return got
-
-    def Recv(
-        self,
-        buf: Any,
-        source: int = constants.ANY_SOURCE,
-        tag: int = constants.ANY_TAG,
-        status: Status | None = None,
-    ) -> None:
-        """Blocking receive."""
-        self._run(self._co_Recv(buf, source, tag, status))
 
     def _co_Recv(
         self,
@@ -251,6 +228,7 @@ class Communicator:
         tag: int = constants.ANY_TAG,
         status: Status | None = None,
     ):
+        """Blocking receive."""
         req = self.Irecv(buf, source, tag)
         got = yield from rq.co_wait(req)
         if status is not None:
@@ -259,21 +237,6 @@ class Communicator:
             status.error = got.error
             status.count_bytes = got.count_bytes
         self.world.release_request(req)
-
-    def Sendrecv(
-        self,
-        sendbuf: Any,
-        dest: int,
-        sendtag: int = 0,
-        recvbuf: Any = None,
-        source: int = constants.ANY_SOURCE,
-        recvtag: int = constants.ANY_TAG,
-        status: Status | None = None,
-    ) -> None:
-        """Simultaneous send and receive (deadlock-free by construction)."""
-        self._run(self._co_Sendrecv(
-            sendbuf, dest, sendtag, recvbuf, source, recvtag, status
-        ))
 
     def _co_Sendrecv(
         self,
@@ -285,6 +248,7 @@ class Communicator:
         recvtag: int = constants.ANY_TAG,
         status: Status | None = None,
     ):
+        """Simultaneous send and receive (deadlock-free by construction)."""
         recv_req = self.Irecv(recvbuf, source, recvtag)
         send_req = self.Isend(sendbuf, dest, sendtag)
         yield from rq.co_waitall([recv_req, send_req])
@@ -296,32 +260,16 @@ class Communicator:
         self.world.release_request(recv_req)
         self.world.release_request(send_req)
 
-    def Iprobe(
-        self,
-        source: int = constants.ANY_SOURCE,
-        tag: int = constants.ANY_TAG,
-        status: Status | None = None,
-    ) -> bool:
+    def _co_Iprobe(self, source: int = constants.ANY_SOURCE,
+                   tag: int = constants.ANY_TAG, status: Status | None = None):
         """MPI_Iprobe (extension): has a matching message been announced?
 
         Costs one test-poll of simulated time, like MPI_Test, so Iprobe
         spin-loops cannot stall the simulated clock.
         """
-        return self._run(self._co_Iprobe(source, tag, status))
-
-    def _co_Iprobe(
-        self,
-        source: int = constants.ANY_SOURCE,
-        tag: int = constants.ANY_TAG,
-        status: Status | None = None,
-    ):
         self._check()
         me_world = self.group.world_rank(self.Get_rank())
-        src_world = (
-            constants.ANY_SOURCE
-            if source == constants.ANY_SOURCE
-            else self._world_rank(source, "source")
-        )
+        src_world = self._source_rank(source)
         message = self.world.protocol.iprobe(me_world, src_world, tag, self.ctx)
         if message is None:
             yield from self.world.co_tiny_progress()
@@ -334,28 +282,12 @@ class Communicator:
             status.count_bytes = message.nbytes
         return True
 
-    def Probe(
-        self,
-        source: int = constants.ANY_SOURCE,
-        tag: int = constants.ANY_TAG,
-        status: Status | None = None,
-    ) -> None:
+    def _co_Probe(self, source: int = constants.ANY_SOURCE,
+                  tag: int = constants.ANY_TAG, status: Status | None = None):
         """MPI_Probe (extension): block until a matching message arrives."""
-        self._run(self._co_Probe(source, tag, status))
-
-    def _co_Probe(
-        self,
-        source: int = constants.ANY_SOURCE,
-        tag: int = constants.ANY_TAG,
-        status: Status | None = None,
-    ):
         self._check()
         me_world = self.group.world_rank(self.Get_rank())
-        src_world = (
-            constants.ANY_SOURCE
-            if source == constants.ANY_SOURCE
-            else self._world_rank(source, "source")
-        )
+        src_world = self._source_rank(source)
         message = yield from self.world.protocol.co_probe(
             me_world, src_world, tag, self.ctx
         )
@@ -423,11 +355,7 @@ class Communicator:
         if source == constants.PROC_NULL:
             req.finish()
             return req
-        src_world = (
-            constants.ANY_SOURCE
-            if source == constants.ANY_SOURCE
-            else self._world_rank(source, "source")
-        )
+        src_world = self._source_rank(source)
         self.world.protocol.start_recv(
             dst=me_world, source=src_world, tag=tag,
             ctx=self.ctx if _ctx is None else _ctx,
@@ -436,29 +364,14 @@ class Communicator:
         req.add_completion_hook(lambda: self._localise_source(req))
         return req
 
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._run(self._co_send(obj, dest, tag))
-
     def _co_send(self, obj: Any, dest: int, tag: int = 0):
         req = self.isend(obj, dest, tag)
         got = yield from rq.co_wait(req)
         self.world.release_request(req)
         return got
 
-    def recv(
-        self,
-        source: int = constants.ANY_SOURCE,
-        tag: int = constants.ANY_TAG,
-        status: Status | None = None,
-    ) -> Any:
-        return self._run(self._co_recv(source, tag, status))
-
-    def _co_recv(
-        self,
-        source: int = constants.ANY_SOURCE,
-        tag: int = constants.ANY_TAG,
-        status: Status | None = None,
-    ):
+    def _co_recv(self, source: int = constants.ANY_SOURCE,
+                 tag: int = constants.ANY_TAG, status: Status | None = None):
         req = self.irecv(source, tag)
         got = yield from rq.co_wait(req)
         if status is not None:
@@ -468,11 +381,6 @@ class Communicator:
         raw = req.raw_data  # consume before the request goes back to the pool
         self.world.release_request(req)
         return unpack_object(raw) if raw is not None else None
-
-    def sendrecv(self, obj: Any, dest: int, sendtag: int = 0,
-                 source: int = constants.ANY_SOURCE,
-                 recvtag: int = constants.ANY_TAG) -> Any:
-        return self._run(self._co_sendrecv(obj, dest, sendtag, source, recvtag))
 
     def _co_sendrecv(self, obj: Any, dest: int, sendtag: int = 0,
                      source: int = constants.ANY_SOURCE,
@@ -489,26 +397,13 @@ class Communicator:
     # collectives (implemented over point-to-point in repro.smpi.coll)
     # =====================================================================
 
-    def _coll(self):
-        from . import coll
-
-        return coll
-
-    def Barrier(self) -> None:
-        self._check()
-        self._run(self._co_Barrier())
-
     def _co_Barrier(self):
         self._check()
-        return self._coll().barrier(self)
-
-    def Bcast(self, buf: Any, root: int = 0) -> None:
-        self._check()
-        self._run(self._co_Bcast(buf, root))
+        return coll.barrier(self)
 
     def _co_Bcast(self, buf: Any, root: int = 0):
         self._check()
-        return self._coll().bcast(self, resolve(buf), self._check_root(root))
+        return coll.bcast(self, resolve(buf), self._check_root(root))
 
     def _inplace_block(self, recvbuf: Any, block_rank: int) -> BufferSpec:
         """A view of ``recvbuf``'s per-rank block (IN_PLACE helpers)."""
@@ -518,206 +413,97 @@ class Communicator:
         view = flat[block_rank * chunk : (block_rank + 1) * chunk]
         return resolve([view, chunk, spec.datatype])
 
-    def Scatter(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
-        self._check()
-        root = self._check_root(root)
-        if recvbuf is IN_PLACE:
-            if self.Get_rank() != root:
-                raise MpiError(
-                    constants.ERR_BUFFER, "IN_PLACE recv only valid at the root"
-                )
-            recvbuf = self._inplace_block(sendbuf, root).array
-        self._run(self._coll().scatter(self, sendbuf, resolve(recvbuf), root))
+    def _check_root_in_place(self, root: int, side: str) -> None:
+        if self.Get_rank() != root:
+            raise MpiError(constants.ERR_BUFFER,
+                           f"IN_PLACE {side} only valid at the root")
 
     def _co_Scatter(self, sendbuf: Any, recvbuf: Any, root: int = 0):
         self._check()
         root = self._check_root(root)
         if recvbuf is IN_PLACE:
-            if self.Get_rank() != root:
-                raise MpiError(
-                    constants.ERR_BUFFER, "IN_PLACE recv only valid at the root"
-                )
+            self._check_root_in_place(root, "recv")
             recvbuf = self._inplace_block(sendbuf, root).array
-        return self._coll().scatter(self, sendbuf, resolve(recvbuf), root)
-
-    def Scatterv(
-        self, sendbuf: Any, counts: list[int], displs: list[int],
-        recvbuf: Any, root: int = 0,
-    ) -> None:
-        self._check()
-        self._run(self._coll().scatterv(
-            self, sendbuf, list(counts), list(displs), resolve(recvbuf),
-            self._check_root(root),
-        ))
+        return coll.scatter(self, sendbuf, resolve(recvbuf), root)
 
     def _co_Scatterv(self, sendbuf: Any, counts: list[int], displs: list[int],
                      recvbuf: Any, root: int = 0):
         self._check()
-        return self._coll().scatterv(
+        return coll.scatterv(
             self, sendbuf, list(counts), list(displs), resolve(recvbuf),
             self._check_root(root),
         )
-
-    def Gather(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
-        self._check()
-        root = self._check_root(root)
-        if sendbuf is IN_PLACE:
-            if self.Get_rank() != root:
-                raise MpiError(
-                    constants.ERR_BUFFER, "IN_PLACE send only valid at the root"
-                )
-            sendbuf = self._inplace_block(recvbuf, root).array
-        spec = None if recvbuf is None else resolve(recvbuf)
-        self._run(self._coll().gather(self, resolve(sendbuf), spec, root))
 
     def _co_Gather(self, sendbuf: Any, recvbuf: Any, root: int = 0):
         self._check()
         root = self._check_root(root)
         if sendbuf is IN_PLACE:
-            if self.Get_rank() != root:
-                raise MpiError(
-                    constants.ERR_BUFFER, "IN_PLACE send only valid at the root"
-                )
+            self._check_root_in_place(root, "send")
             sendbuf = self._inplace_block(recvbuf, root).array
         spec = None if recvbuf is None else resolve(recvbuf)
-        return self._coll().gather(self, resolve(sendbuf), spec, root)
-
-    def Gatherv(
-        self, sendbuf: Any, recvbuf: Any, counts: list[int], displs: list[int],
-        root: int = 0,
-    ) -> None:
-        self._check()
-        spec = None if recvbuf is None else resolve(recvbuf)
-        self._run(self._coll().gatherv(
-            self, resolve(sendbuf), spec, list(counts), list(displs),
-            self._check_root(root),
-        ))
+        return coll.gather(self, resolve(sendbuf), spec, root)
 
     def _co_Gatherv(self, sendbuf: Any, recvbuf: Any, counts: list[int],
                     displs: list[int], root: int = 0):
         self._check()
         spec = None if recvbuf is None else resolve(recvbuf)
-        return self._coll().gatherv(
+        return coll.gatherv(
             self, resolve(sendbuf), spec, list(counts), list(displs),
             self._check_root(root),
         )
-
-    def Allgather(self, sendbuf: Any, recvbuf: Any) -> None:
-        self._check()
-        if sendbuf is IN_PLACE:
-            sendbuf = self._inplace_block(recvbuf, self.Get_rank()).array
-        self._run(self._coll().allgather(self, resolve(sendbuf), resolve(recvbuf)))
 
     def _co_Allgather(self, sendbuf: Any, recvbuf: Any):
         self._check()
         if sendbuf is IN_PLACE:
             sendbuf = self._inplace_block(recvbuf, self.Get_rank()).array
-        return self._coll().allgather(self, resolve(sendbuf), resolve(recvbuf))
-
-    def Allgatherv(
-        self, sendbuf: Any, recvbuf: Any, counts: list[int], displs: list[int]
-    ) -> None:
-        self._check()
-        self._run(self._coll().allgatherv(
-            self, resolve(sendbuf), resolve(recvbuf), list(counts), list(displs)
-        ))
+        return coll.allgather(self, resolve(sendbuf), resolve(recvbuf))
 
     def _co_Allgatherv(self, sendbuf: Any, recvbuf: Any, counts: list[int],
                        displs: list[int]):
         self._check()
-        return self._coll().allgatherv(
+        return coll.allgatherv(
             self, resolve(sendbuf), resolve(recvbuf), list(counts), list(displs)
         )
-
-    def Reduce(self, sendbuf: Any, recvbuf: Any, op: Op = SUM, root: int = 0) -> None:
-        self._check()
-        root = self._check_root(root)
-        if sendbuf is IN_PLACE:
-            if self.Get_rank() != root:
-                raise MpiError(
-                    constants.ERR_BUFFER, "IN_PLACE send only valid at the root"
-                )
-            sendbuf = recvbuf
-        spec = None if recvbuf is None else resolve(recvbuf)
-        self._run(self._coll().reduce(self, resolve(sendbuf), spec, op, root))
 
     def _co_Reduce(self, sendbuf: Any, recvbuf: Any, op: Op = SUM, root: int = 0):
         self._check()
         root = self._check_root(root)
         if sendbuf is IN_PLACE:
-            if self.Get_rank() != root:
-                raise MpiError(
-                    constants.ERR_BUFFER, "IN_PLACE send only valid at the root"
-                )
+            self._check_root_in_place(root, "send")
             sendbuf = recvbuf
         spec = None if recvbuf is None else resolve(recvbuf)
-        return self._coll().reduce(self, resolve(sendbuf), spec, op, root)
-
-    def Allreduce(self, sendbuf: Any, recvbuf: Any, op: Op = SUM) -> None:
-        self._check()
-        if sendbuf is IN_PLACE:
-            sendbuf = recvbuf
-        self._run(self._coll().allreduce(self, resolve(sendbuf), resolve(recvbuf), op))
+        return coll.reduce(self, resolve(sendbuf), spec, op, root)
 
     def _co_Allreduce(self, sendbuf: Any, recvbuf: Any, op: Op = SUM):
         self._check()
         if sendbuf is IN_PLACE:
             sendbuf = recvbuf
-        return self._coll().allreduce(self, resolve(sendbuf), resolve(recvbuf), op)
-
-    def Scan(self, sendbuf: Any, recvbuf: Any, op: Op = SUM) -> None:
-        self._check()
-        self._run(self._coll().scan(self, resolve(sendbuf), resolve(recvbuf), op))
+        return coll.allreduce(self, resolve(sendbuf), resolve(recvbuf), op)
 
     def _co_Scan(self, sendbuf: Any, recvbuf: Any, op: Op = SUM):
         self._check()
-        return self._coll().scan(self, resolve(sendbuf), resolve(recvbuf), op)
-
-    def Exscan(self, sendbuf: Any, recvbuf: Any, op: Op = SUM) -> None:
-        self._check()
-        self._run(self._coll().exscan(self, resolve(sendbuf), resolve(recvbuf), op))
+        return coll.scan(self, resolve(sendbuf), resolve(recvbuf), op)
 
     def _co_Exscan(self, sendbuf: Any, recvbuf: Any, op: Op = SUM):
         self._check()
-        return self._coll().exscan(self, resolve(sendbuf), resolve(recvbuf), op)
-
-    def Reduce_scatter(self, sendbuf: Any, recvbuf: Any, counts: list[int],
-                       op: Op = SUM) -> None:
-        self._check()
-        self._run(self._coll().reduce_scatter(
-            self, resolve(sendbuf), resolve(recvbuf), list(counts), op
-        ))
+        return coll.exscan(self, resolve(sendbuf), resolve(recvbuf), op)
 
     def _co_Reduce_scatter(self, sendbuf: Any, recvbuf: Any, counts: list[int],
                            op: Op = SUM):
         self._check()
-        return self._coll().reduce_scatter(
+        return coll.reduce_scatter(
             self, resolve(sendbuf), resolve(recvbuf), list(counts), op
         )
 
-    def Alltoall(self, sendbuf: Any, recvbuf: Any) -> None:
-        self._check()
-        self._run(self._coll().alltoall(self, resolve(sendbuf), resolve(recvbuf)))
-
     def _co_Alltoall(self, sendbuf: Any, recvbuf: Any):
         self._check()
-        return self._coll().alltoall(self, resolve(sendbuf), resolve(recvbuf))
-
-    def Alltoallv(
-        self, sendbuf: Any, sendcounts: list[int], sdispls: list[int],
-        recvbuf: Any, recvcounts: list[int], rdispls: list[int],
-    ) -> None:
-        self._check()
-        self._run(self._coll().alltoallv(
-            self, resolve(sendbuf), list(sendcounts), list(sdispls),
-            resolve(recvbuf), list(recvcounts), list(rdispls),
-        ))
+        return coll.alltoall(self, resolve(sendbuf), resolve(recvbuf))
 
     def _co_Alltoallv(self, sendbuf: Any, sendcounts: list[int],
                       sdispls: list[int], recvbuf: Any, recvcounts: list[int],
                       rdispls: list[int]):
         self._check()
-        return self._coll().alltoallv(
+        return coll.alltoallv(
             self, resolve(sendbuf), list(sendcounts), list(sdispls),
             resolve(recvbuf), list(recvcounts), list(rdispls),
         )
@@ -729,69 +515,37 @@ class Communicator:
 
     # -- object-flavour collectives --------------------------------------------------
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
+    def _co_bcast(self, obj: Any, root: int = 0):
         """Broadcast a picklable object; returns it on every rank."""
         self._check()
-        return self._run(self._co_bcast(obj, root))
-
-    def _co_bcast(self, obj: Any, root: int = 0):
-        self._check()
-        return self._coll().bcast_object(self, obj, self._check_root(root))
-
-    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
-        self._check()
-        return self._run(self._co_scatter(objs, root))
+        return coll.bcast_object(self, obj, self._check_root(root))
 
     def _co_scatter(self, objs: list[Any] | None, root: int = 0):
         self._check()
-        return self._coll().scatter_object(self, objs, self._check_root(root))
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check()
-        return self._run(self._co_gather(obj, root))
+        return coll.scatter_object(self, objs, self._check_root(root))
 
     def _co_gather(self, obj: Any, root: int = 0):
         self._check()
-        return self._coll().gather_object(self, obj, self._check_root(root))
-
-    def allgather(self, obj: Any) -> list[Any]:
-        self._check()
-        return self._run(self._co_allgather(obj))
+        return coll.gather_object(self, obj, self._check_root(root))
 
     def _co_allgather(self, obj: Any):
         self._check()
-        return self._coll().allgather_object(self, obj)
-
-    def alltoall(self, objs: list[Any]) -> list[Any]:
-        self._check()
-        return self._run(self._co_alltoall(objs))
+        return coll.allgather_object(self, obj)
 
     def _co_alltoall(self, objs: list[Any]):
         self._check()
-        return self._coll().alltoall_object(self, objs)
-
-    def reduce(self, obj: Any, op=None, root: int = 0) -> Any:
-        """Object reduce with a Python callable (default: +)."""
-        self._check()
-        return self._run(self._co_reduce(obj, op, root))
+        return coll.alltoall_object(self, objs)
 
     def _co_reduce(self, obj: Any, op=None, root: int = 0):
+        """Object reduce with a Python callable (default: +)."""
         self._check()
-        return self._coll().reduce_object(self, obj, op, self._check_root(root))
-
-    def allreduce(self, obj: Any, op=None) -> Any:
-        self._check()
-        return self._run(self._co_allreduce(obj, op))
+        return coll.reduce_object(self, obj, op, self._check_root(root))
 
     def _co_allreduce(self, obj: Any, op=None):
         self._check()
-        return self._coll().allreduce_object(self, obj, op)
+        return coll.allreduce_object(self, obj, op)
 
-    def barrier(self) -> None:
-        self.Barrier()
-
-    def _co_barrier(self):
-        return self._co_Barrier()
+    _co_barrier = _co_Barrier
 
     # =====================================================================
     # communicator management
@@ -821,19 +575,16 @@ class Communicator:
             return None
         return new
 
-    def Split(self, color: int, key: int = 0) -> "Communicator | None":
+    def _co_Split(self, color: int, key: int = 0):
         """MPI_Comm_split — an extension over the paper's subset.
 
         All ranks of the communicator must call; ranks sharing a ``color``
         end up in the same new communicator, ordered by ``key`` then by
         original rank.  ``color = UNDEFINED`` opts out (returns None).
         """
-        return self._run(self._co_Split(color, key))
-
-    def _co_Split(self, color: int, key: int = 0):
         self._check()
         me = self.Get_rank()
-        contributions = yield from self._coll().allgather_object(
+        contributions = yield from coll.allgather_object(
             self, (color, key, me)
         )
         token = self.world.comm_token("split", self.ctx, extra=color)
@@ -845,7 +596,7 @@ class Communicator:
             group, f"{self.name}+split({color})", token
         )
 
-    def Split_type(self, kind: str = "shared", key: int = 0) -> "Communicator":
+    def _co_Split_type(self, kind: str = "shared", key: int = 0):
         """MPI_Comm_split_type-flavoured topology split (collective).
 
         ``kind`` picks the grouping granularity:
@@ -861,10 +612,6 @@ class Communicator:
         Every rank receives a communicator (no UNDEFINED opt-out), with
         members ordered by ``key`` then original rank, as in ``Split``.
         """
-        return self._run(self._co_Split_type(kind, key))
-
-    def _co_Split_type(self, kind: str = "shared", key: int = 0):
-        """Generator twin of :meth:`Split_type`."""
         self._check()
         color = self._split_type_color(kind)
         return (yield from self._co_Split(color, key))
@@ -914,6 +661,61 @@ _CO_OPS = frozenset({
     "bcast", "scatter", "gather", "allgather", "alltoall",
     "reduce", "allreduce", "barrier", "Split", "Split_type",
 })
+
+#: blocking operations whose synchronous face returns the twin's value;
+#: the others return None, whatever their twin yields back
+_VALUE_OPS = frozenset({
+    "Iprobe", "recv", "sendrecv", "bcast", "scatter", "gather",
+    "allgather", "alltoall", "reduce", "allreduce", "Split", "Split_type",
+})
+
+
+def _flushing(co):
+    """``co`` with the calling rank's deferred compute charged first.
+
+    Bypassed sample sites defer their compute (``SmpiWorld.defer_flops``)
+    until the rank next enters the pt2pt protocol.  The protocol's own
+    flush can only block in-stack, which a coroutine rank cannot do, so
+    the twins pay the debt on the generator path before entering it; a
+    rank with nothing deferred gets the twin's generator untouched.
+    """
+    def after_flush(world: "SmpiWorld", gen):
+        yield from world.co_flush_deferred()
+        return (yield from gen)
+
+    @functools.wraps(co)
+    def twin(self, *args, **kwargs):
+        gen = co(self, *args, **kwargs)
+        if self.world.has_deferred():
+            return after_flush(self.world, gen)
+        return gen
+
+    return twin
+
+
+def _blocking(name: str, co):
+    """The synchronous ``name``: its generator twin ``co`` driven in-stack."""
+    if name in _VALUE_OPS:
+        def method(self, *args, **kwargs):
+            return self._run(co(self, *args, **kwargs))
+    else:
+        def method(self, *args, **kwargs):
+            self._run(co(self, *args, **kwargs))
+    functools.update_wrapper(method, co)
+    method.__name__, method.__qualname__ = name, f"Communicator.{name}"
+    return method
+
+
+# every blocking operation has one hand-written body, its ``_co_`` twin;
+# the plain name is generated from it.  Probes never enter the protocol,
+# so they never flush.
+for _name in sorted(_CO_OPS):
+    _co = getattr(Communicator, "_co_" + _name)
+    if _name not in ("Iprobe", "Probe"):
+        _co = _flushing(_co)
+        setattr(Communicator, "_co_" + _name, _co)
+    setattr(Communicator, _name, _blocking(_name, _co))
+del _name, _co
 
 
 class CoCommunicator:

@@ -47,7 +47,6 @@ import numpy as np
 
 from ..errors import ConfigError, MpiError
 from ..log import get_logger
-from ..simix.contexts import run_blocking
 from ..simix.mailbox import (
     IndexedMessageQueue,
     IndexedRecvQueue,
@@ -280,7 +279,10 @@ class Protocol:
         (Bsend) always eager, ``ready`` (Rsend) behaves like standard
         (its constraint is on the application, not the timing).
         """
-        self.world.flush_deferred()
+        if self.world.has_deferred():
+            # only plain calls arrive with deferred compute: the blocking
+            # twins charge it on the generator path before calling in
+            self.world.flush_deferred()
         if dst in self.world.dead_ranks:
             raise MpiError(
                 constants.ERR_PROC_FAILED,
@@ -350,7 +352,8 @@ class Protocol:
         request: Request,
     ) -> None:
         """Post a receive; matches an unexpected message or queues up."""
-        self.world.flush_deferred()
+        if self.world.has_deferred():  # see start_send
+            self.world.flush_deferred()
         if source != constants.ANY_SOURCE and source in self.world.dead_ranks:
             raise MpiError(
                 constants.ERR_PROC_FAILED,
@@ -418,13 +421,8 @@ class Protocol:
             message.probed = True
         return message
 
-    def probe(self, dst: int, source: int, tag: int, ctx: int) -> Message:
-        """Block until a matching message is announced; returns it."""
-        return run_blocking(self.co_probe(dst, source, tag, ctx),
-                            lambda: self.world.current_actor)
-
     def co_probe(self, dst: int, source: int, tag: int, ctx: int):
-        """Generator twin of :meth:`probe` (canonical implementation)."""
+        """Block until a matching message is announced; returns it."""
         actor = self.world.current_actor
         while True:
             message = self.iprobe(dst, source, tag, ctx)

@@ -352,6 +352,10 @@ class SmpiWorld:
         if flops > 0:
             self._deferred_flops[self.current_rank] += flops
 
+    def has_deferred(self) -> bool:
+        """Does the calling rank hold deferred compute?  (No generator.)"""
+        return self._deferred_flops[self.current_rank] > 0
+
     def flush_deferred(self) -> None:
         """Charge the calling rank's accumulated deferred compute."""
         run_blocking(self.co_flush_deferred(), lambda: self.current_actor)
@@ -387,23 +391,15 @@ class SmpiWorld:
         if self.config.tracing:
             self.trace.compute(self.current_rank, flops, start, self.engine.now)
 
-    def sleep(self, seconds: float) -> None:
-        """Park the calling rank for ``seconds`` of simulated time."""
-        run_blocking(self.co_sleep(seconds), lambda: self.current_actor)
-
     def co_sleep(self, seconds: float):
-        """Generator twin of :meth:`sleep` (canonical)."""
+        """Park the calling rank for ``seconds`` of simulated time."""
         if seconds <= 0:
             return
         actor = self.current_actor
         yield from self.scheduler.sleep_activity(seconds).co_wait(actor)
 
-    def tiny_progress(self) -> None:
-        """Advance simulated time by the Test-poll delay (see request.py)."""
-        self.sleep(self.config.test_delay)
-
     def co_tiny_progress(self):
-        """Generator twin of :meth:`tiny_progress`."""
+        """Advance simulated time by the Test-poll delay (see request.py)."""
         yield from self.co_sleep(self.config.test_delay)
 
 
@@ -487,22 +483,24 @@ class Mpi:
     def config(self) -> SmpiConfig:
         return self._world.config
 
+    def _run(self, gen):
+        """Drive one of :attr:`co`'s continuations to completion in-stack."""
+        return run_blocking(gen, lambda: self._world.current_actor)
+
     def wtime(self) -> float:
         """MPI_Wtime: the *simulated* clock."""
-        self._world.flush_deferred()
-        return self._world.engine.now
+        return self._run(self.co.wtime())
 
     # -- compute modelling ------------------------------------------------------------------
 
     def execute(self, flops: float) -> None:
         """Charge an explicit compute burst of ``flops`` (SMPI_SAMPLE_DELAY
         semantics with a flop argument)."""
-        self._world.execute_flops(flops)
+        self._run(self.co.execute(flops))
 
     def sleep(self, seconds: float) -> None:
         """Advance this rank's simulated time without using the CPU."""
-        self._world.flush_deferred()
-        self._world.sleep(seconds)
+        self._run(self.co.sleep(seconds))
 
     def sample_local(self, key: str, n: int = 1) -> Iterator[None]:
         return self._world.sampler.sample_local(key, n)

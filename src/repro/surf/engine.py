@@ -265,9 +265,9 @@ class Engine:
         #: and failure tracing)
         self.resource_listeners: list = []
         #: installed profile cursors: [resource, kind, event iterator,
-        #: points pulled so far] — the pull count is what a snapshot
-        #: records, so a restore can re-consume the same prefix of the
-        #: (possibly infinite) profile
+        #: points pulled so far, profile] — the pull count is what a
+        #: snapshot records, so a restore can re-consume the same prefix
+        #: of the (possibly infinite) profile
         self._profile_cursors: list[list] = []
         #: min-heap of (time, cursor index, value) upcoming profile points
         self._profile_heap: list[tuple[float, int, float]] = []
@@ -584,11 +584,13 @@ class Engine:
             self.share_resources()
         horizon = self._next_profile_time()
         if self.eager_updates:
-            date = horizon
+            date = math.inf
             for action in self.pending.values():
                 if action.is_pending and action.deadline < date:
                     date = action.deadline
-            return date
+            if date < math.inf:
+                return min(date, horizon)
+            return self._stalled_horizon(horizon)
         heap = self._heap
         stats = self.stats
         while heap:
@@ -600,7 +602,39 @@ class Engine:
                 stats.stale_heap_entries += 1
                 continue
             return min(deadline, horizon)
-        return horizon
+        return self._stalled_horizon(horizon)
+
+    def _stalled_horizon(self, horizon: float) -> float:
+        """The next event when no pending action can finish on its own.
+
+        Such an action runs at rate 0.  A profile can free it only with a
+        positive availability point on each zero-capacity resource of its
+        path, or end it with a 0 state point on any resource of its path.
+        When no scheduled profile can do either for any pending action, the
+        stall is permanent: report inf, or periodic profiles elsewhere
+        would step the clock forever.
+        """
+        if not self.pending or horizon == math.inf:
+            return horizon
+        restoring: set[str] = set()
+        failing: set[str] = set()
+        cursors = self._profile_cursors
+        for _date, cursor, _value in self._profile_heap:
+            resource, kind, _events, _pulls, profile = cursors[cursor]
+            values = [value for _t, value in profile.points]
+            if kind == "availability" and max(values) > 0:
+                restoring.add(resource.name)
+            elif kind == "state" and min(values) <= 0:
+                failing.add(resource.name)
+        for action in self.pending.values():
+            if not action.is_pending:
+                continue
+            path = action.constraints()
+            zero = [r.name for r in path if self._capacity_of(r) == 0.0]
+            if (not zero or all(name in restoring for name in zero)
+                    or any(r.name in failing for r in path)):
+                return horizon
+        return math.inf
 
     def next_event_delta(self) -> float:
         """Time until the next action completes (inf when none will)."""
@@ -923,7 +957,8 @@ class Engine:
                 f"unknown profile kind {kind!r} (availability or state)"
             )
         cursor = len(self._profile_cursors)
-        self._profile_cursors.append([resource, kind, profile.iter_events(), 0])
+        self._profile_cursors.append(
+            [resource, kind, profile.iter_events(), 0, profile])
         self._advance_cursor(cursor)
         self._fire_profiles_due()
 
@@ -1211,7 +1246,7 @@ class Engine:
             for _ in range(spec["pulls"]):
                 next(events, None)
             engine._profile_cursors.append(
-                [resource, spec["kind"], events, spec["pulls"]])
+                [resource, spec["kind"], events, spec["pulls"], profile])
         engine._profile_heap = [tuple(entry)
                                 for entry in snap["profile_heap"]]
 

@@ -2,10 +2,43 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import pytest
 
 from repro.smpi import SmpiConfig, smpirun
 from repro.surf import cluster
+
+
+#: a test still running after this many seconds is taken to hang: every
+#: thread's stack is printed and the run exits instead of stalling CI
+HANG_TIMEOUT_S = 300
+
+#: a copy of the terminal's stderr: while a test runs, fd 2 points into
+#: pytest's capture file, which a process exiting from the watchdog
+#: never shows
+_terminal_stderr: int | None = None
+
+
+def pytest_configure(config):
+    global _terminal_stderr
+    _terminal_stderr = os.dup(sys.stderr.fileno())  # capture is off here
+
+
+def pytest_unconfigure(config):
+    if _terminal_stderr is not None:
+        os.close(_terminal_stderr)
+
+
+@pytest.fixture(autouse=True)
+def _dump_stacks_on_hang():
+    """Arm a per-test watchdog that turns a silent hang into a traceback."""
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True,
+                                      file=_terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ActorFailure, MpiError
-from repro.smpi import Group, constants, smpirun
+from repro.smpi import Communicator, Group, Status, constants, smpirun
+from repro.smpi.comm import _CO_OPS, _VALUE_OPS
 from repro.surf import cluster
 
 
@@ -196,3 +197,119 @@ class TestObjectCollectives:
 
         with pytest.raises(ActorFailure):
             run_app(app, 3)
+
+
+# ---------------------------------------------------------------------------
+# the synchronous surface generated from the generator twins
+# ---------------------------------------------------------------------------
+
+
+def _send_to_1(comm, op):
+    if comm.rank == 0:
+        return op(np.arange(4.0), 1, 3)
+    comm.Recv(np.zeros(4), 0, 3)
+
+
+def _recv_from_0(comm, op):
+    if comm.rank == 0:
+        comm.Send(np.arange(4.0), 1, 3)
+    else:
+        return op(np.zeros(4), 0, 3, Status())
+
+
+def _probe_0(comm, op):
+    if comm.rank == 0:
+        comm.Send(np.arange(4.0), 1, 3)
+        return None
+    comm.Probe(0, 3)  # the message is announced: Iprobe is deterministic
+    got = op(0, 3, Status())
+    comm.Recv(np.zeros(4), 0, 3)
+    return got
+
+
+def _send_obj_to_1(comm, op):
+    if comm.rank == 0:
+        return op({"a": 1}, 1, 3)
+    comm.recv(0, 3)
+
+
+def _recv_obj_from_0(comm, op):
+    if comm.rank == 0:
+        comm.send({"a": 1}, 1, 3)
+    else:
+        return op(0, 3)
+
+
+#: one valid call of every blocking operation on two ranks; ``op`` is the
+#: operation under test, the partner side uses other calls
+_SCENARIOS = {
+    "Ssend": _send_to_1, "Bsend": _send_to_1, "Rsend": _send_to_1,
+    "Send": _send_to_1, "Recv": _recv_from_0,
+    "Sendrecv": lambda c, op: op(np.arange(4.0), 1 - c.rank, 3,
+                                 np.zeros(4), 1 - c.rank, 3),
+    "Iprobe": _probe_0, "Probe": _probe_0,
+    "send": _send_obj_to_1, "recv": _recv_obj_from_0,
+    "sendrecv": lambda c, op: op({"r": c.rank}, 1 - c.rank, 3, 1 - c.rank, 3),
+    "Barrier": lambda c, op: op(), "barrier": lambda c, op: op(),
+    "Bcast": lambda c, op: op(np.arange(4.0), 0),
+    "Scatter": lambda c, op: op(np.arange(4.0), np.zeros(2), 0),
+    "Scatterv": lambda c, op: op(np.arange(4.0), [2, 2], [0, 2],
+                                 np.zeros(2), 0),
+    "Gather": lambda c, op: op(np.arange(2.0), np.zeros(4), 0),
+    "Gatherv": lambda c, op: op(np.arange(2.0), np.zeros(4), [2, 2],
+                                [0, 2], 0),
+    "Allgather": lambda c, op: op(np.arange(2.0), np.zeros(4)),
+    "Allgatherv": lambda c, op: op(np.arange(2.0), np.zeros(4), [2, 2],
+                                   [0, 2]),
+    "Reduce": lambda c, op: op(np.arange(4.0), np.zeros(4)),
+    "Allreduce": lambda c, op: op(np.arange(4.0), np.zeros(4)),
+    "Scan": lambda c, op: op(np.arange(4.0), np.zeros(4)),
+    "Exscan": lambda c, op: op(np.arange(4.0), np.zeros(4)),
+    "Reduce_scatter": lambda c, op: op(np.arange(4.0), np.zeros(2), [2, 2]),
+    "Alltoall": lambda c, op: op(np.arange(4.0), np.zeros(4)),
+    "Alltoallv": lambda c, op: op(np.arange(4.0), [2, 2], [0, 2],
+                                  np.zeros(4), [2, 2], [0, 2]),
+    "bcast": lambda c, op: op({"x": 1} if c.rank == 0 else None, 0),
+    "scatter": lambda c, op: op([10, 11] if c.rank == 0 else None, 0),
+    "gather": lambda c, op: op(c.rank, 0),
+    "allgather": lambda c, op: op(c.rank),
+    "alltoall": lambda c, op: op([10 * c.rank, 10 * c.rank + 1]),
+    "reduce": lambda c, op: op(c.rank + 1),
+    "allreduce": lambda c, op: op(c.rank + 1),
+    "Split": lambda c, op: op(c.rank % 2),
+    "Split_type": lambda c, op: op("shared"),
+}
+
+
+def _comparable(value):
+    """Communicators from two separate splits compare by membership."""
+    return value.group.ranks if isinstance(value, Communicator) else value
+
+
+class TestGeneratedSurface:
+    def test_return_contract_partitions_the_blocking_ops(self):
+        assert set(_SCENARIOS) == _CO_OPS
+        assert len(_CO_OPS) == 36 and len(_VALUE_OPS) == 12
+        assert _VALUE_OPS <= _CO_OPS
+
+    @pytest.mark.parametrize("name", sorted(_CO_OPS))
+    def test_sync_name_drives_its_twin(self, name):
+        sync = getattr(Communicator, name)
+        twin = getattr(Communicator, "_co_" + name)
+        assert sync.__doc__ == twin.__doc__
+        scenario = _SCENARIOS[name]
+
+        def app(mpi):  # a plain function: runs on a stack-capable context
+            comm = mpi.COMM_WORLD
+            co_op = getattr(comm.co, name)
+            resolves = co_op.__func__ is twin
+            sync_value = scenario(comm, getattr(comm, name))
+            twin_value = scenario(comm, lambda *a: comm._run(co_op(*a)))
+            return resolves, sync_value, twin_value
+
+        for resolves, sync_value, twin_value in run(app, 2).returns:
+            assert resolves
+            if name in _VALUE_OPS:
+                assert _comparable(sync_value) == _comparable(twin_value)
+            else:
+                assert sync_value is None

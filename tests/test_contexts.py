@@ -315,3 +315,49 @@ class TestBackendEquivalence:
         assert _normalize(result.trace.to_csv()) == _normalize(
             oracle.trace.to_csv()
         )
+
+
+def _sampled_app(mpi, collective):
+    """Bypassed samples defer compute, then the rank enters the protocol."""
+    comm = mpi.COMM_WORLD
+    for _ in range(5):
+        for _ in mpi.sample_local("k", 2):
+            pass
+    buf = np.arange(4.0)
+    if collective:
+        out = np.zeros(4)
+        yield from comm.co.Allreduce(buf, out)
+        buf = out
+    elif mpi.rank == 0:
+        yield from comm.co.Send(buf, 1)
+    else:
+        buf = np.zeros(4)
+        yield from comm.co.Recv(buf, 0)
+    t = yield from mpi.co.wtime()
+    return (t, buf.tolist())
+
+
+class TestDeferredComputeFlush:
+    """Sampled compute is charged on the generator path, not in-stack."""
+
+    @pytest.mark.parametrize("collective", [False, True],
+                             ids=["send_recv", "allreduce"])
+    def test_coroutine_matches_thread_oracle(self, monkeypatch, collective):
+        import itertools
+        import types
+
+        from repro.smpi import sampling
+
+        def run(ctx):
+            # a fake host clock: every executed sample measures 1 ms
+            ticks = itertools.count()
+            monkeypatch.setattr(sampling, "time", types.SimpleNamespace(
+                perf_counter=lambda: next(ticks) * 1e-3))
+            return smpirun(_sampled_app, 2, cluster("c", 2),
+                           app_args=(collective,), ctx=ctx)
+
+        oracle = run("thread")
+        result = run("coroutine")
+        assert oracle.simulated_time > 0.001  # the deferred compute counted
+        assert result.simulated_time == oracle.simulated_time
+        assert result.returns == oracle.returns

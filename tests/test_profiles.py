@@ -146,6 +146,38 @@ class TestEngineAvailability:
         baseline = 1_000_000 / platform.link("av5-l0").bandwidth
         assert engine.run() == pytest.approx(0.5 + baseline)
 
+    @pytest.mark.parametrize("link, text, kind, outcome", [
+        # a periodic profile that never touches the stalled path
+        ("pst-l2", "PERIODICITY 0.01\n0 0.5\n0.005 1\n", "availability",
+         None),
+        # state points on the path that can only restore, never fail
+        ("pst-l0", "PERIODICITY 0.01\n0 1\n0.005 2\n", "state", None),
+        # a 0 state point on the path ends the transfer
+        ("pst-l0", "PERIODICITY 0.01\n0.005 0\n0.006 1\n", "state",
+         ActionState.FAILED),
+        # a positive availability point revives the stalled link
+        ("pst-l1", "PERIODICITY 0.01\n0.005 1\n", "availability",
+         ActionState.DONE),
+    ], ids=["unrelated", "restore-only", "fails", "revives"])
+    def test_permanent_stall_beside_periodic_profile_raises(
+            self, link, text, kind, outcome):
+        # node-1's link is stalled at availability 0 with no profile of
+        # its own; only a profile that can end or revive the transfer
+        # keeps the engine stepping
+        platform = cluster("pst", 3, backbone_bandwidth=None)
+        engine = _ideal_engine(platform)
+        engine.set_availability(platform.link("pst-l1"), 0.0)
+        engine.attach_profile(platform.link(link), parse_profile(text, "p"),
+                              kind)
+        action = engine.communicate("node-0", "node-1", 1_000_000)
+        if outcome is None:
+            with pytest.raises(SimulationError, match="no action can complete"):
+                for _ in range(1000):  # periodic points never run out
+                    engine.step()
+        else:
+            engine.run()
+            assert action.state is outcome
+
     def test_state_profile_fails_and_restores_resource(self):
         platform = cluster("st", 2)
         link = platform.link("st-backbone")

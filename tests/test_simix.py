@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ActorFailure, DeadlockError
-from repro.simix import Mailbox, Scheduler
+from repro.simix import Scheduler
 from repro.surf import Engine, cluster
 
 
@@ -223,35 +223,3 @@ class TestActivities:
         sched.add_actor("j", "node-1", joiner)
         sched.run()
         assert sorted(woken) == ["creator", "joiner"]
-
-
-class TestMailbox:
-    def test_fifo_matching(self):
-        box = Mailbox("m")
-        box.push(("a", 1))
-        box.push(("a", 2))
-        box.push(("b", 3))
-        assert box.pop_first(lambda x: x[0] == "a") == ("a", 1)
-        assert box.pop_first(lambda x: x[0] == "a") == ("a", 2)
-        assert box.pop_first(lambda x: x[0] == "a") is None
-        assert len(box) == 1
-
-    def test_peek_does_not_remove(self):
-        box = Mailbox("m")
-        box.push(1)
-        assert box.peek_first(lambda x: True) == 1
-        assert len(box) == 1
-
-    def test_remove_specific(self):
-        box = Mailbox("m")
-        box.push(1)
-        box.push(2)
-        assert box.remove(1)
-        assert not box.remove(1)
-        assert list(box) == [2]
-
-    def test_bool_and_iter(self):
-        box = Mailbox("m")
-        assert not box
-        box.push("x")
-        assert box and list(box) == ["x"]
