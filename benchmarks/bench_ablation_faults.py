@@ -2,8 +2,8 @@
 
 Availability profiles turn a static platform into a stream of capacity
 events: every profile point changes one resource's capacity mid-run.
-The historical full-reshare solver re-solves *every* live flow at every
-such event; the incremental solver marks only the changed constraint
+The historical full-reshare solver (``FullReshareEngine`` of
+tests/oracles.py) re-solves *every* live flow at every such event; the incremental solver marks only the changed constraint
 dirty and re-solves its connected component.  This bench drives a
 crossbar of disjoint transfers — a subset of whose links carry
 multi-point availability profiles — through both solver paths at
@@ -16,7 +16,8 @@ from __future__ import annotations
 import time
 
 from _helpers import FigureReport
-from repro.surf import Engine, cluster, parse_profile
+from repro.surf import cluster, parse_profile
+from tests.oracles import oracle_engine
 
 FLOW_COUNTS = (128, 512, 1024)
 
@@ -45,7 +46,7 @@ def _make_platform(n_flows: int):
 
 def crossbar_stage(platform, n_flows: int, full: bool):
     """Disjoint transfers with staggered capacity events on their links."""
-    engine = Engine(platform, full_reshare=full)
+    engine = oracle_engine(platform, full=full)
     for i in range(n_flows):
         engine.communicate(
             f"node-{i}", f"node-{(i + 1) % n_flows}", 1e6 * (1 + i)

@@ -5,7 +5,7 @@ absolute predicted deadline, kept in a min-heap, and is only touched when
 its rate actually changes.  This bench drives the same Fig. 17-style
 workload — a crossbar of concurrently-draining disjoint transfers, every
 one completing at a distinct date — through the lazy engine and the
-historical ``eager_updates=True`` scan-everything loop, at growing flow
+historical scan-everything loop (``EagerEngine`` of tests/oracles.py), at growing flow
 counts.  Identical simulated clocks are asserted (the heap is a pure
 optimisation); the counters show the per-event work dropping from O(P)
 to O(1) and the wall-clock following.
@@ -16,7 +16,8 @@ from __future__ import annotations
 import time
 
 from _helpers import FigureReport
-from repro.surf import Engine, cluster
+from repro.surf import cluster
+from tests.oracles import oracle_engine
 
 FLOW_COUNTS = (128, 512, 2048)
 
@@ -28,7 +29,7 @@ def pairwise_stage(platform, n_flows: int, eager: bool):
     so the run has exactly ``n_flows`` completion events — the worst case
     for a loop that scans all pending actions at each one.
     """
-    engine = Engine(platform, eager_updates=eager)
+    engine = oracle_engine(platform, eager=eager)
     for i in range(n_flows):
         engine.communicate(
             f"node-{i}", f"node-{(i + 1) % n_flows}", 1e6 * (1 + i)

@@ -2,10 +2,10 @@
 
 The pt2pt layer's matcher is a hot path: every arriving message walks
 the receiver's posted queue and every posted receive walks the
-unexpected queue.  The seqno-bucketed index (``SmpiConfig(match=
-"index")``) makes exact matches O(1) and wildcard matches O(#candidate
-buckets); the original front-to-back scan is kept as a fuzz-pinned
-oracle (``match="scan"``).  This bench measures both on the workloads
+unexpected queue.  The seqno-bucketed index makes exact matches O(1)
+and wildcard matches O(#candidate buckets); the original front-to-back
+scan is kept as a fuzz-pinned test oracle (``matching("scan")`` in
+tests/oracles.py).  This bench measures both on the workloads
 where the difference shows:
 
 * **dense many-to-one, exact sources** — rank 0 posts R rounds of
@@ -49,11 +49,14 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the scan baseline is the test-only oracle in tests/oracles.py
+sys.path.insert(0, str(Path(__file__).parent.parent))
 
 from _helpers import RESULTS_DIR, FigureReport  # noqa: E402
 
-from repro.smpi import SmpiConfig, smpirun  # noqa: E402
+from repro.smpi import smpirun  # noqa: E402
 from repro.surf import cluster  # noqa: E402
+from tests.oracles import matching  # noqa: E402
 
 MATCHING_JSON = RESULTS_DIR / "ablation_matching.json"
 
@@ -141,11 +144,11 @@ def run_case(app, n_ranks: int, mode: str, app_args=(),
 
     platform = cluster("match", min(n_ranks, 256))
     model = None if contention else ConstantNetworkModel()
-    start = time.perf_counter()
-    result = smpirun(app, n_ranks, platform, app_args=app_args,
-                     config=SmpiConfig(match=mode), ctx="coroutine",
-                     network_model=model)
-    wall = time.perf_counter() - start
+    with matching(mode):
+        start = time.perf_counter()
+        result = smpirun(app, n_ranks, platform, app_args=app_args,
+                         ctx="coroutine", network_model=model)
+        wall = time.perf_counter() - start
     stats = result.stats
     return {
         "wall_s": wall,

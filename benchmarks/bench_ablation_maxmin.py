@@ -7,7 +7,8 @@ constant baked into :mod:`repro.surf.maxmin`.
 
 The second half ablates the engine's *incremental* re-sharing: the same
 scatter / all-to-all workloads run once with the dirty-set solver
-(:class:`IncrementalMaxMin`) and once with ``full_reshare=True``, and the
+(:class:`IncrementalMaxMin`) and once with the rebuild-everything share
+(``FullReshareEngine`` of tests/oracles.py), and the
 ``EngineStats`` counters show how many flow re-solves the connected-
 component decomposition avoids while producing the exact same completion
 times.
@@ -25,7 +26,7 @@ import numpy as np
 from _helpers import RESULTS_DIR, FigureReport
 from repro import rng as rng_mod
 from repro.smpi import SmpiConfig, smpirun
-from repro.surf import Engine, cluster
+from repro.surf import cluster
 from repro.surf.maxmin import (
     APPROX_MAX_ROUNDS,
     IncrementalMaxMin,
@@ -35,6 +36,7 @@ from repro.surf.maxmin import (
     solve_maxmin_reference,
     solve_maxmin_vectorized,
 )
+from tests.oracles import oracle_engine
 
 
 def random_system(n_flows: int, n_cons: int, seed: int) -> MaxMinSystem:
@@ -137,12 +139,12 @@ INCREMENTAL_WORKLOADS = [
 ]
 
 
-def run_incremental_case(app, base: int, coll: dict, full_reshare: bool):
+def run_incremental_case(app, base: int, coll: dict, full: bool):
     """One SMPI run on a split-duplex crossbar; returns (time, stats)."""
     platform = cluster(
         "ablation", N_RANKS, backbone_bandwidth=None, split_duplex=True
     )
-    engine = Engine(platform, full_reshare=full_reshare)
+    engine = oracle_engine(platform, full=full)
     result = smpirun(
         app, N_RANKS, platform,
         app_args=(base,),
@@ -155,8 +157,8 @@ def run_incremental_case(app, base: int, coll: dict, full_reshare: bool):
 def incremental_experiment():
     rows = []
     for label, app, base, coll in INCREMENTAL_WORKLOADS:
-        t_inc, s_inc = run_incremental_case(app, base, coll, full_reshare=False)
-        t_full, s_full = run_incremental_case(app, base, coll, full_reshare=True)
+        t_inc, s_inc = run_incremental_case(app, base, coll, full=False)
+        t_full, s_full = run_incremental_case(app, base, coll, full=True)
         rows.append((label, t_inc, t_full, s_inc, s_full))
     return rows
 

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the ablation benches import their baselines from tests/oracles.py
+sys.path.insert(0, str(Path(__file__).parent.parent))
 
 
 @pytest.fixture

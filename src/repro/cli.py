@@ -150,8 +150,6 @@ def _config_from_args(args: argparse.Namespace) -> SmpiConfig:
         options["on_host_down"] = args.on_host_down
     if getattr(args, "sharing", None) is not None:
         options["sharing"] = args.sharing
-    if getattr(args, "match", None) is not None:
-        options["match"] = args.match
     if getattr(args, "profile", False):
         options["profile"] = True
     return SmpiConfig(**options)
@@ -251,20 +249,17 @@ def _report(result, n_ranks: int, show_stats: bool = False) -> None:
 def _make_engine(platform, args):
     """The simulation kernel for a run/replay command.
 
-    Honours the ``--full-reshare`` / ``--eager-updates`` escape hatches
-    and builds an explicit engine whenever ``--fail-at``/``--restore-at``
-    events need scripting (None lets the runtime build its default
-    engine; profiles attached to platform resources work either way).
+    Builds an explicit engine whenever ``--sharing`` is given or
+    ``--fail-at``/``--restore-at`` events need scripting (None lets the
+    runtime build its default engine; profiles attached to platform
+    resources work either way).
     """
-    full = getattr(args, "full_reshare", False)
-    eager = getattr(args, "eager_updates", False)
     sharing = getattr(args, "sharing", None)
     fail_specs = getattr(args, "fail_at", None) or []
     restore_specs = getattr(args, "restore_at", None) or []
-    if not (full or eager or sharing or fail_specs or restore_specs):
+    if not (sharing or fail_specs or restore_specs):
         return None
-    engine = Engine(platform, full_reshare=full, eager_updates=eager,
-                    sharing=sharing)
+    engine = Engine(platform, sharing=sharing)
     for spec in fail_specs:
         t, name = _parse_at(spec, "fail-at")
         resource = _find_resource(platform, name)
@@ -677,6 +672,49 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
                         "terminate the host's ranks (kill-rank)")
 
 
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    """Platform and SMPI-configuration flags of run, replay and profile."""
+    p.add_argument("--platform", default="cluster:64",
+                   help="griffon | gdx | cluster:N[:bw[:lat]] | file.xml")
+    p.add_argument("--eager-threshold", default=None,
+                   help="eager/rendezvous switch, e.g. 64KiB")
+    p.add_argument("--zero-copy", action="store_true",
+                   help="fold payloads (timing only, erroneous results)")
+    p.add_argument("--coll", action="append", metavar="NAME=ALGO",
+                   help="force a collective algorithm (repeatable)")
+    p.add_argument("--sharing", choices=("exact", "approx"), default=None,
+                   help="bandwidth-sharing fidelity: exact max-min fixed "
+                        "point (default) or approx with bounded per-event "
+                        "work for 100k+ concurrent flows (REPRO_SHARING "
+                        "env var sets the default)")
+    p.add_argument("--ctx", choices=("auto", "coroutine", "greenlet",
+                                     "thread"),
+                   default=None,
+                   help="execution-context backend for rank actors "
+                        "(default: auto — coroutine for generator apps, "
+                        "greenlet/thread for plain functions; REPRO_CTX "
+                        "env var overrides)")
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    """Trace export and counter flags of run and replay."""
+    p.add_argument("--trace", metavar="FILE",
+                   help="export an execution trace to FILE")
+    p.add_argument("--trace-format", choices=("csv", "paje", "ti"),
+                   default="csv",
+                   help="format for --trace (default: csv)")
+    p.add_argument("--stream-trace", action="store_true",
+                   help="stream the --trace export to disk as records "
+                        "close (bounded trace memory; output is "
+                        "byte-identical to the in-memory exporter)")
+    p.add_argument("--stats", action="store_true",
+                   help="print kernel counters (shares, flow re-solves)")
+    p.add_argument("--profile", action="store_true",
+                   help="accumulate per-subsystem wall timers and print "
+                        "them after the run (implies nothing else; the "
+                        "deterministic counters are always on)")
+
+
 def make_parser() -> argparse.ArgumentParser:
     """Build the ``python -m repro`` argument parser (all subcommands)."""
     parser = argparse.ArgumentParser(
@@ -688,97 +726,20 @@ def make_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate an application file")
     run.add_argument("app", help="Python file defining app(mpi)")
     run.add_argument("-n", type=int, required=True, help="MPI rank count")
-    run.add_argument("--platform", default="cluster:64",
-                     help="griffon | gdx | cluster:N[:bw[:lat]] | file.xml")
     run.add_argument("--entry", default="app",
                      help="entry function name (default: app)")
-    run.add_argument("--eager-threshold", default=None,
-                     help="eager/rendezvous switch, e.g. 64KiB")
-    run.add_argument("--zero-copy", action="store_true",
-                     help="fold payloads (timing only, erroneous results)")
-    run.add_argument("--coll", action="append", metavar="NAME=ALGO",
-                     help="force a collective algorithm (repeatable)")
     run.add_argument("--record", metavar="TRACE.json",
                      help="record a time-independent trace")
-    run.add_argument("--trace", metavar="FILE",
-                     help="export an execution trace to FILE")
-    run.add_argument("--trace-format", choices=("csv", "paje", "ti"),
-                     default="csv",
-                     help="format for --trace (default: csv)")
-    run.add_argument("--stream-trace", action="store_true",
-                     help="stream the --trace export to disk as records "
-                          "close (bounded trace memory; output is "
-                          "byte-identical to the in-memory exporter)")
-    run.add_argument("--stats", action="store_true",
-                     help="print kernel counters (shares, flow re-solves)")
-    run.add_argument("--full-reshare", action="store_true",
-                     help="disable incremental re-sharing (debug escape hatch)")
-    run.add_argument("--eager-updates", action="store_true",
-                     help="disable lazy action updates / the completion-date "
-                          "heap (debug escape hatch)")
-    run.add_argument("--sharing", choices=("exact", "approx"), default=None,
-                     help="bandwidth-sharing fidelity: exact max-min fixed "
-                          "point (default) or approx with bounded per-event "
-                          "work for 100k+ concurrent flows (REPRO_SHARING "
-                          "env var sets the default)")
-    run.add_argument("--match", choices=("index", "scan"), default=None,
-                     help="message-matching implementation: indexed match "
-                          "queues (default) or the linear-scan oracle "
-                          "(REPRO_MATCH env var sets the default)")
-    run.add_argument("--profile", action="store_true",
-                     help="accumulate per-subsystem wall timers and print "
-                          "them after the run (implies nothing else; the "
-                          "deterministic counters are always on)")
-    run.add_argument("--ctx", choices=("auto", "coroutine", "greenlet",
-                                             "thread"),
-                     default=None,
-                     help="execution-context backend for rank actors "
-                          "(default: auto — coroutine for generator apps, "
-                          "greenlet/thread for plain functions; REPRO_CTX "
-                          "env var overrides)")
+    _add_sim_flags(run)
+    _add_output_flags(run)
     _add_fault_flags(run)
     run.set_defaults(func=_cmd_run)
 
     replay = sub.add_parser("replay", help="replay a recorded trace")
     replay.add_argument("trace_file", metavar="trace",
                         help="time-independent trace JSON file")
-    replay.add_argument("--platform", default="cluster:64")
-    replay.add_argument("--eager-threshold", default=None)
-    replay.add_argument("--zero-copy", action="store_true")
-    replay.add_argument("--coll", action="append", metavar="NAME=ALGO")
-    replay.add_argument("--trace", metavar="FILE",
-                        help="export an execution trace of the replay")
-    replay.add_argument("--trace-format", choices=("csv", "paje", "ti"),
-                        default="csv",
-                        help="format for --trace (default: csv)")
-    replay.add_argument("--stream-trace", action="store_true",
-                        help="stream the --trace export to disk as records "
-                             "close (bounded trace memory)")
-    replay.add_argument("--stats", action="store_true",
-                        help="print kernel counters (shares, flow re-solves)")
-    replay.add_argument("--full-reshare", action="store_true",
-                        help="disable incremental re-sharing (debug escape hatch)")
-    replay.add_argument("--eager-updates", action="store_true",
-                        help="disable lazy action updates / the completion-date "
-                             "heap (debug escape hatch)")
-    replay.add_argument("--sharing", choices=("exact", "approx"), default=None,
-                        help="bandwidth-sharing fidelity: exact max-min fixed "
-                             "point (default) or approx with bounded "
-                             "per-event work (REPRO_SHARING env var sets "
-                             "the default)")
-    replay.add_argument("--match", choices=("index", "scan"), default=None,
-                        help="message-matching implementation: indexed "
-                             "(default) or the linear-scan oracle")
-    replay.add_argument("--profile", action="store_true",
-                        help="accumulate per-subsystem wall timers and "
-                             "print them after the replay")
-    replay.add_argument("--ctx", choices=("auto", "coroutine", "greenlet",
-                                             "thread"),
-                     default=None,
-                     help="execution-context backend for rank actors "
-                          "(default: auto — coroutine for generator apps, "
-                          "greenlet/thread for plain functions; REPRO_CTX "
-                          "env var overrides)")
+    _add_sim_flags(replay)
+    _add_output_flags(replay)
     replay.add_argument("--checkpoint-at", type=float, default=None,
                         metavar="T",
                         help="capture a resumable checkpoint at the first "
@@ -931,26 +892,9 @@ def make_parser() -> argparse.ArgumentParser:
              "simulator spends its time")
     profile.add_argument("app", help="Python file defining app(mpi)")
     profile.add_argument("-n", type=int, required=True, help="MPI rank count")
-    profile.add_argument("--platform", default="cluster:64",
-                         help="griffon | gdx | cluster:N[:bw[:lat]] | "
-                              "file.xml")
     profile.add_argument("--entry", default="app",
                          help="entry function name (default: app)")
-    profile.add_argument("--eager-threshold", default=None,
-                         help="eager/rendezvous switch, e.g. 64KiB")
-    profile.add_argument("--zero-copy", action="store_true",
-                         help="fold payloads (timing only)")
-    profile.add_argument("--coll", action="append", metavar="NAME=ALGO",
-                         help="force a collective algorithm (repeatable)")
-    profile.add_argument("--sharing", choices=("exact", "approx"),
-                         default=None,
-                         help="bandwidth-sharing fidelity")
-    profile.add_argument("--match", choices=("index", "scan"), default=None,
-                         help="message-matching implementation under test")
-    profile.add_argument("--ctx", choices=("auto", "coroutine", "greenlet",
-                                           "thread"),
-                         default=None,
-                         help="execution-context backend for rank actors")
+    _add_sim_flags(profile)
     profile.set_defaults(func=_cmd_profile)
 
     platforms = sub.add_parser("platforms", help="list built-in platforms")

@@ -280,7 +280,10 @@ def resume_replay(
 
     import time
 
-    config = SmpiConfig(**checkpoint["config"])
+    try:
+        config = SmpiConfig().with_options(**checkpoint["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint config is stale: {exc}") from exc
     engine, actions = Engine.restore(platform, checkpoint["engine"],
                                      network_model=network_model)
     world = SmpiWorld(platform, trace.n_ranks,

@@ -43,8 +43,6 @@ from .mailbox import (
     IndexedMessageQueue,
     IndexedRecvQueue,
     MatchCounters,
-    ScanMessageQueue,
-    ScanRecvQueue,
 )
 
 __all__ = [
@@ -61,8 +59,6 @@ __all__ = [
     "IndexedMessageQueue",
     "IndexedRecvQueue",
     "MatchCounters",
-    "ScanMessageQueue",
-    "ScanRecvQueue",
     "Scheduler",
     "SleepActivity",
     "ThreadBackend",

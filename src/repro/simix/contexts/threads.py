@@ -1,9 +1,9 @@
 """The thread backend: one OS thread per actor, baton-passed with Events.
 
 This is the historical execution model, retained as the bit-identical
-equivalence oracle (in the style of ``--full-reshare``): the scheduler
-thread and the actor thread share a pair of :class:`threading.Event`
-objects, and at any instant exactly one of them holds the baton.  Every
+equivalence oracle: the scheduler thread and the actor thread share a
+pair of :class:`threading.Event` objects, and at any instant exactly one
+of them holds the baton.  Every
 switch costs two kernel wait/set round-trips — which is precisely what
 the coroutine backend exists to retire.
 """

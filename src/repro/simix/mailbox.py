@@ -2,19 +2,15 @@
 
 MPI message matching requires two queues per destination — posted receives
 and unexpected messages — each searched *in arrival order* against a
-source/tag pattern (possibly with wildcards).  Two families live here:
-
-* the **scan queues** — :class:`ScanMessageQueue` and
-  :class:`ScanRecvQueue`, a flat list with linear scans; the matching
-  *oracle* behind ``REPRO_MATCH=scan``.
-* the **indexed match queues** — :class:`IndexedMessageQueue` (concrete
-  envelopes, possibly-wildcard queries) and :class:`IndexedRecvQueue`
-  (possibly-wildcard patterns, concrete queries).  Every entry carries a
-  monotonic per-queue sequence number; the exact-match common case is an
-  O(1) bucket ``popleft`` and wildcard matches are resolved by comparing
-  candidate bucket *head* seqnos, which preserves MPI's oldest-first
-  non-overtaking rule bit-exactly (tests/test_matchq.py fuzzes the two
-  families against each other).
+source/tag pattern (possibly with wildcards).  The **indexed match
+queues** here do both: :class:`IndexedMessageQueue` (concrete envelopes,
+possibly-wildcard queries) and :class:`IndexedRecvQueue`
+(possibly-wildcard patterns, concrete queries).  Every entry carries a
+monotonic per-queue sequence number; the exact-match common case is an
+O(1) bucket ``popleft`` and wildcard matches are resolved by comparing
+candidate bucket *head* seqnos, which preserves MPI's oldest-first
+non-overtaking rule bit-exactly (tests/test_matchq.py fuzzes them against
+the linear-scan oracle of tests/oracles.py).
 
 The queues are generic: a ``key`` callable extracts the ``(source, tag)``
 envelope from an item, and the wildcard sentinels are constructor
@@ -39,8 +35,6 @@ __all__ = [
     "MatchCounters",
     "IndexedMessageQueue",
     "IndexedRecvQueue",
-    "ScanMessageQueue",
-    "ScanRecvQueue",
 ]
 
 
@@ -380,138 +374,3 @@ class IndexedRecvQueue(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexedRecvQueue({self.name!r}, {self._n} items)"
-
-
-class _ScanBase(Generic[T]):
-    """Common plumbing of the scan-oracle queues: one flat ordered list."""
-
-    __slots__ = ("name", "stats", "_key", "_any_source", "_any_tag",
-                 "_items")
-
-    def __init__(
-        self,
-        name: str,
-        key: Callable[[T], tuple[int, int]],
-        any_source: int = -1,
-        any_tag: int = -1,
-        stats=None,
-    ) -> None:
-        self.name = name
-        self.stats = stats if stats is not None else MatchCounters()
-        self._key = key
-        self._any_source = any_source
-        self._any_tag = any_tag
-        self._items: list[T] = []
-
-    def push(self, item: T) -> None:
-        self._items.append(item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.name!r}, {len(self._items)} items)"
-
-
-class ScanMessageQueue(_ScanBase[T]):
-    """Linear-scan oracle with :class:`IndexedMessageQueue`'s interface.
-
-    This *is* the pre-index matching algorithm (an oldest-first scan
-    with an envelope predicate), kept selectable via ``REPRO_MATCH=scan``
-    so the index can be fuzz-pinned against it forever.  Probe counting
-    matches the index's metric: one probe per entry examined.
-    """
-
-    __slots__ = ()
-
-    def _matches(self, item: T, source: int, tag: int) -> bool:
-        src, tg = self._key(item)
-        if source != self._any_source and source != src:
-            return False
-        if tag != self._any_tag and tag != tg:
-            return False
-        return True
-
-    def pop(self, source: int, tag: int) -> T | None:
-        items = self._items
-        stats = self.stats
-        wildcard = source == self._any_source or tag == self._any_tag
-        for index, item in enumerate(items):
-            if self._matches(item, source, tag):
-                del items[index]
-                stats.match_probes += index + 1
-                if wildcard:
-                    stats.wildcard_scans += 1
-                else:
-                    stats.match_fast_hits += 1
-                return item
-        stats.match_probes += len(items) if items else 1
-        return None
-
-    def peek(self, source: int, tag: int) -> T | None:
-        stats = self.stats
-        wildcard = source == self._any_source or tag == self._any_tag
-        for index, item in enumerate(self._items):
-            if self._matches(item, source, tag):
-                stats.match_probes += index + 1
-                if wildcard:
-                    stats.wildcard_scans += 1
-                return item
-        stats.match_probes += len(self._items) if self._items else 1
-        return None
-
-    def pop_if(self, predicate: Callable[[T], bool]) -> T | None:
-        for index, item in enumerate(self._items):
-            self.stats.match_probes += 1
-            if predicate(item):
-                del self._items[index]
-                return item
-        return None
-
-
-class ScanRecvQueue(_ScanBase[T]):
-    """Linear-scan oracle with :class:`IndexedRecvQueue`'s interface."""
-
-    __slots__ = ()
-
-    def pop(self, source: int, tag: int) -> T | None:
-        items = self._items
-        stats = self.stats
-        for index, item in enumerate(items):
-            src, tg = self._key(item)
-            if ((src == self._any_source or src == source)
-                    and (tg == self._any_tag or tg == tag)):
-                del items[index]
-                stats.match_probes += index + 1
-                if src == self._any_source or tg == self._any_tag:
-                    stats.wildcard_scans += 1
-                else:
-                    stats.match_fast_hits += 1
-                return item
-        stats.match_probes += len(items) if items else 1
-        return None
-
-    def pop_source(self, source: int) -> T | None:
-        for index, item in enumerate(self._items):
-            self.stats.match_probes += 1
-            if self._key(item)[0] == source:
-                del self._items[index]
-                return item
-        return None
-
-    def remove_first(self, predicate: Callable[[T], bool]) -> T | None:
-        for index, item in enumerate(self._items):
-            if predicate(item):
-                del self._items[index]
-                return item
-        return None
-
-    def drain(self) -> list[T]:
-        items, self._items = self._items, []
-        return items

@@ -88,13 +88,6 @@ class SmpiConfig:
     #: ``"exact"``).  Ignored when an explicit ``engine=`` is supplied.
     sharing: str | None = None
 
-    #: message-matching implementation of the pt2pt layer: ``"index"``
-    #: uses the seqno-bucketed match queues (O(1) exact matches),
-    #: ``"scan"`` the original linear-scan oracle — both bit-identical in
-    #: simulated time (fuzz-pinned).  ``None`` defers to the
-    #: ``REPRO_MATCH`` environment variable, then ``"index"``.
-    match: str | None = None
-
     #: enable the opt-in hot-path wall timers (:mod:`repro.profile`);
     #: the accumulated per-subsystem table lands in
     #: ``result.stats.extra["profile"]``.  The deterministic match/alloc
@@ -147,5 +140,3 @@ class SmpiConfig:
                 "on_host_down must be 'raise' or 'kill-rank'")
         if self.sharing not in (None, "exact", "approx"):
             raise ConfigError("sharing must be 'exact', 'approx', or None")
-        if self.match not in (None, "index", "scan"):
-            raise ConfigError("match must be 'index', 'scan', or None")

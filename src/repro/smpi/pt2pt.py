@@ -13,12 +13,10 @@ Matching is MPI-conformant: per (context, destination) there is a posted-
 receive queue and an unexpected-message queue; ``ANY_SOURCE``/``ANY_TAG``
 wildcards are supported; messages between the same (source, destination,
 tag) triple are non-overtaking because every queue entry carries its
-arrival order.  Two interchangeable queue families implement this
-(``REPRO_MATCH`` / ``SmpiConfig.match``): the default ``index`` mode uses
-the seqno-bucketed match queues of :mod:`repro.simix.mailbox` (O(1)
-exact matches), while ``scan`` keeps the original oldest-first linear
-scan as a bit-identical oracle.  Matching is predicate-free on the hot
-path — envelopes travel as ``(source, tag)`` ints, not closures.
+arrival order.  The seqno-bucketed match queues of
+:mod:`repro.simix.mailbox` implement this with O(1) exact matches.
+Matching is predicate-free on the hot path — envelopes travel as
+``(source, tag)`` ints, not closures.
 
 Allocation churn is bounded the same way: ``Message`` and ``_PostedRecv``
 are slotted dataclasses recycled through free-list pools (a message
@@ -38,21 +36,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import ConfigError, MpiError
+from ..errors import MpiError
 from ..log import get_logger
-from ..simix.mailbox import (
-    IndexedMessageQueue,
-    IndexedRecvQueue,
-    ScanMessageQueue,
-    ScanRecvQueue,
-)
+from ..simix.mailbox import IndexedMessageQueue, IndexedRecvQueue
 from . import constants
 from .buffer import BufferSpec
 from .intern import intern_meta, payload_key
@@ -61,7 +53,7 @@ from .request import Request
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import SmpiWorld
 
-__all__ = ["MATCH_MODES", "Message", "Protocol", "resolve_match_mode"]
+__all__ = ["Message", "Protocol"]
 
 _log = get_logger("smpi.pt2pt")
 #: fallback allocator for messages built outside a Protocol (tests);
@@ -71,25 +63,6 @@ _msg_ids = itertools.count()
 
 #: the payload sentinel pooled messages park on between lives
 EMPTY_PAYLOAD = np.zeros(0, dtype=np.uint8)
-
-#: selectable matching implementations (see :func:`resolve_match_mode`)
-MATCH_MODES = ("index", "scan")
-
-
-def resolve_match_mode(mode: str | None = None) -> str:
-    """The effective matching mode: argument, ``REPRO_MATCH``, ``index``.
-
-    Mirrors the engine's sharing dial: an explicit value (usually
-    ``SmpiConfig.match``) wins, then the ``REPRO_MATCH`` environment
-    variable, then the indexed default.
-    """
-    if mode is None:
-        mode = os.environ.get("REPRO_MATCH") or "index"
-    if mode not in MATCH_MODES:
-        raise ConfigError(
-            f"unknown match mode {mode!r}; expected one of {MATCH_MODES}")
-    return mode
-
 
 @dataclass(slots=True)
 class Message:
@@ -176,7 +149,6 @@ class Protocol:
 
     def __init__(self, world: "SmpiWorld") -> None:
         self.world = world
-        self.match_mode = resolve_match_mode(world.config.match)
         #: the engine's counter sink (duck-typed kernels share the class)
         self._stats = world.engine.stats
         #: the world's hot-path profiler, or None (see repro.profile)
@@ -199,24 +171,14 @@ class Protocol:
         key = (ctx, dst)
         posted = self._posted.get(key)
         if posted is None:
-            if self.match_mode == "index":
-                posted = IndexedRecvQueue(
-                    f"posted-{key}", _recv_pattern,
-                    any_source=constants.ANY_SOURCE,
-                    any_tag=constants.ANY_TAG, stats=self._stats)
-                unexpected = IndexedMessageQueue(
-                    f"unexpected-{key}", _message_envelope,
-                    any_source=constants.ANY_SOURCE,
-                    any_tag=constants.ANY_TAG, stats=self._stats)
-            else:
-                posted = ScanRecvQueue(
-                    f"posted-{key}", _recv_pattern,
-                    any_source=constants.ANY_SOURCE,
-                    any_tag=constants.ANY_TAG, stats=self._stats)
-                unexpected = ScanMessageQueue(
-                    f"unexpected-{key}", _message_envelope,
-                    any_source=constants.ANY_SOURCE,
-                    any_tag=constants.ANY_TAG, stats=self._stats)
+            posted = IndexedRecvQueue(
+                f"posted-{key}", _recv_pattern,
+                any_source=constants.ANY_SOURCE,
+                any_tag=constants.ANY_TAG, stats=self._stats)
+            unexpected = IndexedMessageQueue(
+                f"unexpected-{key}", _message_envelope,
+                any_source=constants.ANY_SOURCE,
+                any_tag=constants.ANY_TAG, stats=self._stats)
             self._posted[key] = posted
             self._unexpected[key] = unexpected
             self._keys_by_dst.setdefault(dst, []).append(key)

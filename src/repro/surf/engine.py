@@ -22,9 +22,7 @@ Action arrivals/departures mark only the resources they touch dirty, and
 each share re-solves only the connected components of the flow/resource
 graph containing a dirty resource — the 500 flows of an all-to-all that
 never cross a completed flow's links keep their rates and completion
-estimates untouched.  ``full_reshare=True`` restores the historical
-rebuild-everything path (same results, used as the equivalence oracle by
-the tests and the ablation benchmark).
+estimates untouched.
 
 The step loop itself is *event-driven*: every pending action carries an
 absolute ``deadline`` (predicted completion, latency expiry, sleep wake-
@@ -36,9 +34,7 @@ min-heap of epoch-stamped entries: advancing to the next event is a heap
 peek, and harvesting is driven by heap pops, so an event that completes
 one flow among 2048 costs O(affected · log P) instead of O(P).  Stale
 entries (the action's epoch moved on) are skipped on pop rather than
-deleted.  ``eager_updates=True`` restores the historical scan-everything
-event loop — every pending action's deadline is examined at every event —
-with bit-identical results, as the lazy path's equivalence oracle.
+deleted.
 
 Resources are *dynamic* (see ``docs/faults.md``): availability profiles
 scale a link's bandwidth or a host's speed over time, state profiles turn
@@ -48,9 +44,11 @@ the same transitions directly.  Profile points are ordinary events on the
 engine's event loop (a dedicated min-heap of upcoming points feeds
 :meth:`Engine.next_deadline`), and capacity changes flow through the
 incremental solver as constraint updates — the affected component is
-re-solved and only the flows whose rate changed are re-anchored, so the
-lazy/eager and incremental/full oracles stay bit-identical under any mix
-of failures, recoveries and capacity noise.
+re-solved and only the flows whose rate changed are re-anchored.
+
+The historical scan-everything event loop and rebuild-everything share
+survive as test-only oracles (``tests/oracles.py``) that pin this engine
+bit-for-bit under any mix of failures, recoveries and capacity noise.
 """
 
 from __future__ import annotations
@@ -67,13 +65,7 @@ from ..log import bind_clock, get_logger
 from .action import Action, ActionState, ComputeAction, NetworkAction, SleepAction
 from .action import _ids as _action_ids
 from .cpu_model import CpuModel
-from .maxmin import (
-    APPROX_MAX_ROUNDS,
-    SHARING_MODES,
-    IncrementalMaxMin,
-    MaxMinSystem,
-    solve_maxmin_components,
-)
+from .maxmin import SHARING_MODES, IncrementalMaxMin
 from .network_model import FactorsNetworkModel, NetworkModel
 from .platform import Platform
 from .resources import Host, Link, SharingPolicy
@@ -95,15 +87,11 @@ class EngineStats:
     subset of the live flows (possibly none); ``flows_resolved`` is the
     total number of flow rates recomputed across all shares, and
     ``components_solved`` the number of connected components those
-    re-solves covered.  Under ``full_reshare=True`` every share re-solves
-    all flows as one component, so the counters stay comparable.
+    re-solves covered.
 
     ``actions_touched`` counts per-action updates in the event loop: rate
-    re-anchors plus, in the lazy engine, heap-popped expiries — or, under
-    ``eager_updates=True``, every pending action examined at every event.
-    The lazy/eager ratio of ``actions_touched / steps`` is the speedup the
-    completion-date heap buys.  ``heap_pops`` and ``stale_heap_entries``
-    instrument the heap itself (both stay 0 under eager updates).
+    re-anchors plus heap-popped expiries.  ``heap_pops`` and
+    ``stale_heap_entries`` instrument the completion heap itself.
     """
 
     steps: int = 0
@@ -116,9 +104,9 @@ class EngineStats:
     components_solved: int = 0
     #: per-action updates performed by the event loop (see class docstring)
     actions_touched: int = 0
-    #: completion-heap entries popped (lazy mode only)
+    #: completion-heap entries popped
     heap_pops: int = 0
-    #: popped entries whose prediction was stale and skipped (lazy mode only)
+    #: popped entries whose prediction was stale and skipped
     stale_heap_entries: int = 0
     #: utilization samples recorded on the attached timeline (0 unless
     #: :meth:`Engine.enable_timeline` was called)
@@ -212,16 +200,12 @@ class Engine:
         platform: Platform,
         network_model: NetworkModel | None = None,
         cpu_model: CpuModel | None = None,
-        full_reshare: bool = False,
-        eager_updates: bool = False,
         sharing: str | None = None,
     ) -> None:
         platform.freeze()
         self.platform = platform
         self.network_model = network_model or FactorsNetworkModel()
         self.cpu_model = cpu_model or CpuModel()
-        self.full_reshare = full_reshare
-        self.eager_updates = eager_updates
         # sharing fidelity dial: "exact" solves every share to the max-min
         # fixed point; "approx" bounds per-share solver work (capped fill
         # rounds + bandwidth-fraction fallback).  None defers to the
@@ -245,8 +229,7 @@ class Engine:
         #: RUNNING actions currently registered as solver flows, by aid
         self._members: dict[int, Action] = {}
         self._instant_done: list[Action] = []
-        #: min-heap of (deadline, aid, epoch) completion predictions; only
-        #: maintained by the lazy path (``eager_updates=False``)
+        #: min-heap of (deadline, aid, epoch) completion predictions
         self._heap: list[tuple[float, int, int]] = []
         #: actions that reached DONE/FAILED and await observer delivery
         self._finished: list[Action] = []
@@ -257,7 +240,7 @@ class Engine:
         self._dead_resources: set[str] = set()
         #: per-resource capacity factor (1.0 when absent); maintained by
         #: :meth:`set_availability` and read everywhere a constraint
-        #: capacity is built, so both solver paths see identical values
+        #: capacity is built
         self._availability: dict[str, float] = {}
         #: callbacks ``listener(event, resource, now)`` invoked on every
         #: resource transition — ``event`` is ``"fail"``, ``"restore"`` or
@@ -274,7 +257,6 @@ class Engine:
         #: per-resource utilization timeline; None (the default) keeps the
         #: share path free of any sampling work
         self.timeline = None
-        self._last_full_usage: dict = {}
         self._install_profiles()
         bind_clock(lambda: self.now)
 
@@ -379,7 +361,7 @@ class Engine:
 
     def _push(self, action: Action) -> None:
         """Schedule ``action``'s current deadline on the completion heap."""
-        if not self.eager_updates and action.deadline < math.inf:
+        if action.deadline < math.inf:
             heappush(self._heap, (action.deadline, action.aid, action.epoch))
 
     @property
@@ -401,17 +383,12 @@ class Engine:
         with the RUNNING actions (arrivals and departures mark the
         resources they touch dirty) and re-solves only the dirty connected
         components; every other RUNNING action keeps its rate, which is
-        still the exact max-min solution of its untouched component.  With
-        ``full_reshare=True`` the historical path rebuilds and re-solves
-        the entire system instead.
+        still the exact max-min solution of its untouched component.
         """
         prof = self.profiler
         t0 = perf_counter() if prof is not None else 0.0
         self.stats.shares += 1
-        if self.full_reshare:
-            self._share_full()
-        else:
-            self._share_incremental()
+        self._share_incremental()
         self._needs_share = False
         if prof is not None:
             prof.add("engine.share", perf_counter() - t0)
@@ -457,7 +434,7 @@ class Engine:
 
         Equal rates are skipped entirely — the existing prediction stays
         exact, and skipping keeps the floating-point trajectory identical
-        between the lazy and eager engines.
+        to the eager test oracle's, which re-examines every action.
         """
         if rate == action.rate:
             return
@@ -496,101 +473,18 @@ class Engine:
                         weight=action.weight, name=action.name)
         self._members[action.aid] = action
 
-    def _share_full(self) -> None:
-        """The historical rebuild-everything share (equivalence oracle)."""
-        # rebuilds from a pending scan; the incremental membership queues
-        # would otherwise grow unboundedly
-        self._newly_running.clear()
-        self._retired.clear()
-        running = [a for a in self.pending.values()
-                   if a.state is ActionState.RUNNING]
-        if not running:
-            if self.timeline is not None and self._last_full_usage:
-                self._sample_full_usage([])
-            return
-
-        system = MaxMinSystem()
-        resource_index: dict[object, int] = {}
-
-        def constraint_id(resource: Link | Host) -> int:
-            cid = resource_index.get(resource)
-            if cid is None:
-                if isinstance(resource, Link):
-                    cid = system.add_constraint(
-                        resource.name,
-                        self._capacity_of(resource),
-                        shared=resource.sharing is SharingPolicy.SHARED,
-                    )
-                else:
-                    cid = system.add_constraint(
-                        resource.name, self._capacity_of(resource)
-                    )
-                resource_index[resource] = cid
-            return cid
-
-        flow_action: list[Action] = []
-        for action in running:
-            cids = tuple(constraint_id(res) for res in action.constraints())
-            system.add_flow(action.name, cids, bound=action.rate_bound,
-                            weight=action.weight)
-            flow_action.append(action)
-
-        # Component-decomposed fill: the arithmetic twin of the incremental
-        # per-component solves, so both modes follow bit-identical float
-        # trajectories (a single global fill lets the saturation tolerance
-        # couple near-equal levels from unrelated components).
-        rates = solve_maxmin_components(
-            system,
-            max_rounds=APPROX_MAX_ROUNDS if self.sharing == "approx" else None,
-        )
-        for action, rate in zip(flow_action, rates):
-            self._apply_rate(action, float(rate))
-        self.stats.flows_resolved += len(running)
-        self.stats.components_solved += 1
-        if self.timeline is not None:
-            self._sample_full_usage(running)
-
-    def _sample_full_usage(self, running: list[Action]) -> None:
-        """Timeline sampling for the rebuild-everything share path."""
-        usage: dict = {}
-        for action in running:
-            for resource in action.constraints():
-                usage[resource] = usage.get(resource, 0.0) \
-                    + action.rate * action.weight
-        now = self.now
-        for resource in self._last_full_usage:
-            if resource not in usage:  # fell idle since the last share
-                usage[resource] = 0.0
-        for resource, used in usage.items():
-            capacity = self._capacity_of(resource)
-            self.timeline.record(
-                now, resource.name, used, capacity,
-                kind="link" if isinstance(resource, Link) else "host",
-            )
-        self._last_full_usage = {r: u for r, u in usage.items() if u > 0.0}
-        self.stats.link_samples = self.timeline.n_samples
-
     def next_deadline(self) -> float:
         """Absolute date of the next scheduled event (inf when none).
 
-        Lazy mode peeks the completion heap, skipping stale entries;
-        eager mode scans every pending action's deadline.  Upcoming
+        Peeks the completion heap, skipping stale entries.  Upcoming
         profile points (capacity changes, failures, recoveries) are
         events too — a flow stalled at rate 0 by a zero-availability
         phase legitimately waits for the restoring point, so the profile
-        horizon bounds the result in both modes.
+        horizon bounds the result.
         """
         if self._needs_share:
             self.share_resources()
         horizon = self._next_profile_time()
-        if self.eager_updates:
-            date = math.inf
-            for action in self.pending.values():
-                if action.is_pending and action.deadline < date:
-                    date = action.deadline
-            if date < math.inf:
-                return min(date, horizon)
-            return self._stalled_horizon(horizon)
         heap = self._heap
         stats = self.stats
         while heap:
@@ -609,10 +503,11 @@ class Engine:
 
         Such an action runs at rate 0.  A profile can free it only with a
         positive availability point on each zero-capacity resource of its
-        path, or end it with a 0 state point on any resource of its path.
-        When no scheduled profile can do either for any pending action, the
-        stall is permanent: report inf, or periodic profiles elsewhere
-        would step the clock forever.
+        path — never when its own rate bound is 0 — or end it with a 0
+        state point on any resource of its path.  When no scheduled profile
+        can do either for any pending action, the stall is permanent:
+        report inf, or periodic profiles elsewhere would step the clock
+        forever.
         """
         if not self.pending or horizon == math.inf:
             return horizon
@@ -630,9 +525,12 @@ class Engine:
             if not action.is_pending:
                 continue
             path = action.constraints()
+            if any(r.name in failing for r in path):
+                return horizon
+            if action.rate_bound == 0:
+                continue  # held at 0 by its own bound: no capacity frees it
             zero = [r.name for r in path if self._capacity_of(r) == 0.0]
-            if (not zero or all(name in restoring for name in zero)
-                    or any(r.name in failing for r in path)):
+            if not zero or all(name in restoring for name in zero):
                 return horizon
         return math.inf
 
@@ -685,25 +583,13 @@ class Engine:
         Profile points due at ``date`` are applied after the clock moves
         (the share before it covers the interval the old capacities ruled)
         and before expiry processing, so an action completing exactly at a
-        capacity change still completes, deterministically in both modes.
+        capacity change still completes, deterministically.
         """
         if self._needs_share:
             self.share_resources()
         self.now = date
         self._fire_profiles_due()
-        if self.eager_updates:
-            self._expire_eager()
-        else:
-            self._expire_lazy()
-
-    def _expire_eager(self) -> None:
-        """Historical O(P) event processing: visit every pending action."""
-        now = self.now
-        stats = self.stats
-        for action in self.pending.values():
-            stats.actions_touched += 1
-            if action.is_pending and action.deadline <= now:
-                self._expire(action)
+        self._expire_lazy()
 
     def _expire_lazy(self) -> None:
         """Heap-driven event processing: pop exactly the due predictions."""
@@ -1022,13 +908,8 @@ class Engine:
         :class:`SimulationError`) when undelivered completions are queued,
         when an :meth:`at` callback is pending (its closure cannot be
         serialized), when a timeline is attached (utilization series are
-        streamed, not checkpointed), or under the ``full_reshare`` /
-        ``eager_updates`` oracle modes.
+        streamed, not checkpointed).
         """
-        if self.full_reshare or self.eager_updates:
-            raise SimulationError(
-                "snapshot supports the default lazy/incremental engine only"
-            )
         if self._instant_done or self._finished:
             raise SimulationError(
                 "engine is not quiescent: completions await delivery "

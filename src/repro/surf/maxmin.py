@@ -56,7 +56,6 @@ __all__ = [
     "IncrementalMaxMin",
     "UnknownFlowError",
     "solve_maxmin",
-    "solve_maxmin_components",
     "solve_maxmin_reference",
     "solve_maxmin_vectorized",
     "SHARING_MODES",
@@ -388,99 +387,6 @@ def _progressive_fill_arrays(
         raise SimulationError("max-min system is unbounded: flows " + ", ".join(names))
     rates[act] = flow_level[act]
     return rates, rounds, True
-
-
-def solve_maxmin_components(
-    system: MaxMinSystem, max_rounds: int | None = None
-) -> np.ndarray:
-    """Progressive filling solved independently per connected component.
-
-    Components — flows transitively coupled through SHARED constraints —
-    are mathematically independent sub-problems, so solving them one at a
-    time is exact.  It is also the *numerically stable* formulation: one
-    global fill lets the ``_EPS`` saturation tolerance group near-equal
-    levels from unrelated components into a single fixing round, which
-    shifts results by an ULP depending on what else happens to be in
-    flight.  This function is the arithmetic twin of
-    :meth:`IncrementalMaxMin._solve_component`; the full-reshare oracle
-    uses it so that full and incremental shares follow bit-identical
-    floating-point trajectories.
-
-    ``max_rounds`` is forwarded to every multi-flow component solve so the
-    full-reshare oracle can mirror an *approx*-sharing incremental engine
-    (single-flow components use the exact closed form in both modes).
-    """
-    n_flows = len(system.flows)
-    rates = np.zeros(n_flows)
-    if n_flows == 0:
-        return rates
-    constraints = system.constraints
-    capacities = np.asarray([float(c.capacity) for c in constraints])
-    shared = np.asarray([c.shared for c in constraints], dtype=bool)
-
-    # flows per shared constraint (FATPIPE caps do not couple flows)
-    cons_flows: dict[int, list[int]] = {}
-    for fid, flow in enumerate(system.flows):
-        for cid in flow.constraints:
-            if constraints[cid].shared:
-                cons_flows.setdefault(cid, []).append(fid)
-
-    visited = np.zeros(n_flows, dtype=bool)
-    for seed in range(n_flows):
-        if visited[seed]:
-            continue
-        members = []
-        stack = [seed]
-        seen_cons: set[int] = set()
-        while stack:
-            fid = stack.pop()
-            if visited[fid]:
-                continue
-            visited[fid] = True
-            members.append(fid)
-            for cid in system.flows[fid].constraints:
-                if constraints[cid].shared and cid not in seen_cons:
-                    seen_cons.add(cid)
-                    stack.extend(cons_flows[cid])
-        members.sort()
-
-        if len(members) == 1:
-            flow = system.flows[members[0]]
-            rate = flow.bound
-            for cid in flow.constraints:
-                rate = min(rate, constraints[cid].capacity / flow.weight)
-            if math.isinf(rate):
-                raise SimulationError(
-                    "max-min system is unbounded: flows " + flow.name
-                )
-            rates[members[0]] = float(rate)
-            continue
-
-        flows = [system.flows[fid] for fid in members]
-        counts = [len(f.constraints) for f in flows]
-        row = np.repeat(np.arange(len(members), dtype=np.intp), counts)
-        if row.size:
-            concat = np.concatenate(
-                [np.asarray(f.constraints, dtype=np.intp) for f in flows]
-            )
-            local_cons, col = np.unique(concat, return_inverse=True)
-            col = col.astype(np.intp, copy=False)
-        else:
-            local_cons = np.zeros(0, dtype=np.intp)
-            col = np.zeros(0, dtype=np.intp)
-        weights = np.asarray([f.weight for f in flows])
-        bounds = np.asarray([f.bound for f in flows])
-
-        def name_of(fid: int, flows=flows) -> str:
-            return flows[fid].name
-
-        component_rates, _rounds, _truncated = _progressive_fill_arrays(
-            len(members), len(local_cons), row, col, weights, bounds,
-            shared[local_cons], capacities[local_cons], name_of,
-            max_rounds=max_rounds,
-        )
-        rates[members] = component_rates
-    return rates
 
 
 # -- incremental sharing ------------------------------------------------------------

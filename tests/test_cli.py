@@ -194,16 +194,6 @@ class TestStatsFlag:
         assert "partial shares" in out
         assert "components solved" in out
 
-    def test_full_reshare_same_simulated_time(self, app_file, capsys):
-        main(["run", app_file, "-n", "4", "--platform", "cluster:4"])
-        default_out = capsys.readouterr().out
-        main(["run", app_file, "-n", "4", "--platform", "cluster:4",
-              "--full-reshare"])
-        full_out = capsys.readouterr().out
-        pick = lambda out: next(l for l in out.splitlines()
-                                if l.startswith("simulated"))
-        assert pick(default_out) == pick(full_out)
-
     def test_replay_accepts_stats(self, app_file, tmp_path, capsys):
         trace_path = str(tmp_path / "t.json")
         main(["run", app_file, "-n", "2", "--platform", "cluster:2",

@@ -20,6 +20,7 @@ from repro.surf.network_model import (
     RouteParams,
     PiecewiseSegment,
 )
+from tests.oracles import oracle_engine
 
 
 def gige():  # 125 MB/s access, 1.25 GB/s backbone, 50+20+50 us latency
@@ -356,16 +357,12 @@ class TestIncrementalSharing:
     def test_identical_times_and_fewer_resolves(self):
         inc = Engine(self._platform())
         t_inc = self._staggered_workload(inc)
-        full = Engine(self._platform(), full_reshare=True)
+        full = oracle_engine(self._platform(), full=True)
         t_full = self._staggered_workload(full)
         assert t_inc == t_full
         assert inc.stats.flows_resolved < full.stats.flows_resolved
         assert inc.stats.partial_shares > 0
         assert full.stats.partial_shares == 0
-
-    def test_full_reshare_flag_is_recorded(self):
-        engine = Engine(self._platform(), full_reshare=True)
-        assert engine.full_reshare
 
     def test_component_counters_populate(self):
         engine = Engine(self._platform())
@@ -395,7 +392,7 @@ class TestIncrementalSharing:
     def test_fail_resource_matches_between_modes(self):
         for full in (False, True):
             platform = cluster("fr", 4)
-            engine = Engine(platform, full_reshare=full)
+            engine = oracle_engine(platform, full=full)
             doomed = engine.communicate("node-0", "node-1", 50_000_000)
             safe = engine.communicate("node-2", "node-3", 1_000_000)
             engine.advance(0.001)
@@ -429,7 +426,7 @@ class TestLazyUpdates:
 
     def test_lazy_matches_eager_bit_for_bit(self):
         lazy = Engine(self._platform("lz"))
-        eager = Engine(self._platform("eg"), eager_updates=True)
+        eager = oracle_engine(self._platform("eg"), eager=True)
         r_lazy = self._crossbar_workload(lazy)
         r_eager = self._crossbar_workload(eager)
         assert r_lazy == r_eager
@@ -437,7 +434,7 @@ class TestLazyUpdates:
 
     def test_lazy_touches_fewer_actions(self):
         lazy = Engine(self._platform("lt"))
-        eager = Engine(self._platform("et"), eager_updates=True)
+        eager = oracle_engine(self._platform("et"), eager=True)
         self._crossbar_workload(lazy)
         self._crossbar_workload(eager)
         assert lazy.stats.actions_touched < eager.stats.actions_touched
@@ -446,9 +443,12 @@ class TestLazyUpdates:
         assert eager.stats.heap_pops == 0
         assert eager.stats.stale_heap_entries == 0
 
-    def test_eager_flag_is_recorded(self):
-        engine = Engine(self._platform("ef"), eager_updates=True)
-        assert engine.eager_updates
+    @pytest.mark.parametrize("eager, full", [(True, False), (False, True),
+                                             (True, True)])
+    def test_oracles_refuse_snapshot(self, eager, full):
+        engine = oracle_engine(self._platform("os"), eager=eager, full=full)
+        with pytest.raises(SimulationError, match="incremental engine only"):
+            engine.snapshot()
 
     def test_poll_progress_tracks_pending_events(self):
         engine = Engine(self._platform("pp"))

@@ -19,6 +19,7 @@ from repro.smpi.constants import ERR_OTHER, ERR_PROC_FAILED
 from repro.surf import Engine, cluster
 from repro.surf.action import ActionState
 from repro.trace import Tracer, export_paje, parse_paje
+from tests.oracles import oracle_engine
 
 
 def _flaky_window(platform, engine, link_name, down_at, up_at):
@@ -289,7 +290,7 @@ class TestMidFlightKillRegression:
         outcomes = {}
         for eager in (False, True):
             platform = cluster("mk", 3, backbone_bandwidth=None)
-            engine = Engine(platform, eager_updates=eager)
+            engine = oracle_engine(platform, eager=eager)
             victim = engine.communicate("node-0", "node-1", 10_000_000)
             survivor = engine.communicate("node-1", "node-2", 2_000_000)
             if how == "fail":

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.packetsim import PacketEngine
 from repro.smpi import SUM, SmpiConfig, smpirun
 from repro.surf import cluster
+from tests.oracles import oracle_engine
 
 _FUZZ = settings(max_examples=20, deadline=None)
 
@@ -240,8 +241,6 @@ def test_offline_replay_matches_online_for_random_chains(sizes):
 def test_incremental_sharing_is_invisible(pattern, seed):
     """For any message pattern, the incremental dirty-set kernel and the
     full re-share kernel produce bit-identical simulated times."""
-    from repro.surf import Engine
-
     pattern = [(s, d, n, t) for (s, d, n, t) in pattern if s != d]
     if not pattern:
         return
@@ -267,7 +266,7 @@ def test_incremental_sharing_is_invisible(pattern, seed):
     times = {}
     for full in (False, True):
         platform = cluster("inv", 4, split_duplex=bool(seed % 3))
-        engine = Engine(platform, full_reshare=full)
+        engine = oracle_engine(platform, full=full)
         result = smpirun(app, 4, platform, engine=engine)
         times[full] = (result.simulated_time, tuple(result.returns))
     assert times[False] == times[True]

@@ -15,7 +15,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.surf import Engine, cluster, parse_profile
+from repro.surf import cluster, parse_profile
+from tests.oracles import oracle_engine
 
 _FUZZ = settings(max_examples=20, deadline=None)
 
@@ -160,7 +161,7 @@ def test_faults_identical_between_lazy_and_eager(items, specs, topology):
             backbone_bandwidth=None if topology % 2 else "1.25GBps",
             split_duplex=topology >= 2)
         _make_profiles(platform, specs)
-        engine = Engine(platform, eager_updates=eager)
+        engine = oracle_engine(platform, eager=eager)
         results[eager] = _drive(engine, platform, items)
     assert results[False] == results[True]
 
@@ -181,7 +182,7 @@ def test_faults_identical_between_incremental_and_full(items, specs,
             backbone_bandwidth=None if topology % 2 else "1.25GBps",
             split_duplex=topology >= 2)
         _make_profiles(platform, specs)
-        engine = Engine(platform, full_reshare=full)
+        engine = oracle_engine(platform, full=full)
         results[full] = _drive(engine, platform, items)
     assert results[False] == results[True]
 
@@ -202,7 +203,7 @@ def test_periodic_profiles_identical_between_modes(points, periodic, n_comms):
         platform = cluster("fzp", 4, backbone_bandwidth=None)
         for link in platform.links:
             link.availability_profile = parse_profile(text, name=link.name)
-        engine = Engine(platform, eager_updates=eager)
+        engine = oracle_engine(platform, eager=eager)
         for i in range(n_comms):
             engine.communicate(f"node-{i % 4}", f"node-{(i + 1) % 4}",
                                500_000 * (i + 1), name=f"c{i}")

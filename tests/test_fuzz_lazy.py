@@ -4,7 +4,7 @@ The lazy engine (completion-date heap, actions re-anchored only on rate
 change) is a pure optimisation: for *any* workload it must produce the
 same simulated clocks, the same completion order, and the same final
 states as the historical eager engine that scans every pending action at
-every event.  These tests drive randomized workloads — mixed transfers,
+every event (kept as a test-only oracle in tests/oracles.py).  These tests drive randomized workloads — mixed transfers,
 computes, sleeps, cancellations and resource failures — through both and
 assert bit-identical results (``==``, not ``approx``).
 """
@@ -15,7 +15,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.smpi import smpirun
-from repro.surf import Engine, cluster
+from repro.surf import cluster
+from tests.oracles import oracle_engine
 
 _FUZZ = settings(max_examples=20, deadline=None)
 
@@ -80,7 +81,7 @@ def test_lazy_and_eager_engines_are_bit_identical(items, topology):
         platform = cluster("fzl", N_HOSTS,
                            backbone_bandwidth=None if topology % 2 else "1.25GBps",
                            split_duplex=topology >= 2)
-        engine = Engine(platform, eager_updates=eager)
+        engine = oracle_engine(platform, eager=eager)
         results[eager] = _drive(engine, platform, items)
     assert results[False] == results[True]
 
@@ -94,7 +95,7 @@ def test_full_reshare_is_still_invisible_under_lazy_updates(items, topology):
         platform = cluster("fzf", N_HOSTS,
                            backbone_bandwidth=None if topology % 2 else "1.25GBps",
                            split_duplex=topology >= 2)
-        engine = Engine(platform, full_reshare=full)
+        engine = oracle_engine(platform, full=full)
         results[full] = _drive(engine, platform, items)
     assert results[False] == results[True]
 
@@ -105,17 +106,16 @@ def test_sharing_exact_is_bit_identical_across_engine_grid(items, topology):
     """The vectorised exact solver is a pure speedup: all four engine
     combinations (lazy/eager event loop × incremental/full share path)
     produce bit-identical transcripts under ``sharing="exact"``, pinning
-    the flattened-array solver to the historical per-object one (the full
-    path rebuilds a fresh ``MaxMinSystem`` per share, i.e. the pre-existing
-    batch arithmetic)."""
+    the persistent solver's partial re-solves to a fresh whole-system
+    solve at every share."""
     results = {}
     for eager in (False, True):
         for full in (False, True):
             platform = cluster("fzg", N_HOSTS,
                                backbone_bandwidth=None if topology % 2 else "1.25GBps",
                                split_duplex=topology >= 2)
-            engine = Engine(platform, eager_updates=eager, full_reshare=full,
-                            sharing="exact")
+            engine = oracle_engine(platform, eager=eager, full=full,
+                                   sharing="exact")
             results[(eager, full)] = _drive(engine, platform, items)
     oracle = results[(False, False)]
     assert all(r == oracle for r in results.values())
@@ -150,7 +150,7 @@ def test_approx_sharing_sanity(items, topology):
         platform = cluster("fza", N_HOSTS,
                            backbone_bandwidth=None if topology % 2 else "1.25GBps",
                            split_duplex=topology >= 2)
-        engine = Engine(platform, eager_updates=eager, sharing="approx")
+        engine = oracle_engine(platform, eager=eager, sharing="approx")
         original_share = engine.share_resources
 
         def sharing_with_check(engine=engine, original=original_share):
@@ -201,7 +201,7 @@ def test_smpirun_matches_between_event_loops(pattern, seed):
     times = {}
     for eager in (False, True):
         platform = cluster("fzm", 4, split_duplex=bool(seed % 3))
-        engine = Engine(platform, eager_updates=eager)
+        engine = oracle_engine(platform, eager=eager)
         result = smpirun(app, 4, platform, engine=engine)
         times[eager] = (result.simulated_time, tuple(result.returns))
     assert times[False] == times[True]

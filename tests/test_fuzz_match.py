@@ -1,8 +1,8 @@
 """End-to-end equivalence of the indexed matcher and the scan oracle.
 
-``SmpiConfig(match="index")`` and ``match="scan")`` must be
-*bit-identical*: same per-rank receive transcripts, same simulated
-clocks, across every context backend, faults included.  These tests
+The indexed match queues and the linear-scan oracle of tests/oracles.py
+must be *bit-identical*: same per-rank receive transcripts, same
+simulated clocks, across every context backend, faults included.  These tests
 fuzz whole simulations over random wildcard/exact receive mixes.
 
 The receive mixes are deadlock-free **by layered construction**: every
@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.smpi import SmpiConfig, Status, smpirun
 from repro.smpi.constants import ANY_SOURCE, ANY_TAG, ERR_PROC_FAILED
 from repro.surf import Engine, cluster
+from tests.oracles import matching
 
 _FUZZ = settings(max_examples=15, deadline=None)
 
@@ -96,8 +97,8 @@ def _matching_app(sends, wild_kind):
 
 def _run(app, mode, ctx=None, with_stats=False):
     platform = cluster("fm", N_RANKS)
-    result = smpirun(app, N_RANKS, platform,
-                     config=SmpiConfig(match=mode), ctx=ctx)
+    with matching(mode):
+        result = smpirun(app, N_RANKS, platform, ctx=ctx)
     if with_stats:
         return result, platform
     return result.returns, result.simulated_time
@@ -167,10 +168,11 @@ def test_fail_peer_sweeps_only_the_dead_source(mode):
     platform = cluster("fp", N_RANKS)
     engine = Engine(platform)
     engine.at(1e-3, lambda: engine.fail_resource(platform.host("node-1")))
-    result = smpirun(
-        app, N_RANKS, platform, engine=engine,
-        config=SmpiConfig(match=mode, on_host_down="kill-rank"),
-    )
+    with matching(mode):
+        result = smpirun(
+            app, N_RANKS, platform, engine=engine,
+            config=SmpiConfig(on_host_down="kill-rank"),
+        )
     assert result.returns[0] == ERR_PROC_FAILED
     assert result.returns[1] is None  # killed, not returned
 
@@ -192,8 +194,8 @@ def test_iprobe_sees_the_unexpected_queue(mode):
         if mpi.rank == 1:
             comm.Send(np.full(32, 7, dtype=np.uint8), 0, 5)
 
-    result = smpirun(app, 2, cluster("ip", 2),
-                     config=SmpiConfig(match=mode))
+    with matching(mode):
+        result = smpirun(app, 2, cluster("ip", 2))
     assert result.returns[0] == ((1, 5, 32), 7)
 
 
@@ -204,8 +206,8 @@ def test_match_counters_land_in_engine_stats():
     def probes(mode):
         app = _matching_app(sends, "src")
         platform = cluster("mc", N_RANKS)
-        result = smpirun(app, N_RANKS, platform,
-                         config=SmpiConfig(match=mode))
+        with matching(mode):
+            result = smpirun(app, N_RANKS, platform)
         stats = result.stats
         assert stats.match_probes > 0
         return stats.match_probes

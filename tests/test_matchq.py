@@ -13,13 +13,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simix import (
-    IndexedMessageQueue,
-    IndexedRecvQueue,
-    MatchCounters,
-    ScanMessageQueue,
-    ScanRecvQueue,
-)
+from repro.simix import IndexedMessageQueue, IndexedRecvQueue, MatchCounters
+from tests.oracles import ScanMessageQueue, ScanRecvQueue
 
 ANY = -1
 _FUZZ = settings(max_examples=60, deadline=None)

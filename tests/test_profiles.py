@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import PlatformError, SimulationError
@@ -146,30 +148,42 @@ class TestEngineAvailability:
         baseline = 1_000_000 / platform.link("av5-l0").bandwidth
         assert engine.run() == pytest.approx(0.5 + baseline)
 
-    @pytest.mark.parametrize("link, text, kind, outcome", [
+    @pytest.mark.parametrize("link, text, kind, outcome, rate_cap", [
         # a periodic profile that never touches the stalled path
         ("pst-l2", "PERIODICITY 0.01\n0 0.5\n0.005 1\n", "availability",
-         None),
+         None, math.inf),
         # state points on the path that can only restore, never fail
-        ("pst-l0", "PERIODICITY 0.01\n0 1\n0.005 2\n", "state", None),
+        ("pst-l0", "PERIODICITY 0.01\n0 1\n0.005 2\n", "state", None,
+         math.inf),
         # a 0 state point on the path ends the transfer
         ("pst-l0", "PERIODICITY 0.01\n0.005 0\n0.006 1\n", "state",
-         ActionState.FAILED),
+         ActionState.FAILED, math.inf),
         # a positive availability point revives the stalled link
         ("pst-l1", "PERIODICITY 0.01\n0.005 1\n", "availability",
-         ActionState.DONE),
-    ], ids=["unrelated", "restore-only", "fails", "revives"])
+         ActionState.DONE, math.inf),
+        # a flow held at rate 0 by its own bound, every link up: no
+        # capacity change can ever free it
+        ("pst-l2", "PERIODICITY 0.01\n0 0.5\n0.005 1\n", "availability",
+         None, 0.0),
+        # ... but a 0 state point on its path still ends it
+        ("pst-l0", "PERIODICITY 0.01\n0.005 0\n0.006 1\n", "state",
+         ActionState.FAILED, 0.0),
+    ], ids=["unrelated", "restore-only", "fails", "revives", "rate-cap-0",
+            "rate-cap-0-fails"])
     def test_permanent_stall_beside_periodic_profile_raises(
-            self, link, text, kind, outcome):
+            self, link, text, kind, outcome, rate_cap):
         # node-1's link is stalled at availability 0 with no profile of
-        # its own; only a profile that can end or revive the transfer
-        # keeps the engine stepping
+        # its own (or, with rate_cap=0, the flow's own bound stalls it);
+        # only a profile that can end or revive the transfer keeps the
+        # engine stepping
         platform = cluster("pst", 3, backbone_bandwidth=None)
         engine = _ideal_engine(platform)
-        engine.set_availability(platform.link("pst-l1"), 0.0)
+        if rate_cap != 0.0:
+            engine.set_availability(platform.link("pst-l1"), 0.0)
         engine.attach_profile(platform.link(link), parse_profile(text, "p"),
                               kind)
-        action = engine.communicate("node-0", "node-1", 1_000_000)
+        action = engine.communicate("node-0", "node-1", 1_000_000,
+                                    rate_cap=rate_cap)
         if outcome is None:
             with pytest.raises(SimulationError, match="no action can complete"):
                 for _ in range(1000):  # periodic points never run out

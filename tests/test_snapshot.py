@@ -208,6 +208,17 @@ class TestReplayCheckpoint:
         with pytest.raises(ConfigError):
             resume_replay(other, griffon(2), ck)
 
+    def test_resume_rejects_stale_config_keys(self):
+        """A checkpoint saved with a since-removed SmpiConfig field is
+        refused with a ConfigError naming the field, not a TypeError."""
+        _online, trace = record_trace(pingpong, 2, griffon(2))
+        cold = replay_trace(trace, griffon(2))
+        ck = replay_trace(trace, griffon(2),
+                          checkpoint_at=cold.simulated_time / 2).checkpoint
+        ck["config"]["match"] = None
+        with pytest.raises(ConfigError, match="stale.*'match'"):
+            resume_replay(trace, griffon(2), ck)
+
     def test_warm_replay_through_snapshot_store(self, tmp_path):
         """Miss captures+stores; hit resumes; both match the cold clock."""
         from repro.offline import warm_replay

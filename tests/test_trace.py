@@ -11,7 +11,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.offline import record_trace, replay_trace
 from repro.smpi import SmpiConfig, smpirun
-from repro.surf import Engine, cluster
+from repro.surf import cluster
 from repro.trace import (
     CommRecord,
     ComputeRecord,
@@ -26,6 +26,7 @@ from repro.trace import (
     state_intervals,
     svg_gantt,
 )
+from tests.oracles import oracle_engine
 
 
 def traffic_app(mpi):
@@ -131,7 +132,7 @@ class TestEngineSampling:
 
     def test_full_reshare_engine_samples_too(self):
         platform = cluster("full", 4)
-        engine = Engine(platform, full_reshare=True)
+        engine = oracle_engine(platform, full=True)
         result = smpirun(traffic_app, 4, platform,
                          config=SmpiConfig(tracing=True), engine=engine)
         assert result.trace.timeline is not None
@@ -143,7 +144,7 @@ class TestEngineSampling:
         platform = cluster("tr", 4)
         full = smpirun(traffic_app, 4, platform,
                        config=SmpiConfig(tracing=True),
-                       engine=Engine(platform, full_reshare=True))
+                       engine=oracle_engine(platform, full=True))
         ftl = full.trace.timeline
         assert sorted(inc.names()) == sorted(ftl.names())
         for name in inc.names():
