@@ -3,7 +3,10 @@
 DESIGN.md commits to two cross-checked solvers with a size-based switch
 (`VECTORIZE_THRESHOLD`).  This bench measures both on growing systems and
 prints where the crossover actually falls on this machine, validating the
-constant baked into :mod:`repro.surf.maxmin`.
+constant baked into :mod:`repro.surf.maxmin`.  The incremental solver has
+the same kind of switch (`SCALAR_MAX_FLOWS`) between its plain-Python and
+NumPy component kernels; a second table times one warm churn event per
+component size under each kernel and prints that crossover too.
 
 The second half ablates the engine's *incremental* re-sharing: the same
 scatter / all-to-all workloads run once with the dirty-set solver
@@ -20,17 +23,19 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from _helpers import RESULTS_DIR, FigureReport
 from repro import rng as rng_mod
 from repro.smpi import SmpiConfig, smpirun
-from repro.surf import cluster
+from repro.surf import cluster, maxmin
 from repro.surf.maxmin import (
     APPROX_MAX_ROUNDS,
     IncrementalMaxMin,
     MaxMinSystem,
+    SCALAR_MAX_FLOWS,
     VECTORIZE_THRESHOLD,
     _progressive_fill_arrays,
     solve_maxmin_reference,
@@ -73,6 +78,67 @@ def experiment():
         t_vec = time_solver(solve_maxmin_vectorized, system)
         rows.append((n_flows, t_ref, t_vec))
     return rows
+
+
+# -- incremental component kernels: scalar vs NumPy -----------------------------------
+
+#: component sizes (flows) of the kernel crossover table
+COMPONENT_SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
+
+
+@contextmanager
+def component_kernel(kernel: str):
+    """Route every multi-flow component solve to one kernel."""
+    saved = maxmin.SCALAR_MAX_FLOWS
+    maxmin.SCALAR_MAX_FLOWS = math.inf if kernel == "scalar" else 1
+    try:
+        yield
+    finally:
+        maxmin.SCALAR_MAX_FLOWS = saved
+
+
+def component_event_us(n_flows: int, kernel: str, n_events: int = 20,
+                       repeats: int = 3) -> float:
+    """Per-event µs of a warm incremental solver on one ring-like component.
+
+    Each flow crosses a private access link, one group link shared by 8
+    flows and a backbone shared by all, as a contended collective step
+    does; a few flows carry a bound.  An event is one departure, one
+    arrival and the :meth:`~IncrementalMaxMin.solve_dirty` that re-solves
+    the whole component (2–3 filling rounds).  Best of ``repeats``.
+    """
+    n_groups = max(1, n_flows // 8)
+
+    def enrol(inc, key):
+        slot = key % n_flows
+        inc.ensure_constraint(("up", slot), 100.0)
+        inc.ensure_constraint(("group", slot % n_groups), 720.0)
+        inc.ensure_constraint("backbone", 85.0 * n_flows)
+        bound = 60.0 if key % 7 == 0 else math.inf
+        inc.add_flow(key, [("up", slot), ("group", slot % n_groups),
+                           "backbone"], bound=bound)
+
+    best = math.inf
+    with component_kernel(kernel):
+        for _ in range(repeats):
+            inc = IncrementalMaxMin()
+            for key in range(n_flows):
+                enrol(inc, key)
+            inc.solve_dirty()
+            start = time.perf_counter()
+            for event in range(n_events):
+                inc.remove_flow(event)
+                enrol(inc, n_flows + event)
+                inc.solve_dirty()
+            best = min(best, time.perf_counter() - start)
+            assert inc.last_flows_solved == n_flows
+    return best / n_events * 1e6
+
+
+def component_kernel_experiment():
+    """(flows, scalar µs/event, NumPy µs/event) per component size."""
+    return [(n, component_event_us(n, "scalar"), component_event_us(n, "numpy"))
+            for n in COMPONENT_SIZES]
 
 
 # -- incremental vs full re-share -----------------------------------------------------
@@ -411,6 +477,28 @@ def test_ablation_maxmin(once):
         f"around {crossover} flows"
     )
 
+    # -- incremental component kernels -------------------------------------------
+    report.line()
+    report.line("incremental component solve, one warm churn event "
+                "(ring-like component):")
+    report.line(f"  {'flows':>6} {'scalar':>12} {'numpy':>12} {'ratio':>8}")
+    kernel_rows = component_kernel_experiment()
+    kernel_crossover = None
+    for n_flows, t_scalar, t_numpy in kernel_rows:
+        marker = ""
+        if t_numpy < t_scalar and kernel_crossover is None:
+            kernel_crossover = n_flows
+            marker = "  <- numpy wins"
+        report.line(
+            f"  {n_flows:>6} {t_scalar:>10.1f}us {t_numpy:>10.1f}us "
+            f"{t_numpy / t_scalar:>7.2f}x{marker}"
+        )
+    report.line()
+    report.measured(
+        f"SCALAR_MAX_FLOWS {SCALAR_MAX_FLOWS}; measured crossover "
+        f"around {kernel_crossover} flows"
+    )
+
     # -- incremental vs full re-share ------------------------------------------------
     report.line()
     report.line("incremental vs full re-share "
@@ -435,6 +523,9 @@ def test_ablation_maxmin(once):
     assert big[2] < big[1], "vectorised must win on large systems"
     small = rows[0]
     assert small[1] < small[2] * 5, "reference competitive on small systems"
+    kernel_us = {n: (t_scalar, t_numpy) for n, t_scalar, t_numpy in kernel_rows}
+    assert kernel_us[16][0] < kernel_us[16][1], "scalar kernel must win at 16 flows"
+    assert kernel_us[1024][1] < kernel_us[1024][0], "numpy must win at 1024 flows"
 
     for label, t_inc, t_full, s_inc, s_full in inc_rows:
         assert t_inc == t_full, f"{label}: incremental changed the simulation"

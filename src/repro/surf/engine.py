@@ -954,8 +954,8 @@ class Engine:
             "retired": sorted(retired_aids),
             "needs_share": self._needs_share,
             "members": members,
-            "dirty_cons": [self._resource_ref(key)
-                           for key in solver._dirty_cons],
+            "dirty_cons": sorted(self._resource_ref(key)
+                                 for key in solver.dirty_constraint_keys()),
             "dirty_flows": sorted(solver._dirty_flows),
             "profiles": [
                 {"resource": self._resource_ref(record[0]),

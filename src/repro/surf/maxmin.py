@@ -38,12 +38,17 @@ constraint.  The max-min fixed point decomposes exactly over connected
 components (flows in different components share no constraint, transitively),
 so untouched components keep their rates — this is the lazy partial
 invalidation the SimGrid kernel uses to keep the sequential share cheap.
+A component of at most :data:`SCALAR_MAX_FLOWS` flows is solved by
+:func:`_progressive_fill_scalar`, a plain-Python transcription of the NumPy
+core :func:`_progressive_fill_arrays` that larger components use; the two
+return bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -67,6 +72,16 @@ __all__ = [
 #: ``benchmarks/bench_ablation_maxmin.py``; the crossover is flat between
 #: 16 and 64 on CPython 3.11.
 VECTORIZE_THRESHOLD = 32
+
+#: Largest component (in flows) :meth:`IncrementalMaxMin.solve_dirty`
+#: solves with the plain-Python kernel :func:`_progressive_fill_scalar`;
+#: bigger ones take the NumPy kernel :func:`_progressive_fill_arrays`.
+#: Set from the incremental-component table of
+#: ``benchmarks/bench_ablation_maxmin.py``, which prints the measured
+#: crossover beside this value: on CPython 3.11 both kernels cost about
+#: the same per churn event at 64 flows, scalar is 2x faster at 16 and
+#: NumPy 2x faster at 512.
+SCALAR_MAX_FLOWS = 64
 
 #: Accepted values of the sharing-fidelity dial (``--sharing``).
 SHARING_MODES = ("exact", "approx")
@@ -389,13 +404,119 @@ def _progressive_fill_arrays(
     return rates, rounds, True
 
 
+def _progressive_fill_scalar(
+    members: list, cons: list, max_rounds: int | None = None
+) -> tuple[list, int, bool]:
+    """Plain-Python twin of :func:`_progressive_fill_arrays` for small
+    components, where NumPy call overhead outweighs the arithmetic.
+
+    ``members`` are :class:`_IncFlow` records in ``seq`` order; ``cons``
+    lists every SHARED constraint they cross, each record's ``pos`` being
+    its index in ``cons``.  FATPIPE constraints only enter the per-flow
+    caps.  Every float operation happens in the order the array kernel
+    performs it — per-constraint sums start from ``0.0`` and add entries
+    in (flow, constraint) order as ``np.add.at`` does, a round's whole
+    consumption is summed before it is subtracted — so rates, round count
+    and truncation are bit-identical, and so are the error messages.
+    """
+    n_flows = len(members)
+    n_cons = len(cons)
+    weights = [flow.weight for flow in members]
+    # per flow: ``pos`` of each shared constraint it crosses, in order
+    entries = [[record.pos for record in flow.cons if record.shared]
+               for flow in members]
+    # per-flow static cap: own bound plus any FATPIPE constraint it crosses
+    caps = [flow.bound for flow in members]
+    for i, flow in enumerate(members):
+        if len(entries[i]) < len(flow.cons):
+            for record in flow.cons:
+                if not record.shared:
+                    fat_cap = record.capacity / flow.weight
+                    if fat_cap < caps[i]:
+                        caps[i] = fat_cap
+    remaining = [record.capacity for record in cons]
+    rates = [0.0] * n_flows
+    active = list(range(n_flows))
+    inf = math.inf
+
+    def levels() -> list:
+        # fair share per unit weight of every shared constraint
+        users = [0.0] * n_cons
+        for i in active:
+            weight = weights[i]
+            for c in entries[i]:
+                users[c] += weight
+        return [remaining[c] / u if u > _EPS else inf
+                for c, u in enumerate(users)]
+
+    rounds = 0
+    while active:
+        if max_rounds is not None and rounds >= max_rounds:
+            break
+        if rounds > n_flows + n_cons:
+            raise SimulationError("progressive filling failed to converge")
+        cons_level = levels()
+        cons_min = min(cons_level, default=inf)
+        flow_min = min([caps[i] for i in active])
+        level = min(cons_min, flow_min)
+        if math.isinf(level):
+            names = [members[i].name for i in active]
+            raise SimulationError("max-min system is unbounded: flows " + ", ".join(names))
+
+        limit = level + _EPS
+        if flow_min <= limit:
+            to_fix = [i for i in active if caps[i] <= limit]
+        else:
+            to_fix = []
+            for i in active:
+                for c in entries[i]:
+                    if cons_level[c] <= limit:
+                        to_fix.append(i)
+                        break
+        if not to_fix:
+            raise SimulationError("progressive filling made no progress")
+
+        consumption = [0.0] * n_cons
+        for i in to_fix:
+            rates[i] = level
+            used = level * weights[i]
+            for c in entries[i]:
+                consumption[c] += used
+        for c, used in enumerate(consumption):
+            left = remaining[c] - used
+            remaining[c] = 0.0 if left < 0.0 else left
+        fixed = set(to_fix)
+        active = [i for i in active if i not in fixed]
+        rounds += 1
+    else:  # every flow fixed without hitting the round cap
+        return rates, rounds, False
+
+    # bandwidth-fraction fallback (approx sharing), as in the array kernel
+    cons_level = levels()
+    unbounded = []
+    for i in active:
+        level = caps[i]
+        for c in entries[i]:
+            if cons_level[c] < level:
+                level = cons_level[c]
+        if math.isinf(level):
+            unbounded.append(members[i].name)
+        rates[i] = level
+    if unbounded:
+        raise SimulationError("max-min system is unbounded: flows " + ", ".join(unbounded))
+    return rates, rounds, True
+
+
 # -- incremental sharing ------------------------------------------------------------
+
+_by_seq = attrgetter("seq")
 
 
 class _IncConstraint:
     """Internal per-resource record of an :class:`IncrementalMaxMin`."""
 
-    __slots__ = ("key", "index", "name", "capacity", "shared", "flows")
+    __slots__ = ("key", "index", "name", "capacity", "shared", "flows",
+                 "stamp", "pos", "usage")
 
     def __init__(self, key, index: int, name: str, capacity: float, shared: bool):
         self.key = key
@@ -404,6 +525,9 @@ class _IncConstraint:
         self.capacity = capacity
         self.shared = shared
         self.flows: set = set()  # keys of flows crossing this constraint
+        self.stamp = 0  # number of the last component walk that reached it
+        self.pos = 0  # index in that walk's constraint list
+        self.usage = 0.0  # consumed rate, maintained while tracking usage
 
 
 class _IncFlow:
@@ -439,14 +563,23 @@ class IncrementalMaxMin:
     flows individually without coupling them, so they seed dirtiness but do
     not merge components.
 
-    All hot per-flow state lives in flat numpy arrays indexed by a recycled
-    *slot* number (``_bound_arr`` / ``_weight_arr`` / ``_rate_arr``), and the
-    flow→constraint incidence lives in one pooled CSR buffer
-    (``_inc_pool`` / ``_inc_start`` / ``_inc_len``), so a component solve
-    gathers its sub-problem with fancy indexing instead of per-object
-    Python loops.  ``_rate_arr`` uses NaN as the "never solved" sentinel:
-    NaN compares unequal to everything, so a recycled slot still reports
-    its first solved rate as changed.
+    Each flow and constraint has a small record (:class:`_IncFlow`,
+    :class:`_IncConstraint`), and their numbers are mirrored in flat numpy
+    arrays indexed by a recycled *slot* number (``_bound_arr`` /
+    ``_weight_arr`` / ``_rate_arr``), with the flow→constraint incidence
+    in one pooled CSR buffer (``_inc_pool`` / ``_inc_start`` /
+    ``_inc_len``).  The size of a component picks the kernel: a lone flow
+    takes its closed form; up to :data:`SCALAR_MAX_FLOWS` flows,
+    :func:`_progressive_fill_scalar` reads the records directly, since
+    NumPy call overhead dominates on a few dozen elements; larger
+    components gather their sub-problem from the arrays with fancy
+    indexing for :func:`_progressive_fill_arrays`.  Both kernels give
+    bit-identical rates.  Components are found by a walk that stamps each
+    constraint record it reaches with the walk's number, and the dirty
+    and drained sets hold records (identity-hashed), so solving never
+    hashes a resource key.  ``_rate_arr`` uses NaN as the "never solved"
+    sentinel: NaN compares unequal to everything, so a recycled slot
+    still reports its first solved rate as changed.
 
     ``sharing`` selects the fidelity of multi-flow component solves:
     ``"exact"`` (default) runs progressive filling to the max-min fixed
@@ -465,9 +598,12 @@ class IncrementalMaxMin:
         self._max_rounds = APPROX_MAX_ROUNDS if sharing == "approx" else None
         self._cons: dict = {}  # key -> _IncConstraint
         self._flows: dict = {}  # key -> _IncFlow
-        self._dirty_cons: set = set()
+        # dirty constraint records, as an insertion-ordered set: records
+        # hash by identity, so no resource key is hashed on the hot path
+        self._dirty_cons: dict = {}
         self._dirty_flows: set = set()
         self._seq = 0
+        self._walk = 0  # number of the last component walk (record stamps)
         # global capacity/shared arrays indexed by _IncConstraint.index,
         # grown geometrically so component solves can fancy-index them;
         # indices of garbage-collected constraints are recycled
@@ -490,9 +626,10 @@ class IncrementalMaxMin:
         self._inc_len = np.zeros(16, dtype=np.intp)
         self._pool_used = 0
         self._pool_dead = 0
-        # constraint keys whose flow set drained since the last solve;
-        # solve_dirty() garbage-collects the ones still empty
-        self._drained: set = set()
+        # constraint records whose flow set drained since the last solve
+        # (insertion-ordered); solve_dirty() garbage-collects the ones
+        # still empty
+        self._drained: dict = {}
         #: statistics of the most recent :meth:`solve_dirty` call
         self.last_components = 0
         self.last_flows_solved = 0
@@ -514,7 +651,6 @@ class IncrementalMaxMin:
         #: sampling for the observability layer).  Off by default so the
         #: tracing-disabled hot path pays nothing.
         self.track_usage = False
-        self._usage: dict = {}  # constraint key -> consumed rate
         #: (``_IncConstraint``, usage) pairs updated by the most recent
         #: :meth:`solve_dirty`; clean components never appear here
         self.last_usage: list = []
@@ -533,12 +669,16 @@ class IncrementalMaxMin:
         """Register (or update) the resource identified by ``key``.
 
         Re-registering with a different capacity or policy marks the
-        constraint dirty so dependent flows are re-solved.
+        constraint dirty so dependent flows are re-solved.  A negative or
+        NaN capacity is rejected on both paths.
         """
+        capacity = float(capacity)
+        if not capacity >= 0.0:
+            raise SimulationError(
+                f"constraint {name or key!r}: capacity must be >= 0, got {capacity}"
+            )
         cons = self._cons.get(key)
         if cons is None:
-            if capacity < 0:
-                raise SimulationError(f"constraint {name or key!r}: negative capacity")
             if self._free_cons:
                 index = self._free_cons.pop()
             else:
@@ -555,7 +695,7 @@ class IncrementalMaxMin:
             cons.shared = shared
             self._cap_arr[cons.index] = capacity
             self._shared_arr[cons.index] = shared
-            self._dirty_cons.add(key)
+            self._dirty_cons[cons] = None
 
     def add_flow(
         self,
@@ -589,16 +729,17 @@ class IncrementalMaxMin:
         self._bound_arr[slot] = bound
         self._weight_arr[slot] = weight
         self._rate_arr[slot] = np.nan
+        # stored as floats, like the arrays, so both kernels see one value
         flow = _IncFlow(key, self._seq, name or str(key), tuple(cons), slot,
-                        bound, weight)
+                        float(bound), float(weight))
         self._seq += 1
         self._flows[key] = flow
         self._dirty_flows.add(key)
         for record in cons:
             record.flows.add(key)
             if record.shared:
-                self._dirty_cons.add(record.key)
-            self._drained.discard(record.key)
+                self._dirty_cons[record] = None
+            self._drained.pop(record, None)
 
     def remove_flow(self, key, strict: bool = True) -> None:
         """Unregister a consumer, freeing its share for its neighbours.
@@ -622,10 +763,10 @@ class IncrementalMaxMin:
             record.flows.discard(key)
             if record.shared:
                 # neighbours on a shared constraint inherit the freed share
-                self._dirty_cons.add(record.key)
+                self._dirty_cons[record] = None
             if not record.flows:
                 # candidate for garbage collection at the next solve
-                self._drained.add(record.key)
+                self._drained[record] = None
 
     def _alloc_slot(self) -> int:
         """Grab a per-flow array slot, recycling freed ones first."""
@@ -710,8 +851,13 @@ class IncrementalMaxMin:
 
     def mark_dirty(self, key) -> None:
         """Force re-solving of the component around constraint ``key``."""
-        if key in self._cons:
-            self._dirty_cons.add(key)
+        record = self._cons.get(key)
+        if record is not None:
+            self._dirty_cons[record] = None
+
+    def dirty_constraint_keys(self) -> list:
+        """Keys of the constraints marked dirty since the last solve."""
+        return [record.key for record in self._dirty_cons]
 
     def mark_flow_dirty(self, key) -> None:
         """Force re-solving of the component around flow ``key``.
@@ -736,7 +882,8 @@ class IncrementalMaxMin:
         Only maintained while :attr:`track_usage` is on; unknown or
         never-used constraints report 0.
         """
-        return self._usage.get(key, 0.0)
+        record = self._cons.get(key)
+        return 0.0 if record is None else record.usage
 
     # -- solving --------------------------------------------------------------
 
@@ -762,15 +909,13 @@ class IncrementalMaxMin:
         if not self._dirty_cons and not self._dirty_flows:
             return set()
         seeds = set(self._dirty_flows)
-        for ckey in self._dirty_cons:
-            record = self._cons.get(ckey)
-            if record is not None:
-                seeds.update(record.flows)
-                if self.track_usage and not record.flows:
-                    # last flow left: the constraint falls idle without any
-                    # component re-solve touching it
-                    self._usage[ckey] = 0.0
-                    self.last_usage.append((record, 0.0))
+        for record in self._dirty_cons:
+            seeds.update(record.flows)
+            if self.track_usage and not record.flows:
+                # last flow left: the constraint falls idle without any
+                # component re-solve touching it
+                record.usage = 0.0
+                self.last_usage.append((record, 0.0))
         self._dirty_cons.clear()
         self._dirty_flows.clear()
 
@@ -779,8 +924,8 @@ class IncrementalMaxMin:
         for seed in sorted(seeds, key=lambda k: flows[k].seq):
             if seed in solved or seed not in flows:
                 continue
-            component = self._collect_component(seed, solved)
-            self._solve_component(component)
+            component, cons = self._collect_component(seed, solved)
+            self._solve_component(component, cons)
             self.last_components += 1
             self.last_flows_solved += len(component)
         return solved
@@ -797,43 +942,52 @@ class IncrementalMaxMin:
         """
         if not self._drained:
             return
-        for ckey in self._drained:
-            record = self._cons.get(ckey)
-            if record is None or record.flows:
+        for record in self._drained:
+            if record.flows:
                 continue
-            if self.track_usage and ckey in self._dirty_cons:
+            if self.track_usage and record in self._dirty_cons:
                 # last flow left: the constraint falls idle without any
                 # component re-solve touching it
                 self.last_usage.append((record, 0.0))
-            self._dirty_cons.discard(ckey)
-            del self._cons[ckey]
+            self._dirty_cons.pop(record, None)
+            del self._cons[record.key]
             self._free_cons.append(record.index)
-            self._usage.pop(ckey, None)
         self._drained.clear()
 
-    def _collect_component(self, seed, solved: set) -> list:
-        """Flows transitively connected to ``seed`` via shared constraints."""
+    def _collect_component(self, seed, solved: set) -> tuple[list, list]:
+        """Flows transitively connected to ``seed`` via shared constraints.
+
+        Returns the member flows sorted by ``seq`` and the shared
+        constraints they cross.  Each constraint reached is stamped with
+        this walk's number (visited-marking without hashing its key) and
+        gets its index in the returned list as ``pos``.
+        """
+        self._walk += 1
+        walk = self._walk
+        flows = self._flows
         members = []
+        cons = []
+        solved.add(seed)
         stack = [seed]
-        seen_cons: set = set()
         while stack:
-            key = stack.pop()
-            if key in solved:
-                continue
-            solved.add(key)
-            flow = self._flows[key]
+            flow = flows[stack.pop()]
             members.append(flow)
             for record in flow.cons:
                 # FATPIPE constraints cap flows individually: they do not
                 # couple flows into one component
-                if not record.shared or record.key in seen_cons:
+                if not record.shared or record.stamp == walk:
                     continue
-                seen_cons.add(record.key)
-                stack.extend(record.flows)
-        members.sort(key=lambda f: f.seq)
-        return members
+                record.stamp = walk
+                record.pos = len(cons)
+                cons.append(record)
+                fresh = record.flows - solved
+                if fresh:
+                    solved.update(fresh)
+                    stack.extend(fresh)
+        members.sort(key=_by_seq)
+        return members, cons
 
-    def _solve_component(self, members: list) -> None:
+    def _solve_component(self, members: list, cons: list) -> None:
         if len(members) == 1:
             # closed form: a lone flow takes its bound or its tightest cap
             # (exact even in approx mode — there is nothing to iterate)
@@ -845,11 +999,22 @@ class IncrementalMaxMin:
                 raise SimulationError(
                     "max-min system is unbounded: flows " + flow.name
                 )
-            self._store_rate(flow, float(rate))
-            if self.track_usage:
-                self._update_usage(members)
-            return
+            self._store_rates(members, [float(rate)])
+        elif len(members) <= SCALAR_MAX_FLOWS:
+            rates, rounds, truncated = _progressive_fill_scalar(
+                members, cons, self._max_rounds
+            )
+            self.last_fill_rounds += rounds
+            if truncated:
+                self.last_approx_events += 1
+            self._store_rates(members, rates)
+        else:
+            self._solve_component_arrays(members)
+        if self.track_usage:
+            self._update_usage(members)
 
+    def _solve_component_arrays(self, members: list) -> None:
+        """Solve a large component with the NumPy kernel."""
         # Gather the sub-problem from the flat solver state with fancy
         # indexing: per-member slots select bounds/weights and CSR incidence
         # segments; np.unique relabels global constraint indices to local.
@@ -890,15 +1055,16 @@ class IncrementalMaxMin:
         for i in np.flatnonzero(changed):
             self.last_rate_changed.add(members[i].key)
         self._rate_arr[slots] = rates
-        if self.track_usage:
-            self._update_usage(members)
 
-    def _store_rate(self, flow: _IncFlow, rate: float) -> None:
-        """Record a solved rate, tracking whether its value changed."""
-        previous = self._rate_arr[flow.slot]
-        if not previous == rate:  # NaN sentinel: never-solved compares unequal
-            self.last_rate_changed.add(flow.key)
-        self._rate_arr[flow.slot] = rate
+    def _store_rates(self, members: list, rates: list) -> None:
+        """Record solved rates, tracking which ones changed value."""
+        rate_arr = self._rate_arr
+        changed = self.last_rate_changed
+        for flow, rate in zip(members, rates):
+            # NaN sentinel: a never-solved slot compares unequal
+            if not rate_arr[flow.slot] == rate:
+                changed.add(flow.key)
+            rate_arr[flow.slot] = rate
 
     def _update_usage(self, members: list) -> None:
         """Refresh the consumed rate of every constraint ``members`` touch.
@@ -913,9 +1079,9 @@ class IncrementalMaxMin:
         seen: set = set()
         for flow in members:
             for record in flow.cons:
-                if record.key in seen:
+                if record in seen:
                     continue
-                seen.add(record.key)
+                seen.add(record)
                 usage = 0.0
                 for fkey in record.flows:
                     other = flows.get(fkey)
@@ -924,5 +1090,5 @@ class IncrementalMaxMin:
                     value = rate_arr[other.slot]
                     if not math.isnan(value):
                         usage += float(value) * other.weight
-                self._usage[record.key] = usage
+                record.usage = usage
                 self.last_usage.append((record, usage))

@@ -6,13 +6,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.surf.maxmin import (
+    APPROX_MAX_ROUNDS,
+    SCALAR_MAX_FLOWS,
     ConstraintSpec,
     FlowSpec,
     MaxMinSystem,
+    _IncConstraint,
+    _IncFlow,
+    _progressive_fill_arrays,
+    _progressive_fill_scalar,
     solve_maxmin,
     solve_maxmin_reference,
     solve_maxmin_vectorized,
@@ -339,6 +345,26 @@ class TestIncrementalMaxMin:
         with pytest.raises(SimulationError):
             inc.ensure_constraint("neg", -5.0)
 
+    def test_first_registration_rejects_bad_capacity(self):
+        inc = self._solver()
+        for capacity in (-1.0, math.nan):
+            with pytest.raises(SimulationError, match="'bad'"):
+                inc.ensure_constraint("bad", capacity)
+            assert not inc.has_constraint("bad")
+
+    def test_capacity_update_rejects_bad_capacity(self):
+        inc = self._solver()
+        inc.ensure_constraint("c", 10.0)
+        inc.add_flow("f0", ["c"])
+        inc.add_flow("f1", ["c"])
+        inc.solve_dirty()
+        for capacity in (-6.0, math.nan):
+            with pytest.raises(SimulationError, match="'c'"):
+                inc.ensure_constraint("c", capacity)
+        # the rejected updates left the constraint and the rates alone
+        assert inc.solve_dirty() == set()
+        assert inc.rate("f0") == inc.rate("f1") == 5.0
+
     def test_unknown_sharing_mode_rejected(self):
         from repro.surf.maxmin import IncrementalMaxMin
 
@@ -569,3 +595,165 @@ def test_engine_solver_constraints_stay_flat_across_cycles():
         engine.run()
         counts.append(len(engine._solver._cons))
     assert len(set(counts)) == 1
+
+
+# -- scalar vs array kernel ------------------------------------------------------------
+
+
+@st.composite
+def random_component(draw):
+    """Capacities, policies and flows for a direct kernel comparison.
+
+    Covers weights other than 1, bounds that are inf, finite or 0, FATPIPE
+    and zero-capacity constraints, flows that cross nothing, and each
+    flow's constraints in arbitrary order.  Round values make bounds and
+    fair shares tie, or miss each other by less than the solver's epsilon.
+    """
+    n_cons = draw(st.integers(0, 6))
+    capacities = [draw(st.one_of(st.sampled_from([0.0, 100.0, 100.0 + 1e-12]),
+                                 st.floats(0.5, 1000.0)))
+                  for _ in range(n_cons)]
+    shared = [draw(st.booleans()) if i % 3 == 2 else True
+              for i in range(n_cons)]
+    flows = []
+    for _ in range(draw(st.integers(1, 14))):
+        cids = draw(st.lists(st.integers(0, max(n_cons - 1, 0)),
+                             max_size=n_cons, unique=True))
+        bound = draw(st.one_of(
+            st.sampled_from([math.inf, 0.0, 25.0, 50.0, 50.0 + 5e-13]),
+            st.floats(0.1, 500.0)))
+        weight = draw(st.one_of(st.just(1.0), st.floats(0.25, 4.0)))
+        flows.append((tuple(cids), bound, weight))
+    max_rounds = draw(st.sampled_from([None, 1, 2, APPROX_MAX_ROUNDS]))
+    return capacities, shared, flows, max_rounds
+
+
+def _kernel_outcomes(capacities, shared, flows, max_rounds):
+    """Solve one component with both kernels; each gives its rates (as
+    ``float.hex``), round count and truncation, or its error message."""
+    records = [_IncConstraint(f"c{i}", i, f"c{i}", cap, sh)
+               for i, (cap, sh) in enumerate(zip(capacities, shared))]
+    cons = [record for record in records if record.shared]
+    for pos, record in enumerate(cons):
+        record.pos = pos
+    members = [
+        _IncFlow(f"f{i}", i, f"f{i}", tuple(records[c] for c in cids), i,
+                 bound, weight)
+        for i, (cids, bound, weight) in enumerate(flows)
+    ]
+    row = np.array([i for i, (cids, _, _) in enumerate(flows) for _ in cids],
+                   dtype=np.intp)
+    col = np.array([c for cids, _, _ in flows for c in cids], dtype=np.intp)
+
+    def outcome(solve):
+        try:
+            rates, rounds, truncated = solve()
+        except SimulationError as exc:
+            return str(exc)
+        return [float(r).hex() for r in rates], rounds, truncated
+
+    scalar = outcome(lambda: _progressive_fill_scalar(members, cons, max_rounds))
+    arrays = outcome(lambda: _progressive_fill_arrays(
+        len(flows), len(capacities), row, col,
+        np.array([w for _, _, w in flows]), np.array([b for _, b, _ in flows]),
+        np.array(shared, dtype=bool), np.array(capacities, dtype=float),
+        lambda i: members[i].name, max_rounds=max_rounds,
+    ))
+    return scalar, arrays
+
+
+_UNBOUNDED = ([100.0, 5.0], [True, False],
+              [((0,), 10.0, 1.0), ((), math.inf, 1.0), ((1,), 1.0, 2.0)])
+
+
+@given(random_component())
+@example((  # two fair shares 5e-13 apart saturate in the same round
+    [100.0, 100.0 + 1e-12], [True, True],
+    [((0,), math.inf, 1.0)] * 2 + [((1,), math.inf, 1.0)] * 2, None,
+))
+@example((*_UNBOUNDED, None))  # refused in the filling loop
+@example((*_UNBOUNDED, 1))  # refused by the approx fallback
+@settings(max_examples=300, deadline=None)
+def test_scalar_kernel_matches_array_kernel(component):
+    """The plain-Python kernel is a transcription of the NumPy one: same
+    rates to the last bit, same rounds and truncation, same errors."""
+    scalar, arrays = _kernel_outcomes(*component)
+    assert scalar == arrays
+
+
+def test_component_growing_across_scalar_threshold_matches_batch():
+    """One component grows past SCALAR_MAX_FLOWS and shrinks back: after
+    every solve each rate equals, bit for bit, a fresh batch solve of the
+    live flows, whichever kernel the component size selected."""
+    from repro.surf.maxmin import IncrementalMaxMin
+
+    n_groups = 8
+    capacities = [40.0 * (1.0 + g) for g in range(n_groups)] + [3000.0]
+    inc = IncrementalMaxMin()
+    for cid, cap in enumerate(capacities):
+        inc.ensure_constraint(cid, cap)
+    backbone = n_groups  # every flow crosses it: one component throughout
+    live: dict[int, tuple] = {}
+
+    def check():
+        system = MaxMinSystem()
+        for cid, cap in enumerate(capacities):
+            system.add_constraint(f"c{cid}", cap)
+        for key in sorted(live):
+            system.add_flow(f"f{key}", *live[key])
+        batch = solve_maxmin_vectorized(system)
+        got = [inc.rate(key).hex() for key in sorted(live)]
+        assert got == [float(r).hex() for r in batch]
+
+    sizes = []
+    for key in range(SCALAR_MAX_FLOWS + 16):
+        cids = (key % n_groups, backbone) if key % 2 else (backbone, key % n_groups)
+        bound = 7.0 + key % 5 if key % 3 == 0 else math.inf
+        live[key] = (cids, bound, 1.0 + (key % 4) * 0.5)
+        inc.add_flow(key, cids, bound=bound, weight=live[key][2])
+        inc.solve_dirty()
+        assert inc.last_components == 1
+        sizes.append(inc.last_flows_solved)
+        check()
+    for key in range(SCALAR_MAX_FLOWS + 14):
+        inc.remove_flow(key)
+        del live[key]
+        inc.solve_dirty()
+        sizes.append(inc.last_flows_solved)
+        check()
+    assert max(sizes) > SCALAR_MAX_FLOWS and sizes[-1] == 2
+
+
+def test_solve_dirty_hashes_no_resource(monkeypatch):
+    """Component walks mark constraint records, never hash the Link/Host
+    keys: a solve of a 64-flow contended component makes no
+    ``Link.__hash__`` or ``Host.__hash__`` call."""
+    from repro.surf import resources
+    from repro.surf.maxmin import IncrementalMaxMin
+
+    inc = IncrementalMaxMin()
+    ups = [resources.Link(f"up-{i}", "1GBps", 0) for i in range(8)]
+    downs = [resources.Link(f"down-{i}", "1GBps", 0) for i in range(8)]
+    backbone = resources.Link("backbone", "2GBps", 0)
+    hosts = [resources.Host(f"node-{i}", "1Gf") for i in range(2)]
+    for link in ups + downs + [backbone]:
+        inc.ensure_constraint(link, link.bandwidth, name=link.name)
+    for host in hosts:
+        inc.ensure_constraint(host, host.speed, name=host.name)
+    for i in range(64):
+        inc.add_flow(("comm", i), [ups[i % 8], backbone, downs[(i + 3) % 8]])
+    for i in range(4):
+        inc.add_flow(("exec", i), [hosts[i % 2]])
+
+    calls = []
+    for cls in (resources.Link, resources.Host):
+        original = cls.__hash__
+
+        def counting(self, _original=original):
+            calls.append(self.name)
+            return _original(self)
+
+        monkeypatch.setattr(cls, "__hash__", counting)
+    solved = inc.solve_dirty()
+    assert len(solved) == 68 and inc.last_flows_solved == 68
+    assert calls == []
