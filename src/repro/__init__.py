@@ -33,8 +33,8 @@ Quickstart::
     print(result.simulated_time, result.returns)
 """
 
-from . import calibration, metrics, nas, offline, packetsim, platforms, refcluster
-from . import simix, smpi, surf, sweep
+import importlib as _importlib
+
 from .errors import (
     ActorFailure,
     CalibrationError,
@@ -51,6 +51,25 @@ from .smpi import Mpi, SmpiConfig, SmpiResult, smpirun
 from .surf import Engine, Platform, cluster, multi_cabinet_cluster
 
 __version__ = "1.0.0"
+
+#: subpackages loaded on first attribute access (PEP 562), so a run pays
+#: only for what it uses: calibration pulls in scipy, which no simulation
+#: needs
+_SUBPACKAGES = frozenset({
+    "calibration", "metrics", "nas", "offline", "packetsim", "platforms",
+    "refcluster", "simix", "smpi", "surf", "sweep",
+})
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return _importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    helpers = {"_SUBPACKAGES", "_importlib", "__getattr__", "__dir__"}
+    return sorted((set(globals()) - helpers) | _SUBPACKAGES)
 
 __all__ = [
     "ActorFailure",

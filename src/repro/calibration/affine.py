@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import CalibrationError
 from ..surf.network_model import AffineNetworkModel, RouteParams
@@ -47,6 +46,10 @@ def fit_affine_best(sizes, times, route: RouteParams) -> AffineNetworkModel:
         log_alpha, log_beta = params
         predicted = np.exp(log_alpha) + s / np.exp(log_beta)
         return float(np.mean(np.abs(np.log(predicted) - log_t)))
+
+    # scipy is imported here, not at module level: it takes longer to
+    # import than a simulation run needs to start
+    from scipy import optimize
 
     # start from the naive instantiation
     x0 = np.array([np.log(max(t.min(), 1e-9)), np.log(route.bandwidth)])

@@ -49,6 +49,9 @@ class Scheduler:
         self.engine = engine
         self.backend = select_backend(ctx)
         self.actors: list[Actor] = []
+        #: actors added and not yet finished; an actor finishes only
+        #: inside its own resume, so the drain loop keeps this exact
+        self._live = 0
         self._runnable: deque[Actor] = deque()
         self._current: Actor | None = None
         self._running = False
@@ -75,6 +78,7 @@ class Scheduler:
         actor = Actor(self, name, host, func, args, kwargs)
         actor._context = self.backend.create(actor)
         self.actors.append(actor)
+        self._live += 1
         self._make_runnable(actor)
         return actor
 
@@ -132,8 +136,7 @@ class Scheduler:
         try:
             while True:
                 self._drain_runnable()
-                alive = [a for a in self.actors if not a.finished]
-                if not alive:
+                if not self._live:
                     break
                 if self.on_quiescent is not None:
                     self.on_quiescent()
@@ -147,7 +150,7 @@ class Scheduler:
                 while not self._runnable and self.engine.poll_progress():
                     self.engine.step()
                 if not self._runnable:
-                    self._raise_deadlock(alive)
+                    self._raise_deadlock()
             return self.engine.now
         finally:
             self._running = False
@@ -165,6 +168,8 @@ class Scheduler:
                 actor.resume()
                 self._current = None
                 stats.ctx_switches += 1
+                if actor.finished:
+                    self._live -= 1
                 if actor.exception is not None:
                     raise ActorFailure(
                         actor.name, actor.exception
@@ -179,7 +184,7 @@ class Scheduler:
                     continue
                 break
 
-    def _raise_deadlock(self, alive: list[Actor]) -> None:
+    def _raise_deadlock(self) -> None:
         # Engine may still hold latency-phase actions even when nothing is
         # RUNNING; poll_progress() would have reported those, so reaching
         # here means a genuine application deadlock.  Each actor records
@@ -193,6 +198,7 @@ class Scheduler:
                 return f"{actor.name} ({actor.waiting_reason})"
             return actor.name
 
+        alive = [a for a in self.actors if not a.finished]
         names = ", ".join(describe(a) for a in alive[:16])
         more = "" if len(alive) <= 16 else f" (+{len(alive) - 16} more)"
         raise DeadlockError(

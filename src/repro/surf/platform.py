@@ -15,6 +15,10 @@ free-form construction (``add_host`` / ``add_link`` / ``add_route`` /
   gdx: per-cabinet switches (own backbone), connected to a second-level
   switch by uplinks; inter-cabinet routes cross 3 switches as in Fig. 5.
 
+Neither builder stores a route per host pair: each installs one
+:class:`~repro.surf.routing.ClusterRoutes` rule that computes a pair's
+links when :meth:`Platform.route` first asks for them.
+
 Platform files in SimGrid's XML dialect are handled by
 :mod:`repro.surf.platform_xml`.
 """
@@ -25,7 +29,7 @@ from typing import Iterable, Sequence
 
 from ..errors import PlatformError
 from .resources import Host, Link, SharingPolicy
-from .routing import Route, RoutingTable
+from .routing import ClusterRoutes, Route, RoutingTable
 
 __all__ = ["Platform", "cluster", "multi_cabinet_cluster"]
 
@@ -91,6 +95,12 @@ class Platform:
                 raise PlatformError(f"route endpoint {endpoint!r} is not a host")
         resolved = tuple(self._resolve_link(link) for link in links)
         self._routing.add_explicit(src, dst, resolved, symmetric)
+
+    def _set_route_rule(self, rule: ClusterRoutes) -> None:
+        """Resolve a builder's host pairs through ``rule`` (after explicit
+        routes, so ``add_route`` overrides it)."""
+        self._check_mutable()
+        self._routing.set_rule(rule)
 
     def connect(self, a: str, b: str, link: Link | str) -> None:
         """Add a graph edge between two nodes (host or router names)."""
@@ -259,14 +269,13 @@ def cluster(
             )
             up_links.append(link)
             down_links.append(link)
-    for i in range(n_hosts):
-        for j in range(n_hosts):
-            if i == j:
-                continue
-            path: tuple[Link, ...] = (up_links[i],) + (
-                (backbone,) if backbone is not None else ()
-            ) + (down_links[j],)
-            platform.add_route(f"{prefix}{i}", f"{prefix}{j}", path, symmetric=False)
+    platform._set_route_rule(ClusterRoutes(
+        {f"{prefix}{i}": i for i in range(n_hosts)},
+        up_links,
+        down_links,
+        [0] * n_hosts,
+        [(backbone,) if backbone is not None else ()],
+    ))
     return platform
 
 
@@ -332,22 +341,13 @@ def multi_cabinet_cluster(
             host_cab.append(cab)
             node_id += 1
 
-    total = node_id
-    for i in range(total):
-        for j in range(total):
-            if i == j:
-                continue
-            if host_cab[i] == host_cab[j]:
-                path = (node_links[i], cab_bb[host_cab[i]], node_links[j])
-            else:
-                path = (
-                    node_links[i],
-                    cab_bb[host_cab[i]],
-                    cab_up[host_cab[i]],
-                    core_bb,
-                    cab_up[host_cab[j]],
-                    cab_bb[host_cab[j]],
-                    node_links[j],
-                )
-            platform.add_route(f"{prefix}{i}", f"{prefix}{j}", path, symmetric=False)
+    platform._set_route_rule(ClusterRoutes(
+        {f"{prefix}{i}": i for i in range(node_id)},
+        node_links,
+        node_links,
+        host_cab,
+        [(bb,) for bb in cab_bb],
+        cab_up,
+        core_bb,
+    ))
     return platform

@@ -2,29 +2,32 @@
 
 A :class:`Route` is the ordered set of links a transfer between two hosts
 crosses, together with the aggregate physical parameters the network model
-needs (total latency, bottleneck bandwidth).  Routes come from two sources,
-checked in order:
+needs (total latency, bottleneck bandwidth).  Routes come from three
+sources, checked in order:
 
 1. an explicit route table (``Platform.add_route``) — how SimGrid XML
-   platforms describe clusters, and how our builders register routes;
-2. shortest-path search (by latency, then hop count) on the platform's
-   link graph via :mod:`networkx`, for free-form topologies.
+   platforms describe clusters;
+2. the route rule (:class:`ClusterRoutes`) a cluster builder installs,
+   which computes a host pair's links on demand instead of storing all
+   n(n-1) of them, as SimGrid's cluster zones do;
+3. shortest-path search (by latency, then hop count) on the platform's
+   link graph via :mod:`networkx`, for free-form topologies.  The graph
+   and :mod:`networkx` are loaded only once ``connect`` adds an edge.
 
-Resolved routes are cached; a platform is immutable once the engine starts
-so the cache never invalidates.
+Resolution is not cached here: :meth:`Platform.route` memoizes resolved
+routes and clears that cache on every mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Sequence
 
 from ..errors import RoutingError
 from .network_model import RouteParams
 from .resources import Link
 
-__all__ = ["Route", "Router"]
+__all__ = ["ClusterRoutes", "Route", "Router"]
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,62 @@ class Route:
         return len(self.links)
 
 
+class ClusterRoutes:
+    """The routes of a switched cluster, computed per host pair on demand.
+
+    Host ``i`` (named by ``index``) sends over ``up[i]`` and receives over
+    ``down[i]``, one link when the access link is not split by direction.
+    It sits in cabinet ``cabinet_of[i]``, whose switch fabric is the
+    ``backbone[c]`` links (one backbone, or none for an ideal crossbar).
+    Hosts of one cabinet talk through its switch; hosts of two cabinets
+    also climb the source cabinet's ``uplink``, cross the ``core``
+    backbone and descend the destination cabinet's uplink.
+    """
+
+    __slots__ = ("index", "up", "down", "cabinet_of", "backbone", "uplink",
+                 "core")
+
+    def __init__(
+        self,
+        index: dict[str, int],
+        up: Sequence[Link],
+        down: Sequence[Link],
+        cabinet_of: Sequence[int],
+        backbone: Sequence[tuple[Link, ...]],
+        uplink: Sequence[Link] = (),
+        core: Link | None = None,
+    ) -> None:
+        self.index = index
+        self.up = up
+        self.down = down
+        self.cabinet_of = cabinet_of
+        self.backbone = backbone
+        self.uplink = uplink
+        self.core = core
+
+    def links(self, src: str, dst: str) -> tuple[Link, ...] | None:
+        """The links from ``src`` to ``dst``; None unless both are hosts
+        of this cluster."""
+        i = self.index.get(src)
+        j = self.index.get(dst)
+        if i is None or j is None:
+            return None
+        ci = self.cabinet_of[i]
+        cj = self.cabinet_of[j]
+        if ci == cj:
+            return (self.up[i], *self.backbone[ci], self.down[j])
+        return (self.up[i], *self.backbone[ci], self.uplink[ci], self.core,
+                self.uplink[cj], *self.backbone[cj], self.down[j])
+
+
 class RoutingTable:
-    """Explicit routes + graph fallback; owned by the Platform."""
+    """Explicit routes, a builder's route rule and a graph fallback; owned
+    by the Platform."""
 
     def __init__(self) -> None:
         self._explicit: dict[tuple[str, str], tuple[Link, ...]] = {}
-        self._graph = nx.Graph()
-        self._cache: dict[tuple[str, str], Route] = {}
+        self._rule: ClusterRoutes | None = None
+        self._graph = None  # a networkx.Graph once an edge is added
 
     # -- construction --------------------------------------------------------
 
@@ -80,40 +132,48 @@ class RoutingTable:
         self, src: str, dst: str, links: tuple[Link, ...], symmetric: bool = True
     ) -> None:
         self._explicit[(src, dst)] = links
-        if symmetric and (dst, src) not in self._explicit:
+        # the reverse direction is filled in only when nothing declares it
+        # yet, an explicit route or the builder rule
+        if (symmetric and (dst, src) not in self._explicit
+                and self._rule_links(dst, src) is None):
             self._explicit[(dst, src)] = tuple(reversed(links))
-        self._cache.clear()
+
+    def set_rule(self, rule: ClusterRoutes) -> None:
+        """Resolve the host pairs of a builder's cluster through ``rule``."""
+        self._rule = rule
 
     def add_edge(self, a: str, b: str, link: Link) -> None:
         """Connect two graph nodes (host or router names) with a link."""
+        if self._graph is None:
+            import networkx as nx
+
+            self._graph = nx.Graph()
         self._graph.add_edge(a, b, link=link, weight=link.latency + 1e-9)
-        self._cache.clear()
 
     # -- resolution -----------------------------------------------------------
 
     def resolve(self, src: str, dst: str) -> Route:
-        key = (src, dst)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
         if src == dst:
-            route = Route(src, dst, ())
-        elif key in self._explicit:
-            route = Route(src, dst, self._explicit[key])
-        else:
-            route = self._shortest_path(src, dst)
-        self._cache[key] = route
-        return route
+            return Route(src, dst, ())
+        links = self._explicit.get((src, dst))
+        if links is None:
+            links = self._rule_links(src, dst)
+        if links is None:
+            return self._shortest_path(src, dst)
+        return Route(src, dst, links)
+
+    def _rule_links(self, src: str, dst: str) -> tuple[Link, ...] | None:
+        return None if self._rule is None else self._rule.links(src, dst)
 
     def _shortest_path(self, src: str, dst: str) -> Route:
-        if src not in self._graph or dst not in self._graph:
+        graph = self._graph
+        if graph is None or src not in graph or dst not in graph:
             raise RoutingError(f"no route from {src!r} to {dst!r}: unknown endpoint")
+        import networkx as nx
+
         try:
-            nodes = nx.shortest_path(self._graph, src, dst, weight="weight")
+            nodes = nx.shortest_path(graph, src, dst, weight="weight")
         except nx.NetworkXNoPath:
             raise RoutingError(f"no route from {src!r} to {dst!r}") from None
-        links = tuple(
-            self._graph.edges[a, b]["link"] for a, b in zip(nodes, nodes[1:])
-        )
+        links = tuple(graph.edges[a, b]["link"] for a, b in zip(nodes, nodes[1:]))
         return Route(src, dst, links)
