@@ -1,4 +1,4 @@
-"""Ablation — execution-context backends (coroutine vs greenlet vs thread).
+"""Ablation — execution-context backends (coroutine vs thread).
 
 The historical design parks every rank on its own OS thread and moves a
 baton of ``threading.Event`` pairs between them: two kernel round-trips
@@ -21,7 +21,7 @@ import time
 
 from _helpers import FigureReport
 from repro.nas import dt_app, dt_graph
-from repro.simix import Scheduler, greenlet_available
+from repro.simix import Scheduler
 from repro.smpi import smpirun
 from repro.surf import Engine, cluster
 
@@ -29,10 +29,7 @@ RANK_COUNTS = (64, 256)
 YIELD_ROUNDS = 40
 
 
-def backends():
-    return ["coroutine", "thread"] + (
-        ["greenlet"] if greenlet_available() else []
-    )
+BACKENDS = ("coroutine", "thread")
 
 
 def switch_storm(n_ranks: int, ctx: str):
@@ -74,10 +71,10 @@ def experiment():
     storm_rows = []
     for n_ranks in RANK_COUNTS:
         row = {}
-        for ctx in backends():
+        for ctx in BACKENDS:
             row[ctx] = switch_storm(n_ranks, ctx)
         storm_rows.append((n_ranks, row))
-    dt_rows = {ctx: nas_dt_wall(ctx) for ctx in backends()}
+    dt_rows = {ctx: nas_dt_wall(ctx) for ctx in BACKENDS}
     return storm_rows, dt_rows
 
 

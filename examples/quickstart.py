@@ -22,7 +22,7 @@ def app(mpi):
     # Written in the generator dialect (yield from comm.co.* / mpi.co.*),
     # so each rank runs as a coroutine continuation — no OS thread per
     # rank.  Drop the yields and call comm.Scatter(...) directly and the
-    # same code runs on the greenlet/thread backends instead.
+    # same code runs on the thread backend instead.
     comm = mpi.COMM_WORLD
     rank, size = mpi.rank, mpi.size
     n_local = 4096

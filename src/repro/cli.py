@@ -38,6 +38,9 @@ Usage (see ``python -m repro --help``)::
     python -m repro sweep status campaign.toml
     python -m repro sweep report campaign.toml --format csv -o results.csv
 
+    # where the simulator's wall time goes, layer by layer
+    python -m repro profile my_app.py -n 16
+
     # inspect things
     python -m repro platforms
     python -m repro info trace.json
@@ -150,8 +153,6 @@ def _config_from_args(args: argparse.Namespace) -> SmpiConfig:
         options["on_host_down"] = args.on_host_down
     if getattr(args, "sharing", None) is not None:
         options["sharing"] = args.sharing
-    if getattr(args, "profile", False):
-        options["profile"] = True
     return SmpiConfig(**options)
 
 
@@ -237,13 +238,6 @@ def _report(result, n_ranks: int, show_stats: bool = False) -> None:
                   f"{stats.wildcard_scans} wildcard scans)")
         if getattr(stats, "pooled_reuses", 0):
             print(f"  pooled reuses    : {stats.pooled_reuses}")
-    profile = (result.stats.extra.get("profile")
-               if result.stats is not None and result.stats.extra else None)
-    if profile:
-        from .profile import render_profile
-
-        print("hot-path timers:")
-        print(render_profile(profile))
 
 
 def _make_engine(platform, args):
@@ -524,18 +518,6 @@ def _cmd_coll_sweep(args: argparse.Namespace) -> int:
     return 1 if result.errors else 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """``repro profile``: one run with wall timers on, then the report."""
-    app = load_app(args.app, args.entry)
-    platform = build_platform(args.platform, args.n)
-    config = _config_from_args(args).with_options(profile=True)
-    engine = _make_engine(platform, args)
-    result = smpirun(app, args.n, platform, config=config, engine=engine,
-                     ctx=args.ctx)
-    _report(result, args.n, show_stats=True)
-    return 0
-
-
 def _cmd_platforms(_args: argparse.Namespace) -> int:
     print("built-in platforms:")
     print("  griffon          92 nodes, 3 cabinets (33/27/32), GigE + 10G core")
@@ -687,13 +669,12 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                         "point (default) or approx with bounded per-event "
                         "work for 100k+ concurrent flows (REPRO_SHARING "
                         "env var sets the default)")
-    p.add_argument("--ctx", choices=("auto", "coroutine", "greenlet",
-                                     "thread"),
+    p.add_argument("--ctx", choices=("auto", "coroutine", "thread"),
                    default=None,
                    help="execution-context backend for rank actors "
                         "(default: auto — coroutine for generator apps, "
-                        "greenlet/thread for plain functions; REPRO_CTX "
-                        "env var overrides)")
+                        "thread for plain functions; REPRO_CTX env var "
+                        "overrides)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -710,9 +691,8 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stats", action="store_true",
                    help="print kernel counters (shares, flow re-solves)")
     p.add_argument("--profile", action="store_true",
-                   help="accumulate per-subsystem wall timers and print "
-                        "them after the run (implies nothing else; the "
-                        "deterministic counters are always on)")
+                   help="time the command per simulator layer (exclusive "
+                        "wall seconds) and print the table after it")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -723,17 +703,24 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate an application file")
-    run.add_argument("app", help="Python file defining app(mpi)")
-    run.add_argument("-n", type=int, required=True, help="MPI rank count")
-    run.add_argument("--entry", default="app",
-                     help="entry function name (default: app)")
-    run.add_argument("--record", metavar="TRACE.json",
-                     help="record a time-independent trace")
-    _add_sim_flags(run)
-    _add_output_flags(run)
-    _add_fault_flags(run)
-    run.set_defaults(func=_cmd_run)
+    def _run_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("app", help="Python file defining app(mpi)")
+        p.add_argument("-n", type=int, required=True, help="MPI rank count")
+        p.add_argument("--entry", default="app",
+                       help="entry function name (default: app)")
+        p.add_argument("--record", metavar="TRACE.json",
+                       help="record a time-independent trace")
+        _add_sim_flags(p)
+        _add_output_flags(p)
+        _add_fault_flags(p)
+        p.set_defaults(func=_cmd_run)
+
+    _run_args(sub.add_parser("run", help="simulate an application file"))
+    profile = sub.add_parser(
+        "profile", help="'run' with --stats --profile: where the simulator "
+                        "spends its wall time, layer by layer")
+    _run_args(profile)
+    profile.set_defaults(stats=True, profile=True)
 
     replay = sub.add_parser("replay", help="replay a recorded trace")
     replay.add_argument("trace_file", metavar="trace",
@@ -886,17 +873,6 @@ def make_parser() -> argparse.ArgumentParser:
                             help="print one line per completed point")
     coll_sweep.set_defaults(func=_cmd_coll_sweep)
 
-    profile = sub.add_parser(
-        "profile",
-        help="run an app with hot-path wall timers and report where the "
-             "simulator spends its time")
-    profile.add_argument("app", help="Python file defining app(mpi)")
-    profile.add_argument("-n", type=int, required=True, help="MPI rank count")
-    profile.add_argument("--entry", default="app",
-                         help="entry function name (default: app)")
-    _add_sim_flags(profile)
-    profile.set_defaults(func=_cmd_profile)
-
     platforms = sub.add_parser("platforms", help="list built-in platforms")
     platforms.set_defaults(func=_cmd_platforms)
 
@@ -911,7 +887,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if not getattr(args, "profile", False):
+            return args.func(args)
+        from .profile import SpanRecorder
+
+        with SpanRecorder() as spans:
+            code = args.func(args)
+        print("wall-time layers (exclusive):")
+        print(spans.report())
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,17 +10,14 @@ issues.  User code blocks by waiting on *activities* (communications,
 executions, sleeps); the scheduler then advances the SURF clock to the
 next completion and resumes whoever it unblocked.
 
-Three context backends exist, all bit-identical in simulated time:
+Two context backends exist, bit-identical in simulated time:
 
 * ``coroutine`` (default for generator-dialect code) — each actor is a
   plain Python generator resumed on the scheduler's own stack; no kernel
   objects, no synchronisation round-trips.
-* ``greenlet`` — cooperative green threads, used automatically for plain
-  (non-generator) functions when the optional ``greenlet`` package is
-  importable.
 * ``thread`` — the original one-OS-thread-per-rank design with an
-  Event-pair baton; kept as the equivalence oracle and as the fallback
-  for plain functions without greenlet.
+  Event-pair baton; the equivalence oracle, and the backend that runs
+  plain (non-generator) functions.
 """
 
 from .activity import Activity, CommActivity, ExecActivity, SleepActivity
@@ -32,10 +29,8 @@ from .contexts import (
     ContextBackend,
     CoroutineBackend,
     ExecutionContext,
-    GreenletBackend,
     ThreadBackend,
     available_backends,
-    greenlet_available,
     run_blocking,
     select_backend,
 )
@@ -55,7 +50,6 @@ __all__ = [
     "CoroutineBackend",
     "ExecActivity",
     "ExecutionContext",
-    "GreenletBackend",
     "IndexedMessageQueue",
     "IndexedRecvQueue",
     "MatchCounters",
@@ -63,7 +57,6 @@ __all__ = [
     "SleepActivity",
     "ThreadBackend",
     "available_backends",
-    "greenlet_available",
     "run_blocking",
     "select_backend",
 ]

@@ -5,7 +5,7 @@ process: its bookkeeping (runnable/blocked state, result, exception) plus
 the blocking primitives user code calls.  *How* its frames are parked
 between resumes is delegated to an
 :class:`~repro.simix.contexts.ExecutionContext` — an OS thread with a
-baton of Events, a greenlet, or a generator continuation resumed on the
+baton of Events, or a generator continuation resumed on the
 scheduler's own stack (see :mod:`repro.simix.contexts.base`).
 
 Each blocking primitive exists in two dialects with identical scheduler

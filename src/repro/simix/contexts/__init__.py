@@ -3,8 +3,7 @@
 See :mod:`repro.simix.contexts.base` for the model.  The public surface
 is the backend registry (:func:`select_backend`, :func:`available_backends`)
 plus the :class:`ContextBackend`/:class:`ExecutionContext` interfaces;
-individual backends live in their own modules and are imported lazily so
-the optional greenlet dependency stays optional.
+individual backends live in their own modules and are imported lazily.
 """
 
 from .base import (
@@ -13,11 +12,9 @@ from .base import (
     ContextBackend,
     CoroutineBackend,
     ExecutionContext,
-    GreenletBackend,
     ThreadBackend,
     available_backends,
     drive_on_stack,
-    greenlet_available,
     run_blocking,
     select_backend,
 )
@@ -28,11 +25,9 @@ __all__ = [
     "ContextBackend",
     "CoroutineBackend",
     "ExecutionContext",
-    "GreenletBackend",
     "ThreadBackend",
     "available_backends",
     "drive_on_stack",
-    "greenlet_available",
     "run_blocking",
     "select_backend",
 ]

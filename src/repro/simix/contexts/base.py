@@ -18,11 +18,6 @@ call stack is parked meanwhile is the backend's business:
     for its entire blocking surface, so applications written as generator
     functions run here unmodified.
 
-``greenlet``
-    Real stack switching via the optional :mod:`greenlet` extension:
-    plain synchronous code blocks anywhere, at user-level switch cost.
-    Auto-selected for plain functions when importable.
-
 Actors with different context kinds coexist in one simulation because
 execution is strictly sequential — exactly one actor (or the scheduler)
 runs at any instant regardless of how its stack is parked.
@@ -82,7 +77,7 @@ class ExecutionContext:
     def block(self) -> None:
         """Park the *currently running* actor in-stack until next resume.
 
-        Only stack-capable backends (thread, greenlet) implement this;
+        Only the stack-capable thread backend implements this;
         the coroutine backend cannot suspend plain frames and raises
         :class:`~repro.errors.ContextError` with a pointer at the
         generator dialect instead.
@@ -151,15 +146,6 @@ class ContextBackend:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def greenlet_available() -> bool:
-    """True when the optional :mod:`greenlet` extension is importable."""
-    try:
-        import greenlet  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 class ThreadBackend(ContextBackend):
     """One OS thread per actor — the bit-identical equivalence oracle."""
 
@@ -182,47 +168,21 @@ class CoroutineBackend(ContextBackend):
         return CoroutineContext(actor)
 
 
-class GreenletBackend(ContextBackend):
-    """Real user-level stack switching via the optional greenlet extension."""
-
-    name = "greenlet"
-
-    def __init__(self) -> None:
-        if not greenlet_available():
-            raise ConfigError(
-                "ctx backend 'greenlet' requested but the greenlet package "
-                "is not importable; use 'coroutine', 'thread' or 'auto'"
-            )
-
-    def create(self, actor: "Actor") -> ExecutionContext:
-        from .greenlets import GreenletContext
-
-        return GreenletContext(actor)
-
-
 class AutoBackend(ContextBackend):
     """Pick the cheapest context each actor supports.
 
     Generator functions get the coroutine backend (they speak the
-    dialect); plain functions get greenlet when importable, else the
-    thread oracle — never the coroutine backend, which cannot suspend
-    plain frames.
+    dialect); plain functions get the thread backend — never the
+    coroutine backend, which cannot suspend plain frames.
     """
 
     name = "auto"
-
-    def __init__(self) -> None:
-        self._greenlet = greenlet_available()
 
     def create(self, actor: "Actor") -> ExecutionContext:
         if inspect.isgeneratorfunction(actor.func):
             from .coroutine import CoroutineContext
 
             return CoroutineContext(actor)
-        if self._greenlet:
-            from .greenlets import GreenletContext
-
-            return GreenletContext(actor)
         from .threads import ThreadContext
 
         return ThreadContext(actor)
@@ -231,7 +191,6 @@ class AutoBackend(ContextBackend):
 _BACKENDS: dict[str, type[ContextBackend]] = {
     "auto": AutoBackend,
     "coroutine": CoroutineBackend,
-    "greenlet": GreenletBackend,
     "thread": ThreadBackend,
 }
 
@@ -261,5 +220,5 @@ def blocking_unsupported(actor: "Actor") -> ContextError:
         f"actor {actor.name!r} runs on the coroutine backend but tried to "
         "block from a plain (non-generator) call; write the blocking path "
         "in the generator dialect (yield from the co_* twin) or run this "
-        "actor on a stack-capable backend (--ctx greenlet/thread/auto)"
+        "actor on a stack-capable backend (--ctx thread or auto)"
     )

@@ -88,12 +88,6 @@ class SmpiConfig:
     #: ``"exact"``).  Ignored when an explicit ``engine=`` is supplied.
     sharing: str | None = None
 
-    #: enable the opt-in hot-path wall timers (:mod:`repro.profile`);
-    #: the accumulated per-subsystem table lands in
-    #: ``result.stats.extra["profile"]``.  The deterministic match/alloc
-    #: counters in ``EngineStats`` are always on.
-    profile: bool = False
-
     # -- fault semantics (dynamic platforms, docs/faults.md) -------------------
     #: automatic pt2pt retries after a transfer dies on a network failure
     #: (0 = fail fast with MPI_ERR_OTHER, the default)

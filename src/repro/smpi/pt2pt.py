@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -151,8 +150,6 @@ class Protocol:
         self.world = world
         #: the engine's counter sink (duck-typed kernels share the class)
         self._stats = world.engine.stats
-        #: the world's hot-path profiler, or None (see repro.profile)
-        self.profiler = getattr(world, "profiler", None)
         # (ctx, dst_world_rank) -> queues
         self._posted: dict[tuple[int, int], object] = {}
         self._unexpected: dict[tuple[int, int], object] = {}
@@ -283,13 +280,7 @@ class Protocol:
         request.tag = tag
 
         posted, unexpected = self._queues(ctx, dst)
-        prof = self.profiler
-        if prof is None:
-            recv = posted.pop(src, tag)
-        else:
-            t0 = perf_counter()
-            recv = posted.pop(src, tag)
-            prof.add("match.send", perf_counter() - t0)
+        recv = posted.pop(src, tag)
         if recv is not None:
             self._bind(message, recv.request, recv.buffer)
             self._release_recv(recv)
@@ -329,13 +320,7 @@ class Protocol:
             -1 if buffer is None else buffer.descriptor.nbytes,
         )
         posted, unexpected = self._queues(ctx, dst)
-        prof = self.profiler
-        if prof is None:
-            message = unexpected.pop(source, tag)
-        else:
-            t0 = perf_counter()
-            message = unexpected.pop(source, tag)
-            prof.add("match.recv", perf_counter() - t0)
+        message = unexpected.pop(source, tag)
         if message is None:
             posted.push(self._acquire_recv(source, tag, ctx, request, buffer))
             if source != constants.ANY_SOURCE:
@@ -371,13 +356,7 @@ class Protocol:
                ) -> Message | None:
         """Non-destructive check for a matching announced message."""
         _posted, unexpected = self._queues(ctx, dst)
-        prof = self.profiler
-        if prof is None:
-            message = unexpected.peek(source, tag)
-        else:
-            t0 = perf_counter()
-            message = unexpected.peek(source, tag)
-            prof.add("match.probe", perf_counter() - t0)
+        message = unexpected.peek(source, tag)
         if message is not None:
             # the application may hold this envelope: never recycle it
             message.probed = True
@@ -617,8 +596,6 @@ class Protocol:
         assert request is not None
         if request.complete:
             return
-        prof = self.profiler
-        t0 = perf_counter() if prof is not None else 0.0
         buffer: BufferSpec | None = request._recv_buffer
         try:
             if int(message.data.size) != message.wire_bytes:
@@ -636,5 +613,3 @@ class Protocol:
         request.received_bytes = message.nbytes
         request.finish()
         self._close_message(message)
-        if prof is not None:
-            prof.add("pt2pt.deliver", perf_counter() - t0)

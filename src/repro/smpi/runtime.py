@@ -28,7 +28,6 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..errors import MpiError, SimulationError
-from ..profile import Profiler
 from ..seq import Sequencer
 from ..simix import Scheduler
 from ..simix.actor import Actor
@@ -73,19 +72,11 @@ class SmpiWorld:
         self.engine = engine or Engine(platform, network_model=network_model,
                                        sharing=self.config.sharing)
         # ``ctx`` picks the execution-context backend ranks run on
-        # (auto/coroutine/greenlet/thread; see repro.simix.contexts)
+        # (auto/coroutine/thread; see repro.simix.contexts)
         self.scheduler = Scheduler(self.engine, ctx)
         #: per-world message-id allocator — per-run ids keep repeated
         #: runs in one process byte-identical and snapshots restorable
         self.msg_seq = Sequencer()
-        #: opt-in hot-path wall timers (``config.profile``); the counters
-        #: in ``engine.stats`` are always on — see :mod:`repro.profile`
-        self.profiler = Profiler() if self.config.profile else None
-        if self.profiler is not None:
-            try:
-                self.engine.profiler = self.profiler
-            except AttributeError:  # duck-typed kernels with __slots__
-                pass
         #: free lists recycling completed requests/messages (bounded; a
         #: reuse draws fresh rid/mid numbers, so id streams — and thus
         #: clocks and snapshots — are identical with and without pooling)
@@ -557,13 +548,13 @@ def smpirun(
 
     ``app`` is called as ``app(mpi, *app_args)`` on every rank's execution
     context, where ``mpi`` is that rank's :class:`Mpi` handle.  A plain
-    function runs on a stack-capable context (greenlet when importable,
-    else one OS thread per rank); a *generator function* additionally runs
+    function runs on a stack-capable context (one OS thread per rank);
+    a *generator function* additionally runs
     on the default coroutine context — zero kernel objects per rank — by
     reaching every blocking call through its ``co_*`` twin
     (``yield from comm.co.Send(...)``).  ``ctx`` forces a specific backend
-    (``auto``/``coroutine``/``greenlet``/``thread``); the thread oracle is
-    bit-identical to the cooperative backends.
+    (``auto``/``coroutine``/``thread``); the thread oracle is
+    bit-identical to the coroutine backend.
 
     Blocks until every rank returned; raises
     :class:`~repro.errors.ActorFailure` if any rank raised and
@@ -609,8 +600,6 @@ def smpirun(
     world.trace.finish(simulated)
 
     memory = world.memory.report()
-    if world.profiler is not None and world.profiler:
-        world.engine.stats.extra["profile"] = world.profiler.to_dict()
     if world.payload_pool.acquires or memory.intern_naive_peak:
         # surface the interned-vs-naive gap next to the engine counters
         world.engine.stats.extra["interning"] = {

@@ -58,7 +58,6 @@ import os
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from itertools import islice
-from time import perf_counter
 
 from ..errors import SimulationError
 from ..log import bind_clock, get_logger
@@ -221,9 +220,6 @@ class Engine:
         #: pending actions by aid (insertion order == registration order)
         self.pending: dict[int, Action] = {}
         self.stats = EngineStats()
-        #: opt-in wall-timer sink (:class:`repro.profile.Profiler`);
-        #: attached by the SMPI runtime under ``--profile``, None otherwise
-        self.profiler = None
         self._needs_share = True  # resource shares need recomputation
         self._solver = IncrementalMaxMin(sharing=sharing)
         #: RUNNING actions currently registered as solver flows, by aid
@@ -385,13 +381,9 @@ class Engine:
         components; every other RUNNING action keeps its rate, which is
         still the exact max-min solution of its untouched component.
         """
-        prof = self.profiler
-        t0 = perf_counter() if prof is not None else 0.0
         self.stats.shares += 1
         self._share_incremental()
         self._needs_share = False
-        if prof is not None:
-            prof.add("engine.share", perf_counter() - t0)
 
     def _share_incremental(self) -> None:
         solver = self._solver
@@ -551,16 +543,6 @@ class Engine:
         that indicates an internal inconsistency, since max-min always
         grants positive rates to flows on positive-capacity resources.
         """
-        prof = self.profiler
-        if prof is not None:
-            t0 = perf_counter()
-            try:
-                return self._step_timed()
-            finally:
-                prof.add("engine.step", perf_counter() - t0)
-        return self._step_timed()
-
-    def _step_timed(self) -> list[Action]:
         self.stats.steps += 1
         instant = self._drain_instant()
         if instant:

@@ -54,7 +54,7 @@ __all__ = ["PlatformSpec", "WorkloadSpec", "SweepPoint", "SweepSpec"]
 _ENGINE_AXES = frozenset({"ctx"})
 
 #: valid --ctx values (mirrors the CLI choices)
-_CTX_VALUES = ("auto", "coroutine", "greenlet", "thread")
+_CTX_VALUES = ("auto", "coroutine", "thread")
 
 
 def _freeze(value):

@@ -204,6 +204,45 @@ class TestStatsFlag:
         assert "kernel stats" in capsys.readouterr().out
 
 
+def _layer_rows(out: str) -> dict[str, float]:
+    """``{layer: self seconds}`` parsed from the printed layer table."""
+    lines = out.split("wall-time layers (exclusive):\n", 1)[1].splitlines()
+    assert lines[0].split() == ["layer", "calls", "self", "s", "share"]
+    return {line.split()[0]: float(line.split()[-2]) for line in lines[1:]}
+
+
+class TestProfileFlag:
+    def test_replay_profile_prints_layer_table(self, app_file, tmp_path,
+                                               capsys):
+        trace_path = str(tmp_path / "t.json")
+        main(["run", app_file, "-n", "4", "--platform", "cluster:4",
+              "--record", trace_path])
+        capsys.readouterr()
+        assert main(["replay", trace_path, "--platform", "cluster:4",
+                     "--profile"]) == 0
+        rows = _layer_rows(capsys.readouterr().out)
+        assert {"simix.sched_s", "engine.step_s", "offline.load_s",
+                "other", "total"} <= set(rows)
+        assert sum(rows.values()) - rows["total"] == pytest.approx(
+            rows["total"], abs=1e-3)
+
+    def test_run_profile_prints_layer_table(self, app_file, capsys):
+        assert main(["run", app_file, "-n", "4", "--platform", "cluster:4",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel stats" not in out
+        assert {"simix.resume_s", "match.s", "pt2pt.s"} <= set(
+            _layer_rows(out))
+
+    def test_profile_command_is_run_with_stats_and_profile(self, app_file,
+                                                           capsys):
+        assert main(["profile", app_file, "-n", "4",
+                     "--platform", "cluster:4"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel stats" in out
+        assert "simix.sched_s" in _layer_rows(out)
+
+
 class TestTraceCommands:
     @pytest.fixture
     def csv_trace(self, app_file, tmp_path, capsys):

@@ -21,21 +21,14 @@ from repro.simix import (
     Scheduler,
     ThreadBackend,
     available_backends,
-    greenlet_available,
     select_backend,
 )
 from repro.simix.actor import ActorKilled
 from repro.smpi import smpirun
 from repro.surf import Engine, cluster
 
-needs_greenlet = pytest.mark.skipif(
-    not greenlet_available(), reason="greenlet not importable"
-)
-
-#: every backend usable in this environment (greenlet is optional)
-BACKENDS = ["coroutine", "thread"] + (
-    ["greenlet"] if greenlet_available() else []
-)
+#: every execution-context backend
+BACKENDS = ["coroutine", "thread"]
 
 
 def make_scheduler(n=4, ctx=None):
@@ -50,7 +43,7 @@ def make_scheduler(n=4, ctx=None):
 class TestSelection:
     def test_available_backends(self):
         names = available_backends()
-        assert {"auto", "coroutine", "greenlet", "thread"} <= set(names)
+        assert set(names) == {"auto", "coroutine", "thread"}
 
     def test_select_by_name(self):
         assert select_backend("thread").name == "thread"
@@ -74,11 +67,11 @@ class TestSelection:
             select_backend("fibers")
 
     def test_greenlet_backend_unavailable_raises(self):
-        if greenlet_available():
-            assert select_backend("greenlet").name == "greenlet"
-        else:
-            with pytest.raises(ConfigError, match="greenlet"):
-                select_backend("greenlet")
+        # there is no greenlet backend: the name is refused like any other
+        with pytest.raises(ConfigError,
+                           match="unknown ctx backend 'greenlet' .*"
+                                 "auto, coroutine, thread"):
+            select_backend("greenlet")
 
     def test_auto_picks_coroutine_for_generator_funcs(self):
         sched = make_scheduler(ctx="auto")
@@ -92,8 +85,7 @@ class TestSelection:
     def test_auto_picks_stack_backend_for_plain_funcs(self):
         sched = make_scheduler(ctx="auto")
         actor = sched.add_actor("p", "node-0", lambda: None)
-        expected = "greenlet" if greenlet_available() else "thread"
-        assert actor.context_kind == expected
+        assert actor.context_kind == "thread"
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,11 @@ from repro.dl import (
     sgd_skeleton,
 )
 from repro.errors import ConfigError
-from repro.simix import greenlet_available
 from repro.smpi import SmpiConfig, smpirun
 from repro.smpi.coll import ALGORITHMS
 from repro.surf import cluster, multi_cabinet_cluster
 
-BACKENDS = ["coroutine", "thread"] + (
-    ["greenlet"] if greenlet_available() else []
-)
+BACKENDS = ["coroutine", "thread"]
 
 #: 8 ranks over 3 cabinets (3+3+2) — hierarchical strategies see real
 #: uplinks, flat ones a two-level route

@@ -384,12 +384,7 @@ class TestConfigValidation:
 # ---------------------------------------------------------------------------
 
 
-def _context_backends():
-    from repro.simix import greenlet_available
-
-    return ["coroutine", "thread"] + (
-        ["greenlet"] if greenlet_available() else []
-    )
+CONTEXT_BACKENDS = ["coroutine", "thread"]
 
 
 class TestFaultsAcrossBackends:
@@ -402,7 +397,7 @@ class TestFaultsAcrossBackends:
 
     def _run_everywhere(self, make_setup, n_ranks, config):
         outcomes = {}
-        for ctx in _context_backends():
+        for ctx in CONTEXT_BACKENDS:
             app, platform, engine = make_setup()
             result = smpirun(app, n_ranks, platform, engine=engine,
                              config=config, ctx=ctx)
@@ -484,7 +479,7 @@ class TestFaultsAcrossBackends:
             make_setup, 2, SmpiConfig(on_host_down="kill-rank"))
         assert returns == (ERR_PROC_FAILED, None)
 
-    @pytest.mark.parametrize("ctx", _context_backends())
+    @pytest.mark.parametrize("ctx", CONTEXT_BACKENDS)
     def test_deadlock_report_names_the_waiter(self, ctx):
         platform = cluster(f"xdl-{ctx}", 2)
 

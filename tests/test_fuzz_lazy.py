@@ -207,14 +207,6 @@ def test_smpirun_matches_between_event_loops(pattern, seed):
     assert times[False] == times[True]
 
 
-def _backends():
-    from repro.simix import greenlet_available
-
-    return ["coroutine", "thread"] + (
-        ["greenlet"] if greenlet_available() else []
-    )
-
-
 @given(st.lists(exchange, min_size=1, max_size=8), st.integers(0, 20))
 @settings(max_examples=15, deadline=None)
 def test_smpirun_matches_between_context_backends(pattern, seed):
@@ -223,7 +215,7 @@ def test_smpirun_matches_between_context_backends(pattern, seed):
     The same generator-dialect application — nonblocking exchanges, a
     waitall, optional computes — must produce the same simulated clock,
     per-rank return values and wtime readings whether its ranks run as
-    coroutine continuations, greenlets, or parked OS threads.
+    coroutine continuations or parked OS threads.
     """
     pattern = [(s, d, n) for (s, d, n) in pattern if s != d]
     if not pattern:
@@ -248,7 +240,7 @@ def test_smpirun_matches_between_context_backends(pattern, seed):
         return (yield from mpi.co.wtime())
 
     times = {}
-    for ctx in _backends():
+    for ctx in ("coroutine", "thread"):
         platform = cluster("fzc", 4, split_duplex=bool(seed % 3))
         result = smpirun(app, 4, platform, ctx=ctx)
         times[ctx] = (result.simulated_time, tuple(result.returns))

@@ -219,6 +219,21 @@ class TestReplayCheckpoint:
         with pytest.raises(ConfigError, match="stale.*'match'"):
             resume_replay(trace, griffon(2), ck)
 
+    def test_resume_rejects_profile_key_of_older_checkpoints(self, tmp_path):
+        """Checkpoints written while ``SmpiConfig`` still had a ``profile``
+        field carry ``"profile": false``; they are refused as stale."""
+        from repro.offline import load_checkpoint, save_checkpoint
+
+        _online, trace = record_trace(pingpong, 2, griffon(2))
+        cold = replay_trace(trace, griffon(2))
+        ck = replay_trace(trace, griffon(2),
+                          checkpoint_at=cold.simulated_time / 2).checkpoint
+        ck["config"]["profile"] = False
+        path = save_checkpoint(ck, tmp_path / "old.ckpt.json")
+        with pytest.raises(ConfigError,
+                           match="checkpoint config is stale.*'profile'"):
+            resume_replay(trace, griffon(2), load_checkpoint(path))
+
     def test_warm_replay_through_snapshot_store(self, tmp_path):
         """Miss captures+stores; hit resumes; both match the cold clock."""
         from repro.offline import warm_replay
