@@ -121,4 +121,4 @@ def pack_object(obj: Any) -> BufferSpec:
 
 def unpack_object(data: np.ndarray) -> Any:
     """Reconstruct a Python object from received bytes."""
-    return pickle.loads(data.tobytes())
+    return pickle.loads(memoryview(data))

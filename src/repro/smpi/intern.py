@@ -1,24 +1,34 @@
-"""Content-keyed interning pool — RAM folding beyond user arrays.
+"""Content-keyed interning pools — RAM folding beyond user arrays.
 
 The paper's ``SMPI_SHARED_MALLOC`` folds identical per-rank *user* arrays
 into one allocation (:mod:`repro.smpi.shared`).  At 10k+ ranks the same
 redundancy appears one layer down: every rank of a folded application
 packs byte-identical message payloads, builds identical buffer
 descriptors ``(count, datatype)``, and carries identical datatype
-signatures.  :class:`InternPool` extends the folding to that rank state:
-values are stored once under a content key, handed out by reference, and
-reference-counted so the pool can drop them when the last user releases.
+signatures.  The pools here extend the folding to that rank state:
+values are stored once, handed out by reference, and reference-counted
+so the pool can drop them when the last user releases.
 
 Two pools exist in practice:
 
-* a process-global descriptor pool (:func:`intern_descriptor`,
-  :func:`datatype_signature`) for small immutable metadata — these live
-  for the process lifetime and are never released;
-* a per-:class:`~repro.smpi.runtime.SmpiWorld` payload pool
+* a process-global :class:`InternPool` (:func:`intern_descriptor`,
+  :func:`datatype_signature`) for small immutable metadata, keyed by the
+  metadata tuple itself — these live for the process lifetime and are
+  never released;
+* a per-:class:`~repro.smpi.runtime.SmpiWorld` :class:`PayloadPool`
   (``world.payload_pool``) folding packed message payloads, wired to the
   world's :class:`~repro.smpi.memory.MemoryTracker` so the interned-vs-
   naive byte gap is measurable (``MemoryReport.intern_naive_peak`` /
   ``intern_stored_peak``).
+
+Payloads are keyed in two levels, so folding costs little when nothing
+folds.  Level 1, paid on every send, is :func:`payload_key`: the length
+plus a digest of a few KiB sampled at fixed offsets (short payloads are
+hashed whole), read in place with no copy.  Level 2, paid only when a
+live payload already has the same fingerprint, compares the bytes.  Two
+payloads therefore fold exactly when their bytes are equal; a
+fingerprint shared by different payloads costs one compare, never a
+wrong fold.
 
 Interned payload arrays are frozen (``writeable=False``): receivers only
 ever copy out of them, and an accidental in-place write would corrupt
@@ -35,6 +45,8 @@ import numpy as np
 
 __all__ = [
     "InternPool",
+    "PayloadEntry",
+    "PayloadPool",
     "BufferDescriptor",
     "payload_key",
     "intern_descriptor",
@@ -42,15 +54,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class _Entry:
-    value: Any
-    nbytes: int
-    refcount: int
-
-
-class InternPool:
-    """Reference-counted store of content-keyed values.
+class _Accounting:
+    """Counters shared by both pools.
 
     ``on_account(naive_delta, stored_delta)`` is invoked on every change
     to the pool's byte accounting: *naive* bytes are what every acquirer
@@ -62,7 +67,6 @@ class InternPool:
     def __init__(
         self, on_account: Callable[[int, int], None] | None = None
     ) -> None:
-        self._entries: dict[Hashable, _Entry] = {}
         self._on_account = on_account
         #: total acquire() calls (naive allocation count)
         self.acquires = 0
@@ -78,6 +82,39 @@ class InternPool:
         self.stored_bytes += stored_delta
         if self._on_account is not None:
             self._on_account(naive_delta, stored_delta)
+
+    @property
+    def saved_bytes(self) -> int:
+        """Bytes folding is currently saving (naive minus stored)."""
+        return self.naive_bytes - self.stored_bytes
+
+    def stats(self) -> dict:
+        """Plain-dict counters for result tables and ``EngineStats.extra``."""
+        return {
+            "acquires": self.acquires,
+            "hits": self.hits,
+            "entries": len(self),
+            "naive_bytes": self.naive_bytes,
+            "stored_bytes": self.stored_bytes,
+            "saved_bytes": self.saved_bytes,
+        }
+
+
+@dataclass
+class _Entry:
+    value: Any
+    nbytes: int
+    refcount: int
+
+
+class InternPool(_Accounting):
+    """Reference-counted store of values under hashable content keys."""
+
+    def __init__(
+        self, on_account: Callable[[int, int], None] | None = None
+    ) -> None:
+        super().__init__(on_account)
+        self._entries: dict[Hashable, _Entry] = {}
 
     def acquire(
         self, key: Hashable, factory: Callable[[], Any], nbytes: int
@@ -121,35 +158,132 @@ class InternPool:
         entry = self._entries.get(key)
         return 0 if entry is None else entry.refcount
 
-    @property
-    def saved_bytes(self) -> int:
-        """Bytes folding is currently saving (naive minus stored)."""
-        return self.naive_bytes - self.stored_bytes
-
     def __len__(self) -> int:
         return len(self._entries)
 
-    def stats(self) -> dict:
-        """Plain-dict counters for result tables and ``EngineStats.extra``."""
-        return {
-            "acquires": self.acquires,
-            "hits": self.hits,
-            "entries": len(self._entries),
-            "naive_bytes": self.naive_bytes,
-            "stored_bytes": self.stored_bytes,
-            "saved_bytes": self.saved_bytes,
-        }
+
+class PayloadEntry:
+    """One live interned payload: the handle a message holds until release."""
+
+    __slots__ = ("key", "value", "refcount")
+
+    def __init__(self, key: tuple, value: np.ndarray) -> None:
+        #: the :func:`payload_key` fingerprint (the entry's bucket)
+        self.key = key
+        #: the frozen pool-owned payload array
+        self.value = value
+        self.refcount = 0
+
+
+class PayloadPool(_Accounting):
+    """Packed payloads folded by byte equality under a sampled fingerprint.
+
+    Each :func:`payload_key` fingerprint maps to a small bucket of live
+    entries whose bytes all differ.  An acquire compares the payload's
+    bytes only against the entries of its own bucket, which is empty
+    unless a live payload has the same fingerprint; the handle it returns
+    names the exact entry, so release stays exact when different payloads
+    share a fingerprint.  Counters and accounting are those of
+    :class:`InternPool` keyed by the full bytes.
+    """
+
+    def __init__(
+        self, on_account: Callable[[int, int], None] | None = None
+    ) -> None:
+        super().__init__(on_account)
+        self._buckets: dict[tuple, list[PayloadEntry]] = {}
+
+    def acquire(self, key: tuple, data: np.ndarray) -> PayloadEntry:
+        """Take one reference on the entry holding ``data``'s bytes.
+
+        ``data`` is a packed uint8 payload and ``key`` is
+        ``payload_key(data)``, so equal elements mean equal bytes.  On a
+        miss ``data`` itself becomes the entry's value and is frozen, so
+        it must be a freshly packed array nobody else writes to.  Pair
+        with :meth:`release`.
+        """
+        self.acquires += 1
+        nbytes = int(data.nbytes)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = []
+        else:
+            for entry in bucket:
+                if np.array_equal(entry.value, data):
+                    self.hits += 1
+                    self._account(nbytes, 0)
+                    entry.refcount += 1
+                    return entry
+        data.setflags(write=False)
+        entry = PayloadEntry(key, data)
+        bucket.append(entry)
+        self._account(nbytes, nbytes)
+        entry.refcount = 1
+        return entry
+
+    def release(self, entry: PayloadEntry) -> bool:
+        """Drop one reference; returns True when the entry was evicted.
+
+        Releasing an already evicted entry is ignored (idempotent
+        release), matching how protocol teardown paths may race a normal
+        delivery release.
+        """
+        if entry.refcount <= 0:
+            return False
+        entry.refcount -= 1
+        nbytes = int(entry.value.nbytes)
+        self._account(-nbytes, 0)
+        if entry.refcount:
+            return False
+        self._account(0, -nbytes)
+        bucket = self._buckets[entry.key]
+        bucket.remove(entry)  # no __eq__: removes by identity
+        if not bucket:
+            del self._buckets[entry.key]
+        return True
+
+    def __len__(self) -> int:
+        return sum(map(len, self._buckets.values()))
+
+
+#: payloads up to this many bytes are fingerprinted whole
+_WHOLE_BYTES = 4096
+#: larger payloads are fingerprinted on this many windows ...
+_WINDOWS = 16
+#: ... of this many bytes each, the first at offset 0, the last ending at
+#: the payload's end and the rest evenly spaced between
+_WINDOW_BYTES = 256
 
 
 def payload_key(data: np.ndarray) -> tuple:
-    """Content key of a packed payload: (length, blake2b digest).
+    """Level-1 key of a packed payload: ``(nbytes, fingerprint)``.
 
-    blake2b is the fastest strong hash in the standard library; a 16-byte
-    digest makes accidental collisions across a simulation's payload
-    population (≪ 2^64 messages) negligible.
+    The fingerprint is a 16-byte blake2b digest of the whole payload up
+    to 4 KiB, and beyond that of sixteen 256-byte windows at fixed
+    offsets (first and last bytes included), read through a
+    ``memoryview`` with no copy.  Its cost is therefore bounded whatever
+    the payload size: it is paid on every interned send.  Equal bytes
+    always give equal keys; unequal bytes may too, which is why
+    :class:`PayloadPool` compares the bytes (level 2) before folding —
+    but only when a live payload shares the key.
+
+    ``data`` must be C-contiguous, as every packed payload is.
     """
-    digest = hashlib.blake2b(data.tobytes(), digest_size=16).digest()
-    return (int(data.size), digest)
+    if not data.flags.c_contiguous:
+        raise ValueError(
+            "payload_key needs a C-contiguous array (packed payloads are "
+            "contiguous uint8); got a strided view")
+    view = memoryview(data).cast("B")
+    nbytes = len(view)
+    if nbytes <= _WHOLE_BYTES:
+        digest = hashlib.blake2b(view, digest_size=16).digest()
+        return (nbytes, digest)
+    hasher = hashlib.blake2b(digest_size=16)
+    span = nbytes - _WINDOW_BYTES
+    for i in range(_WINDOWS):
+        start = i * span // (_WINDOWS - 1)
+        hasher.update(view[start:start + _WINDOW_BYTES])
+    return (nbytes, hasher.digest())
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from ..log import get_logger
 from ..simix.mailbox import IndexedMessageQueue, IndexedRecvQueue
 from . import constants
 from .buffer import BufferSpec
-from .intern import intern_meta, payload_key
+from .intern import PayloadEntry, intern_meta, payload_key
 from .request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,9 +95,9 @@ class Message:
     #: whether the transfer pays the rendezvous handshake (memoised so
     #: retries reproduce the protocol timing of the original attempt)
     handshake: bool = False
-    #: content key of the interned payload (None when the payload was not
+    #: pool entry of the interned payload (None when the payload was not
     #: interned); released back to the world's pool at delivery/failure
-    payload_key: tuple | None = None
+    payload_key: PayloadEntry | None = None
     #: terminal state: payload consumed or terminally failed; the only
     #: state a pooled message may be recycled from
     closed: bool = False
@@ -256,23 +256,17 @@ class Protocol:
         else:
             eager = nbytes <= cfg.eager_threshold
         request.meta = intern_meta("send", tag, ctx, nbytes, eager)
-        key: tuple | None = None
+        entry: PayloadEntry | None = None
         pool = getattr(self.world, "payload_pool", None)
         if pool is not None and cfg.payload_interning and data.size:
             # Fold byte-identical payloads: the array becomes pool-owned
             # and read-only (receivers only copy out of it), so 10k ranks
             # sending the same panel share one copy.  ``data`` must be a
             # freshly packed array, which every library call site passes.
-            key = payload_key(data)
-            local = data
-
-            def freeze() -> np.ndarray:
-                local.setflags(write=False)
-                return local
-
-            data = pool.acquire(key, freeze, int(local.size))
+            entry = pool.acquire(payload_key(data), data)
+            data = entry.value
         message = self.world.acquire_message(
-            src, dst, tag, ctx, data, eager, nbytes, request, key)
+            src, dst, tag, ctx, data, eager, nbytes, request, entry)
         if self.world.recorder is not None:
             request.trace_id = self.world.recorder.send(src, dst, nbytes, tag, ctx)
         request.message = message
@@ -383,11 +377,11 @@ class Protocol:
 
     def _release_payload(self, message: Message) -> None:
         """Drop the message's pool reference once its payload was consumed."""
-        key, message.payload_key = message.payload_key, None
-        if key is not None:
+        entry, message.payload_key = message.payload_key, None
+        if entry is not None:
             pool = getattr(self.world, "payload_pool", None)
             if pool is not None:
-                pool.release(key)
+                pool.release(entry)
 
     def _close_message(self, message: Message) -> None:
         """Terminal point of a message's life: detach and recycle.

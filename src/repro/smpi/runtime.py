@@ -39,7 +39,7 @@ from . import constants
 from .comm import Communicator
 from .config import SmpiConfig
 from .group import Group
-from .intern import InternPool
+from .intern import PayloadEntry, PayloadPool
 from .memory import MemoryReport, MemoryTracker
 from .pt2pt import EMPTY_PAYLOAD, Message, Protocol
 from .request import Request
@@ -117,10 +117,10 @@ class SmpiWorld:
         self.memory = MemoryTracker(
             n_ranks, limit=limit, enforce=self.config.enforce_memory_limit
         )
-        #: content-keyed pool folding byte-identical packed payloads
+        #: pool folding byte-identical packed payloads
         #: (``config.payload_interning``); accounting lands in the
         #: memory tracker's interned-vs-naive counters
-        self.payload_pool = InternPool(on_account=self.memory.note_intern)
+        self.payload_pool = PayloadPool(on_account=self.memory.note_intern)
 
         self._actors: list[Actor] = []
         self._actor_rank: dict[int, int] = {}  # actor aid -> world rank
@@ -260,7 +260,7 @@ class SmpiWorld:
         eager: bool,
         wire_bytes: int,
         send_req: Request | None,
-        payload_key: tuple | None,
+        payload_key: PayloadEntry | None,
     ) -> Message:
         """A fresh-or-recycled :class:`Message` with a fresh ``mid``."""
         pool = self._message_pool

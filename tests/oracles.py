@@ -1,4 +1,4 @@
-"""Test-only oracles for the engine and the pt2pt matcher.
+"""Test-only oracles for the engine, the pt2pt matcher and payload folding.
 
 Each optimised path of the kernel is pinned bit-for-bit against the
 straightforward algorithm it replaced.  Those reference algorithms live
@@ -18,10 +18,16 @@ here, not in ``src/``, so the product keeps one path per layer:
 :func:`oracle_engine` picks the class for an ``(eager, full)`` pair, so
 the fuzz grids read ``oracle_engine(platform, eager=e, full=f)``.  None of
 the oracles can be snapshotted.
+
+* :class:`DigestPayloadPool` — the original payload pool: a generic
+  :class:`~repro.smpi.intern.InternPool` keyed by a blake2b digest of the
+  whole payload (:func:`digest_key`), with the interface of
+  :class:`~repro.smpi.intern.PayloadPool`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from contextlib import contextmanager
 from typing import Callable, Generic, Iterator, TypeVar
@@ -29,6 +35,7 @@ from typing import Callable, Generic, Iterator, TypeVar
 from repro.errors import SimulationError
 from repro.simix.mailbox import MatchCounters
 from repro.smpi import pt2pt
+from repro.smpi.intern import InternPool, PayloadEntry
 from repro.surf import Engine
 from repro.surf.action import Action, ActionState
 from repro.surf.maxmin import IncrementalMaxMin
@@ -37,11 +44,13 @@ from repro.surf.resources import Link
 T = TypeVar("T")
 
 __all__ = [
+    "DigestPayloadPool",
     "EagerEngine",
     "EagerFullReshareEngine",
     "FullReshareEngine",
     "ScanMessageQueue",
     "ScanRecvQueue",
+    "digest_key",
     "matching",
     "oracle_engine",
 ]
@@ -323,3 +332,33 @@ def oracle_engine(platform, eager: bool = False, full: bool = False,
     """An engine with the eager event loop and/or the full share switched
     in; ``(False, False)`` is the canonical :class:`Engine` itself."""
     return _ORACLES[(eager, full)](platform, **kwargs)
+
+
+# -- payload pool oracle -------------------------------------------------------------
+
+
+def digest_key(data) -> tuple:
+    """The whole-buffer content key: (length, blake2b digest of a copy)."""
+    digest = hashlib.blake2b(data.tobytes(), digest_size=16).digest()
+    return (int(data.size), digest)
+
+
+class DigestPayloadPool(InternPool):
+    """Payloads folded by whole-buffer digest, through the generic pool.
+
+    ``acquire(key, data)`` ignores the fingerprint ``key`` it is handed
+    and keys by :func:`digest_key`; the returned handle carries that
+    digest for :meth:`release`.  It can stand in for ``world.payload_pool``.
+    """
+
+    def acquire(self, key, data) -> PayloadEntry:
+        full = digest_key(data)
+
+        def freeze():
+            data.setflags(write=False)
+            return data
+
+        return PayloadEntry(full, super().acquire(full, freeze, int(data.size)))
+
+    def release(self, entry: PayloadEntry) -> bool:
+        return super().release(entry.key)

@@ -2,7 +2,8 @@
 
 Covers the three tentpole layers plus their satellites:
 
-* rank-state interning — ``InternPool`` refcounting, payload folding in
+* rank-state interning — ``InternPool`` refcounting, the two-level
+  ``PayloadPool`` against the whole-digest oracle, payload folding in
   the protocol, ``SharedHeap`` refcount semantics, the enforcement
   error's rank/shared breakdown;
 * streaming trace sinks — byte-identity with the in-memory exporters
@@ -15,14 +16,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MpiError, OutOfMemoryError
 from repro.offline import record_trace, record_trace_streaming, replay_trace
-from repro.smpi import SmpiConfig, smpirun
-from repro.smpi.intern import InternPool, intern_meta, payload_key
+from repro.smpi import SmpiConfig, runtime, smpirun
+from repro.smpi.intern import (
+    InternPool,
+    PayloadPool,
+    intern_meta,
+    payload_key,
+)
 from repro.smpi.memory import MemoryTracker
 from repro.surf import cluster
 from repro.trace import CsvStreamSink, PajeStreamSink, Tracer, export_paje
+from tests.oracles import DigestPayloadPool
 
 
 def traffic_app(mpi):
@@ -175,16 +184,160 @@ class TestPayloadInterning:
         assert payload["hits"] == 0
 
     def test_frozen_payloads_reject_writes(self):
-        world_pool = InternPool()
-
-        def freeze():
-            arr = np.ones(4, dtype=np.uint8)
-            arr.flags.writeable = False
-            return arr
-
-        arr = world_pool.acquire(("k",), freeze, 4)
+        world_pool = PayloadPool()
+        data = np.ones(4, dtype=np.uint8)
+        arr = world_pool.acquire(payload_key(data), data).value
         with pytest.raises(ValueError):
             arr[0] = 9
+
+    def test_fold_pin_matches_digest_pool(self, monkeypatch):
+        """Real folds on-line: every rank sends the same packed buffers."""
+        result = smpirun(bcast_shaped_app, 8, cluster("fold", 8))
+        # produced by the whole-digest pool at commit 9ba8e2c
+        assert result.stats.extra["interning"] == {
+            "payload": {"acquires": 95, "hits": 16, "entries": 0,
+                        "naive_bytes": 0, "stored_bytes": 0,
+                        "saved_bytes": 0},
+            "naive_peak_bytes": 4194304,
+            "stored_peak_bytes": 1048576,
+            "saved_bytes": 3145728,
+        }
+        assert result.returns == [(40000.0 + (r + 1) % 2, 28.0)
+                                  for r in range(8)]
+        monkeypatch.setattr(runtime, "PayloadPool", DigestPayloadPool)
+        oracle = smpirun(bcast_shaped_app, 8, cluster("fold", 8))
+        assert oracle.stats.extra["interning"] == \
+            result.stats.extra["interning"]
+        assert oracle.simulated_time == result.simulated_time
+
+
+def bcast_shaped_app(mpi):
+    """A 512 KiB broadcast, then a ring of near-copies of it: even ranks
+    send one payload, odd ranks one that differs in a single byte no
+    fingerprint window reads; an allreduce adds rank-distinct payloads."""
+    comm = mpi.COMM_WORLD
+    rank, size = mpi.rank, mpi.size
+    block = np.arange(65_536, dtype=np.float64)
+    comm.Bcast(block, root=0)
+    twin = block.copy()
+    twin[40_000] += rank % 2
+    out = np.empty_like(twin)
+    comm.Sendrecv(twin, (rank + 1) % size, recvbuf=out,
+                  source=(rank - 1) % size)
+    total = np.zeros(4)
+    comm.Allreduce(np.full(4, float(rank)), total)
+    return float(out[40_000]), float(total[0])
+
+
+def _fresh(data: bytes) -> np.ndarray:
+    """A freshly packed, writable payload array."""
+    return np.frombuffer(data, dtype=np.uint8).copy()
+
+
+#: 64 KiB: fingerprinted on windows, byte 1000 lies outside all of them
+_BIG = bytes(np.random.default_rng(7).integers(0, 256, 65_536,
+                                               dtype=np.uint8))
+
+
+def _flip(data: bytes, index: int) -> bytes:
+    out = bytearray(data)
+    out[index] ^= 0xFF
+    return bytes(out)
+
+
+#: payloads the property draws from: equal copies, one-byte differences
+#: inside and outside the windows, pairs sharing a fingerprint
+_PAYLOADS = [
+    b"a" * 100,
+    b"a" * 99 + b"b",
+    _BIG,
+    _flip(_BIG, 1000),
+    _flip(_BIG, 2000),
+    _flip(_flip(_BIG, 1000), 2000),
+    _flip(_BIG, 0),
+    _flip(_BIG, 65_535),
+    _BIG[:-1],
+]
+
+
+class TestPayloadPool:
+    def test_unsampled_byte_difference_does_not_fold(self):
+        a, b = _fresh(_BIG), _fresh(_flip(_BIG, 1000))
+        assert payload_key(a) == payload_key(b)  # same fingerprint
+        pool = PayloadPool()
+        ea = pool.acquire(payload_key(a), a)
+        eb = pool.acquire(payload_key(b), b)
+        assert ea is not eb and eb.value is b
+        assert pool.hits == 0 and len(pool) == 2
+        assert pool.saved_bytes == 0
+
+    def test_release_leaves_fingerprint_twin_live_and_frozen(self):
+        a, b = _fresh(_BIG), _fresh(_flip(_BIG, 1000))
+        pool = PayloadPool()
+        ea = pool.acquire(payload_key(a), a)
+        eb = pool.acquire(payload_key(b), b)
+        assert pool.release(ea)
+        assert eb.refcount == 1 and len(pool) == 1
+        assert pool.stored_bytes == b.nbytes
+        with pytest.raises(ValueError):
+            eb.value[0] = 1
+        # a fresh copy of the survivor still folds onto it
+        again = _fresh(_flip(_BIG, 1000))
+        assert pool.acquire(payload_key(again), again) is eb
+        assert not pool.release(ea)  # an evicted handle is ignored
+
+    def test_bucket_reused_after_last_eviction(self):
+        pool = PayloadPool()
+        first = _fresh(_BIG)
+        key = payload_key(first)
+        assert pool.release(pool.acquire(key, first))
+        assert len(pool) == 0 and pool.stored_bytes == 0
+        second = _fresh(_BIG)
+        entry = pool.acquire(key, second)
+        assert entry.value is second and entry.refcount == 1
+        assert pool.hits == 0 and pool.acquires == 2
+
+    def test_entries_count_live_payloads_not_buckets(self):
+        pool = PayloadPool()
+        for data in (_BIG, _flip(_BIG, 1000), _flip(_BIG, 2000), _BIG):
+            arr = _fresh(data)
+            pool.acquire(payload_key(arr), arr)
+        stats = pool.stats()
+        assert stats["entries"] == 3  # one bucket, three live payloads
+        assert stats["hits"] == 1 and stats["acquires"] == 4
+
+    def test_payload_key_rejects_non_contiguous(self):
+        strided = np.zeros(64, dtype=np.uint8)[::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            payload_key(strided)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 1000)),
+                     max_size=40),
+        collide=st.booleans(),
+    )
+    def test_agrees_with_digest_oracle(self, ops, collide):
+        """Fold decisions and accounting equal the whole-digest pool;
+        ``collide`` forces every payload of one length into one bucket."""
+        pool, oracle = PayloadPool(), DigestPayloadPool()
+        live = []
+        for acquire, pick in ops:
+            if acquire or not live:
+                data = _PAYLOADS[pick % len(_PAYLOADS)]
+                mine, theirs = _fresh(data), _fresh(data)
+                key = (len(data), b"") if collide else payload_key(mine)
+                entry = pool.acquire(key, mine)
+                reference = oracle.acquire(None, theirs)
+                assert (entry.value is not mine) == \
+                    (reference.value is not theirs)
+                assert entry.value.tobytes() == data
+                live.append((entry, reference))
+            else:
+                entry, reference = live.pop(pick % len(live))
+                assert pool.release(entry) == oracle.release(reference)
+            assert pool.stats() == oracle.stats()
+            assert len(pool) == len(oracle)
 
 
 class TestStreamingSinks:
