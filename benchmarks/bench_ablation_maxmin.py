@@ -1,12 +1,13 @@
 """Ablation — max-min solver implementations and incremental re-sharing.
 
-DESIGN.md commits to two cross-checked solvers with a size-based switch
-(`VECTORIZE_THRESHOLD`).  This bench measures both on growing systems and
-prints where the crossover actually falls on this machine, validating the
-constant baked into :mod:`repro.surf.maxmin`.  The incremental solver has
-the same kind of switch (`SCALAR_MAX_FLOWS`) between its plain-Python and
-NumPy component kernels; a second table times one warm churn event per
-component size under each kernel and prints that crossover too.
+DESIGN.md commits to two cross-checked one-shot solvers with a size-based
+switch (`VECTORIZE_THRESHOLD`); both now live in tests/oracles.py.  This
+bench measures both on growing systems and prints where the crossover
+actually falls on this machine, validating that constant.  The incremental
+solver has the same kind of switch (`SCALAR_MAX_FLOWS`) between its
+plain-Python and NumPy component kernels; a second table times one warm
+churn event per component size under each kernel and prints that
+crossover too.
 
 The second half ablates the engine's *incremental* re-sharing: the same
 scatter / all-to-all workloads run once with the dirty-set solver
@@ -34,14 +35,16 @@ from repro.surf import cluster, maxmin
 from repro.surf.maxmin import (
     APPROX_MAX_ROUNDS,
     IncrementalMaxMin,
-    MaxMinSystem,
     SCALAR_MAX_FLOWS,
-    VECTORIZE_THRESHOLD,
     _progressive_fill_arrays,
+)
+from tests.oracles import (
+    VECTORIZE_THRESHOLD,
+    MaxMinSystem,
+    oracle_engine,
     solve_maxmin_reference,
     solve_maxmin_vectorized,
 )
-from tests.oracles import oracle_engine
 
 
 def random_system(n_flows: int, n_cons: int, seed: int) -> MaxMinSystem:

@@ -17,7 +17,7 @@ affine and the contributed piece-wise linear model — live in
 from .action import Action, ActionState
 from .cpu_model import CpuModel
 from .engine import Engine, EngineStats
-from .maxmin import IncrementalMaxMin, MaxMinSystem, solve_maxmin
+from .maxmin import IncrementalMaxMin
 from .network_model import (
     AffineNetworkModel,
     ConstantNetworkModel,
@@ -43,7 +43,6 @@ __all__ = [
     "Host",
     "IncrementalMaxMin",
     "Link",
-    "MaxMinSystem",
     "NetworkModel",
     "PiecewiseLinearNetworkModel",
     "PiecewiseSegment",
@@ -58,6 +57,5 @@ __all__ = [
     "multi_cabinet_cluster",
     "parse_profile",
     "save_platform_xml",
-    "solve_maxmin",
     "torus",
 ]

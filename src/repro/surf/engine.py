@@ -414,11 +414,10 @@ class Engine:
             self.stats.partial_shares += 1
         if self.timeline is not None:
             now = self.now
+            record_sample = self.timeline.record
             for record, usage in solver.last_usage:
-                self.timeline.record(
-                    now, record.name, usage, record.capacity,
-                    kind="link" if isinstance(record.key, Link) else "host",
-                )
+                record_sample(now, record.name, usage, record.capacity,
+                              record.kind)
             self.stats.link_samples = self.timeline.n_samples
 
     def _apply_rate(self, action: Action, rate: float) -> None:
@@ -452,7 +451,8 @@ class Engine:
             )
         else:
             self._solver.ensure_constraint(
-                resource, self._capacity_of(resource), name=resource.name
+                resource, self._capacity_of(resource), name=resource.name,
+                kind="host",
             )
 
     def _enroll(self, action: Action) -> None:

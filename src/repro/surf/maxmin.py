@@ -14,40 +14,47 @@ A *flow* here is any resource consumer: a network transfer crossing a set
 of links, or a compute action "crossing" the single constraint of its host
 CPU.  Each flow may carry a finite ``bound`` — the piece-wise linear model
 of the paper enters the solver this way, as a per-flow cap equal to the
-fitted segment bandwidth for the message's size.
+fitted segment bandwidth for the message's size.  Sharing is *weighted*
+(a flow counts as ``weight`` concurrent flows on each of its links —
+SimGrid uses this to model TCP RTT unfairness), and a link with a FATPIPE
+policy does not share at all: every flow may use its full capacity (used
+for backplanes that are provisioned not to contend).
 
-Two implementations are provided and cross-checked by the test suite:
-
-* :func:`solve_maxmin_reference` — direct transcription of progressive
-  filling, easy to audit, O(iterations × flows × links);
-* :func:`solve_maxmin_vectorized` — NumPy sparse-matrix formulation used by
-  default above a size threshold, same fixed point, much faster for the
-  hundreds of concurrent flows produced by large collectives.
-
-Both handle *weighted* sharing (a flow counting as ``weight`` concurrent
-flows on each of its links — SimGrid uses this to model TCP RTT unfairness)
-and links with a FATPIPE policy (no sharing: every flow may use the full
-capacity, used for backplanes that are provisioned not to contend).
-
-On top of the one-shot solvers, :class:`IncrementalMaxMin` keeps a
-bandwidth-sharing problem *alive* across engine steps: flows come and go
-(``add_flow`` / ``remove_flow``), each change marks the constraints it
-touches dirty, and :meth:`IncrementalMaxMin.solve_dirty` re-solves only the
-connected components of the flow/constraint graph reachable from a dirty
+:class:`IncrementalMaxMin` keeps a bandwidth-sharing problem *alive*
+across engine steps: flows come and go (``add_flow`` / ``remove_flow``),
+each change marks the constraints it touches dirty, and
+:meth:`IncrementalMaxMin.solve_dirty` re-solves only the connected
+components of the flow/constraint graph reachable from a dirty
 constraint.  The max-min fixed point decomposes exactly over connected
-components (flows in different components share no constraint, transitively),
-so untouched components keep their rates — this is the lazy partial
-invalidation the SimGrid kernel uses to keep the sequential share cheap.
-A component of at most :data:`SCALAR_MAX_FLOWS` flows is solved by
-:func:`_progressive_fill_scalar`, a plain-Python transcription of the NumPy
-core :func:`_progressive_fill_arrays` that larger components use; the two
-return bit-identical results.
+components (flows in different components share no constraint,
+transitively), so untouched components keep their rates — this is the
+lazy partial invalidation the SimGrid kernel uses to keep the sequential
+share cheap.  A component of at most :data:`SCALAR_MAX_FLOWS` flows is
+solved by :func:`_progressive_fill_scalar`, a plain-Python transcription
+of the NumPy core :func:`_progressive_fill_arrays` that larger components
+use; the two return bit-identical results.
+
+Inside a component, work is skipped wherever its result cannot change:
+
+* a shared constraint crossed by a single flow cannot couple flows.  The
+  component walk does not visit it, and the scalar kernel folds it into
+  that flow's *solo level* ``capacity / weight`` — the very float the
+  constraint's fair share ``remaining / users`` has while its one flow
+  grows.  The level stays on the constraint side of each filling round,
+  so rounds group, rates and errors are bit-identical to the unfolded
+  fill;
+* with utilization tracking on, a constraint's consumed rate is summed
+  again only when its load can have changed: a flow arrived or left, its
+  capacity or policy changed, or a flow crossing it changed rate.
+
+The one-shot solvers the incremental one replaced (a reference
+transcription and a whole-system NumPy solve) are kept as test oracles
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -55,23 +62,11 @@ import numpy as np
 from ..errors import SimulationError, UnknownFlowError
 
 __all__ = [
-    "FlowSpec",
-    "ConstraintSpec",
-    "MaxMinSystem",
     "IncrementalMaxMin",
     "UnknownFlowError",
-    "solve_maxmin",
-    "solve_maxmin_reference",
-    "solve_maxmin_vectorized",
     "SHARING_MODES",
     "APPROX_MAX_ROUNDS",
 ]
-
-#: Flows/constraints above which :func:`solve_maxmin` switches to the
-#: vectorised implementation.  Determined with
-#: ``benchmarks/bench_ablation_maxmin.py``; the crossover is flat between
-#: 16 and 64 on CPython 3.11.
-VECTORIZE_THRESHOLD = 32
 
 #: Largest component (in flows) :meth:`IncrementalMaxMin.solve_dirty`
 #: solves with the plain-Python kernel :func:`_progressive_fill_scalar`;
@@ -94,205 +89,6 @@ APPROX_MAX_ROUNDS = 8
 _EPS = 1e-12
 
 
-@dataclass
-class ConstraintSpec:
-    """One shared resource: a link or a CPU.
-
-    ``capacity`` is in resource units per second (bytes/s or flop/s).
-    ``shared`` is False for FATPIPE links: the constraint then only caps
-    each individual flow at ``capacity`` instead of their sum.
-    """
-
-    name: str
-    capacity: float
-    shared: bool = True
-
-    def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise SimulationError(f"constraint {self.name!r}: negative capacity")
-
-
-@dataclass
-class FlowSpec:
-    """One consumer: uses every constraint in ``constraints`` simultaneously.
-
-    ``bound`` caps the flow's rate (``inf`` = unbounded).  ``weight``
-    scales how much constraint capacity one rate unit consumes (weight 2
-    means the flow counts twice in the sharing, i.e. receives half a fair
-    share); it must be > 0.
-    """
-
-    name: str
-    constraints: tuple[int, ...]
-    bound: float = math.inf
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise SimulationError(f"flow {self.name!r}: weight must be > 0")
-        if self.bound < 0:
-            raise SimulationError(f"flow {self.name!r}: negative bound")
-
-
-@dataclass
-class MaxMinSystem:
-    """A bandwidth-sharing problem: constraints plus the flows using them."""
-
-    constraints: list[ConstraintSpec] = field(default_factory=list)
-    flows: list[FlowSpec] = field(default_factory=list)
-
-    def add_constraint(self, name: str, capacity: float, shared: bool = True) -> int:
-        """Register a resource; returns its index for use in flow specs."""
-        self.constraints.append(ConstraintSpec(name, capacity, shared))
-        return len(self.constraints) - 1
-
-    def add_flow(
-        self,
-        name: str,
-        constraint_ids: tuple[int, ...] | list[int],
-        bound: float = math.inf,
-        weight: float = 1.0,
-    ) -> int:
-        """Register a consumer; returns its index into the solution vector."""
-        for cid in constraint_ids:
-            if not 0 <= cid < len(self.constraints):
-                raise SimulationError(
-                    f"flow {name!r} references unknown constraint {cid}"
-                )
-        self.flows.append(FlowSpec(name, tuple(constraint_ids), bound, weight))
-        return len(self.flows) - 1
-
-
-def solve_maxmin(system: MaxMinSystem) -> np.ndarray:
-    """Solve the system; returns one rate per flow, in flow order.
-
-    Dispatches between the reference and the vectorised solver based on
-    problem size; both return the same (unique) max-min fixed point.
-    """
-    size = len(system.flows) + len(system.constraints)
-    if size <= VECTORIZE_THRESHOLD:
-        return solve_maxmin_reference(system)
-    return solve_maxmin_vectorized(system)
-
-
-def solve_maxmin_reference(system: MaxMinSystem) -> np.ndarray:
-    """Progressive-filling solver, direct transcription of the algorithm."""
-    n_flows = len(system.flows)
-    rates = np.zeros(n_flows)
-    if n_flows == 0:
-        return rates
-
-    # Mutable working state -------------------------------------------------
-    remaining = [c.capacity for c in system.constraints]
-    # flows (by index) still growing
-    active = set(range(n_flows))
-    # per shared constraint: total weight of active flows crossing it
-    users: list[float] = [0.0] * len(system.constraints)
-    for flow in system.flows:
-        for cid in flow.constraints:
-            if system.constraints[cid].shared:
-                users[cid] += flow.weight
-
-    while active:
-        # Candidate uniform level: for each shared constraint the level at
-        # which it saturates; for each flow its own bound.
-        level = math.inf
-        for cid, constraint in enumerate(system.constraints):
-            if constraint.shared and users[cid] > _EPS:
-                level = min(level, remaining[cid] / users[cid])
-        saturated_flows: set[int] = set()
-        for fid in active:
-            flow = system.flows[fid]
-            # FATPIPE constraints cap the individual flow instead.
-            cap = flow.bound
-            for cid in flow.constraints:
-                constraint = system.constraints[cid]
-                if not constraint.shared:
-                    cap = min(cap, constraint.capacity / flow.weight)
-            if cap < level - _EPS:
-                level = cap
-                saturated_flows = {fid}
-            elif cap <= level + _EPS:
-                saturated_flows.add(fid)
-
-        if math.isinf(level):
-            # Only unbounded flows on unconstrained resources remain: the
-            # caller built an ill-posed system (a flow crossing nothing).
-            raise SimulationError(
-                "max-min system is unbounded: flows "
-                + ", ".join(system.flows[f].name for f in sorted(active))
-            )
-
-        # Flows whose bound equals the level are fixed at the level.  If no
-        # flow bound binds, the flows crossing a saturating link are fixed.
-        to_fix: set[int] = set(saturated_flows)
-        if not to_fix:
-            for cid, constraint in enumerate(system.constraints):
-                if (
-                    constraint.shared
-                    and users[cid] > _EPS
-                    and remaining[cid] / users[cid] <= level + _EPS
-                ):
-                    for fid in active:
-                        if cid in system.flows[fid].constraints:
-                            to_fix.add(fid)
-        if not to_fix:
-            raise SimulationError("progressive filling made no progress")
-
-        for fid in to_fix:
-            flow = system.flows[fid]
-            rates[fid] = level
-            for cid in flow.constraints:
-                if system.constraints[cid].shared:
-                    remaining[cid] -= level * flow.weight
-                    if remaining[cid] < 0:
-                        remaining[cid] = 0.0
-                    users[cid] -= flow.weight
-            active.discard(fid)
-
-    return rates
-
-
-def solve_maxmin_vectorized(system: MaxMinSystem) -> np.ndarray:
-    """NumPy formulation of progressive filling.
-
-    State is held in flat arrays; each round computes every constraint's
-    saturation level and every flow's bound level with vectorised
-    reductions, fixes the arg-min set, and updates remaining capacities
-    with one sparse matrix-vector product.  The incidence matrix is built
-    once in COO-style index arrays (``scipy.sparse`` is avoided on purpose:
-    these systems are small enough that the import + conversion overhead
-    dominates).
-    """
-    n_flows = len(system.flows)
-    n_cons = len(system.constraints)
-    if n_flows == 0:
-        return np.zeros(0)
-
-    # Incidence in index form: entry k means flow frow[k] crosses constraint
-    # fcol[k].
-    frow: list[int] = []
-    fcol: list[int] = []
-    for fid, flow in enumerate(system.flows):
-        for cid in flow.constraints:
-            frow.append(fid)
-            fcol.append(cid)
-    row = np.asarray(frow, dtype=np.intp)
-    col = np.asarray(fcol, dtype=np.intp)
-    weights = np.asarray([f.weight for f in system.flows])
-    shared = np.asarray([c.shared for c in system.constraints], dtype=bool)
-    capacities = np.asarray([float(c.capacity) for c in system.constraints])
-    bounds = np.asarray([f.bound for f in system.flows])
-
-    def name_of(fid: int) -> str:
-        return system.flows[fid].name
-
-    rates, _rounds, _truncated = _progressive_fill_arrays(
-        n_flows, n_cons, row, col, weights, bounds, shared, capacities, name_of
-    )
-    return rates
-
-
 def _progressive_fill_arrays(
     n_flows: int,
     n_cons: int,
@@ -305,8 +101,9 @@ def _progressive_fill_arrays(
     name_of,
     max_rounds: int | None = None,
 ) -> tuple[np.ndarray, int, bool]:
-    """Array core of progressive filling (shared by the one-shot vectorised
-    solver and the incremental per-component solver).
+    """Array core of progressive filling, used by the incremental solver
+    for components above :data:`SCALAR_MAX_FLOWS` flows (and by the
+    whole-system test oracle).
 
     ``row``/``col`` are COO-style incidence entries (flow ``row[k]`` crosses
     constraint ``col[k]``); ``weights``/``bounds`` are per flow, ``shared``/
@@ -411,36 +208,53 @@ def _progressive_fill_scalar(
     components, where NumPy call overhead outweighs the arithmetic.
 
     ``members`` are :class:`_IncFlow` records in ``seq`` order; ``cons``
-    lists every SHARED constraint they cross, each record's ``pos`` being
-    its index in ``cons``.  FATPIPE constraints only enter the per-flow
-    caps.  Every float operation happens in the order the array kernel
-    performs it — per-constraint sums start from ``0.0`` and add entries
-    in (flow, constraint) order as ``np.add.at`` does, a round's whole
-    consumption is summed before it is subtracted — so rates, round count
-    and truncation are bit-identical, and so are the error messages.
+    lists every SHARED constraint they cross that the walk kept, each
+    record's ``pos`` being its index in ``cons``.  FATPIPE constraints
+    only enter the per-flow caps.  A shared constraint whose only flow
+    is member *i* (when *i* crosses no constraint twice) is folded into
+    ``solo[i]``: while *i* grows that constraint's fair share is
+    ``capacity / weight`` (``users`` is ``0.0 + weight``), and once *i* is
+    fixed it has no user left.  ``solo`` stays on the constraint side of
+    each round — it enters ``cons_min`` and the constraint-saturation
+    test, never the caps — so rounds group as in the array kernel.  Every
+    float operation happens in the order the array kernel performs it —
+    per-constraint sums start from ``0.0`` and add entries in (flow,
+    constraint) order as ``np.add.at`` does, a round's whole consumption
+    is summed before it is subtracted — so rates, round count and
+    truncation are bit-identical, and so are the error messages.
     """
     n_flows = len(members)
     n_cons = len(cons)
-    weights = [flow.weight for flow in members]
-    # per flow: ``pos`` of each shared constraint it crosses, in order
-    entries = [[record.pos for record in flow.cons if record.shared]
-               for flow in members]
-    # per-flow static cap: own bound plus any FATPIPE constraint it crosses
-    caps = [flow.bound for flow in members]
-    for i, flow in enumerate(members):
-        if len(entries[i]) < len(flow.cons):
-            for record in flow.cons:
-                if not record.shared:
-                    fat_cap = record.capacity / flow.weight
-                    if fat_cap < caps[i]:
-                        caps[i] = fat_cap
+    inf = math.inf
+    weights = []
+    entries = []  # per flow: ``pos`` of each coupling constraint it crosses
+    caps = []  # per flow: own bound plus any FATPIPE constraint it crosses
+    solo = []  # per flow: tightest level of its single-flow constraints
+    for flow in members:
+        weight = flow.weight
+        cap = flow.bound
+        level = inf
+        crossed = []
+        for record in flow.cons:
+            if not record.shared:
+                fat_cap = record.capacity / weight
+                if fat_cap < cap:
+                    cap = fat_cap
+            elif len(record.flows) == 1 and flow.folds:
+                if weight > _EPS and record.capacity / weight < level:
+                    level = record.capacity / weight
+            else:
+                crossed.append(record.pos)
+        weights.append(weight)
+        entries.append(crossed)
+        caps.append(cap)
+        solo.append(level)
     remaining = [record.capacity for record in cons]
     rates = [0.0] * n_flows
     active = list(range(n_flows))
-    inf = math.inf
 
     def levels() -> list:
-        # fair share per unit weight of every shared constraint
+        # fair share per unit weight of every coupling constraint
         users = [0.0] * n_cons
         for i in active:
             weight = weights[i]
@@ -456,7 +270,8 @@ def _progressive_fill_scalar(
         if rounds > n_flows + n_cons:
             raise SimulationError("progressive filling failed to converge")
         cons_level = levels()
-        cons_min = min(cons_level, default=inf)
+        cons_min = min(min(cons_level, default=inf),
+                       min([solo[i] for i in active]))
         flow_min = min([caps[i] for i in active])
         level = min(cons_min, flow_min)
         if math.isinf(level):
@@ -469,6 +284,9 @@ def _progressive_fill_scalar(
         else:
             to_fix = []
             for i in active:
+                if solo[i] <= limit:
+                    to_fix.append(i)
+                    continue
                 for c in entries[i]:
                     if cons_level[c] <= limit:
                         to_fix.append(i)
@@ -496,6 +314,8 @@ def _progressive_fill_scalar(
     unbounded = []
     for i in active:
         level = caps[i]
+        if solo[i] < level:
+            level = solo[i]
         for c in entries[i]:
             if cons_level[c] < level:
                 level = cons_level[c]
@@ -515,25 +335,33 @@ _by_seq = attrgetter("seq")
 class _IncConstraint:
     """Internal per-resource record of an :class:`IncrementalMaxMin`."""
 
-    __slots__ = ("key", "index", "name", "capacity", "shared", "flows",
-                 "stamp", "pos", "usage")
+    __slots__ = ("key", "index", "name", "kind", "capacity", "shared",
+                 "flows", "stamp", "pos", "usage", "touched")
 
-    def __init__(self, key, index: int, name: str, capacity: float, shared: bool):
+    def __init__(self, key, index: int, name: str, capacity: float,
+                 shared: bool, kind: str = "link"):
         self.key = key
         self.index = index  # stable global index into the capacity arrays
         self.name = name
+        self.kind = kind  # label handed to utilization observers
         self.capacity = capacity
         self.shared = shared
         self.flows: set = set()  # keys of flows crossing this constraint
         self.stamp = 0  # number of the last component walk that reached it
         self.pos = 0  # index in that walk's constraint list
         self.usage = 0.0  # consumed rate, maintained while tracking usage
+        # whether ``usage`` may be stale: set when a flow leaves, when the
+        # capacity or policy changes, and (while usage is tracked) when a
+        # crossing flow's rate changes — an arriving flow's first rate
+        # counts as a change; cleared when the usage is summed again
+        self.touched = True
 
 
 class _IncFlow:
     """Internal per-consumer record of an :class:`IncrementalMaxMin`."""
 
-    __slots__ = ("key", "seq", "name", "cons", "slot", "bound", "weight")
+    __slots__ = ("key", "seq", "name", "cons", "slot", "bound", "weight",
+                 "folds")
 
     def __init__(self, key, seq: int, name: str, cons, slot: int, bound, weight):
         self.key = key
@@ -543,13 +371,16 @@ class _IncFlow:
         self.slot = slot  # index into the solver's flat per-flow arrays
         self.bound = bound
         self.weight = weight
+        # a constraint crossed twice counts twice in its fair share, so
+        # only a flow crossing each constraint once folds the constraints
+        # it has to itself into its solo level
+        self.folds = len(cons) < 2 or len(set(cons)) == len(cons)
 
 
 class IncrementalMaxMin:
     """A max-min sharing problem kept alive across simulation steps.
 
-    Where :class:`MaxMinSystem` is built fresh and solved once, this class
-    holds persistent state — constraints registered by opaque key, flows
+    The class holds persistent state — constraints registered by opaque key, flows
     with cached incidence index arrays, the last solved rate of every flow
     — and tracks a *dirty set* of constraints touched since the last solve
     (by flow arrival/departure or capacity change).
@@ -577,7 +408,9 @@ class IncrementalMaxMin:
     bit-identical rates.  Components are found by a walk that stamps each
     constraint record it reaches with the walk's number, and the dirty
     and drained sets hold records (identity-hashed), so solving never
-    hashes a resource key.  ``_rate_arr`` uses NaN as the "never solved"
+    hashes a resource key.  The walk passes over a shared constraint
+    crossed by one flow: it cannot join components, and the scalar
+    kernel folds it into that flow's solo level.  ``_rate_arr`` uses NaN as the "never solved"
     sentinel: NaN compares unequal to everything, so a recycled slot
     still reports its first solved rate as changed.
 
@@ -646,14 +479,31 @@ class IncrementalMaxMin:
         #: exact previous rate — e.g. flows bottlenecked elsewhere — and
         #: lazily-updated engines only need to re-anchor the changed ones.
         self.last_rate_changed: set = set()
-        #: when True, each component solve also recomputes the total
-        #: consumed rate of every constraint it touches (utilization
-        #: sampling for the observability layer).  Off by default so the
-        #: tracing-disabled hot path pays nothing.
-        self.track_usage = False
+        self._track_usage = False
         #: (``_IncConstraint``, usage) pairs updated by the most recent
-        #: :meth:`solve_dirty`; clean components never appear here
+        #: :meth:`solve_dirty`: constraints of clean components, and those
+        #: whose load did not change, never appear here
         self.last_usage: list = []
+
+    @property
+    def track_usage(self) -> bool:
+        """Whether component solves maintain per-constraint consumed rates.
+
+        When on, each component solve sums again the consumed rate of
+        every constraint it touches whose load can have changed since its
+        last sum (utilization sampling for the observability layer).  Off
+        by default so the tracing-disabled hot path pays nothing; turning
+        it on marks every constraint for a fresh sum, since rate changes
+        are not tracked while it is off.
+        """
+        return self._track_usage
+
+    @track_usage.setter
+    def track_usage(self, on: bool) -> None:
+        if on and not self._track_usage:
+            for record in self._cons.values():
+                record.touched = True
+        self._track_usage = on
 
     # -- registration ---------------------------------------------------------
 
@@ -664,13 +514,16 @@ class IncrementalMaxMin:
         return key in self._flows
 
     def ensure_constraint(
-        self, key, capacity: float, shared: bool = True, name: str | None = None
+        self, key, capacity: float, shared: bool = True,
+        name: str | None = None, kind: str = "link",
     ) -> None:
         """Register (or update) the resource identified by ``key``.
 
         Re-registering with a different capacity or policy marks the
         constraint dirty so dependent flows are re-solved.  A negative or
-        NaN capacity is rejected on both paths.
+        NaN capacity is rejected on both paths.  ``kind`` labels the
+        resource for utilization observers (``"link"`` or ``"host"``);
+        the solver itself ignores it.
         """
         capacity = float(capacity)
         if not capacity >= 0.0:
@@ -689,10 +542,12 @@ class IncrementalMaxMin:
                     self._shared_arr = np.resize(self._shared_arr, len(self._cap_arr))
             self._cap_arr[index] = capacity
             self._shared_arr[index] = shared
-            self._cons[key] = _IncConstraint(key, index, name or str(key), capacity, shared)
+            self._cons[key] = _IncConstraint(key, index, name or str(key),
+                                             capacity, shared, kind)
         elif cons.capacity != capacity or cons.shared != shared:
             cons.capacity = capacity
             cons.shared = shared
+            cons.touched = True
             self._cap_arr[cons.index] = capacity
             self._shared_arr[cons.index] = shared
             self._dirty_cons[cons] = None
@@ -761,6 +616,7 @@ class IncrementalMaxMin:
         self._free_slots.append(flow.slot)
         for record in flow.cons:
             record.flows.discard(key)
+            record.touched = True
             if record.shared:
                 # neighbours on a shared constraint inherit the freed share
                 self._dirty_cons[record] = None
@@ -832,7 +688,10 @@ class IncrementalMaxMin:
         zero, independent of prior rates, so seeded membership +
         capacities + rates give bit-identical continuations.
         """
-        self._rate_arr[self._flows[key].slot] = rate
+        flow = self._flows[key]
+        self._rate_arr[flow.slot] = rate
+        for record in flow.cons:
+            record.touched = True
 
     def clear_dirty(self) -> None:
         """Forget all dirtiness (snapshot restore bookkeeping)."""
@@ -911,7 +770,7 @@ class IncrementalMaxMin:
         seeds = set(self._dirty_flows)
         for record in self._dirty_cons:
             seeds.update(record.flows)
-            if self.track_usage and not record.flows:
+            if self._track_usage and not record.flows:
                 # last flow left: the constraint falls idle without any
                 # component re-solve touching it
                 record.usage = 0.0
@@ -945,7 +804,7 @@ class IncrementalMaxMin:
         for record in self._drained:
             if record.flows:
                 continue
-            if self.track_usage and record in self._dirty_cons:
+            if self._track_usage and record in self._dirty_cons:
                 # last flow left: the constraint falls idle without any
                 # component re-solve touching it
                 self.last_usage.append((record, 0.0))
@@ -958,9 +817,14 @@ class IncrementalMaxMin:
         """Flows transitively connected to ``seed`` via shared constraints.
 
         Returns the member flows sorted by ``seq`` and the shared
-        constraints they cross.  Each constraint reached is stamped with
-        this walk's number (visited-marking without hashing its key) and
-        gets its index in the returned list as ``pos``.
+        constraints they cross that the scalar kernel must see.  Each such
+        constraint reached is stamped with this walk's number
+        (visited-marking without hashing its key) and gets its index in
+        the returned list as ``pos``.  A shared constraint with a single
+        flow is passed over unstamped, unless that flow crosses some
+        constraint twice: it reaches no other flow, and
+        :func:`_progressive_fill_scalar` folds it into that flow's solo
+        level.
         """
         self._walk += 1
         walk = self._walk
@@ -977,10 +841,13 @@ class IncrementalMaxMin:
                 # couple flows into one component
                 if not record.shared or record.stamp == walk:
                     continue
+                crossing = record.flows
+                if len(crossing) == 1 and flow.folds:
+                    continue
                 record.stamp = walk
                 record.pos = len(cons)
                 cons.append(record)
-                fresh = record.flows - solved
+                fresh = crossing - solved
                 if fresh:
                     solved.update(fresh)
                     stack.extend(fresh)
@@ -1010,7 +877,7 @@ class IncrementalMaxMin:
             self._store_rates(members, rates)
         else:
             self._solve_component_arrays(members)
-        if self.track_usage:
+        if self._track_usage:
             self._update_usage(members)
 
     def _solve_component_arrays(self, members: list) -> None:
@@ -1052,43 +919,58 @@ class IncrementalMaxMin:
         previous = self._rate_arr[slots]
         with np.errstate(invalid="ignore"):
             changed = rates != previous  # NaN sentinel: new slots compare unequal
+        track = self._track_usage
         for i in np.flatnonzero(changed):
-            self.last_rate_changed.add(members[i].key)
+            flow = members[i]
+            self.last_rate_changed.add(flow.key)
+            if track:
+                for record in flow.cons:
+                    record.touched = True
         self._rate_arr[slots] = rates
 
     def _store_rates(self, members: list, rates: list) -> None:
         """Record solved rates, tracking which ones changed value."""
         rate_arr = self._rate_arr
         changed = self.last_rate_changed
+        track = self._track_usage
         for flow, rate in zip(members, rates):
             # NaN sentinel: a never-solved slot compares unequal
             if not rate_arr[flow.slot] == rate:
                 changed.add(flow.key)
+                if track:
+                    for record in flow.cons:
+                        record.touched = True
             rate_arr[flow.slot] = rate
 
     def _update_usage(self, members: list) -> None:
-        """Refresh the consumed rate of every constraint ``members`` touch.
+        """Refresh the consumed rate of every touched constraint ``members``
+        cross, and clear its ``touched`` flag.
 
-        Flows crossing a SHARED constraint are all inside the component
-        just solved, so their rates are fresh; FATPIPE constraints may be
-        crossed by flows of other components, whose cached rates are still
-        the exact solution of their own (untouched) component.
+        A constraint left untouched since its last sum has the same flow
+        set (so the same summation order) and the same rates: summing it
+        again would give the same float, so it is skipped.  Flows crossing
+        a SHARED constraint are all inside the component just solved, so
+        their rates are fresh; FATPIPE constraints may be crossed by flows
+        of other components, whose cached rates are still the exact
+        solution of their own (untouched) component.
         """
-        flows = self._flows
-        rate_arr = self._rate_arr
-        seen: set = set()
+        last_usage = self.last_usage
         for flow in members:
             for record in flow.cons:
-                if record in seen:
-                    continue
-                seen.add(record)
-                usage = 0.0
-                for fkey in record.flows:
-                    other = flows.get(fkey)
-                    if other is None:
-                        continue
-                    value = rate_arr[other.slot]
-                    if not math.isnan(value):
-                        usage += float(value) * other.weight
-                record.usage = usage
-                self.last_usage.append((record, usage))
+                if record.touched:
+                    record.touched = False
+                    record.usage = usage = self._usage_of(record)
+                    last_usage.append((record, usage))
+
+    def _usage_of(self, record: _IncConstraint) -> float:
+        """Consumed rate of one constraint: rate times weight, summed over
+        its solved flows in flow-set order."""
+        flows = self._flows
+        rate_arr = self._rate_arr
+        usage = 0.0
+        for fkey in record.flows:
+            other = flows[fkey]
+            value = rate_arr[other.slot]
+            if not math.isnan(value):
+                usage += float(value) * other.weight
+        return usage

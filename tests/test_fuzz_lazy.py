@@ -56,6 +56,11 @@ def _drive(engine, platform, items):
             engine.fail_resource(platform.links[a % len(platform.links)])
             engine.advance(amount * 1e-7)
             continue
+        elif kind == "avail":  # a capacity change: factor 0.25 to 1.5
+            engine.set_availability(platform.links[a % len(platform.links)],
+                                    (b + 1) / 4)
+            engine.advance(amount * 1e-7)
+            continue
         else:
             continue
         action.observer = observe

@@ -12,13 +12,13 @@ from repro.errors import SimulationError
 from repro.surf.maxmin import (
     APPROX_MAX_ROUNDS,
     SCALAR_MAX_FLOWS,
-    ConstraintSpec,
-    FlowSpec,
-    MaxMinSystem,
     _IncConstraint,
     _IncFlow,
     _progressive_fill_arrays,
     _progressive_fill_scalar,
+)
+from tests.oracles import (
+    MaxMinSystem,
     solve_maxmin,
     solve_maxmin_reference,
     solve_maxmin_vectorized,
@@ -295,6 +295,53 @@ class TestIncrementalMaxMin:
         assert inc.solve_dirty() == {"f1"}
         assert inc.rate("f0") == pytest.approx(80.0)
         assert inc.rate("f1") == pytest.approx(30.0)
+
+    def test_usage_is_summed_again_only_where_load_changed(self):
+        """With tracking on, a solve re-sums and reports a constraint only
+        when a flow left it, its capacity changed or a flow crossing it
+        changed rate; every other usage is still exact."""
+        inc = self._solver()
+        inc.track_usage = True
+        inc.ensure_constraint("pipe", 100.0, shared=False)
+        for key, capacity in (("a", 30.0), ("b", 50.0), ("c", 80.0)):
+            inc.ensure_constraint(key, capacity)
+        inc.add_flow("x", ["a", "pipe"])
+        inc.add_flow("y", ["b", "c", "pipe"])
+
+        def reported():
+            inc.solve_dirty()
+            return {record.key: usage for record, usage in inc.last_usage}
+
+        assert reported() == {"a": 30.0, "pipe": 80.0, "b": 50.0, "c": 50.0}
+        inc.ensure_constraint("c", 90.0)  # y stays bottlenecked on b
+        assert reported() == {"c": 50.0}
+        assert inc.rate("y") == 50.0
+        # x leaves: a drains and is collected; the FATPIPE pipe, crossed
+        # by y's component too, is re-summed when that component is next
+        # re-solved, although y's rate does not change
+        inc.remove_flow("x")
+        assert reported() == {"a": 0.0}
+        inc.mark_dirty("b")
+        assert reported() == {"pipe": 50.0}
+        assert [inc.usage(key) for key in ("pipe", "b", "c")] == [50.0] * 3
+
+    def test_tracking_switched_back_on_sums_everything_again(self):
+        """Rate changes are not tracked while usage tracking is off, so
+        turning it back on re-sums every constraint at the next solve."""
+        inc = self._solver()
+        inc.track_usage = True
+        inc.ensure_constraint("a", 30.0)
+        inc.ensure_constraint("b", 50.0)
+        inc.add_flow("x", ["a", "b"])
+        inc.solve_dirty()
+        inc.track_usage = False
+        inc.add_flow("y", ["b"])
+        inc.solve_dirty()  # x: 30 -> 25
+        inc.track_usage = True
+        inc.mark_dirty("b")
+        inc.solve_dirty()
+        assert {r.key: u for r, u in inc.last_usage} == {"a": 25.0, "b": 50.0}
+        assert inc.usage("a") == 25.0
 
     def test_transitive_component_is_resolved_together(self):
         inc = self._solver()
@@ -630,17 +677,31 @@ def random_component(draw):
 
 def _kernel_outcomes(capacities, shared, flows, max_rounds):
     """Solve one component with both kernels; each gives its rates (as
-    ``float.hex``), round count and truncation, or its error message."""
+    ``float.hex``), round count and truncation, or its error message.
+
+    The scalar kernel gets what the component walk hands it: the shared
+    constraints it must see.  A shared constraint with a single flow is
+    left out of ``cons`` and folded by the kernel into that flow's solo
+    level, unless the flow crosses some constraint twice; the array
+    kernel sees every constraint."""
     records = [_IncConstraint(f"c{i}", i, f"c{i}", cap, sh)
                for i, (cap, sh) in enumerate(zip(capacities, shared))]
-    cons = [record for record in records if record.shared]
-    for pos, record in enumerate(cons):
-        record.pos = pos
     members = [
         _IncFlow(f"f{i}", i, f"f{i}", tuple(records[c] for c in cids), i,
                  bound, weight)
         for i, (cids, bound, weight) in enumerate(flows)
     ]
+    for flow in members:
+        for record in flow.cons:
+            record.flows.add(flow.key)
+    cons = []
+    for flow in members:
+        for record in flow.cons:
+            if (record.shared and record not in cons
+                    and not (flow.folds and len(record.flows) == 1)):
+                cons.append(record)
+    for pos, record in enumerate(cons):
+        record.pos = pos
     row = np.array([i for i, (cids, _, _) in enumerate(flows) for _ in cids],
                    dtype=np.intp)
     col = np.array([c for cids, _, _ in flows for c in cids], dtype=np.intp)
@@ -673,10 +734,27 @@ _UNBOUNDED = ([100.0, 5.0], [True, False],
 ))
 @example((*_UNBOUNDED, None))  # refused in the filling loop
 @example((*_UNBOUNDED, 1))  # refused by the approx fallback
+@example((  # f0's solo level ties f1's bound: the caps-only round fixes f1
+    [50.0, 1000.0], [True, True],
+    [((0, 1), math.inf, 1.0), ((1,), 50.0, 1.0)], None,
+))
+@example((  # f0's solo level ties the fair share of c1: one round fixes all
+    [50.0, 100.0], [True, True],
+    [((0,), math.inf, 1.0)] + [((1,), math.inf, 1.0)] * 2, None,
+))
+@example((  # f0 crosses c0 twice: c0 counts it twice and is not folded
+    [100.0, 1000.0], [True, True],
+    [((0, 0, 1), math.inf, 1.0), ((1,), math.inf, 1.0)], None,
+))
+@example((  # a zero-capacity solo constraint, then the approx fallback
+    [0.0, 100.0], [True, True],
+    [((0, 1), math.inf, 1.0)] + [((1,), math.inf, 1.0)] * 2, 1,
+))
 @settings(max_examples=300, deadline=None)
 def test_scalar_kernel_matches_array_kernel(component):
     """The plain-Python kernel is a transcription of the NumPy one: same
-    rates to the last bit, same rounds and truncation, same errors."""
+    rates to the last bit, same rounds and truncation, same errors, with
+    its single-flow constraints folded into solo levels."""
     scalar, arrays = _kernel_outcomes(*component)
     assert scalar == arrays
 
