@@ -4,10 +4,9 @@ DESIGN.md commits to two cross-checked one-shot solvers with a size-based
 switch (`VECTORIZE_THRESHOLD`); both now live in tests/oracles.py.  This
 bench measures both on growing systems and prints where the crossover
 actually falls on this machine, validating that constant.  The incremental
-solver has the same kind of switch (`SCALAR_MAX_FLOWS`) between its
-plain-Python and NumPy component kernels; a second table times one warm
-churn event per component size under each kernel and prints that
-crossover too.
+solver has one plain-Python component kernel; a second table times one
+warm churn event per component size, from 8 to 1024 flows, so its
+growth with the component stays visible.
 
 The second half ablates the engine's *incremental* re-sharing: the same
 scatter / all-to-all workloads run once with the dirty-set solver
@@ -24,23 +23,18 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
 from _helpers import RESULTS_DIR, FigureReport
 from repro import rng as rng_mod
 from repro.smpi import SmpiConfig, smpirun
-from repro.surf import cluster, maxmin
-from repro.surf.maxmin import (
-    APPROX_MAX_ROUNDS,
-    IncrementalMaxMin,
-    SCALAR_MAX_FLOWS,
-    _progressive_fill_arrays,
-)
+from repro.surf import cluster
+from repro.surf.maxmin import APPROX_MAX_ROUNDS, IncrementalMaxMin
 from tests.oracles import (
     VECTORIZE_THRESHOLD,
     MaxMinSystem,
+    _progressive_fill_arrays,
     oracle_engine,
     solve_maxmin_reference,
     solve_maxmin_vectorized,
@@ -83,24 +77,13 @@ def experiment():
     return rows
 
 
-# -- incremental component kernels: scalar vs NumPy -----------------------------------
+# -- incremental component solve: per-event cost by component size ------------------
 
-#: component sizes (flows) of the kernel crossover table
+#: component sizes (flows) of the per-event cost table
 COMPONENT_SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
 
 
-@contextmanager
-def component_kernel(kernel: str):
-    """Route every multi-flow component solve to one kernel."""
-    saved = maxmin.SCALAR_MAX_FLOWS
-    maxmin.SCALAR_MAX_FLOWS = math.inf if kernel == "scalar" else 1
-    try:
-        yield
-    finally:
-        maxmin.SCALAR_MAX_FLOWS = saved
-
-
-def component_event_us(n_flows: int, kernel: str, n_events: int = 20,
+def component_event_us(n_flows: int, n_events: int = 20,
                        repeats: int = 3) -> float:
     """Per-event µs of a warm incremental solver on one ring-like component.
 
@@ -122,26 +105,24 @@ def component_event_us(n_flows: int, kernel: str, n_events: int = 20,
                            "backbone"], bound=bound)
 
     best = math.inf
-    with component_kernel(kernel):
-        for _ in range(repeats):
-            inc = IncrementalMaxMin()
-            for key in range(n_flows):
-                enrol(inc, key)
+    for _ in range(repeats):
+        inc = IncrementalMaxMin()
+        for key in range(n_flows):
+            enrol(inc, key)
+        inc.solve_dirty()
+        start = time.perf_counter()
+        for event in range(n_events):
+            inc.remove_flow(event)
+            enrol(inc, n_flows + event)
             inc.solve_dirty()
-            start = time.perf_counter()
-            for event in range(n_events):
-                inc.remove_flow(event)
-                enrol(inc, n_flows + event)
-                inc.solve_dirty()
-            best = min(best, time.perf_counter() - start)
-            assert inc.last_flows_solved == n_flows
+        best = min(best, time.perf_counter() - start)
+        assert inc.last_flows_solved == n_flows
     return best / n_events * 1e6
 
 
-def component_kernel_experiment():
-    """(flows, scalar µs/event, NumPy µs/event) per component size."""
-    return [(n, component_event_us(n, "scalar"), component_event_us(n, "numpy"))
-            for n in COMPONENT_SIZES]
+def component_experiment():
+    """(flows, µs/event) per component size."""
+    return [(n, component_event_us(n)) for n in COMPONENT_SIZES]
 
 
 # -- incremental vs full re-share -----------------------------------------------------
@@ -248,10 +229,10 @@ def staircase_problem(n_flows: int, n_backbones: int = 4):
     needs ~``n_groups`` rounds — the round count *grows* with the system,
     which is exactly the regime the approx dial is for.
 
-    Returns the COO/array form consumed by ``_progressive_fill_arrays``
-    (the solver core's steady-state representation: the incremental
-    engine maintains these arrays persistently, so timing the kernel on
-    them matches the per-event cost of a warm engine).
+    Returns the COO/array form consumed by the NumPy filling core
+    ``_progressive_fill_arrays`` of tests/oracles.py.  The incremental
+    solver's own per-event cost on this pattern is the churn line of the
+    report (:func:`churn_experiment`).
     """
     n_groups = max(16, n_flows // 64)
     n_cons = n_groups + n_backbones
@@ -426,11 +407,12 @@ def test_maxmin_scaling(once):
     report.finish()
 
     SCALING_JSON.write_text(json.dumps({
-        "description": "wall-clock of one solver-core solve vs concurrent "
+        "description": "wall-clock of one one-shot solve vs concurrent "
                        "flows on a staircase contention pattern (distinct "
                        "saturation level per constraint group, one coupled "
-                       "component); kernel timed on its steady-state array "
-                       "form, as maintained by the incremental engine",
+                       "component); exact/approx rows time the NumPy "
+                       "filling core of tests/oracles.py on its array "
+                       "form, churn times the incremental solver",
         "mode": "full" if full else "smoke",
         "approx_max_rounds": APPROX_MAX_ROUNDS,
         "rows": rows,
@@ -480,26 +462,20 @@ def test_ablation_maxmin(once):
         f"around {crossover} flows"
     )
 
-    # -- incremental component kernels -------------------------------------------
+    # -- incremental component solve ----------------------------------------------
     report.line()
     report.line("incremental component solve, one warm churn event "
                 "(ring-like component):")
-    report.line(f"  {'flows':>6} {'scalar':>12} {'numpy':>12} {'ratio':>8}")
-    kernel_rows = component_kernel_experiment()
-    kernel_crossover = None
-    for n_flows, t_scalar, t_numpy in kernel_rows:
-        marker = ""
-        if t_numpy < t_scalar and kernel_crossover is None:
-            kernel_crossover = n_flows
-            marker = "  <- numpy wins"
-        report.line(
-            f"  {n_flows:>6} {t_scalar:>10.1f}us {t_numpy:>10.1f}us "
-            f"{t_numpy / t_scalar:>7.2f}x{marker}"
-        )
+    report.line(f"  {'flows':>6} {'per event':>12} {'per flow':>10}")
+    event_rows = component_experiment()
+    for n_flows, t_event in event_rows:
+        report.line(f"  {n_flows:>6} {t_event:>10.1f}us "
+                    f"{t_event / n_flows:>8.2f}us")
     report.line()
+    (n_small, t_small), (n_big, t_big) = event_rows[0], event_rows[-1]
     report.measured(
-        f"SCALAR_MAX_FLOWS {SCALAR_MAX_FLOWS}; measured crossover "
-        f"around {kernel_crossover} flows"
+        f"per-event cost grows {t_big / t_small:.0f}x from {n_small} to "
+        f"{n_big} flows ({n_big // n_small}x the flows)"
     )
 
     # -- incremental vs full re-share ------------------------------------------------
@@ -526,9 +502,6 @@ def test_ablation_maxmin(once):
     assert big[2] < big[1], "vectorised must win on large systems"
     small = rows[0]
     assert small[1] < small[2] * 5, "reference competitive on small systems"
-    kernel_us = {n: (t_scalar, t_numpy) for n, t_scalar, t_numpy in kernel_rows}
-    assert kernel_us[16][0] < kernel_us[16][1], "scalar kernel must win at 16 flows"
-    assert kernel_us[1024][1] < kernel_us[1024][0], "numpy must win at 1024 flows"
 
     for label, t_inc, t_full, s_inc, s_full in inc_rows:
         assert t_inc == t_full, f"{label}: incremental changed the simulation"

@@ -66,38 +66,34 @@ def test_structures(once):
 
 def solver_layout_experiment(n_cons: int = 32, n_live: int = 256,
                              n_cycles: int = 40):
-    """Flattened solver state layout under sustained flow churn.
+    """Incremental solver state under sustained flow churn.
 
     Holds ``n_live`` flows over ``n_cons`` constraints and replaces all of
-    them ``n_cycles`` times, sampling the sizes of the slot arrays, the
-    pooled CSR incidence, and the constraint table after each cycle.  The
-    structural claim: every array stabilises after warm-up — slot and
-    constraint-index free-lists recycle storage, pool compaction reclaims
-    dead incidence entries, and drained-constraint GC keeps ``_cons``
-    keyed only by live resources.
+    them ``n_cycles`` times, counting the solver's flow and constraint
+    records at the peak of each cycle (every flow solved) and at its end
+    (every flow removed and solved again).  The structural claim: the
+    records are the solver's whole state, a flow's record goes with the
+    flow, and drained-constraint GC keeps ``_cons`` keyed only by live
+    resources, so the footprint is the same in every cycle.
     """
     inc = IncrementalMaxMin()
 
-    def churn_cycle(base):
+    def records():
+        return {"cons": len(inc._cons), "flows": len(inc._flows)}
+
+    footprint = []
+    for cycle in range(n_cycles):
+        base = cycle * n_live
         for c in range(n_cons):
             inc.ensure_constraint(("l", c), 100.0 * (1 + c % 7))
         for i in range(n_live):
             inc.add_flow(base + i, [("l", i % n_cons), ("l", (i * 7) % n_cons)])
         inc.solve_dirty()
+        peak = records()
         for i in range(n_live):
             inc.remove_flow(base + i)
         inc.solve_dirty()
-
-    footprint = []
-    for cycle in range(n_cycles):
-        churn_cycle(cycle * n_live)
-        footprint.append({
-            "cons": len(inc._cons),
-            "slots": inc._n_slots,
-            "rate_arr": len(inc._rate_arr),
-            "pool": len(inc._inc_pool),
-            "pool_used": inc._pool_used,
-        })
+        footprint.append({"peak": peak, "end": records()})
     return footprint
 
 
@@ -105,29 +101,25 @@ def test_solver_state_layout(once):
     footprint = once(solver_layout_experiment)
     report = FigureReport(
         "solver_layout",
-        "flattened incremental-solver state under churn (bounded growth)",
+        "incremental-solver records under churn (bounded growth)",
     )
     report.line("  256 flows x 32 constraints fully replaced per cycle:")
     for label in ("first", "last"):
         sample = footprint[0 if label == "first" else -1]
         report.line(
-            f"  {label} cycle: {sample['cons']} constraint records, "
-            f"{sample['slots']} flow slots ({sample['rate_arr']} rate-array "
-            f"entries), {sample['pool']}-entry incidence pool "
-            f"({sample['pool_used']} cursor)"
+            f"  {label} cycle: peak {sample['peak']['flows']} flow records, "
+            f"{sample['peak']['cons']} constraint records; end "
+            f"{sample['end']['flows']} flow records, "
+            f"{sample['end']['cons']} constraint records"
         )
     report.measured(
-        "state footprint is flat after warm-up: slot/constraint free-lists "
-        "recycle storage, pool compaction caps the incidence cursor, and "
-        "drained-constraint GC empties the record table between cycles"
+        "state footprint is the same in every cycle: flow records leave "
+        "with their flows and drained-constraint GC empties the record "
+        "table between cycles"
     )
     report.finish()
 
-    steady = footprint[2:]
-    # all flows are removed at cycle end; GC must leave no constraint records
-    assert all(s["cons"] == 0 for s in footprint)
-    # array/pool sizes are identical across every post-warm-up cycle
-    assert all(s == steady[0] for s in steady)
-    # and bounded by a small multiple of the live set (2 entries per flow)
-    assert steady[0]["slots"] <= 4 * 256
-    assert steady[0]["pool"] <= 16 * 256
+    # all flows are removed at cycle end; GC must leave no record behind
+    assert all(s["end"] == {"cons": 0, "flows": 0} for s in footprint)
+    # at the peak the records are exactly the live set
+    assert all(s["peak"] == {"cons": 32, "flows": 256} for s in footprint)

@@ -29,15 +29,15 @@ constraint.  The max-min fixed point decomposes exactly over connected
 components (flows in different components share no constraint,
 transitively), so untouched components keep their rates — this is the
 lazy partial invalidation the SimGrid kernel uses to keep the sequential
-share cheap.  A component of at most :data:`SCALAR_MAX_FLOWS` flows is
-solved by :func:`_progressive_fill_scalar`, a plain-Python transcription
-of the NumPy core :func:`_progressive_fill_arrays` that larger components
-use; the two return bit-identical results.
+share cheap.  Every component of more than one flow is solved by one
+plain-Python kernel, :func:`_progressive_fill_scalar`, straight from the
+solver's flow and constraint records; the solver keeps no other copy of
+its state.
 
 Inside a component, work is skipped wherever its result cannot change:
 
 * a shared constraint crossed by a single flow cannot couple flows.  The
-  component walk does not visit it, and the scalar kernel folds it into
+  component walk does not visit it, and the kernel folds it into
   that flow's *solo level* ``capacity / weight`` — the very float the
   constraint's fair share ``remaining / users`` has while its one flow
   grows.  The level stays on the constraint side of each filling round,
@@ -48,16 +48,15 @@ Inside a component, work is skipped wherever its result cannot change:
   capacity or policy changed, or a flow crossing it changed rate.
 
 The one-shot solvers the incremental one replaced (a reference
-transcription and a whole-system NumPy solve) are kept as test oracles
-in ``tests/oracles.py``.
+transcription and a whole-system NumPy solve) and the NumPy filling core
+(``_progressive_fill_arrays``) are kept as test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from operator import attrgetter
-
-import numpy as np
 
 from ..errors import SimulationError, UnknownFlowError
 
@@ -67,16 +66,6 @@ __all__ = [
     "SHARING_MODES",
     "APPROX_MAX_ROUNDS",
 ]
-
-#: Largest component (in flows) :meth:`IncrementalMaxMin.solve_dirty`
-#: solves with the plain-Python kernel :func:`_progressive_fill_scalar`;
-#: bigger ones take the NumPy kernel :func:`_progressive_fill_arrays`.
-#: Set from the incremental-component table of
-#: ``benchmarks/bench_ablation_maxmin.py``, which prints the measured
-#: crossover beside this value: on CPython 3.11 both kernels cost about
-#: the same per churn event at 64 flows, scalar is 2x faster at 16 and
-#: NumPy 2x faster at 512.
-SCALAR_MAX_FLOWS = 64
 
 #: Accepted values of the sharing-fidelity dial (``--sharing``).
 SHARING_MODES = ("exact", "approx")
@@ -89,123 +78,10 @@ APPROX_MAX_ROUNDS = 8
 _EPS = 1e-12
 
 
-def _progressive_fill_arrays(
-    n_flows: int,
-    n_cons: int,
-    row: np.ndarray,
-    col: np.ndarray,
-    weights: np.ndarray,
-    bounds: np.ndarray,
-    shared: np.ndarray,
-    capacities: np.ndarray,
-    name_of,
-    max_rounds: int | None = None,
-) -> tuple[np.ndarray, int, bool]:
-    """Array core of progressive filling, used by the incremental solver
-    for components above :data:`SCALAR_MAX_FLOWS` flows (and by the
-    whole-system test oracle).
-
-    ``row``/``col`` are COO-style incidence entries (flow ``row[k]`` crosses
-    constraint ``col[k]``); ``weights``/``bounds`` are per flow, ``shared``/
-    ``capacities`` per constraint; ``name_of`` maps a flow index to a name
-    for error messages.
-
-    Returns ``(rates, rounds, truncated)``.  With ``max_rounds`` set
-    (approx sharing), filling stops after that many fixing rounds and every
-    still-growing flow is fixed in one vectorised *bandwidth-fraction*
-    round: its bound/FATPIPE cap, or the fair share ``remaining / users``
-    of its most loaded shared constraint, whichever is smallest.  The
-    result stays feasible (no constraint oversubscribed, all bounds
-    respected) but is no longer the max-min fixed point; ``truncated``
-    reports whether the fallback fired.  ``max_rounds=None`` (exact mode)
-    runs to the fixed point, bit-identical to the historical solver.
-    """
-    rates = np.zeros(n_flows)
-    if n_flows == 0:
-        return rates, 0, False
-    entry_weight = weights[row]
-    remaining = capacities.astype(float, copy=True)
-
-    # Per-flow static cap: own bound plus any FATPIPE constraint it crosses.
-    caps = bounds.astype(float, copy=True)
-    if not shared.all():
-        fat_entries = ~shared[col]
-        if fat_entries.any():
-            fat_cap = remaining[col[fat_entries]] / entry_weight[fat_entries]
-            np.minimum.at(caps, row[fat_entries], fat_cap)
-
-    active = np.ones(n_flows, dtype=bool)
-    # entries whose flow is active and whose constraint is shared
-    live_entry = shared[col].copy()
-
-    rounds = 0
-    while True:
-        if not active.any():
-            return rates, rounds, False
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        if rounds > n_flows + n_cons:
-            raise SimulationError("progressive filling failed to converge")
-        # total active weight per shared constraint
-        users = np.zeros(n_cons)
-        np.add.at(users, col[live_entry], entry_weight[live_entry])
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cons_level = np.where(users > _EPS, remaining / np.maximum(users, _EPS), np.inf)
-        cons_min = cons_level.min() if n_cons else math.inf
-        flow_min = caps[active].min()
-        level = min(cons_min, flow_min)
-        if math.isinf(level):
-            names = [name_of(i) for i in np.flatnonzero(active)]
-            raise SimulationError("max-min system is unbounded: flows " + ", ".join(names))
-
-        if flow_min <= level + _EPS:
-            to_fix = active & (caps <= level + _EPS)
-        else:
-            sat_cons = cons_level <= level + _EPS
-            to_fix = np.zeros(n_flows, dtype=bool)
-            hits = live_entry & sat_cons[col]
-            to_fix[row[hits]] = True
-            to_fix &= active
-        if not to_fix.any():
-            raise SimulationError("progressive filling made no progress")
-
-        rates[to_fix] = level
-        consumed_entries = live_entry & to_fix[row]
-        consumption = np.zeros(n_cons)
-        np.add.at(consumption, col[consumed_entries], level * entry_weight[consumed_entries])
-        remaining = np.maximum(remaining - consumption, 0.0)
-        active &= ~to_fix
-        live_entry &= active[row]
-        rounds += 1
-
-    # Bandwidth-fraction fallback (approx sharing): fix every still-growing
-    # flow at the fair share of its most loaded shared constraint, clipped
-    # by its static cap.  Each flow crossing constraint ``c`` takes at most
-    # ``remaining[c] / users[c]`` per weight unit, so the per-constraint
-    # totals stay within ``remaining`` — the result is feasible, just not
-    # the max-min fixed point.
-    users = np.zeros(n_cons)
-    np.add.at(users, col[live_entry], entry_weight[live_entry])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cons_level = np.where(users > _EPS, remaining / np.maximum(users, _EPS), np.inf)
-    flow_level = caps.copy()
-    if live_entry.any():
-        np.minimum.at(flow_level, row[live_entry], cons_level[col[live_entry]])
-    act = np.flatnonzero(active)
-    unbounded = np.isinf(flow_level[act])
-    if unbounded.any():
-        names = [name_of(int(i)) for i in act[unbounded]]
-        raise SimulationError("max-min system is unbounded: flows " + ", ".join(names))
-    rates[act] = flow_level[act]
-    return rates, rounds, True
-
-
 def _progressive_fill_scalar(
     members: list, cons: list, max_rounds: int | None = None
 ) -> tuple[list, int, bool]:
-    """Plain-Python twin of :func:`_progressive_fill_arrays` for small
-    components, where NumPy call overhead outweighs the arithmetic.
+    """Progressive filling of one component, read from its records.
 
     ``members`` are :class:`_IncFlow` records in ``seq`` order; ``cons``
     lists every SHARED constraint they cross that the walk kept, each
@@ -216,12 +92,21 @@ def _progressive_fill_scalar(
     ``capacity / weight`` (``users`` is ``0.0 + weight``), and once *i* is
     fixed it has no user left.  ``solo`` stays on the constraint side of
     each round — it enters ``cons_min`` and the constraint-saturation
-    test, never the caps — so rounds group as in the array kernel.  Every
-    float operation happens in the order the array kernel performs it —
-    per-constraint sums start from ``0.0`` and add entries in (flow,
-    constraint) order as ``np.add.at`` does, a round's whole consumption
-    is summed before it is subtracted — so rates, round count and
-    truncation are bit-identical, and so are the error messages.
+    test, never the caps — so rounds group as in the unfolded fill.
+    Every float operation happens in the order the whole-system NumPy
+    oracle (``_progressive_fill_arrays`` in ``tests/oracles.py``)
+    performs it — per-constraint sums start from ``0.0`` and add entries
+    in (flow, constraint) order as ``np.add.at`` does, a round's whole
+    consumption is summed before it is subtracted — so rates, round count
+    and truncation are bit-identical to it, and so are the error messages.
+
+    Returns ``(rates, rounds, truncated)``.  With ``max_rounds`` set
+    (approx sharing), filling stops after that many fixing rounds and
+    every still-growing flow is fixed in one *bandwidth-fraction* round:
+    its cap, its solo level or the fair share ``remaining / users`` of its
+    most loaded coupling constraint, whichever is smallest.  The result
+    stays feasible but is no longer the max-min fixed point;
+    ``truncated`` reports whether the fallback fired.
     """
     n_flows = len(members)
     n_cons = len(cons)
@@ -309,7 +194,9 @@ def _progressive_fill_scalar(
     else:  # every flow fixed without hitting the round cap
         return rates, rounds, False
 
-    # bandwidth-fraction fallback (approx sharing), as in the array kernel
+    # bandwidth-fraction fallback (approx sharing): each flow crossing
+    # constraint c takes at most remaining[c] / users[c] per weight unit,
+    # so the per-constraint totals stay within remaining
     cons_level = levels()
     unbounded = []
     for i in active:
@@ -335,13 +222,12 @@ _by_seq = attrgetter("seq")
 class _IncConstraint:
     """Internal per-resource record of an :class:`IncrementalMaxMin`."""
 
-    __slots__ = ("key", "index", "name", "kind", "capacity", "shared",
+    __slots__ = ("key", "name", "kind", "capacity", "shared",
                  "flows", "stamp", "pos", "usage", "touched")
 
-    def __init__(self, key, index: int, name: str, capacity: float,
-                 shared: bool, kind: str = "link"):
+    def __init__(self, key, name: str, capacity: float, shared: bool,
+                 kind: str = "link"):
         self.key = key
-        self.index = index  # stable global index into the capacity arrays
         self.name = name
         self.kind = kind  # label handed to utilization observers
         self.capacity = capacity
@@ -360,17 +246,19 @@ class _IncConstraint:
 class _IncFlow:
     """Internal per-consumer record of an :class:`IncrementalMaxMin`."""
 
-    __slots__ = ("key", "seq", "name", "cons", "slot", "bound", "weight",
+    __slots__ = ("key", "seq", "name", "cons", "bound", "weight", "rate",
                  "folds")
 
-    def __init__(self, key, seq: int, name: str, cons, slot: int, bound, weight):
+    def __init__(self, key, seq: int, name: str, cons, bound, weight):
         self.key = key
         self.seq = seq  # registration order, for deterministic solves
         self.name = name
         self.cons = cons  # tuple of _IncConstraint
-        self.slot = slot  # index into the solver's flat per-flow arrays
         self.bound = bound
         self.weight = weight
+        # last solved rate; NaN until the first solve.  NaN compares
+        # unequal to every rate, so the first one counts as a change
+        self.rate = math.nan
         # a constraint crossed twice counts twice in its fair share, so
         # only a flow crossing each constraint once folds the constraints
         # it has to itself into its solo level
@@ -380,10 +268,10 @@ class _IncFlow:
 class IncrementalMaxMin:
     """A max-min sharing problem kept alive across simulation steps.
 
-    The class holds persistent state — constraints registered by opaque key, flows
-    with cached incidence index arrays, the last solved rate of every flow
-    — and tracks a *dirty set* of constraints touched since the last solve
-    (by flow arrival/departure or capacity change).
+    The class holds persistent state — constraints registered by opaque
+    key, flows with the constraint records they cross and their last
+    solved rate — and tracks a *dirty set* of constraints touched since
+    the last solve (by flow arrival/departure or capacity change).
 
     :meth:`solve_dirty` re-solves only the connected components of the
     flow/constraint graph reachable from a dirty constraint.  Because the
@@ -394,25 +282,17 @@ class IncrementalMaxMin:
     flows individually without coupling them, so they seed dirtiness but do
     not merge components.
 
-    Each flow and constraint has a small record (:class:`_IncFlow`,
-    :class:`_IncConstraint`), and their numbers are mirrored in flat numpy
-    arrays indexed by a recycled *slot* number (``_bound_arr`` /
-    ``_weight_arr`` / ``_rate_arr``), with the flow→constraint incidence
-    in one pooled CSR buffer (``_inc_pool`` / ``_inc_start`` /
-    ``_inc_len``).  The size of a component picks the kernel: a lone flow
-    takes its closed form; up to :data:`SCALAR_MAX_FLOWS` flows,
-    :func:`_progressive_fill_scalar` reads the records directly, since
-    NumPy call overhead dominates on a few dozen elements; larger
-    components gather their sub-problem from the arrays with fancy
-    indexing for :func:`_progressive_fill_arrays`.  Both kernels give
-    bit-identical rates.  Components are found by a walk that stamps each
+    Each flow and constraint has one small record (:class:`_IncFlow`,
+    :class:`_IncConstraint`), which is the solver's whole state: a flow's
+    record holds its bound, weight, the constraint records it crosses and
+    its last solved rate.  A lone flow that crosses each constraint once
+    takes its closed form; every other component goes to
+    :func:`_progressive_fill_scalar`, which reads the records directly.  Components are found by a walk that stamps each
     constraint record it reaches with the walk's number, and the dirty
     and drained sets hold records (identity-hashed), so solving never
     hashes a resource key.  The walk passes over a shared constraint
-    crossed by one flow: it cannot join components, and the scalar
-    kernel folds it into that flow's solo level.  ``_rate_arr`` uses NaN as the "never solved"
-    sentinel: NaN compares unequal to everything, so a recycled slot
-    still reports its first solved rate as changed.
+    crossed by one flow: it cannot join components, and the kernel folds
+    it into that flow's solo level.
 
     ``sharing`` selects the fidelity of multi-flow component solves:
     ``"exact"`` (default) runs progressive filling to the max-min fixed
@@ -437,28 +317,6 @@ class IncrementalMaxMin:
         self._dirty_flows: set = set()
         self._seq = 0
         self._walk = 0  # number of the last component walk (record stamps)
-        # global capacity/shared arrays indexed by _IncConstraint.index,
-        # grown geometrically so component solves can fancy-index them;
-        # indices of garbage-collected constraints are recycled
-        self._cap_arr = np.zeros(16)
-        self._shared_arr = np.ones(16, dtype=bool)
-        self._n_cons = 0
-        self._free_cons: list = []
-        # flat per-flow arrays indexed by _IncFlow.slot
-        self._bound_arr = np.zeros(16)
-        self._weight_arr = np.zeros(16)
-        self._rate_arr = np.full(16, np.nan)
-        self._n_slots = 0
-        self._free_slots: list = []
-        # pooled CSR incidence: slot ``s`` crosses the global constraint
-        # indices at _inc_pool[_inc_start[s] : _inc_start[s] + _inc_len[s]].
-        # Removed flows leave dead segments behind; the append path compacts
-        # the pool once dead entries dominate, keeping memory bounded.
-        self._inc_pool = np.zeros(64, dtype=np.intp)
-        self._inc_start = np.zeros(16, dtype=np.intp)
-        self._inc_len = np.zeros(16, dtype=np.intp)
-        self._pool_used = 0
-        self._pool_dead = 0
         # constraint records whose flow set drained since the last solve
         # (insertion-ordered); solve_dirty() garbage-collects the ones
         # still empty
@@ -532,24 +390,12 @@ class IncrementalMaxMin:
             )
         cons = self._cons.get(key)
         if cons is None:
-            if self._free_cons:
-                index = self._free_cons.pop()
-            else:
-                index = self._n_cons
-                self._n_cons += 1
-                if index >= len(self._cap_arr):
-                    self._cap_arr = np.resize(self._cap_arr, 2 * len(self._cap_arr))
-                    self._shared_arr = np.resize(self._shared_arr, len(self._cap_arr))
-            self._cap_arr[index] = capacity
-            self._shared_arr[index] = shared
-            self._cons[key] = _IncConstraint(key, index, name or str(key),
-                                             capacity, shared, kind)
+            self._cons[key] = _IncConstraint(key, name or str(key), capacity,
+                                             shared, kind)
         elif cons.capacity != capacity or cons.shared != shared:
             cons.capacity = capacity
             cons.shared = shared
             cons.touched = True
-            self._cap_arr[cons.index] = capacity
-            self._shared_arr[cons.index] = shared
             self._dirty_cons[cons] = None
 
     def add_flow(
@@ -575,17 +421,7 @@ class IncrementalMaxMin:
                     f"flow {name or key!r} references unknown constraint {ckey!r}"
                 )
             cons.append(record)
-        slot = self._alloc_slot()
-        n = len(cons)
-        start = self._pool_reserve(n)
-        self._inc_pool[start:start + n] = [c.index for c in cons]
-        self._inc_start[slot] = start
-        self._inc_len[slot] = n
-        self._bound_arr[slot] = bound
-        self._weight_arr[slot] = weight
-        self._rate_arr[slot] = np.nan
-        # stored as floats, like the arrays, so both kernels see one value
-        flow = _IncFlow(key, self._seq, name or str(key), tuple(cons), slot,
+        flow = _IncFlow(key, self._seq, name or str(key), tuple(cons),
                         float(bound), float(weight))
         self._seq += 1
         self._flows[key] = flow
@@ -610,10 +446,6 @@ class IncrementalMaxMin:
                 raise UnknownFlowError(key)
             return
         self._dirty_flows.discard(key)
-        self._rate_arr[flow.slot] = np.nan
-        self._pool_dead += int(self._inc_len[flow.slot])
-        self._inc_len[flow.slot] = 0
-        self._free_slots.append(flow.slot)
         for record in flow.cons:
             record.flows.discard(key)
             record.touched = True
@@ -623,53 +455,6 @@ class IncrementalMaxMin:
             if not record.flows:
                 # candidate for garbage collection at the next solve
                 self._drained[record] = None
-
-    def _alloc_slot(self) -> int:
-        """Grab a per-flow array slot, recycling freed ones first."""
-        if self._free_slots:
-            return self._free_slots.pop()
-        slot = self._n_slots
-        self._n_slots += 1
-        if slot >= len(self._bound_arr):
-            size = 2 * len(self._bound_arr)
-            self._bound_arr = np.resize(self._bound_arr, size)
-            self._weight_arr = np.resize(self._weight_arr, size)
-            rates = np.full(size, np.nan)
-            rates[: len(self._rate_arr)] = self._rate_arr
-            self._rate_arr = rates
-            self._inc_start = np.resize(self._inc_start, size)
-            self._inc_len = np.resize(self._inc_len, size)
-        return slot
-
-    def _pool_reserve(self, n: int) -> int:
-        """Reserve ``n`` incidence entries; returns their pool offset.
-
-        Compacts the pool first when dead entries (left by removed flows)
-        rival live ones, so pool memory stays proportional to the live
-        incidence size instead of growing with churn.
-        """
-        if self._pool_used + n > len(self._inc_pool):
-            if self._pool_dead * 2 >= self._pool_used:
-                self._compact_pool()
-            while self._pool_used + n > len(self._inc_pool):
-                self._inc_pool = np.resize(self._inc_pool, 2 * len(self._inc_pool))
-        start = self._pool_used
-        self._pool_used += n
-        return start
-
-    def _compact_pool(self) -> None:
-        """Rewrite live incidence segments contiguously, dropping dead ones."""
-        new_pool = np.zeros(len(self._inc_pool), dtype=np.intp)
-        used = 0
-        for flow in self._flows.values():
-            n = int(self._inc_len[flow.slot])
-            start = int(self._inc_start[flow.slot])
-            new_pool[used:used + n] = self._inc_pool[start:start + n]
-            self._inc_start[flow.slot] = used
-            used += n
-        self._inc_pool = new_pool
-        self._pool_used = used
-        self._pool_dead = 0
 
     def has_constraint(self, key) -> bool:
         """Whether the resource ``key`` was ever registered as a constraint."""
@@ -689,7 +474,7 @@ class IncrementalMaxMin:
         capacities + rates give bit-identical continuations.
         """
         flow = self._flows[key]
-        self._rate_arr[flow.slot] = rate
+        flow.rate = rate
         for record in flow.cons:
             record.touched = True
 
@@ -729,11 +514,11 @@ class IncrementalMaxMin:
 
     def rate(self, key) -> float:
         """Last solved rate of flow ``key``."""
-        value = self._rate_arr[self._flows[key].slot]
-        if math.isnan(value):
+        rate = self._flows[key].rate
+        if math.isnan(rate):
             # registered but never solved: preserve the mapping-like contract
             raise KeyError(key)
-        return float(value)
+        return rate
 
     def usage(self, key) -> float:
         """Last computed consumed rate of constraint ``key``.
@@ -794,10 +579,10 @@ class IncrementalMaxMin:
 
         Emits the final idle utilization sample (when :attr:`track_usage`
         is on and the constraint went dirty by draining) before forgetting
-        the record, recycles its global index, and discards its usage
-        entry.  Constraints that were repopulated or re-registered since
-        draining are left alone; a future :meth:`ensure_constraint` with
-        the same key simply registers a fresh record.
+        the record and its usage.  Constraints that were repopulated or
+        re-registered since draining are left alone; a future
+        :meth:`ensure_constraint` with the same key simply registers a
+        fresh record.
         """
         if not self._drained:
             return
@@ -810,14 +595,13 @@ class IncrementalMaxMin:
                 self.last_usage.append((record, 0.0))
             self._dirty_cons.pop(record, None)
             del self._cons[record.key]
-            self._free_cons.append(record.index)
         self._drained.clear()
 
     def _collect_component(self, seed, solved: set) -> tuple[list, list]:
         """Flows transitively connected to ``seed`` via shared constraints.
 
         Returns the member flows sorted by ``seq`` and the shared
-        constraints they cross that the scalar kernel must see.  Each such
+        constraints they cross that the kernel must see.  Each such
         constraint reached is stamped with this walk's number
         (visited-marking without hashing its key) and gets its index in
         the returned list as ``pos``.  A shared constraint with a single
@@ -855,10 +639,12 @@ class IncrementalMaxMin:
         return members, cons
 
     def _solve_component(self, members: list, cons: list) -> None:
-        if len(members) == 1:
+        flow = members[0]
+        if len(members) == 1 and flow.folds:
             # closed form: a lone flow takes its bound or its tightest cap
-            # (exact even in approx mode — there is nothing to iterate)
-            flow = members[0]
+            # (exact even in approx mode — there is nothing to iterate).
+            # A flow crossing a constraint twice counts twice there, as in
+            # the kernel, so it goes through the kernel even alone.
             rate = flow.bound
             for record in flow.cons:
                 rate = min(rate, record.capacity / flow.weight)
@@ -866,8 +652,8 @@ class IncrementalMaxMin:
                 raise SimulationError(
                     "max-min system is unbounded: flows " + flow.name
                 )
-            self._store_rates(members, [float(rate)])
-        elif len(members) <= SCALAR_MAX_FLOWS:
+            self._store_rates(members, [rate])
+        else:
             rates, rounds, truncated = _progressive_fill_scalar(
                 members, cons, self._max_rounds
             )
@@ -875,72 +661,20 @@ class IncrementalMaxMin:
             if truncated:
                 self.last_approx_events += 1
             self._store_rates(members, rates)
-        else:
-            self._solve_component_arrays(members)
         if self._track_usage:
             self._update_usage(members)
 
-    def _solve_component_arrays(self, members: list) -> None:
-        """Solve a large component with the NumPy kernel."""
-        # Gather the sub-problem from the flat solver state with fancy
-        # indexing: per-member slots select bounds/weights and CSR incidence
-        # segments; np.unique relabels global constraint indices to local.
-        n_members = len(members)
-        slots = np.fromiter(
-            (f.slot for f in members), dtype=np.intp, count=n_members
-        )
-        lens = self._inc_len[slots]
-        total = int(lens.sum())
-        row = np.repeat(np.arange(n_members, dtype=np.intp), lens)
-        if total:
-            out_starts = np.cumsum(lens) - lens
-            shift = np.repeat(self._inc_start[slots] - out_starts, lens)
-            concat = self._inc_pool[np.arange(total, dtype=np.intp) + shift]
-            local_cons, col = np.unique(concat, return_inverse=True)
-            col = col.astype(np.intp, copy=False)
-        else:
-            local_cons = np.zeros(0, dtype=np.intp)
-            col = np.zeros(0, dtype=np.intp)
-        weights = self._weight_arr[slots]
-        bounds = self._bound_arr[slots]
-        capacities = self._cap_arr[local_cons]
-        shared = self._shared_arr[local_cons]
-
-        def name_of(fid: int) -> str:
-            return members[fid].name
-
-        rates, rounds, truncated = _progressive_fill_arrays(
-            n_members, len(local_cons), row, col, weights, bounds,
-            shared, capacities, name_of, max_rounds=self._max_rounds,
-        )
-        self.last_fill_rounds += rounds
-        if truncated:
-            self.last_approx_events += 1
-        previous = self._rate_arr[slots]
-        with np.errstate(invalid="ignore"):
-            changed = rates != previous  # NaN sentinel: new slots compare unequal
-        track = self._track_usage
-        for i in np.flatnonzero(changed):
-            flow = members[i]
-            self.last_rate_changed.add(flow.key)
-            if track:
-                for record in flow.cons:
-                    record.touched = True
-        self._rate_arr[slots] = rates
-
     def _store_rates(self, members: list, rates: list) -> None:
         """Record solved rates, tracking which ones changed value."""
-        rate_arr = self._rate_arr
         changed = self.last_rate_changed
         track = self._track_usage
         for flow, rate in zip(members, rates):
-            # NaN sentinel: a never-solved slot compares unequal
-            if not rate_arr[flow.slot] == rate:
+            if flow.rate != rate:  # a never-solved flow's NaN always differs
                 changed.add(flow.key)
                 if track:
                     for record in flow.cons:
                         record.touched = True
-            rate_arr[flow.slot] = rate
+            flow.rate = rate
 
     def _update_usage(self, members: list) -> None:
         """Refresh the consumed rate of every touched constraint ``members``
@@ -966,11 +700,9 @@ class IncrementalMaxMin:
         """Consumed rate of one constraint: rate times weight, summed over
         its solved flows in flow-set order."""
         flows = self._flows
-        rate_arr = self._rate_arr
         usage = 0.0
         for fkey in record.flows:
             other = flows[fkey]
-            value = rate_arr[other.slot]
-            if not math.isnan(value):
-                usage += float(value) * other.weight
+            if not math.isnan(other.rate):
+                usage += other.rate * other.weight
         return usage

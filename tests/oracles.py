@@ -27,7 +27,9 @@ the oracles can be snapshotted.
   :func:`solve_maxmin_reference` and :func:`solve_maxmin_vectorized` —
   the one-shot solvers: a build-then-solve system, a direct
   transcription of progressive filling and a whole-system NumPy solve
-  through :func:`repro.surf.maxmin._progressive_fill_arrays`.
+  through :func:`_progressive_fill_arrays`, the array core the
+  incremental solver's plain-Python kernel is pinned against bit for
+  bit.
 
 * :class:`DigestPayloadPool` — the original payload pool: a generic
   :class:`~repro.smpi.intern.InternPool` keyed by a blake2b digest of the
@@ -51,7 +53,7 @@ from repro.smpi import pt2pt
 from repro.smpi.intern import InternPool, PayloadEntry
 from repro.surf import Engine
 from repro.surf.action import Action, ActionState
-from repro.surf.maxmin import _EPS, IncrementalMaxMin, _progressive_fill_arrays
+from repro.surf.maxmin import _EPS, IncrementalMaxMin
 from repro.surf.resources import Link
 
 T = TypeVar("T")
@@ -542,6 +544,117 @@ def solve_maxmin_reference(system: MaxMinSystem) -> np.ndarray:
             active.discard(fid)
 
     return rates
+
+
+def _progressive_fill_arrays(
+    n_flows: int,
+    n_cons: int,
+    row: np.ndarray,
+    col: np.ndarray,
+    weights: np.ndarray,
+    bounds: np.ndarray,
+    shared: np.ndarray,
+    capacities: np.ndarray,
+    name_of,
+    max_rounds: int | None = None,
+) -> tuple[np.ndarray, int, bool]:
+    """Array core of progressive filling over a whole system, the NumPy
+    oracle of :func:`repro.surf.maxmin._progressive_fill_scalar`.
+
+    ``row``/``col`` are COO-style incidence entries (flow ``row[k]`` crosses
+    constraint ``col[k]``); ``weights``/``bounds`` are per flow, ``shared``/
+    ``capacities`` per constraint; ``name_of`` maps a flow index to a name
+    for error messages.
+
+    Returns ``(rates, rounds, truncated)``.  With ``max_rounds`` set
+    (approx sharing), filling stops after that many fixing rounds and every
+    still-growing flow is fixed in one vectorised *bandwidth-fraction*
+    round: its bound/FATPIPE cap, or the fair share ``remaining / users``
+    of its most loaded shared constraint, whichever is smallest.  The
+    result stays feasible (no constraint oversubscribed, all bounds
+    respected) but is no longer the max-min fixed point; ``truncated``
+    reports whether the fallback fired.  ``max_rounds=None`` (exact mode)
+    runs to the fixed point, bit-identical to the historical solver.
+    """
+    rates = np.zeros(n_flows)
+    if n_flows == 0:
+        return rates, 0, False
+    entry_weight = weights[row]
+    remaining = capacities.astype(float, copy=True)
+
+    # Per-flow static cap: own bound plus any FATPIPE constraint it crosses.
+    caps = bounds.astype(float, copy=True)
+    if not shared.all():
+        fat_entries = ~shared[col]
+        if fat_entries.any():
+            fat_cap = remaining[col[fat_entries]] / entry_weight[fat_entries]
+            np.minimum.at(caps, row[fat_entries], fat_cap)
+
+    active = np.ones(n_flows, dtype=bool)
+    # entries whose flow is active and whose constraint is shared
+    live_entry = shared[col].copy()
+
+    rounds = 0
+    while True:
+        if not active.any():
+            return rates, rounds, False
+        if max_rounds is not None and rounds >= max_rounds:
+            break
+        if rounds > n_flows + n_cons:
+            raise SimulationError("progressive filling failed to converge")
+        # total active weight per shared constraint
+        users = np.zeros(n_cons)
+        np.add.at(users, col[live_entry], entry_weight[live_entry])
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cons_level = np.where(users > _EPS, remaining / np.maximum(users, _EPS), np.inf)
+        cons_min = cons_level.min() if n_cons else math.inf
+        flow_min = caps[active].min()
+        level = min(cons_min, flow_min)
+        if math.isinf(level):
+            names = [name_of(i) for i in np.flatnonzero(active)]
+            raise SimulationError("max-min system is unbounded: flows " + ", ".join(names))
+
+        if flow_min <= level + _EPS:
+            to_fix = active & (caps <= level + _EPS)
+        else:
+            sat_cons = cons_level <= level + _EPS
+            to_fix = np.zeros(n_flows, dtype=bool)
+            hits = live_entry & sat_cons[col]
+            to_fix[row[hits]] = True
+            to_fix &= active
+        if not to_fix.any():
+            raise SimulationError("progressive filling made no progress")
+
+        rates[to_fix] = level
+        consumed_entries = live_entry & to_fix[row]
+        consumption = np.zeros(n_cons)
+        np.add.at(consumption, col[consumed_entries], level * entry_weight[consumed_entries])
+        remaining = np.maximum(remaining - consumption, 0.0)
+        active &= ~to_fix
+        live_entry &= active[row]
+        rounds += 1
+
+    # Bandwidth-fraction fallback (approx sharing): fix every still-growing
+    # flow at the fair share of its most loaded shared constraint, clipped
+    # by its static cap.  Each flow crossing constraint ``c`` takes at most
+    # ``remaining[c] / users[c]`` per weight unit, so the per-constraint
+    # totals stay within ``remaining`` — the result is feasible, just not
+    # the max-min fixed point.
+    users = np.zeros(n_cons)
+    np.add.at(users, col[live_entry], entry_weight[live_entry])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cons_level = np.where(users > _EPS, remaining / np.maximum(users, _EPS), np.inf)
+    flow_level = caps.copy()
+    if live_entry.any():
+        np.minimum.at(flow_level, row[live_entry], cons_level[col[live_entry]])
+    act = np.flatnonzero(active)
+    unbounded = np.isinf(flow_level[act])
+    if unbounded.any():
+        names = [name_of(int(i)) for i in act[unbounded]]
+        raise SimulationError("max-min system is unbounded: flows " + ", ".join(names))
+    rates[act] = flow_level[act]
+    return rates, rounds, True
 
 
 def solve_maxmin_vectorized(system: MaxMinSystem) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Import hygiene: a simulation run imports neither scipy nor networkx.
+"""Import hygiene: a simulation run imports neither scipy nor networkx,
+and the simulation kernel ``repro.surf`` imports no numpy.
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported both.
@@ -42,6 +43,21 @@ def test_simulation_imports_load_neither_scipy_nor_networkx():
         "import repro, repro.smpi, repro.platforms, repro.offline, repro.trace, repro.nas\n"
         + loaded())
     assert out == {"scipy": False, "networkx": False}
+
+
+def test_surf_loads_no_numpy():
+    """The simulation kernel keeps its state in plain records: importing
+    ``repro.surf`` alone, without the package ``__init__`` (whose eager
+    ``repro.smpi`` import needs numpy for payloads), loads no numpy."""
+    out = run_python(
+        "import types\n"
+        "package = types.ModuleType('repro')\n"
+        f"package.__path__ = [{str(Path(repro.__file__).parent)!r}]\n"
+        "sys.modules['repro'] = package\n"
+        "import repro.surf\n"
+        "assert repro.surf.IncrementalMaxMin is not None\n"
+        + loaded(("numpy",)))
+    assert out == {"numpy": False}
 
 
 def test_cluster_run_loads_neither():

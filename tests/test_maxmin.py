@@ -11,14 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.surf.maxmin import (
     APPROX_MAX_ROUNDS,
-    SCALAR_MAX_FLOWS,
     _IncConstraint,
     _IncFlow,
-    _progressive_fill_arrays,
     _progressive_fill_scalar,
 )
 from tests.oracles import (
     MaxMinSystem,
+    _progressive_fill_arrays,
     solve_maxmin,
     solve_maxmin_reference,
     solve_maxmin_vectorized,
@@ -235,6 +234,37 @@ class TestIncrementalMaxMin:
         inc.add_flow("f0", ["c0"])
         assert inc.solve_dirty() == {"f0"}
         assert inc.rate("f0") == pytest.approx(100.0)
+
+    def test_first_rate_of_a_new_flow_counts_as_changed(self):
+        """Before its first solve a flow has no rate (``KeyError``); its
+        first solved rate is reported as changed, even when it is 0."""
+        inc = self._solver()
+        inc.ensure_constraint("c", 0.0)
+        inc.add_flow("f", ["c"])
+        with pytest.raises(KeyError):
+            inc.rate("f")
+        inc.solve_dirty()
+        assert inc.rate("f") == 0.0
+        assert inc.last_rate_changed == {"f"}
+
+    def test_constraint_crossed_twice_counts_twice_alone_or_not(self):
+        """A flow crossing ``c`` twice counts twice in ``c``'s fair share,
+        as the kernel counts it, whether or not anything shares its
+        component."""
+        inc = self._solver()
+        inc.ensure_constraint("c", 100.0)
+        inc.ensure_constraint("d", 1000.0)
+        inc.add_flow("f", ["c", "c", "d"])
+        inc.solve_dirty()
+        assert inc.last_flows_solved == 1
+        assert inc.rate("f") == 50.0
+        inc.add_flow("g", ["d"])
+        inc.solve_dirty()
+        assert inc.last_flows_solved == 2
+        assert (inc.rate("f"), inc.rate("g")) == (50.0, 950.0)
+        inc.remove_flow("g")
+        inc.solve_dirty()
+        assert inc.rate("f") == 50.0
 
     def test_arrival_only_resolves_its_component(self):
         inc = self._solver()
@@ -482,9 +512,8 @@ class TestIncrementalMaxMin:
         assert inc.rate("f1") == pytest.approx(80.0)
 
     def test_solver_memory_bounded_under_churn(self):
-        """Constraint records, flow slots and the incidence pool must all
-        stay flat across repeated enroll/retire cycles (the long-run leak
-        this PR fixes)."""
+        """Constraint and flow records must stay flat across repeated
+        enroll/retire cycles: no long-run leak under churn."""
         inc = self._solver()
         sizes = []
         for cycle in range(12):
@@ -496,8 +525,7 @@ class TestIncrementalMaxMin:
             for f in range(8):
                 inc.remove_flow((cycle, f))
             inc.solve_dirty()
-            sizes.append((len(inc._cons), inc._n_slots,
-                          len(inc._inc_pool), len(inc._rate_arr)))
+            sizes.append((len(inc._cons), len(inc._flows)))
         assert len(set(sizes)) == 1  # flat from the first cycle on
 
 
@@ -644,7 +672,7 @@ def test_engine_solver_constraints_stay_flat_across_cycles():
     assert len(set(counts)) == 1
 
 
-# -- scalar vs array kernel ------------------------------------------------------------
+# -- the kernel against its NumPy oracle ----------------------------------------------
 
 
 @st.composite
@@ -676,18 +704,19 @@ def random_component(draw):
 
 
 def _kernel_outcomes(capacities, shared, flows, max_rounds):
-    """Solve one component with both kernels; each gives its rates (as
-    ``float.hex``), round count and truncation, or its error message.
+    """Solve one component with the kernel and with its NumPy oracle; each
+    gives its rates (as ``float.hex``), round count and truncation, or its
+    error message.
 
-    The scalar kernel gets what the component walk hands it: the shared
+    The kernel gets what the component walk hands it: the shared
     constraints it must see.  A shared constraint with a single flow is
     left out of ``cons`` and folded by the kernel into that flow's solo
-    level, unless the flow crosses some constraint twice; the array
-    kernel sees every constraint."""
-    records = [_IncConstraint(f"c{i}", i, f"c{i}", cap, sh)
+    level, unless the flow crosses some constraint twice; the oracle
+    sees every constraint."""
+    records = [_IncConstraint(f"c{i}", f"c{i}", cap, sh)
                for i, (cap, sh) in enumerate(zip(capacities, shared))]
     members = [
-        _IncFlow(f"f{i}", i, f"f{i}", tuple(records[c] for c in cids), i,
+        _IncFlow(f"f{i}", i, f"f{i}", tuple(records[c] for c in cids),
                  bound, weight)
         for i, (cids, bound, weight) in enumerate(flows)
     ]
@@ -752,17 +781,17 @@ _UNBOUNDED = ([100.0, 5.0], [True, False],
 ))
 @settings(max_examples=300, deadline=None)
 def test_scalar_kernel_matches_array_kernel(component):
-    """The plain-Python kernel is a transcription of the NumPy one: same
+    """The plain-Python kernel is a transcription of the NumPy oracle: same
     rates to the last bit, same rounds and truncation, same errors, with
     its single-flow constraints folded into solo levels."""
     scalar, arrays = _kernel_outcomes(*component)
     assert scalar == arrays
 
 
-def test_component_growing_across_scalar_threshold_matches_batch():
-    """One component grows past SCALAR_MAX_FLOWS and shrinks back: after
-    every solve each rate equals, bit for bit, a fresh batch solve of the
-    live flows, whichever kernel the component size selected."""
+def test_component_growing_to_80_flows_matches_batch():
+    """One component grows to 80 flows and shrinks back to 2: after every
+    solve each rate equals, bit for bit, a fresh batch solve of the live
+    flows."""
     from repro.surf.maxmin import IncrementalMaxMin
 
     n_groups = 8
@@ -784,7 +813,7 @@ def test_component_growing_across_scalar_threshold_matches_batch():
         assert got == [float(r).hex() for r in batch]
 
     sizes = []
-    for key in range(SCALAR_MAX_FLOWS + 16):
+    for key in range(80):
         cids = (key % n_groups, backbone) if key % 2 else (backbone, key % n_groups)
         bound = 7.0 + key % 5 if key % 3 == 0 else math.inf
         live[key] = (cids, bound, 1.0 + (key % 4) * 0.5)
@@ -793,13 +822,13 @@ def test_component_growing_across_scalar_threshold_matches_batch():
         assert inc.last_components == 1
         sizes.append(inc.last_flows_solved)
         check()
-    for key in range(SCALAR_MAX_FLOWS + 14):
+    for key in range(78):
         inc.remove_flow(key)
         del live[key]
         inc.solve_dirty()
         sizes.append(inc.last_flows_solved)
         check()
-    assert max(sizes) > SCALAR_MAX_FLOWS and sizes[-1] == 2
+    assert max(sizes) == 80 and sizes[-1] == 2
 
 
 def test_solve_dirty_hashes_no_resource(monkeypatch):
