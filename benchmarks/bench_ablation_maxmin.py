@@ -6,7 +6,9 @@ bench measures both on growing systems and prints where the crossover
 actually falls on this machine, validating that constant.  The incremental
 solver has one plain-Python component kernel; a second table times one
 warm churn event per component size, from 8 to 1024 flows, so its
-growth with the component stays visible.
+growth with the component stays visible, and the scaling curve
+(``test_maxmin_scaling``) times the same solver's churn on a staircase
+whose round count grows with the system.
 
 The second half ablates the engine's *incremental* re-sharing: the same
 scatter / all-to-all workloads run once with the dirty-set solver
@@ -30,11 +32,10 @@ from _helpers import RESULTS_DIR, FigureReport
 from repro import rng as rng_mod
 from repro.smpi import SmpiConfig, smpirun
 from repro.surf import cluster
-from repro.surf.maxmin import APPROX_MAX_ROUNDS, IncrementalMaxMin
+from repro.surf.maxmin import IncrementalMaxMin
 from tests.oracles import (
     VECTORIZE_THRESHOLD,
     MaxMinSystem,
-    _progressive_fill_arrays,
     oracle_engine,
     solve_maxmin_reference,
     solve_maxmin_vectorized,
@@ -213,231 +214,106 @@ def incremental_experiment():
     return rows
 
 
-# -- flows-vs-wall scaling curve: exact vs approx sharing ------------------------------
+# -- flows-vs-wall scaling curve of the incremental solver ----------------------------
 
 #: committed scaling-curve artifact (regenerate with REPRO_BENCH_FULL=1)
 SCALING_JSON = RESULTS_DIR / "maxmin_scaling.json"
 
 
-def staircase_problem(n_flows: int, n_backbones: int = 4):
-    """A staircase contention pattern sized for scaling runs.
+def churn_experiment(n_flows: int, n_events: int) -> dict:
+    """Per-event cost of the warm :class:`IncrementalMaxMin` on a staircase.
 
     ``n_groups = max(16, n_flows // 64)`` group constraints with strictly
-    increasing capacities each serve ``n_flows / n_groups`` flows; a few
+    increasing capacities each serve ``n_flows / n_groups`` flows; four
     huge backbone constraints couple everything into one component.  Each
-    group saturates at a distinct level, so exact progressive filling
-    needs ~``n_groups`` rounds — the round count *grows* with the system,
-    which is exactly the regime the approx dial is for.
-
-    Returns the COO/array form consumed by the NumPy filling core
-    ``_progressive_fill_arrays`` of tests/oracles.py.  The incremental
-    solver's own per-event cost on this pattern is the churn line of the
-    report (:func:`churn_experiment`).
+    group saturates at a distinct level, so progressive filling needs
+    exactly ``n_groups`` rounds: the round count grows with the system.
+    Every event (one departure, one arrival in the same group, one solve)
+    re-solves the whole component.
     """
     n_groups = max(16, n_flows // 64)
-    n_cons = n_groups + n_backbones
-    fid = np.arange(n_flows, dtype=np.intp)
-    row = np.repeat(fid, 2)
-    col = np.empty(2 * n_flows, dtype=np.intp)
-    col[0::2] = fid % n_groups
-    col[1::2] = n_groups + fid % n_backbones
-    weights = np.ones(n_flows)
-    bounds = np.full(n_flows, math.inf)
-    shared = np.ones(n_cons, dtype=bool)
-    capacities = np.concatenate([
-        100.0 * (1.0 + np.arange(n_groups, dtype=float)),
-        np.full(n_backbones, 1e12),
-    ])
-    return n_groups, (n_flows, n_cons, row, col, weights, bounds, shared,
-                      capacities)
+    inc = IncrementalMaxMin()
 
+    def add(key: int, group: int) -> None:
+        # a group's flows spread over all four backbones, whatever
+        # n_groups is, so the backbones join every group into one component
+        backbone = ("bb", key // n_groups % 4)
+        inc.ensure_constraint(("g", group), 100.0 * (1.0 + group))
+        inc.ensure_constraint(backbone, 1e12)
+        inc.add_flow(key, [("g", group), backbone])
 
-def staircase_system(n_flows: int, n_backbones: int = 4) -> MaxMinSystem:
-    """The same staircase pattern as a :class:`MaxMinSystem` (reference)."""
-    n_groups = max(16, n_flows // 64)
-    system = MaxMinSystem()
-    gids = [system.add_constraint(f"g{g}", 100.0 * (1.0 + g))
-            for g in range(n_groups)]
-    bids = [system.add_constraint(f"bb{b}", 1e12)
-            for b in range(n_backbones)]
     for i in range(n_flows):
-        system.add_flow(f"f{i}", (gids[i % n_groups], bids[i % n_backbones]))
-    return system
+        add(i, i % n_groups)
+    inc.solve_dirty()
+    fill_rounds = 0
+    start = time.perf_counter()
+    for event in range(n_events):
+        inc.remove_flow(event)
+        # the newcomer joins the leaver's group: group sizes, hence the
+        # saturation levels, stay fixed
+        add(n_flows + event, event % n_groups)
+        inc.solve_dirty()
+        fill_rounds += inc.last_fill_rounds
+    wall = time.perf_counter() - start
+    return {"n_flows": n_flows, "n_groups": n_groups, "n_events": n_events,
+            "event_us": wall / n_events * 1e6,
+            "fill_rounds_per_event": fill_rounds / n_events}
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def scaling_experiment(full: bool | None = None):
-    """Wall-clock per one-shot solve vs flow count, per solver.
+def scaling_experiment(full: bool | None = None) -> dict:
+    """Warm churn cost per event vs flow count.
 
     Smoke mode (the CI default) uses reduced sizes; set
-    ``REPRO_BENCH_FULL=1`` for the committed full curve (pure-Python
-    reference to 10k flows, vectorised exact to 100k, approx to 300k).
+    ``REPRO_BENCH_FULL=1`` for the committed full curve.
     """
     if full is None:
         full = bool(os.environ.get("REPRO_BENCH_FULL"))
-    if full:
-        sizes_ref = [1_000, 3_000, 10_000]
-        sizes_exact = sizes_ref + [30_000, 100_000]
-        sizes_approx = sizes_exact + [300_000]
-    else:
-        sizes_ref = [500, 2_000]
-        sizes_exact = sizes_ref + [8_000]
-        sizes_approx = sizes_exact + [100_000]
-
-    def solve_arrays(args, max_rounds):
-        n_flows = args[0]
-        rates, rounds, truncated = _progressive_fill_arrays(
-            *args, lambda fid: f"f{fid}", max_rounds=max_rounds
-        )
-        assert rates.shape == (n_flows,) and np.isfinite(rates).all()
-        return rounds, truncated
-
-    rows = []
-    for n_flows in sizes_approx:
-        n_groups, args = staircase_problem(n_flows)
-        if n_flows in sizes_ref:
-            system = staircase_system(n_flows)
-            wall = _best_of(lambda: solve_maxmin_reference(system))
-            rows.append({"solver": "reference", "n_flows": n_flows,
-                         "n_groups": n_groups, "wall_s": wall,
-                         "rounds": n_groups, "truncated": False})
-        if n_flows in sizes_exact:
-            rounds, truncated = solve_arrays(args, None)
-            wall = _best_of(lambda: solve_arrays(args, None))
-            rows.append({"solver": "exact", "n_flows": n_flows,
-                         "n_groups": n_groups, "wall_s": wall,
-                         "rounds": rounds, "truncated": truncated})
-        rounds, truncated = solve_arrays(args, APPROX_MAX_ROUNDS)
-        wall = _best_of(lambda: solve_arrays(args, APPROX_MAX_ROUNDS))
-        rows.append({"solver": "approx", "n_flows": n_flows,
-                     "n_groups": n_groups, "wall_s": wall,
-                     "rounds": rounds, "truncated": truncated})
-    return {"full": full, "rows": rows}
-
-
-def churn_experiment(n_flows: int = 2_000, n_events: int = 200):
-    """Per-event cost of the warm incremental solver, exact vs approx.
-
-    One big coupled staircase component under flow churn: every event
-    (one departure + one arrival + solve) re-solves the whole component,
-    so exact pays ~``n_groups`` filling rounds per event while approx is
-    capped at :data:`APPROX_MAX_ROUNDS`.
-    """
-    n_groups = max(16, n_flows // 64)
-    out = {}
-    for sharing in ("exact", "approx"):
-        inc = IncrementalMaxMin(sharing=sharing)
-        for g in range(n_groups):
-            inc.ensure_constraint(("g", g), 100.0 * (1.0 + g))
-        for b in range(4):
-            inc.ensure_constraint(("bb", b), 1e12)
-        for i in range(n_flows):
-            inc.add_flow(i, [("g", i % n_groups), ("bb", i % 4)])
-        inc.solve_dirty()
-        fill_rounds = 0
-        start = time.perf_counter()
-        for event in range(n_events):
-            inc.remove_flow(event)
-            key = n_flows + event
-            inc.ensure_constraint(("g", key % n_groups),
-                                  100.0 * (1.0 + key % n_groups))
-            inc.ensure_constraint(("bb", key % 4), 1e12)
-            inc.add_flow(key, [("g", key % n_groups), ("bb", key % 4)])
-            inc.solve_dirty()
-            fill_rounds += inc.last_fill_rounds
-        wall = time.perf_counter() - start
-        out[sharing] = {"event_us": wall / n_events * 1e6,
-                        "fill_rounds_per_event": fill_rounds / n_events}
-    return {"n_flows": n_flows, "n_groups": n_groups, "n_events": n_events,
-            **{k: v for k, v in out.items()}}
+    sizes = [1_000, 3_000, 10_000] if full else [500, 2_000]
+    return {"full": full,
+            "rows": [churn_experiment(n, 20) for n in sizes]}
 
 
 def test_maxmin_scaling(once):
     data = once(scaling_experiment)
-    churn = churn_experiment()
     full = data["full"]
     rows = data["rows"]
 
     report = FigureReport(
         "maxmin_scaling",
-        "flows-vs-wall scaling of the sharing solvers (exact vs approx)",
+        "flows-vs-wall scaling of the incremental max-min solver",
     )
     mode = "full" if full else "smoke (REPRO_BENCH_FULL=1 for the full curve)"
     report.line(f"  staircase contention, one coupled component; mode: {mode}")
-    report.line(f"  {'flows':>8} {'solver':>10} {'rounds':>7} {'wall':>12}")
-    by_key = {}
+    report.line(f"  {'flows':>8} {'groups':>7} {'rounds/event':>13} "
+                f"{'per event':>12}")
     for r in rows:
-        by_key[(r["solver"], r["n_flows"])] = r
-        trunc = "  (truncated)" if r["truncated"] else ""
         report.line(
-            f"  {r['n_flows']:>8} {r['solver']:>10} {r['rounds']:>7} "
-            f"{r['wall_s'] * 1e3:>10.2f}ms{trunc}"
+            f"  {r['n_flows']:>8} {r['n_groups']:>7} "
+            f"{r['fill_rounds_per_event']:>13.0f} "
+            f"{r['event_us'] / 1e3:>10.2f}ms"
         )
-    ref_sizes = [r["n_flows"] for r in rows if r["solver"] == "reference"]
-    top_ref = max(ref_sizes)
-    speedup = (by_key[("reference", top_ref)]["wall_s"]
-               / by_key[("exact", top_ref)]["wall_s"])
-    top_approx = max(r["n_flows"] for r in rows if r["solver"] == "approx")
-    top_exact = max(r["n_flows"] for r in rows if r["solver"] == "exact")
+    top = rows[-1]
     report.line()
     report.measured(
-        f"vectorised exact is {speedup:.0f}x the pure-Python reference at "
-        f"{top_ref} flows; reference dropped beyond {top_ref} (impractical)"
-    )
-    report.measured(
-        f"approx extends the curve to {top_approx} flows "
-        f"(exact stops at {top_exact}), bounded at {APPROX_MAX_ROUNDS} "
-        f"rounds per solve"
-    )
-    report.measured(
-        f"warm incremental churn ({churn['n_flows']} flows): "
-        f"{churn['exact']['event_us']:.0f}us/event exact "
-        f"({churn['exact']['fill_rounds_per_event']:.0f} rounds) vs "
-        f"{churn['approx']['event_us']:.0f}us/event approx "
-        f"({churn['approx']['fill_rounds_per_event']:.0f} rounds)"
+        f"warm churn re-solves the whole {top['n_flows']}-flow component in "
+        f"{top['fill_rounds_per_event']:.0f} rounds, "
+        f"{top['event_us'] / 1e3:.1f}ms per event"
     )
     report.finish()
 
     SCALING_JSON.write_text(json.dumps({
-        "description": "wall-clock of one one-shot solve vs concurrent "
-                       "flows on a staircase contention pattern (distinct "
+        "description": "warm IncrementalMaxMin churn (one departure, one "
+                       "arrival, one solve) per event vs concurrent flows "
+                       "on a staircase contention pattern (distinct "
                        "saturation level per constraint group, one coupled "
-                       "component); exact/approx rows time the NumPy "
-                       "filling core of tests/oracles.py on its array "
-                       "form, churn times the incremental solver",
+                       "component)",
         "mode": "full" if full else "smoke",
-        "approx_max_rounds": APPROX_MAX_ROUNDS,
         "rows": rows,
-        "churn": churn,
     }, indent=2) + "\n", encoding="utf-8")
 
-    # the acceptance bar: >=5x for vectorised exact at >=10k flows is
-    # asserted on the full curve; the smoke curve keeps a looser floor so
-    # CI stays robust on noisy runners
-    if full:
-        assert top_ref >= 10_000 and speedup >= 5.0, (
-            f"expected >=5x at {top_ref} flows, got {speedup:.1f}x"
-        )
-        assert top_approx > 100_000
-    else:
-        assert speedup >= 2.0, f"expected >=2x at {top_ref}, got {speedup:.1f}x"
-        assert top_approx >= 100_000
-    # approx must beat exact where rounds are the bottleneck (largest
-    # common size) and must actually have truncated there
-    big_exact = by_key[("exact", top_exact)]
-    big_approx = by_key[("approx", top_exact)]
-    assert big_approx["truncated"] and not big_exact["truncated"]
-    assert big_approx["wall_s"] < big_exact["wall_s"]
-    assert churn["approx"]["fill_rounds_per_event"] <= APPROX_MAX_ROUNDS
-    assert churn["exact"]["fill_rounds_per_event"] > APPROX_MAX_ROUNDS
+    # exact progressive filling fixes one group per round
+    for r in rows:
+        assert r["fill_rounds_per_event"] == r["n_groups"], r
 
 
 def test_ablation_maxmin(once):

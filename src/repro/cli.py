@@ -151,8 +151,6 @@ def _config_from_args(args: argparse.Namespace) -> SmpiConfig:
         options["comm_timeout"] = args.comm_timeout
     if getattr(args, "on_host_down", None) is not None:
         options["on_host_down"] = args.on_host_down
-    if getattr(args, "sharing", None) is not None:
-        options["sharing"] = args.sharing
     return SmpiConfig(**options)
 
 
@@ -212,8 +210,6 @@ def _report(result, n_ranks: int, show_stats: bool = False) -> None:
         print(f"  flows resolved   : {stats.flows_resolved}")
         print(f"  components solved: {stats.components_solved}")
         print(f"  fill rounds      : {getattr(stats, 'fill_rounds', 0)}")
-        if getattr(stats, "approx_events", 0):
-            print(f"  approx events    : {stats.approx_events}")
         print(f"  actions          : {stats.actions_created} created, "
               f"{stats.actions_completed} completed")
         print(f"  actions touched  : {stats.actions_touched}")
@@ -243,17 +239,15 @@ def _report(result, n_ranks: int, show_stats: bool = False) -> None:
 def _make_engine(platform, args):
     """The simulation kernel for a run/replay command.
 
-    Builds an explicit engine whenever ``--sharing`` is given or
-    ``--fail-at``/``--restore-at`` events need scripting (None lets the
-    runtime build its default engine; profiles attached to platform
-    resources work either way).
+    Builds an explicit engine whenever ``--fail-at``/``--restore-at``
+    events need scripting (None lets the runtime build its default
+    engine; profiles attached to platform resources work either way).
     """
-    sharing = getattr(args, "sharing", None)
     fail_specs = getattr(args, "fail_at", None) or []
     restore_specs = getattr(args, "restore_at", None) or []
-    if not (sharing or fail_specs or restore_specs):
+    if not (fail_specs or restore_specs):
         return None
-    engine = Engine(platform, sharing=sharing)
+    engine = Engine(platform)
     for spec in fail_specs:
         t, name = _parse_at(spec, "fail-at")
         resource = _find_resource(platform, name)
@@ -664,11 +658,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                    help="fold payloads (timing only, erroneous results)")
     p.add_argument("--coll", action="append", metavar="NAME=ALGO",
                    help="force a collective algorithm (repeatable)")
-    p.add_argument("--sharing", choices=("exact", "approx"), default=None,
-                   help="bandwidth-sharing fidelity: exact max-min fixed "
-                        "point (default) or approx with bounded per-event "
-                        "work for 100k+ concurrent flows (REPRO_SHARING "
-                        "env var sets the default)")
     p.add_argument("--ctx", choices=("auto", "coroutine", "thread"),
                    default=None,
                    help="execution-context backend for rank actors "

@@ -80,14 +80,6 @@ class SmpiConfig:
     #: population collapses to a handful of arrays.  Timing-neutral.
     payload_interning: bool = True
 
-    #: bandwidth-sharing fidelity of the engine this world builds:
-    #: ``"exact"`` solves every share to the max-min fixed point,
-    #: ``"approx"`` bounds per-event solver work (Narses-style capped
-    #: filling, for 100k+ concurrent flows).  ``None`` defers to the
-    #: engine default (the ``REPRO_SHARING`` environment variable, then
-    #: ``"exact"``).  Ignored when an explicit ``engine=`` is supplied.
-    sharing: str | None = None
-
     # -- fault semantics (dynamic platforms, docs/faults.md) -------------------
     #: automatic pt2pt retries after a transfer dies on a network failure
     #: (0 = fail fast with MPI_ERR_OTHER, the default)
@@ -132,5 +124,3 @@ class SmpiConfig:
         if self.on_host_down not in ("raise", "kill-rank"):
             raise ConfigError(
                 "on_host_down must be 'raise' or 'kill-rank'")
-        if self.sharing not in (None, "exact", "approx"):
-            raise ConfigError("sharing must be 'exact', 'approx', or None")

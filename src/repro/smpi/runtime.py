@@ -69,8 +69,7 @@ class SmpiWorld:
         self.recorder = recorder
         # ``engine`` may be any Engine-compatible kernel — notably the
         # packet-level testbed (repro.packetsim.PacketEngine)
-        self.engine = engine or Engine(platform, network_model=network_model,
-                                       sharing=self.config.sharing)
+        self.engine = engine or Engine(platform, network_model=network_model)
         # ``ctx`` picks the execution-context backend ranks run on
         # (auto/coroutine/thread; see repro.simix.contexts)
         self.scheduler = Scheduler(self.engine, ctx)

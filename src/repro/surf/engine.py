@@ -54,7 +54,6 @@ bit-for-bit under any mix of failures, recoveries and capacity noise.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from itertools import islice
@@ -64,7 +63,7 @@ from ..log import bind_clock, get_logger
 from .action import Action, ActionState, ComputeAction, NetworkAction, SleepAction
 from .action import _ids as _action_ids
 from .cpu_model import CpuModel
-from .maxmin import SHARING_MODES, IncrementalMaxMin
+from .maxmin import IncrementalMaxMin
 from .network_model import FactorsNetworkModel, NetworkModel
 from .platform import Platform
 from .resources import Host, Link, SharingPolicy
@@ -74,8 +73,9 @@ __all__ = ["Engine", "EngineStats", "SNAPSHOT_VERSION"]
 _log = get_logger("surf")
 
 #: wire-format version of :meth:`Engine.snapshot` payloads; bump on any
-#: layout change so stale checkpoints are rejected instead of misread
-SNAPSHOT_VERSION = 1
+#: layout change so stale checkpoints are rejected instead of misread.
+#: v2: the ``"sharing"`` field is gone (every share is exact max-min)
+SNAPSHOT_VERSION = 2
 
 
 @dataclass
@@ -122,10 +122,11 @@ class EngineStats:
     #: actor was resumed again directly, skipping a deque cycle)
     ctx_fast_resumes: int = 0
     #: progressive-filling rounds spent across all incremental shares (a
-    #: direct measure of solver work; bounded per solve in approx mode)
+    #: direct measure of solver work)
     fill_rounds: int = 0
-    #: component solves that hit the approx-mode round cap and took the
-    #: bandwidth-fraction fallback; always 0 with ``sharing="exact"``
+    #: always 0: every share is solved to the exact max-min fixed point.
+    #: Kept only because the e2ebench golden counters pin it; it can go
+    #: once that golden file is regenerated
     approx_events: int = 0
     #: pt2pt match-queue entries examined across all matching attempts
     #: (both ``index`` and ``scan`` modes count identically: one probe
@@ -199,29 +200,17 @@ class Engine:
         platform: Platform,
         network_model: NetworkModel | None = None,
         cpu_model: CpuModel | None = None,
-        sharing: str | None = None,
     ) -> None:
         platform.freeze()
         self.platform = platform
         self.network_model = network_model or FactorsNetworkModel()
         self.cpu_model = cpu_model or CpuModel()
-        # sharing fidelity dial: "exact" solves every share to the max-min
-        # fixed point; "approx" bounds per-share solver work (capped fill
-        # rounds + bandwidth-fraction fallback).  None defers to the
-        # REPRO_SHARING environment variable, then "exact".
-        if sharing is None:
-            sharing = os.environ.get("REPRO_SHARING") or "exact"
-        if sharing not in SHARING_MODES:
-            raise SimulationError(
-                f"unknown sharing mode {sharing!r}; expected one of {SHARING_MODES}"
-            )
-        self.sharing = sharing
         self.now = 0.0
         #: pending actions by aid (insertion order == registration order)
         self.pending: dict[int, Action] = {}
         self.stats = EngineStats()
         self._needs_share = True  # resource shares need recomputation
-        self._solver = IncrementalMaxMin(sharing=sharing)
+        self._solver = IncrementalMaxMin()
         #: RUNNING actions currently registered as solver flows, by aid
         self._members: dict[int, Action] = {}
         self._instant_done: list[Action] = []
@@ -409,7 +398,6 @@ class Engine:
         self.stats.flows_resolved += len(solved)
         self.stats.components_solved += solver.last_components
         self.stats.fill_rounds += solver.last_fill_rounds
-        self.stats.approx_events += solver.last_approx_events
         if members and len(solved) < len(members):
             self.stats.partial_shares += 1
         if self.timeline is not None:
@@ -923,7 +911,6 @@ class Engine:
                     if a.aid not in self.pending]
         return {
             "version": SNAPSHOT_VERSION,
-            "sharing": self.sharing,
             "now": self.now,
             "stats": self.stats.to_dict(),
             "availability": dict(self._availability),
@@ -1056,7 +1043,7 @@ class Engine:
                 f"version {SNAPSHOT_VERSION}"
             )
         engine = cls(platform, network_model=network_model,
-                     cpu_model=cpu_model, sharing=snap["sharing"])
+                     cpu_model=cpu_model)
         # undo the construction-time profile install; cursors are re-wound
         # to their serialized positions below
         engine._profile_cursors = []

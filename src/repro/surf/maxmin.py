@@ -60,27 +60,12 @@ from operator import attrgetter
 
 from ..errors import SimulationError, UnknownFlowError
 
-__all__ = [
-    "IncrementalMaxMin",
-    "UnknownFlowError",
-    "SHARING_MODES",
-    "APPROX_MAX_ROUNDS",
-]
-
-#: Accepted values of the sharing-fidelity dial (``--sharing``).
-SHARING_MODES = ("exact", "approx")
-
-#: Progressive-filling rounds an *approx*-mode component solve runs before
-#: falling back to the one-shot bandwidth-fraction round (Narses-style
-#: fidelity/scalability trade).  Exact mode never truncates.
-APPROX_MAX_ROUNDS = 8
+__all__ = ["IncrementalMaxMin", "UnknownFlowError"]
 
 _EPS = 1e-12
 
 
-def _progressive_fill_scalar(
-    members: list, cons: list, max_rounds: int | None = None
-) -> tuple[list, int, bool]:
+def _progressive_fill_scalar(members: list, cons: list) -> tuple[list, int]:
     """Progressive filling of one component, read from its records.
 
     ``members`` are :class:`_IncFlow` records in ``seq`` order; ``cons``
@@ -97,16 +82,11 @@ def _progressive_fill_scalar(
     oracle (``_progressive_fill_arrays`` in ``tests/oracles.py``)
     performs it — per-constraint sums start from ``0.0`` and add entries
     in (flow, constraint) order as ``np.add.at`` does, a round's whole
-    consumption is summed before it is subtracted — so rates, round count
-    and truncation are bit-identical to it, and so are the error messages.
+    consumption is summed before it is subtracted — so rates and round
+    count are bit-identical to it, and so are the error messages.
 
-    Returns ``(rates, rounds, truncated)``.  With ``max_rounds`` set
-    (approx sharing), filling stops after that many fixing rounds and
-    every still-growing flow is fixed in one *bandwidth-fraction* round:
-    its cap, its solo level or the fair share ``remaining / users`` of its
-    most loaded coupling constraint, whichever is smallest.  The result
-    stays feasible but is no longer the max-min fixed point;
-    ``truncated`` reports whether the fallback fired.
+    Returns ``(rates, rounds)``: the max-min fixed point and the number
+    of fixing rounds it took.
     """
     n_flows = len(members)
     n_cons = len(cons)
@@ -138,23 +118,18 @@ def _progressive_fill_scalar(
     rates = [0.0] * n_flows
     active = list(range(n_flows))
 
-    def levels() -> list:
+    rounds = 0
+    while active:
+        if rounds > n_flows + n_cons:
+            raise SimulationError("progressive filling failed to converge")
         # fair share per unit weight of every coupling constraint
         users = [0.0] * n_cons
         for i in active:
             weight = weights[i]
             for c in entries[i]:
                 users[c] += weight
-        return [remaining[c] / u if u > _EPS else inf
-                for c, u in enumerate(users)]
-
-    rounds = 0
-    while active:
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        if rounds > n_flows + n_cons:
-            raise SimulationError("progressive filling failed to converge")
-        cons_level = levels()
+        cons_level = [remaining[c] / u if u > _EPS else inf
+                      for c, u in enumerate(users)]
         cons_min = min(min(cons_level, default=inf),
                        min([solo[i] for i in active]))
         flow_min = min([caps[i] for i in active])
@@ -191,27 +166,7 @@ def _progressive_fill_scalar(
         fixed = set(to_fix)
         active = [i for i in active if i not in fixed]
         rounds += 1
-    else:  # every flow fixed without hitting the round cap
-        return rates, rounds, False
-
-    # bandwidth-fraction fallback (approx sharing): each flow crossing
-    # constraint c takes at most remaining[c] / users[c] per weight unit,
-    # so the per-constraint totals stay within remaining
-    cons_level = levels()
-    unbounded = []
-    for i in active:
-        level = caps[i]
-        if solo[i] < level:
-            level = solo[i]
-        for c in entries[i]:
-            if cons_level[c] < level:
-                level = cons_level[c]
-        if math.isinf(level):
-            unbounded.append(members[i].name)
-        rates[i] = level
-    if unbounded:
-        raise SimulationError("max-min system is unbounded: flows " + ", ".join(unbounded))
-    return rates, rounds, True
+    return rates, rounds
 
 
 # -- incremental sharing ------------------------------------------------------------
@@ -289,26 +244,14 @@ class IncrementalMaxMin:
     takes its closed form; every other component goes to
     :func:`_progressive_fill_scalar`, which reads the records directly.  Components are found by a walk that stamps each
     constraint record it reaches with the walk's number, and the dirty
-    and drained sets hold records (identity-hashed), so solving never
+    and released sets hold records (identity-hashed), so solving never
     hashes a resource key.  The walk passes over a shared constraint
     crossed by one flow: it cannot join components, and the kernel folds
-    it into that flow's solo level.
-
-    ``sharing`` selects the fidelity of multi-flow component solves:
-    ``"exact"`` (default) runs progressive filling to the max-min fixed
-    point, bit-identical to the historical solver; ``"approx"`` caps each
-    solve at :data:`APPROX_MAX_ROUNDS` filling rounds and fixes the
-    remaining flows with one conservative bandwidth-fraction round,
-    bounding per-event work regardless of component size.
+    it into that flow's solo level.  Every solve runs progressive filling
+    to the max-min fixed point.
     """
 
-    def __init__(self, sharing: str = "exact") -> None:
-        if sharing not in SHARING_MODES:
-            raise SimulationError(
-                f"unknown sharing mode {sharing!r}; expected one of {SHARING_MODES}"
-            )
-        self.sharing = sharing
-        self._max_rounds = APPROX_MAX_ROUNDS if sharing == "approx" else None
+    def __init__(self) -> None:
         self._cons: dict = {}  # key -> _IncConstraint
         self._flows: dict = {}  # key -> _IncFlow
         # dirty constraint records, as an insertion-ordered set: records
@@ -317,20 +260,17 @@ class IncrementalMaxMin:
         self._dirty_flows: set = set()
         self._seq = 0
         self._walk = 0  # number of the last component walk (record stamps)
-        # constraint records whose flow set drained since the last solve
-        # (insertion-ordered); solve_dirty() garbage-collects the ones
-        # still empty
-        self._drained: dict = {}
+        # constraint records a departure left that no component solve may
+        # reach: every FATPIPE one, and shared ones whose flow set drained
+        # (insertion-ordered).  solve_dirty() sums their usage again and
+        # garbage-collects the ones still empty
+        self._released: dict = {}
         #: statistics of the most recent :meth:`solve_dirty` call
         self.last_components = 0
         self.last_flows_solved = 0
         #: progressive-filling rounds spent by the most recent
         #: :meth:`solve_dirty` (summed over its component solves)
         self.last_fill_rounds = 0
-        #: component solves of the most recent :meth:`solve_dirty` that hit
-        #: the approx-mode round cap and took the bandwidth-fraction
-        #: fallback; always 0 in exact mode
-        self.last_approx_events = 0
         #: keys of the flows whose solved rate actually *changed* value in
         #: the most recent :meth:`solve_dirty` (new flows included).  A
         #: re-solved component usually contains many flows that keep their
@@ -430,7 +370,6 @@ class IncrementalMaxMin:
             record.flows.add(key)
             if record.shared:
                 self._dirty_cons[record] = None
-            self._drained.pop(record, None)
 
     def remove_flow(self, key, strict: bool = True) -> None:
         """Unregister a consumer, freeing its share for its neighbours.
@@ -452,9 +391,12 @@ class IncrementalMaxMin:
             if record.shared:
                 # neighbours on a shared constraint inherit the freed share
                 self._dirty_cons[record] = None
-            if not record.flows:
-                # candidate for garbage collection at the next solve
-                self._drained[record] = None
+                if not record.flows:
+                    self._released[record] = None
+            else:
+                # the flows left on a FATPIPE constraint keep their rates,
+                # so no component solve sums its usage again
+                self._released[record] = None
 
     def has_constraint(self, key) -> bool:
         """Whether the resource ``key`` was ever registered as a constraint."""
@@ -538,64 +480,54 @@ class IncrementalMaxMin:
         flows keep their previous rate (which is still the exact max-min
         solution for their untouched component).  Sets
         :attr:`last_components` / :attr:`last_flows_solved` /
-        :attr:`last_rate_changed` / :attr:`last_fill_rounds` /
-        :attr:`last_approx_events`.  Also garbage-collects constraints
-        whose flow set drained since the last solve, so solver memory
-        stays bounded under activity churn.
+        :attr:`last_rate_changed` / :attr:`last_fill_rounds`.  Also
+        garbage-collects constraints whose flow set drained since the last
+        solve, so solver memory stays bounded under activity churn.
         """
         self.last_components = 0
         self.last_flows_solved = 0
         self.last_usage = []
         self.last_rate_changed = set()
         self.last_fill_rounds = 0
-        self.last_approx_events = 0
-        self._gc_drained()
-        if not self._dirty_cons and not self._dirty_flows:
-            return set()
-        seeds = set(self._dirty_flows)
-        for record in self._dirty_cons:
-            seeds.update(record.flows)
-            if self._track_usage and not record.flows:
-                # last flow left: the constraint falls idle without any
-                # component re-solve touching it
-                record.usage = 0.0
-                self.last_usage.append((record, 0.0))
-        self._dirty_cons.clear()
-        self._dirty_flows.clear()
-
         solved: set = set()
-        flows = self._flows
-        for seed in sorted(seeds, key=lambda k: flows[k].seq):
-            if seed in solved or seed not in flows:
-                continue
-            component, cons = self._collect_component(seed, solved)
-            self._solve_component(component, cons)
-            self.last_components += 1
-            self.last_flows_solved += len(component)
+        if self._dirty_cons or self._dirty_flows:
+            seeds = set(self._dirty_flows)
+            for record in self._dirty_cons:
+                seeds.update(record.flows)
+            self._dirty_cons.clear()
+            self._dirty_flows.clear()
+            flows = self._flows
+            for seed in sorted(seeds, key=lambda k: flows[k].seq):
+                if seed in solved or seed not in flows:
+                    continue
+                component, cons = self._collect_component(seed, solved)
+                self._solve_component(component, cons)
+                self.last_components += 1
+                self.last_flows_solved += len(component)
+        if self._released:
+            self._settle_released()
         return solved
 
-    def _gc_drained(self) -> None:
-        """Drop constraints whose flow set drained and is still empty.
+    def _settle_released(self) -> None:
+        """Close the records departures left behind.
 
-        Emits the final idle utilization sample (when :attr:`track_usage`
-        is on and the constraint went dirty by draining) before forgetting
-        the record and its usage.  Constraints that were repopulated or
-        re-registered since draining are left alone; a future
-        :meth:`ensure_constraint` with the same key simply registers a
-        fresh record.
+        With :attr:`track_usage` on, a released record still ``touched``
+        (no component solve summed it) is summed again: a drained one
+        falls to its idle 0, a FATPIPE one drops to the flows it has left.
+        This is the one place a constraint falls idle, shared or FATPIPE
+        alike.  A record still empty is then forgotten with its usage; a
+        later :meth:`ensure_constraint` with the same key registers a
+        fresh one.
         """
-        if not self._drained:
-            return
-        for record in self._drained:
-            if record.flows:
-                continue
-            if self._track_usage and record in self._dirty_cons:
-                # last flow left: the constraint falls idle without any
-                # component re-solve touching it
-                self.last_usage.append((record, 0.0))
-            self._dirty_cons.pop(record, None)
-            del self._cons[record.key]
-        self._drained.clear()
+        track = self._track_usage
+        for record in self._released:
+            if track and record.touched:
+                record.touched = False
+                record.usage = usage = self._usage_of(record)
+                self.last_usage.append((record, usage))
+            if not record.flows:
+                del self._cons[record.key]
+        self._released.clear()
 
     def _collect_component(self, seed, solved: set) -> tuple[list, list]:
         """Flows transitively connected to ``seed`` via shared constraints.
@@ -641,8 +573,7 @@ class IncrementalMaxMin:
     def _solve_component(self, members: list, cons: list) -> None:
         flow = members[0]
         if len(members) == 1 and flow.folds:
-            # closed form: a lone flow takes its bound or its tightest cap
-            # (exact even in approx mode — there is nothing to iterate).
+            # closed form: a lone flow takes its bound or its tightest cap.
             # A flow crossing a constraint twice counts twice there, as in
             # the kernel, so it goes through the kernel even alone.
             rate = flow.bound
@@ -654,12 +585,8 @@ class IncrementalMaxMin:
                 )
             self._store_rates(members, [rate])
         else:
-            rates, rounds, truncated = _progressive_fill_scalar(
-                members, cons, self._max_rounds
-            )
+            rates, rounds = _progressive_fill_scalar(members, cons)
             self.last_fill_rounds += rounds
-            if truncated:
-                self.last_approx_events += 1
             self._store_rates(members, rates)
         if self._track_usage:
             self._update_usage(members)

@@ -191,7 +191,7 @@ def _point_engine(platform, desc: dict, config):
 
     if not (desc["fail_at"] or desc["restore_at"]):
         return None
-    engine = Engine(platform, sharing=config.sharing)
+    engine = Engine(platform)
     for spec in desc["fail_at"]:
         t, name = _parse_at(spec, "fail-at")
         resource = _find_resource(platform, name)

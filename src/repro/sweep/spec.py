@@ -27,7 +27,6 @@ Grammar (TOML shown; the JSON form is the same object tree)::
 
     [axes]                               # each key -> list of values
     eager_threshold = [4096, 65536]
-    sharing = ["exact", "approx"]
     "coll.alltoall" = ["pairwise", "auto"]
 
     [options]                            # fixed SmpiConfig fields

@@ -54,7 +54,7 @@ def ring(size: int = 16 * 1024, rounds: int = 2):
     """Each rank sends ``size`` bytes to its successor, ``rounds`` laps.
 
     Every link of the (logical) ring is busy at once, so this kernel
-    exercises contention and the bandwidth-sharing dial.
+    exercises contention and the max-min bandwidth share.
     """
     words = max(1, size // 8)
 

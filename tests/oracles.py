@@ -307,7 +307,7 @@ class FullReshareEngine(_NoSnapshot, Engine):
             if self.timeline is not None and self._last_full_usage:
                 self._sample_full_usage([])
             return
-        self._solver = solver = IncrementalMaxMin(sharing=self.sharing)
+        self._solver = solver = IncrementalMaxMin()
         self._members = {}
         for action in running:
             self._enroll(action)
@@ -556,8 +556,7 @@ def _progressive_fill_arrays(
     shared: np.ndarray,
     capacities: np.ndarray,
     name_of,
-    max_rounds: int | None = None,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int]:
     """Array core of progressive filling over a whole system, the NumPy
     oracle of :func:`repro.surf.maxmin._progressive_fill_scalar`.
 
@@ -566,19 +565,10 @@ def _progressive_fill_arrays(
     ``capacities`` per constraint; ``name_of`` maps a flow index to a name
     for error messages.
 
-    Returns ``(rates, rounds, truncated)``.  With ``max_rounds`` set
-    (approx sharing), filling stops after that many fixing rounds and every
-    still-growing flow is fixed in one vectorised *bandwidth-fraction*
-    round: its bound/FATPIPE cap, or the fair share ``remaining / users``
-    of its most loaded shared constraint, whichever is smallest.  The
-    result stays feasible (no constraint oversubscribed, all bounds
-    respected) but is no longer the max-min fixed point; ``truncated``
-    reports whether the fallback fired.  ``max_rounds=None`` (exact mode)
-    runs to the fixed point, bit-identical to the historical solver.
+    Returns ``(rates, rounds)``: the max-min fixed point, bit-identical to
+    the historical solver, and the number of fixing rounds it took.
     """
     rates = np.zeros(n_flows)
-    if n_flows == 0:
-        return rates, 0, False
     entry_weight = weights[row]
     remaining = capacities.astype(float, copy=True)
 
@@ -595,11 +585,7 @@ def _progressive_fill_arrays(
     live_entry = shared[col].copy()
 
     rounds = 0
-    while True:
-        if not active.any():
-            return rates, rounds, False
-        if max_rounds is not None and rounds >= max_rounds:
-            break
+    while active.any():
         if rounds > n_flows + n_cons:
             raise SimulationError("progressive filling failed to converge")
         # total active weight per shared constraint
@@ -635,26 +621,7 @@ def _progressive_fill_arrays(
         live_entry &= active[row]
         rounds += 1
 
-    # Bandwidth-fraction fallback (approx sharing): fix every still-growing
-    # flow at the fair share of its most loaded shared constraint, clipped
-    # by its static cap.  Each flow crossing constraint ``c`` takes at most
-    # ``remaining[c] / users[c]`` per weight unit, so the per-constraint
-    # totals stay within ``remaining`` — the result is feasible, just not
-    # the max-min fixed point.
-    users = np.zeros(n_cons)
-    np.add.at(users, col[live_entry], entry_weight[live_entry])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cons_level = np.where(users > _EPS, remaining / np.maximum(users, _EPS), np.inf)
-    flow_level = caps.copy()
-    if live_entry.any():
-        np.minimum.at(flow_level, row[live_entry], cons_level[col[live_entry]])
-    act = np.flatnonzero(active)
-    unbounded = np.isinf(flow_level[act])
-    if unbounded.any():
-        names = [name_of(int(i)) for i in act[unbounded]]
-        raise SimulationError("max-min system is unbounded: flows " + ", ".join(names))
-    rates[act] = flow_level[act]
-    return rates, rounds, True
+    return rates, rounds
 
 
 def solve_maxmin_vectorized(system: MaxMinSystem) -> np.ndarray:
@@ -691,7 +658,7 @@ def solve_maxmin_vectorized(system: MaxMinSystem) -> np.ndarray:
     def name_of(fid: int) -> str:
         return system.flows[fid].name
 
-    rates, _rounds, _truncated = _progressive_fill_arrays(
+    rates, _rounds = _progressive_fill_arrays(
         n_flows, n_cons, row, col, weights, bounds, shared, capacities, name_of
     )
     return rates

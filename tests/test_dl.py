@@ -214,8 +214,8 @@ def test_fuzz_allreduce_bit_identical(algo, seed, n, count):
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS["allreduce"]))
 def test_fuzz_allreduce_deterministic_clock(algo):
-    """Same point, same sharing solver => identical simulated time, on
-    every execution backend and on repeat runs."""
+    """Same point => identical simulated time, on every execution backend
+    and on repeat runs."""
     payloads = _fuzz_payloads(3, 6, 33)
 
     def app(mpi):
@@ -225,15 +225,13 @@ def test_fuzz_allreduce_deterministic_clock(algo):
         return recv.tobytes()
 
     expected = payloads.sum(axis=0).tobytes()
-    for sharing in ("exact", "approx"):
-        times = set()
-        config = SmpiConfig(coll_algorithms={"allreduce": algo},
-                            sharing=sharing)
-        for ctx in BACKENDS:
-            for _repeat in range(2):
-                result = smpirun(app, 6, cab_platform("clk"),
-                                 config=config, ctx=ctx)
-                assert all(r == expected for r in result.returns)
-                times.add(result.simulated_time)
-        assert len(times) == 1, (algo, sharing, times)
-        assert times.pop() > 0
+    times = set()
+    config = SmpiConfig(coll_algorithms={"allreduce": algo})
+    for ctx in BACKENDS:
+        for _repeat in range(2):
+            result = smpirun(app, 6, cab_platform("clk"),
+                             config=config, ctx=ctx)
+            assert all(r == expected for r in result.returns)
+            times.add(result.simulated_time)
+    assert len(times) == 1, (algo, times)
+    assert times.pop() > 0

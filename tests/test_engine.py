@@ -470,6 +470,23 @@ class TestLazyUpdates:
         engine.run()
         assert engine.stats.link_samples == timeline.n_samples
 
+    def test_fatpipe_link_usage_follows_its_flows_out(self):
+        # regression: usage was summed again only for constraints in the
+        # dirty set or in a re-solved component.  A FATPIPE constraint
+        # enters neither when a flow leaves it, so the backbone stayed at
+        # both flows' rate after the first left and busy after the second
+        from repro.surf import SharingPolicy
+
+        engine = Engine(cluster("fu", 4, backbone_sharing=SharingPolicy.FATPIPE))
+        timeline = engine.enable_timeline()
+        short = engine.communicate("node-0", "node-1", 1_000_000)
+        long = engine.communicate("node-2", "node-3", 5_000_000)
+        engine.execute("node-2", 5e9)  # keeps the engine sharing after both
+        engine.run()
+        assert timeline.samples("fu-l0")[-1] == (short.finish_time, 0.0)
+        (_start, both), *rest = timeline.samples("fu-backbone")
+        assert rest == [(short.finish_time, both / 2), (long.finish_time, 0.0)]
+
 
 class TestStepsCounter:
     """``stats.steps`` is counted by ``step()`` itself, whichever driver

@@ -56,7 +56,7 @@ def _run(items, topology: int, oracle: bool) -> tuple:
     platform = _platform(topology)
     engine = Engine(platform)
     if oracle:
-        engine._solver = RecomputeUsageMaxMin(sharing=engine.sharing)
+        engine._solver = RecomputeUsageMaxMin()
     engine.enable_timeline()
     views = []
     share = engine.share_resources

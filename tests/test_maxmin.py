@@ -9,12 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.surf.maxmin import (
-    APPROX_MAX_ROUNDS,
-    _IncConstraint,
-    _IncFlow,
-    _progressive_fill_scalar,
-)
+from repro.surf.maxmin import _IncConstraint, _IncFlow, _progressive_fill_scalar
 from tests.oracles import (
     MaxMinSystem,
     _progressive_fill_arrays,
@@ -346,13 +341,12 @@ class TestIncrementalMaxMin:
         inc.ensure_constraint("c", 90.0)  # y stays bottlenecked on b
         assert reported() == {"c": 50.0}
         assert inc.rate("y") == 50.0
-        # x leaves: a drains and is collected; the FATPIPE pipe, crossed
-        # by y's component too, is re-summed when that component is next
-        # re-solved, although y's rate does not change
+        # x leaves: a drains and is collected, and the FATPIPE pipe drops
+        # to y's share at once, although no solve reaches y's component
         inc.remove_flow("x")
-        assert reported() == {"a": 0.0}
+        assert reported() == {"a": 0.0, "pipe": 50.0}
         inc.mark_dirty("b")
-        assert reported() == {"pipe": 50.0}
+        assert reported() == {}  # y keeps its rate: no load changed
         assert [inc.usage(key) for key in ("pipe", "b", "c")] == [50.0] * 3
 
     def test_tracking_switched_back_on_sums_everything_again(self):
@@ -443,10 +437,17 @@ class TestIncrementalMaxMin:
         assert inc.rate("f0") == inc.rate("f1") == 5.0
 
     def test_unknown_sharing_mode_rejected(self):
+        """Every share is exact max-min: the removed ``sharing`` keyword is
+        refused wherever it used to be accepted, never silently ignored."""
+        from repro.smpi import SmpiConfig
+        from repro.surf import Engine, cluster
         from repro.surf.maxmin import IncrementalMaxMin
 
-        with pytest.raises(SimulationError):
-            IncrementalMaxMin(sharing="fast")
+        for make in (lambda: IncrementalMaxMin(sharing="approx"),
+                     lambda: Engine(cluster("usm", 2), sharing="approx"),
+                     lambda: SmpiConfig(sharing="approx")):
+            with pytest.raises(TypeError, match="sharing"):
+                make()
 
     def test_double_remove_raises_named_error(self):
         from repro.errors import UnknownFlowError
@@ -529,7 +530,7 @@ class TestIncrementalMaxMin:
         assert len(set(sizes)) == 1  # flat from the first cycle on
 
 
-def _random_incremental_trace(gen, n_cons=6, n_events=40, sharing="exact"):
+def _random_incremental_trace(gen, n_cons=6, n_events=40):
     """Yield (incremental solver, batch solver snapshot) after random churn.
 
     Drives an :class:`IncrementalMaxMin` through a random sequence of flow
@@ -539,7 +540,7 @@ def _random_incremental_trace(gen, n_cons=6, n_events=40, sharing="exact"):
     """
     from repro.surf.maxmin import IncrementalMaxMin
 
-    inc = IncrementalMaxMin(sharing=sharing)
+    inc = IncrementalMaxMin()
     capacities = [float(gen.uniform(10, 1000)) for _ in range(n_cons)]
     shared = [bool(gen.random() < 0.85) for _ in range(n_cons)]
     for i, (cap, sh) in enumerate(zip(capacities, shared)):
@@ -591,70 +592,6 @@ def test_incremental_matches_batch_solvers_under_churn():
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
 
 
-def test_approx_sharing_feasible_and_bounded_under_churn():
-    """Approx mode under churn: every solve stays within the round cap,
-    respects per-flow bounds, and conserves capacity on every shared
-    constraint (the accuracy contract of ``--sharing approx``)."""
-    from repro import rng as rng_mod
-    from repro.surf.maxmin import APPROX_MAX_ROUNDS
-
-    for trial in range(4):
-        gen = rng_mod.substream(2026, "maxmin-approx", trial)
-        trace = _random_incremental_trace(gen, sharing="approx")
-        for inc, live, capacities, shared in trace:
-            assert inc.last_fill_rounds <= APPROX_MAX_ROUNDS * max(
-                inc.last_components, 1
-            )
-            for key, (cids, bound, weight) in live.items():
-                assert inc.rate(key) <= bound * (1 + 1e-9)
-            for record in inc._cons.values():
-                if not record.shared:
-                    continue
-                used = sum(
-                    inc.rate(fkey) * live[fkey][2] for fkey in record.flows
-                )
-                assert used <= record.capacity * (1 + 1e-9)
-
-
-def test_approx_matches_exact_below_round_cap():
-    """Components that converge within the round cap solve identically in
-    both modes — approx only diverges once the cap truncates filling."""
-    from repro.surf.maxmin import IncrementalMaxMin
-
-    rates = {}
-    for sharing in ("exact", "approx"):
-        inc = IncrementalMaxMin(sharing=sharing)
-        inc.ensure_constraint("c0", 100.0)
-        inc.ensure_constraint("c1", 60.0)
-        inc.add_flow("f0", ["c0"], bound=15.0)
-        inc.add_flow("f1", ["c0", "c1"])
-        inc.add_flow("f2", ["c1"], weight=2.0)
-        inc.solve_dirty()
-        assert inc.last_approx_events == 0
-        rates[sharing] = [inc.rate(k) for k in ("f0", "f1", "f2")]
-    assert rates["exact"] == rates["approx"]
-
-
-def test_approx_truncates_large_staircase_component():
-    """A bound staircase forces one fixing round per flow: above the round
-    cap approx takes the bandwidth-fraction fallback and stays feasible."""
-    from repro.surf.maxmin import APPROX_MAX_ROUNDS, IncrementalMaxMin
-
-    n = APPROX_MAX_ROUNDS + 6
-    inc = IncrementalMaxMin(sharing="approx")
-    inc.ensure_constraint("c0", 1000.0)
-    for i in range(n):
-        # strictly increasing bounds, each below the running fair share
-        inc.add_flow(f"f{i}", ["c0"], bound=1.0 + 0.5 * i)
-    inc.solve_dirty()
-    assert inc.last_approx_events == 1
-    assert inc.last_fill_rounds == APPROX_MAX_ROUNDS
-    total = sum(inc.rate(f"f{i}") for i in range(n))
-    assert total <= 1000.0 * (1 + 1e-9)
-    for i in range(n):
-        assert inc.rate(f"f{i}") <= (1.0 + 0.5 * i) * (1 + 1e-9)
-
-
 def test_engine_solver_constraints_stay_flat_across_cycles():
     """Engine-level regression for the constraint leak: repeated
     communicate/retire cycles must not grow the persistent solver."""
@@ -699,14 +636,13 @@ def random_component(draw):
             st.floats(0.1, 500.0)))
         weight = draw(st.one_of(st.just(1.0), st.floats(0.25, 4.0)))
         flows.append((tuple(cids), bound, weight))
-    max_rounds = draw(st.sampled_from([None, 1, 2, APPROX_MAX_ROUNDS]))
-    return capacities, shared, flows, max_rounds
+    return capacities, shared, flows
 
 
-def _kernel_outcomes(capacities, shared, flows, max_rounds):
+def _kernel_outcomes(capacities, shared, flows):
     """Solve one component with the kernel and with its NumPy oracle; each
-    gives its rates (as ``float.hex``), round count and truncation, or its
-    error message.
+    gives its rates (as ``float.hex``) and round count, or its error
+    message.
 
     The kernel gets what the component walk hands it: the shared
     constraints it must see.  A shared constraint with a single flow is
@@ -737,17 +673,17 @@ def _kernel_outcomes(capacities, shared, flows, max_rounds):
 
     def outcome(solve):
         try:
-            rates, rounds, truncated = solve()
+            rates, rounds = solve()
         except SimulationError as exc:
             return str(exc)
-        return [float(r).hex() for r in rates], rounds, truncated
+        return [float(r).hex() for r in rates], rounds
 
-    scalar = outcome(lambda: _progressive_fill_scalar(members, cons, max_rounds))
+    scalar = outcome(lambda: _progressive_fill_scalar(members, cons))
     arrays = outcome(lambda: _progressive_fill_arrays(
         len(flows), len(capacities), row, col,
         np.array([w for _, _, w in flows]), np.array([b for _, b, _ in flows]),
         np.array(shared, dtype=bool), np.array(capacities, dtype=float),
-        lambda i: members[i].name, max_rounds=max_rounds,
+        lambda i: members[i].name,
     ))
     return scalar, arrays
 
@@ -759,30 +695,29 @@ _UNBOUNDED = ([100.0, 5.0], [True, False],
 @given(random_component())
 @example((  # two fair shares 5e-13 apart saturate in the same round
     [100.0, 100.0 + 1e-12], [True, True],
-    [((0,), math.inf, 1.0)] * 2 + [((1,), math.inf, 1.0)] * 2, None,
+    [((0,), math.inf, 1.0)] * 2 + [((1,), math.inf, 1.0)] * 2,
 ))
-@example((*_UNBOUNDED, None))  # refused in the filling loop
-@example((*_UNBOUNDED, 1))  # refused by the approx fallback
+@example(_UNBOUNDED)  # refused in the filling loop
 @example((  # f0's solo level ties f1's bound: the caps-only round fixes f1
     [50.0, 1000.0], [True, True],
-    [((0, 1), math.inf, 1.0), ((1,), 50.0, 1.0)], None,
+    [((0, 1), math.inf, 1.0), ((1,), 50.0, 1.0)],
 ))
 @example((  # f0's solo level ties the fair share of c1: one round fixes all
     [50.0, 100.0], [True, True],
-    [((0,), math.inf, 1.0)] + [((1,), math.inf, 1.0)] * 2, None,
+    [((0,), math.inf, 1.0)] + [((1,), math.inf, 1.0)] * 2,
 ))
 @example((  # f0 crosses c0 twice: c0 counts it twice and is not folded
     [100.0, 1000.0], [True, True],
-    [((0, 0, 1), math.inf, 1.0), ((1,), math.inf, 1.0)], None,
+    [((0, 0, 1), math.inf, 1.0), ((1,), math.inf, 1.0)],
 ))
-@example((  # a zero-capacity solo constraint, then the approx fallback
+@example((  # a zero-capacity solo constraint fixes its flow at 0 first
     [0.0, 100.0], [True, True],
-    [((0, 1), math.inf, 1.0)] + [((1,), math.inf, 1.0)] * 2, 1,
+    [((0, 1), math.inf, 1.0)] + [((1,), math.inf, 1.0)] * 2,
 ))
 @settings(max_examples=300, deadline=None)
 def test_scalar_kernel_matches_array_kernel(component):
     """The plain-Python kernel is a transcription of the NumPy oracle: same
-    rates to the last bit, same rounds and truncation, same errors, with
+    rates to the last bit, same rounds, same errors, with
     its single-flow constraints folded into solo levels."""
     scalar, arrays = _kernel_outcomes(*component)
     assert scalar == arrays

@@ -109,6 +109,11 @@ class TestEngineSnapshot:
         snap["version"] = SNAPSHOT_VERSION + 1
         with pytest.raises(SimulationError):
             Engine.restore(cluster("es", 4), snap)
+        # version 1 snapshots carried the since-removed sharing mode; an
+        # approx-mode run must not continue silently under exact sharing
+        old = dict(engine.snapshot(), version=1, sharing="approx")
+        with pytest.raises(SimulationError, match="version 1 is not"):
+            Engine.restore(cluster("es", 4), old)
 
 
 class TestReplayCheckpoint:
@@ -213,11 +218,13 @@ class TestReplayCheckpoint:
         refused with a ConfigError naming the field, not a TypeError."""
         _online, trace = record_trace(pingpong, 2, griffon(2))
         cold = replay_trace(trace, griffon(2))
-        ck = replay_trace(trace, griffon(2),
-                          checkpoint_at=cold.simulated_time / 2).checkpoint
-        ck["config"]["match"] = None
-        with pytest.raises(ConfigError, match="stale.*'match'"):
-            resume_replay(trace, griffon(2), ck)
+        for key, value in (("match", None), ("sharing", "approx")):
+            ck = replay_trace(trace, griffon(2),
+                              checkpoint_at=cold.simulated_time / 2).checkpoint
+            ck["config"][key] = value
+            with pytest.raises(ConfigError,
+                               match=f"checkpoint config is stale.*'{key}'"):
+                resume_replay(trace, griffon(2), ck)
 
     def test_resume_rejects_profile_key_of_older_checkpoints(self, tmp_path):
         """Checkpoints written while ``SmpiConfig`` still had a ``profile``

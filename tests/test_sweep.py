@@ -69,17 +69,17 @@ class TestSpec:
 
     def test_expansion_is_deterministic_and_ordered(self, tmp_path):
         spec = make_spec(tmp_path,
-                         axes={"sharing": ["exact", "approx"],
+                         axes={"zero_copy": [False, True],
                                "eager_threshold": [1024, 2048]})
         points = spec.expand()
         # 2 platforms x 1 workload x 4 configs
         assert len(points) == 8
         assert [p.index for p in points] == list(range(8))
-        # axes iterate in sorted-key order: eager_threshold before sharing
+        # axes iterate in sorted-key order: eager_threshold before zero_copy
         assert points[0].assignment == (("eager_threshold", 1024),
-                                        ("sharing", "exact"))
+                                        ("zero_copy", False))
         assert points[1].assignment == (("eager_threshold", 1024),
-                                        ("sharing", "approx"))
+                                        ("zero_copy", True))
         assert [p.label() for p in spec.expand()] == \
                [p.label() for p in points]
 
