@@ -10,6 +10,12 @@ The "upper-case" MPI calls take buffer arguments that may be
 :func:`resolve` normalises all of these to a :class:`BufferSpec`.  For
 generic-object ("lower-case") calls the payload is pickled into a byte
 array by :func:`pack_object` / :func:`unpack_object`.
+
+A spec reaches the wire through :meth:`BufferSpec.pack` (a snapshot, one
+copy at the send call) or :meth:`BufferSpec.view` (the sender's own
+bytes, read-only, no copy); the protocol picks one per send, see
+:mod:`repro.smpi.datatype`.  A pickle is private and immutable, so it
+travels as is.
 """
 
 from __future__ import annotations
@@ -57,8 +63,18 @@ class BufferSpec:
         return datatype_signature(self.datatype)
 
     def pack(self) -> np.ndarray:
-        """Contiguous uint8 representation of the data to send."""
+        """Contiguous uint8 snapshot of the data to send (one copy)."""
         return self.datatype.pack(self.array, self.count)
+
+    def view(self) -> np.ndarray | None:
+        """Read-only uint8 view of the data to send, or ``None``.
+
+        ``None`` when only :meth:`pack` can produce the bytes: a strided
+        datatype, a buffer that is not C-contiguous, or one whose NumPy
+        dtype differs from the MPI type.  A short buffer raises the same
+        ``ERR_COUNT`` as :meth:`pack`.
+        """
+        return self.datatype.view(self.array, self.count)
 
     def unpack(self, data: np.ndarray) -> None:
         """Fill the buffer from received bytes (truncation is an error)."""
@@ -113,9 +129,13 @@ def resolve(buf: Any, default_count: int | None = None) -> BufferSpec:
 
 
 def pack_object(obj: Any) -> BufferSpec:
-    """Pickle a Python object into a byte BufferSpec (lower-case API)."""
+    """Pickle a Python object into a byte BufferSpec (lower-case API).
+
+    The array is a read-only view of the pickle itself: nobody else holds
+    those bytes, so they can be sent without a further copy.
+    """
     raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    arr = np.frombuffer(raw, dtype=np.uint8).copy()
+    arr = np.frombuffer(raw, dtype=np.uint8)
     return BufferSpec(arr, arr.size, BYTE)
 
 

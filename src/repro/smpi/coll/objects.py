@@ -1,9 +1,11 @@
 """Generic-object (pickle) collectives — the mpi4py "lower-case" flavour.
 
-These move pickled payloads through the same point-to-point protocol, so
-their simulated timing reflects the actual serialised sizes.  Schedules
-are simple (binomial where natural, linear otherwise); applications that
-care about collective performance should use the buffer flavour.
+These move pickled payloads through the same point-to-point protocol
+(:meth:`Communicator.isend`), so their simulated timing reflects the
+actual serialised sizes; like every object call they carry the pickle
+itself, even under ``zero_copy``.  Schedules are simple (binomial where
+natural, linear otherwise); applications that care about collective
+performance should use the buffer flavour.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import operator
 from typing import TYPE_CHECKING, Any, Callable
 
 from .. import request as rq
-from ..buffer import pack_object, unpack_object
+from ..buffer import unpack_object
 from .util import coll_tag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,9 +32,7 @@ __all__ = [
 
 
 def _send_obj(comm: "Communicator", obj: Any, dest: int) -> None:
-    spec = pack_object(obj)
-    req = comm.Isend([spec.array, spec.count], dest, coll_tag("object"),
-                     _ctx=comm.ctx + 1)
+    req = comm.isend(obj, dest, coll_tag("object"), _ctx=comm.ctx + 1)
     yield from rq.co_wait(req)
     comm.world.release_request(req)
 
@@ -122,8 +122,7 @@ def alltoall_object(comm: "Communicator", objs: list[Any]) -> list[Any]:
     for step in range(1, size):
         dst = (rank + step) % size
         src = (rank - step) % size
-        spec = pack_object(objs[dst])
-        sreq = comm.Isend([spec.array, spec.count], dst, coll_tag("object"),
+        sreq = comm.isend(objs[dst], dst, coll_tag("object"),
                           _ctx=comm.ctx + 1)
         rreq = comm.irecv(src, coll_tag("object"), _ctx=comm.ctx + 1)
         yield from rq.co_waitall([sreq, rreq])

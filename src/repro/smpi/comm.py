@@ -138,7 +138,7 @@ class Communicator:
         if self.world.config.zero_copy:
             data, wire = _EMPTY_PAYLOAD, spec.nbytes
         else:
-            data, wire = spec.pack(), None
+            data, wire = spec, None
         self.world.protocol.start_send(
             src=self.group.world_rank(me),
             dst=dst_world,
@@ -334,11 +334,10 @@ class Communicator:
         if dst_world == constants.PROC_NULL:
             req.finish()
             return req
-        spec = pack_object(obj)
         self.world.protocol.start_send(
             src=me_world, dst=dst_world, tag=tag,
             ctx=self.ctx if _ctx is None else _ctx,
-            data=spec.pack(), request=req,
+            data=pack_object(obj).array, request=req,
         )
         return req
 

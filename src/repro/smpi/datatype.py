@@ -7,10 +7,25 @@ an extension beyond the paper's predefined-only subset — describe
 non-contiguous layouts through pack/unpack methods operating on flat
 NumPy views.
 
-The pack/unpack path is the single place where message bytes are
+The pack/view/unpack path is the single place where message bytes are
 marshalled, so the on-line property (real data movement, applications
 compute correct results in simulation) is concentrated here and heavily
-tested.
+tested.  A send reaches the wire one of two ways:
+
+* :meth:`Datatype.pack` snapshots the send buffer — one copy, taken at
+  the send call.  Eager and buffered sends need it (the sender may reuse
+  its buffer as soon as the call returns), and so does any layout a flat
+  view cannot express: a strided (``Vector``) type, a buffer that is not
+  C-contiguous, or one whose NumPy dtype differs from the MPI type (the
+  copy casts).
+* :meth:`Datatype.view` borrows the send buffer as a read-only uint8
+  view.  A rendezvous send of one contiguous run of a predefined type
+  travels this way: MPI owns a rendezvous send buffer until the send
+  completes, and the simulated send completes only after delivery, so
+  the bytes are read once, when delivery copies them into the receive
+  buffer.
+
+:meth:`Datatype.unpack` is the receiving copy in both cases.
 """
 
 from __future__ import annotations
@@ -81,6 +96,14 @@ class Datatype:
         """Serialise ``count`` elements of ``buf`` into contiguous bytes."""
         raise NotImplementedError
 
+    def view(self, buf: np.ndarray, count: int) -> np.ndarray | None:
+        """Read-only uint8 view of ``count`` elements of ``buf``, in place.
+
+        ``None`` when the elements are not one contiguous run of ``buf``
+        in this type's own representation; :meth:`pack` then copies.
+        """
+        return None
+
     def unpack(self, data: np.ndarray, buf: np.ndarray, count: int) -> None:
         """Write ``count`` elements from contiguous bytes into ``buf``."""
         raise NotImplementedError
@@ -108,10 +131,21 @@ class PredefinedDatatype(Datatype):
 
     def pack(self, buf: np.ndarray, count: int) -> np.ndarray:
         flat = self._check(buf, count)
-        # exactly one copy: the MPI snapshot of the send buffer
+        # one copy, taken at the send call: the snapshot an eager send
+        # needs, and the cast when the buffer's dtype is not this type's
         out = np.empty(count, dtype=self.np_dtype)
         out[:] = flat[:count]
         return out.view(np.uint8).reshape(-1)
+
+    def view(self, buf: np.ndarray, count: int) -> np.ndarray | None:
+        arr = np.asarray(buf)
+        if arr.dtype != self.np_dtype or not arr.flags.c_contiguous:
+            return None  # pack casts or gathers, and raises what it must
+        # no copy: the sender's bytes, read at delivery; only this view is
+        # frozen, the sender's own array stays writable
+        out = self._check(arr, count)[:count].view(np.uint8)
+        out.setflags(write=False)
+        return out
 
     def unpack(self, data: np.ndarray, buf: np.ndarray, count: int) -> None:
         if not np.asarray(buf).flags.c_contiguous:
@@ -128,7 +162,8 @@ class PredefinedDatatype(Datatype):
             )
         if not flat.flags.writeable:
             raise MpiError(constants.ERR_BUFFER, "receive buffer is read-only")
-        # exactly one copy: wire bytes into the receive buffer
+        # the receiving copy: wire bytes (a snapshot or the sender's own
+        # buffer) into the receive buffer
         wire = np.ascontiguousarray(data[: count * self.size])
         flat[:count] = wire.view(self.np_dtype)
 
@@ -150,6 +185,9 @@ class ContiguousDatatype(Datatype):
 
     def pack(self, buf: np.ndarray, count: int) -> np.ndarray:
         return self.base.pack(buf, count * self.count)
+
+    def view(self, buf: np.ndarray, count: int) -> np.ndarray | None:
+        return self.base.view(buf, count * self.count)
 
     def unpack(self, data: np.ndarray, buf: np.ndarray, count: int) -> None:
         self.base.unpack(data, buf, count * self.count)

@@ -33,6 +33,14 @@ wrong fold.
 Interned payload arrays are frozen (``writeable=False``): receivers only
 ever copy out of them, and an accidental in-place write would corrupt
 every logical copy at once — freezing turns that bug into an exception.
+
+A rendezvous payload may be *borrowed*: a read-only view of the sender's
+own buffer (see :mod:`repro.smpi.datatype`).  The fingerprint and the
+compare read it in place, and on a miss the entry holds the view itself.
+The sender gets its buffer back when its one message completes, so a
+borrowed entry never has a second reference: the acquire that folds onto
+it first gives the entry bytes of its own (the folding message's
+snapshot when it has one, else a copy).
 """
 
 from __future__ import annotations
@@ -165,14 +173,18 @@ class InternPool(_Accounting):
 class PayloadEntry:
     """One live interned payload: the handle a message holds until release."""
 
-    __slots__ = ("key", "value", "refcount")
+    __slots__ = ("key", "value", "refcount", "borrowed")
 
-    def __init__(self, key: tuple, value: np.ndarray) -> None:
+    def __init__(self, key: tuple, value: np.ndarray,
+                 borrowed: bool = False) -> None:
         #: the :func:`payload_key` fingerprint (the entry's bucket)
         self.key = key
-        #: the frozen pool-owned payload array
+        #: the frozen payload array: pool-owned, or when ``borrowed`` a
+        #: read-only view of its one sender's buffer
         self.value = value
         self.refcount = 0
+        #: ``value`` is valid only until its sender's send completes
+        self.borrowed = borrowed
 
 
 class PayloadPool(_Accounting):
@@ -193,14 +205,16 @@ class PayloadPool(_Accounting):
         super().__init__(on_account)
         self._buckets: dict[tuple, list[PayloadEntry]] = {}
 
-    def acquire(self, key: tuple, data: np.ndarray) -> PayloadEntry:
+    def acquire(self, key: tuple, data: np.ndarray,
+                borrowed: bool = False) -> PayloadEntry:
         """Take one reference on the entry holding ``data``'s bytes.
 
-        ``data`` is a packed uint8 payload and ``key`` is
+        ``data`` is a contiguous uint8 payload and ``key`` is
         ``payload_key(data)``, so equal elements mean equal bytes.  On a
         miss ``data`` itself becomes the entry's value and is frozen, so
-        it must be a freshly packed array nobody else writes to.  Pair
-        with :meth:`release`.
+        it must be a freshly packed array nobody else writes to, or, with
+        ``borrowed``, a view of a send buffer that stays unchanged until
+        this reference is released.  Pair with :meth:`release`.
         """
         self.acquires += 1
         nbytes = int(data.nbytes)
@@ -210,12 +224,19 @@ class PayloadPool(_Accounting):
         else:
             for entry in bucket:
                 if np.array_equal(entry.value, data):
+                    if entry.borrowed:
+                        # the second reference may outlive the first
+                        # sender's send: the entry takes its own bytes
+                        owned = entry.value.copy() if borrowed else data
+                        owned.setflags(write=False)
+                        entry.value = owned
+                        entry.borrowed = False
                     self.hits += 1
                     self._account(nbytes, 0)
                     entry.refcount += 1
                     return entry
         data.setflags(write=False)
-        entry = PayloadEntry(key, data)
+        entry = PayloadEntry(key, data, borrowed)
         bucket.append(entry)
         self._account(nbytes, nbytes)
         entry.refcount = 1
@@ -230,6 +251,8 @@ class PayloadPool(_Accounting):
         """
         if entry.refcount <= 0:
             return False
+        assert not entry.borrowed or entry.refcount == 1, \
+            "a borrowed payload entry was shared"
         entry.refcount -= 1
         nbytes = int(entry.value.nbytes)
         self._account(-nbytes, 0)

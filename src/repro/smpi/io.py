@@ -200,14 +200,19 @@ class File:
         self._check_open()
         self._check_mode(writing=True)
         spec = resolve(buf)
-        raw = spec.pack().tobytes()
+        # the copy into the file reads the buffer in place when it is one
+        # contiguous run, else its packed snapshot
+        data = spec.view()
+        if data is None:
+            data = spec.pack()
+        nbytes = int(data.size)
         storage = self._fs.storage(self.name)
-        end = offset + len(raw)
+        end = offset + nbytes
         if len(storage) < end:
             storage.extend(b"\0" * (end - len(storage)))
-        self._fs.io_action(len(raw), "write")
-        storage[offset:end] = raw
-        return len(raw)
+        self._fs.io_action(nbytes, "write")
+        storage[offset:end] = memoryview(data)
+        return nbytes
 
     def Read_at(self, offset: int, buf: Any) -> int:
         """Read into ``buf`` from an explicit offset; returns bytes read."""

@@ -27,6 +27,16 @@ delivered or terminally failed), and completed requests recycle through
 clocks, snapshots and traces — are bit-identical with and without
 pooling.
 
+Payload bytes are copied once per message.  :meth:`Protocol.start_send`
+takes the send buffer's :class:`~repro.smpi.buffer.BufferSpec` and, from
+the same eager decision that sets the timing, either snapshots it
+(``pack``: eager and buffered sends, strided or cast layouts) or borrows
+it (``view``: a rendezvous send of one contiguous run).  A borrowed
+payload is read only by the delivery copy into the receive buffer, which
+runs in the engine callback that completes the send, before the sender
+can resume — so a blocking ``Send`` that returned has been delivered and
+its buffer is the application's again.
+
 Everything here runs inside actor threads under the scheduler's baton, so
 there is no concurrency to guard against — the code reads like the
 sequential protocol automaton it is.
@@ -75,7 +85,9 @@ class Message:
     dst: int  # world rank
     tag: int
     ctx: int
-    data: np.ndarray  # packed payload bytes (uint8); empty when zero-copy
+    #: payload bytes (uint8): a snapshot, or a read-only view of the
+    #: sender's buffer when ``borrowed``; empty when zero-copy
+    data: np.ndarray
     eager: bool
     wire_bytes: int = -1
     mid: int = field(default_factory=lambda: next(_msg_ids))
@@ -104,6 +116,9 @@ class Message:
     #: surfaced to the application by Probe/Iprobe — such a message may
     #: be user-held and is never recycled
     probed: bool = False
+    #: ``data`` views the sender's buffer, which the sender gets back
+    #: when the send completes: only delivery may read it
+    borrowed: bool = False
 
     def __post_init__(self) -> None:
         if self.wire_bytes < 0:
@@ -224,20 +239,44 @@ class Protocol:
         dst: int,
         tag: int,
         ctx: int,
-        data: np.ndarray,
+        data: BufferSpec | np.ndarray,
         request: Request,
         wire_bytes: int | None = None,
         mode: str = "standard",
     ) -> None:
         """Initiate a send; the request completes per protocol rules.
 
-        ``wire_bytes`` (zero-copy mode) sets the simulated message size
-        when ``data`` is an empty payload sentinel.  ``mode`` selects the
-        MPI send mode: ``standard`` follows the eager threshold,
-        ``synchronous`` (Ssend) always uses rendezvous, ``buffered``
-        (Bsend) always eager, ``ready`` (Rsend) behaves like standard
-        (its constraint is on the application, not the timing).
+        ``data`` is the send buffer's spec, or uint8 wire bytes nobody
+        else writes (a pickle, or the empty zero-copy sentinel).  A spec
+        is packed for an eager send and viewed in place for a rendezvous
+        one whenever :meth:`BufferSpec.view` can.  ``wire_bytes``
+        (zero-copy mode) sets the simulated message size when ``data`` is
+        an empty payload sentinel.  ``mode`` selects the MPI send mode:
+        ``standard`` follows the eager threshold, ``synchronous`` (Ssend)
+        always uses rendezvous, ``buffered`` (Bsend) always eager,
+        ``ready`` (Rsend) behaves like standard (its constraint is on the
+        application, not the timing).
         """
+        cfg = self.world.config
+        spec = data if isinstance(data, BufferSpec) else None
+        if spec is not None:
+            nbytes = spec.nbytes
+        else:
+            nbytes = int(data.size) if wire_bytes is None else wire_bytes
+        if mode == "synchronous":
+            eager = False
+        elif mode == "buffered":
+            eager = True
+        else:
+            eager = nbytes <= cfg.eager_threshold
+        borrowed = False
+        if spec is not None:
+            # an eager sender reuses its buffer as soon as the call
+            # returns, so only a rendezvous send may borrow it
+            data = None if eager else spec.view()
+            borrowed = data is not None
+            if not borrowed:
+                data = spec.pack()
         if self.world.has_deferred():
             # only plain calls arrive with deferred compute: the blocking
             # twins charge it on the generator path before calling in
@@ -247,26 +286,20 @@ class Protocol:
                 constants.ERR_PROC_FAILED,
                 f"cannot send to rank {dst}: peer is dead (host failure)",
             )
-        cfg = self.world.config
-        nbytes = int(data.size) if wire_bytes is None else wire_bytes
-        if mode == "synchronous":
-            eager = False
-        elif mode == "buffered":
-            eager = True
-        else:
-            eager = nbytes <= cfg.eager_threshold
         request.meta = intern_meta("send", tag, ctx, nbytes, eager)
         entry: PayloadEntry | None = None
         pool = getattr(self.world, "payload_pool", None)
         if pool is not None and cfg.payload_interning and data.size:
             # Fold byte-identical payloads: the array becomes pool-owned
             # and read-only (receivers only copy out of it), so 10k ranks
-            # sending the same panel share one copy.  ``data`` must be a
-            # freshly packed array, which every library call site passes.
-            entry = pool.acquire(payload_key(data), data)
+            # sending the same panel share one copy.  A borrowed view
+            # stays borrowed until a second message folds onto it.
+            entry = pool.acquire(payload_key(data), data, borrowed)
             data = entry.value
+            borrowed = entry.borrowed
         message = self.world.acquire_message(
-            src, dst, tag, ctx, data, eager, nbytes, request, entry)
+            src, dst, tag, ctx, data, eager, nbytes, request, entry,
+            borrowed)
         if self.world.recorder is not None:
             request.trace_id = self.world.recorder.send(src, dst, nbytes, tag, ctx)
         request.message = message
@@ -596,6 +629,9 @@ class Protocol:
                 pass  # zero-copy: payload was never carried (results wrong)
             elif buffer is not None:
                 buffer.unpack(message.data)
+            elif message.borrowed:
+                # the raw bytes outlive the send: take them off its buffer
+                request.raw_data = message.data.copy()
             else:
                 request.raw_data = message.data
         except Exception as exc:  # delivery failure: report in the owner rank

@@ -260,6 +260,7 @@ class SmpiWorld:
         wire_bytes: int,
         send_req: Request | None,
         payload_key: PayloadEntry | None,
+        borrowed: bool = False,
     ) -> Message:
         """A fresh-or-recycled :class:`Message` with a fresh ``mid``."""
         pool = self._message_pool
@@ -284,11 +285,13 @@ class SmpiWorld:
             message.payload_key = payload_key
             message.closed = False
             message.probed = False
+            message.borrowed = borrowed
             self.engine.stats.pooled_reuses += 1
             return message
         return Message(src, dst, tag, ctx, data, eager,
                        wire_bytes=wire_bytes, send_req=send_req,
-                       payload_key=payload_key, mid=next(self.msg_seq))
+                       payload_key=payload_key, mid=next(self.msg_seq),
+                       borrowed=borrowed)
 
     def release_message(self, message: Message) -> None:
         """Recycle a closed message (protocol-internal terminal point)."""

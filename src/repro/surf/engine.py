@@ -658,12 +658,19 @@ class Engine:
     def run(self) -> float:
         """Run standalone until every action completed; return final clock.
 
-        ``stats.steps`` is counted by :meth:`step` itself, so the counter
-        is accurate whichever driver (``run()`` or the SIMIX scheduler)
-        paces the simulation.
+        An attached timeline is closed at the final clock, as the SMPI
+        runtime does once its scheduler drains.  ``stats.steps`` is
+        counted by :meth:`step` itself, so the counter is accurate
+        whichever driver (``run()`` or the SIMIX scheduler) paces the
+        simulation.
         """
         while self.pending or self._completed_now:
             self.step()
+        if self.timeline is not None:
+            # the last completion ends the run without a further share,
+            # so nothing else marks its resources idle
+            self.timeline.close(self.now)
+            self.stats.link_samples = self.timeline.n_samples
         return self.now
 
     def _retire(self, action: Action) -> None:

@@ -676,17 +676,20 @@ def digest_key(data) -> tuple:
 class DigestPayloadPool(InternPool):
     """Payloads folded by whole-buffer digest, through the generic pool.
 
-    ``acquire(key, data)`` ignores the fingerprint ``key`` it is handed
-    and keys by :func:`digest_key`; the returned handle carries that
-    digest for :meth:`release`.  It can stand in for ``world.payload_pool``.
+    ``acquire(key, data, borrowed)`` ignores the fingerprint ``key`` it
+    is handed and keys by :func:`digest_key`; the returned handle carries
+    that digest for :meth:`release`.  A borrowed payload is stored as a
+    copy on a miss, so no entry ever views a send buffer.  It can stand
+    in for ``world.payload_pool``.
     """
 
-    def acquire(self, key, data) -> PayloadEntry:
+    def acquire(self, key, data, borrowed=False) -> PayloadEntry:
         full = digest_key(data)
 
         def freeze():
-            data.setflags(write=False)
-            return data
+            value = data.copy() if borrowed else data
+            value.setflags(write=False)
+            return value
 
         return PayloadEntry(full, super().acquire(full, freeze, int(data.size)))
 

@@ -432,6 +432,129 @@ def test_alltoallv_pairwise_skips_zero_counts():
         assert got == expected, rank
 
 
+# ---------------------------------------------------------------- rendezvous
+
+#: the root of the rooted collectives below (not 0, to move the tree)
+_ROOT = 1
+
+
+def _data(rank, n):
+    return np.arange(n, dtype=np.float64) + 100.0 * rank
+
+
+def _alltoallv_counts(rank, size):
+    """Rank q sends q+1 elements to every peer."""
+    sendcounts = [rank + 1] * size
+    recvcounts = [p + 1 for p in range(size)]
+    return (sendcounts, [i * (rank + 1) for i in range(size)],
+            recvcounts, np.cumsum([0] + recvcounts[:-1]).tolist())
+
+
+def _run_collective(comm, collective, rank, size, elems):
+    mine = _data(rank, elems)
+    if collective == "barrier":
+        comm.Barrier()
+        return rank
+    if collective == "bcast":
+        buf = mine if rank == _ROOT else np.zeros(elems)
+        comm.Bcast(buf, root=_ROOT)
+        return buf
+    if collective == "scatter":
+        send = np.concatenate([_data(r, elems) for r in range(size)])
+        recv = np.zeros(elems)
+        comm.Scatter(send if rank == _ROOT else None, recv, root=_ROOT)
+        return recv
+    if collective in ("gather", "reduce"):
+        recv = np.zeros(size * elems if collective == "gather" else elems)
+        if collective == "gather":
+            comm.Gather(mine, recv if rank == _ROOT else None, root=_ROOT)
+        else:
+            comm.Reduce(mine, recv if rank == _ROOT else None, op=SUM,
+                        root=_ROOT)
+        return recv if rank == _ROOT else None
+    if collective == "allgather":
+        recv = np.zeros(size * elems)
+        comm.Allgather(mine, recv)
+        return recv
+    if collective == "allreduce":
+        recv = np.zeros(elems)
+        comm.Allreduce(mine, recv, op=SUM)
+        return recv
+    if collective == "reduce_scatter":
+        recv = np.zeros(elems)
+        comm.Reduce_scatter(_data(rank, size * elems), recv, [elems] * size,
+                            op=SUM)
+        return recv
+    if collective == "alltoall":
+        recv = np.zeros(size * elems)
+        comm.Alltoall(_data(rank, size * elems), recv)
+        return recv
+    assert collective == "alltoallv"
+    scounts, sdispls, rcounts, rdispls = _alltoallv_counts(rank, size)
+    recv = np.zeros(sum(rcounts))
+    comm.Alltoallv(_data(rank, size * (rank + 1)), scounts, sdispls,
+                   recv, rcounts, rdispls)
+    return recv
+
+
+def _reference(collective, rank, size, elems):
+    """What ``_run_collective`` returns on ``rank``, computed directly."""
+    everyone = [_data(r, elems) for r in range(size)]
+    if collective == "barrier":
+        return rank
+    if collective == "bcast":
+        return everyone[_ROOT]
+    if collective == "scatter":
+        return everyone[rank]
+    if collective in ("gather", "reduce"):
+        if rank != _ROOT:
+            return None
+        if collective == "gather":
+            return np.concatenate(everyone)
+        return np.sum(everyone, axis=0)
+    if collective == "allgather":
+        return np.concatenate(everyone)
+    if collective == "allreduce":
+        return np.sum(everyone, axis=0)
+    block = slice(rank * elems, (rank + 1) * elems)
+    if collective == "reduce_scatter":
+        return np.sum([_data(q, size * elems)[block] for q in range(size)],
+                      axis=0)
+    if collective == "alltoall":
+        return np.concatenate([_data(q, size * elems)[block]
+                               for q in range(size)])
+    return np.concatenate([
+        _data(q, size * (q + 1))[rank * (q + 1):(rank + 1) * (q + 1)]
+        for q in range(size)])
+
+
+@pytest.mark.parametrize("collective, algo", [
+    (collective, algo)
+    for collective in sorted(ALGORITHMS)
+    for algo in sorted(ALGORITHMS[collective])
+])
+@pytest.mark.parametrize("n", [4, 7])
+def test_every_algorithm_at_rendezvous_sizes(collective, algo, n):
+    """With ``eager_threshold=0`` every message is rendezvous, so each
+    send borrows its buffer until delivery instead of snapshotting it."""
+    if (collective, algo) == ("allgather", "recursive_doubling") and n & (n - 1):
+        pytest.skip("recursive doubling needs a power of two")
+    elems = 10
+
+    def app(mpi):
+        return _run_collective(mpi.COMM_WORLD, collective, mpi.rank,
+                               mpi.size, elems)
+
+    config = SmpiConfig(eager_threshold=0, coll_algorithms={collective: algo})
+    result = smpirun(app, n, cluster("rdv", n), config=config)
+    for rank, got in enumerate(result.returns):
+        expected = _reference(collective, rank, n, elems)
+        if expected is None or collective == "barrier":
+            assert got == expected
+        else:
+            assert np.array_equal(got, expected), rank
+
+
 # ---------------------------------------------------------------- schedules
 
 

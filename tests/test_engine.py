@@ -487,6 +487,23 @@ class TestLazyUpdates:
         (_start, both), *rest = timeline.samples("fu-backbone")
         assert rest == [(short.finish_time, both / 2), (long.finish_time, 0.0)]
 
+    def test_run_closes_the_timeline_when_it_drains(self):
+        # regression: the last completion ends run() without a further
+        # share, and only the SMPI runtime closed the timeline, so a
+        # standalone run left x-l2 at 121.25 MB/s after its transfer ended
+        from repro.surf import SharingPolicy
+
+        engine = Engine(cluster("x", 4, backbone_sharing=SharingPolicy.FATPIPE))
+        timeline = engine.enable_timeline()
+        engine.communicate("node-0", "node-1", 1_000_000)
+        long = engine.communicate("node-2", "node-3", 5_000_000)
+        assert engine.run() == long.finish_time
+        (_start, rate), end = timeline.samples("x-l2")
+        assert rate > 0 and end == (long.finish_time, 0.0)
+        assert all(series[-1][1] == 0.0 for series in
+                   map(timeline.samples, timeline.names()))
+        assert engine.stats.link_samples == timeline.n_samples
+
 
 class TestStepsCounter:
     """``stats.steps`` is counted by ``step()`` itself, whichever driver
