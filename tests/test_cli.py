@@ -333,3 +333,84 @@ class TestTraceCommands:
         assert main(["replay", ti_path, "--platform", "cluster:2",
                      "--trace", csv_path]) == 0
         assert main(["trace", "summary", csv_path]) == 0
+
+
+FAULTY_RING_SOURCE = '''
+import numpy as np
+
+def app(mpi):
+    comm = mpi.COMM_WORLD
+    right, left = (mpi.rank + 1) % mpi.size, (mpi.rank - 1) % mpi.size
+    out = np.full(500_000, mpi.rank, dtype=np.uint8)
+    inp = np.zeros_like(out)
+    for step in range(6):
+        if mpi.rank % 2 == 0:
+            comm.Send(out, dest=right, tag=step)
+            comm.Recv(inp, source=left, tag=step)
+        else:
+            comm.Recv(inp, source=left, tag=step)
+            comm.Send(out, dest=right, tag=step)
+        mpi.execute(1e6)
+    return int(inp[0])
+'''
+
+
+class TestScenarioParity:
+    """``repro run`` and a one-point sweep read a scenario the same way."""
+
+    FAULT_OPTIONS = {"comm_retries": 4, "retry_backoff": 1e-3,
+                     "comm_timeout": 5.0, "on_host_down": "kill-rank"}
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        (tmp_path / "ring.py").write_text(FAULTY_RING_SOURCE)
+        (tmp_path / "wave.trace").write_text(
+            "PERIODICITY 0.01\n0.0 1.0\n0.004 0.5\n")
+        (tmp_path / "outage.trace").write_text("0.003 0\n0.009 1\n")
+        return tmp_path
+
+    def cli_result(self, argv, monkeypatch):
+        import repro.cli as cli
+
+        seen = []
+        report = cli._report
+        monkeypatch.setattr(cli, "_report", lambda result, *a, **kw: (
+            seen.append(result), report(result, *a, **kw)))
+        assert main(argv) == 0
+        return seen[0]
+
+    def test_run_with_every_fault_flag_matches_a_one_point_sweep(
+            self, scenario, monkeypatch, capsys):
+        from repro.sweep import SweepSpec, run_sweep
+
+        d = scenario
+        result = self.cli_result([
+            "run", str(d / "ring.py"), "-n", "4", "--platform", "cluster:4",
+            "--availability", f"cli-backbone={d / 'wave.trace'}",
+            "--state-profile", f"cli-l2={d / 'outage.trace'}",
+            "--fail-at", "0.002:cli-l1", "--restore-at", "0.007:cli-l1",
+            "--comm-retries", "4", "--retry-backoff", "1e-3",
+            "--comm-timeout", "5", "--on-host-down", "kill-rank", "--stats",
+        ], monkeypatch)
+        out = capsys.readouterr().out
+        assert "resource faults  : 2 failed, 2 restored" in out
+        assert "capacity events" in out
+        assert result.returns == [3, 0, 1, 2]
+        static = self.cli_result(["run", str(d / "ring.py"), "-n", "4",
+                                  "--platform", "cluster:4"], monkeypatch)
+        assert result.simulated_time > static.simulated_time
+
+        spec = SweepSpec.from_dict({
+            "platforms": [{"spec": "cluster:4",
+                           "availability": ["cli-backbone=wave.trace"],
+                           "state_profile": ["cli-l2=outage.trace"],
+                           "fail_at": ["0.002:cli-l1"],
+                           "restore_at": ["0.007:cli-l1"]}],
+            "workloads": [{"file": "ring.py", "n": 4}],
+            "options": self.FAULT_OPTIONS,
+        }, base_dir=d)
+        sweep = run_sweep(spec, jobs=1, cache=None)
+        assert not sweep.errors
+        (point,) = sweep.points
+        assert point.simulated_time.hex() == result.simulated_time.hex()
+        assert point.stats.to_dict() == result.stats.to_dict()
