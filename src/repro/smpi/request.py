@@ -14,6 +14,7 @@ persistent request makes it *inactive* rather than freeing it.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import MpiError
@@ -208,26 +209,16 @@ class PersistentRequest(Request):
 
         live.add_completion_hook(on_done)
 
-    def finish(self) -> None:
-        # persistent completion leaves the handle reusable
-        if self.complete:
-            return
-        self.complete = True
-        hooks, self._on_complete = self._on_complete, []
-        for hook in hooks:
-            hook()
-        if self.world is not None:
-            self.world.wake_rank(self.owner_rank)
-
 
 # -- wait / test family ------------------------------------------------------------------
 # These are module-level functions operating on request lists; the
 # Communicator exposes bound versions.  All run on the calling actor's
 # execution context; ``world.current_actor`` supplies the waiter.  Each
 # blocking call has one canonical implementation, a ``co_*`` generator
-# that works on every context backend; the synchronous name drives that
-# same generator in-stack, so both dialects suspend at identical points
-# and backends stay bit-identical.
+# that works on every context backend; the synchronous name is generated
+# from it (``sync_twin`` below) and drives that same generator in-stack,
+# so both dialects suspend at identical points and backends stay
+# bit-identical.
 
 
 def _record_wait(requests: list[Request]) -> None:
@@ -270,12 +261,6 @@ def _describe_requests(requests: list[Request]) -> str:
     return ", ".join(parts)
 
 
-def wait(request: Request) -> Status:
-    """MPI_Wait: block until the request completes; returns its status."""
-    return run_blocking(co_wait(request),
-                        lambda: request.world.current_actor)
-
-
 def co_wait(request: Request):
     """Generator twin of :func:`wait` (canonical implementation)."""
     _record_wait([request])
@@ -287,12 +272,6 @@ def co_wait(request: Request):
         lambda: request.complete,
         reason=f"in MPI_Wait: {_describe_requests([request])}")
     return request.make_status()
-
-
-def test(request: Request) -> tuple[bool, Status | None]:
-    """MPI_Test: non-blocking completion check."""
-    return run_blocking(co_test(request),
-                        lambda: request.world.current_actor)
 
 
 def co_test(request: Request):
@@ -312,12 +291,6 @@ def co_test(request: Request):
     return False, None
 
 
-def waitall(requests: list[Request]) -> list[Status]:
-    """MPI_Waitall."""
-    return run_blocking(co_waitall(requests),
-                        lambda: _world_of(requests).current_actor)
-
-
 def co_waitall(requests: list[Request]):
     """Generator twin of :func:`waitall` (canonical implementation)."""
     _record_wait(requests)
@@ -330,12 +303,6 @@ def co_waitall(requests: list[Request]):
     return [r.make_status() for r in requests]
 
 
-def testall(requests: list[Request]) -> tuple[bool, list[Status] | None]:
-    """MPI_Testall."""
-    return run_blocking(co_testall(requests),
-                        lambda: _world_of(requests).current_actor)
-
-
 def co_testall(requests: list[Request]):
     """Generator twin of :func:`testall` (canonical implementation)."""
     if all(r.is_null or r.complete for r in requests):
@@ -346,12 +313,6 @@ def co_testall(requests: list[Request]):
         if all(r.is_null or r.complete for r in requests):
             return True, [r.make_status() for r in requests]
     return False, None
-
-
-def waitany(requests: list[Request]) -> tuple[int, Status]:
-    """MPI_Waitany: index of the first completing request + its status."""
-    return run_blocking(co_waitany(requests),
-                        lambda: _world_of(requests).current_actor)
 
 
 def co_waitany(requests: list[Request]):
@@ -377,12 +338,6 @@ def co_waitany(requests: list[Request]):
     return idx, requests[idx].make_status()
 
 
-def testany(requests: list[Request]) -> tuple[bool, int, Status | None]:
-    """MPI_Testany -> (flag, index, status)."""
-    return run_blocking(co_testany(requests),
-                        lambda: _world_of(requests).current_actor)
-
-
 def co_testany(requests: list[Request]):
     """Generator twin of :func:`testany` (canonical implementation)."""
     if all(r.is_null for r in requests):
@@ -395,12 +350,6 @@ def co_testany(requests: list[Request]):
         if not req.is_null and req.complete:
             return True, index, req.make_status()
     return False, constants.UNDEFINED, None
-
-
-def waitsome(requests: list[Request]) -> tuple[list[int], list[Status]]:
-    """MPI_Waitsome: indices of every completed request (at least one)."""
-    return run_blocking(co_waitsome(requests),
-                        lambda: _world_of(requests).current_actor)
 
 
 def co_waitsome(requests: list[Request]):
@@ -424,12 +373,6 @@ def co_waitsome(requests: list[Request]):
     return indices, [requests[i].make_status() for i in indices]
 
 
-def testsome(requests: list[Request]) -> tuple[list[int], list[Status]]:
-    """MPI_Testsome: possibly-empty list of completed indices."""
-    return run_blocking(co_testsome(requests),
-                        lambda: _world_of(requests).current_actor)
-
-
 def co_testsome(requests: list[Request]):
     """Generator twin of :func:`testsome` (canonical implementation)."""
     if all(r.is_null for r in requests):
@@ -437,6 +380,50 @@ def co_testsome(requests: list[Request]):
     yield from _world_of(requests).co_tiny_progress()
     indices = [i for i, r in enumerate(requests) if not r.is_null and r.complete]
     return indices, [requests[i].make_status() for i in indices]
+
+
+def sync_twin(co: Callable, name: str, doc: str,
+              actor_of: Callable) -> Callable:
+    """The synchronous ``name``: generator ``co`` driven in-stack.
+
+    ``actor_of(*args)`` names the actor that blocks, looked up only if
+    the generator suspends; ``doc`` is the generated function's docstring.
+    """
+    @functools.wraps(co)
+    def blocking(*args):
+        return run_blocking(co(*args), lambda: actor_of(*args))
+
+    blocking.__name__ = name
+    blocking.__qualname__ = co.__qualname__.replace("co_" + name, name)
+    blocking.__doc__ = doc
+    return blocking
+
+
+def _waiter(requests: Request | list[Request]):
+    """The actor blocking on ``requests`` (one request or a list)."""
+    if isinstance(requests, Request):
+        requests = [requests]
+    return _world_of(requests).current_actor
+
+
+# every blocking call has one hand-written body, its ``co_`` twin; the
+# plain name is generated from it
+for _name, _doc in (
+    ("wait", "MPI_Wait: block until the request completes; returns its "
+             "status."),
+    ("test", "MPI_Test: non-blocking completion check."),
+    ("waitall", "MPI_Waitall."),
+    ("testall", "MPI_Testall."),
+    ("waitany", "MPI_Waitany: index of the first completing request + its "
+                "status."),
+    ("testany", "MPI_Testany -> (flag, index, status)."),
+    ("waitsome", "MPI_Waitsome: indices of every completed request (at "
+                 "least one)."),
+    ("testsome", "MPI_Testsome: possibly-empty list of completed indices."),
+):
+    globals()[_name] = sync_twin(globals()["co_" + _name], _name, _doc,
+                                 _waiter)
+del _name, _doc
 
 
 def startall(requests: list[Request]) -> None:

@@ -42,7 +42,7 @@ from .group import Group
 from .intern import PayloadEntry, PayloadPool
 from .memory import MemoryReport, MemoryTracker
 from .pt2pt import EMPTY_PAYLOAD, Message, Protocol
-from .request import Request
+from .request import Request, sync_twin
 from .sampling import Sampler
 from .shared import SharedHeap
 
@@ -349,10 +349,6 @@ class SmpiWorld:
         """Does the calling rank hold deferred compute?  (No generator.)"""
         return self._deferred_flops[self.current_rank] > 0
 
-    def flush_deferred(self) -> None:
-        """Charge the calling rank's accumulated deferred compute."""
-        run_blocking(self.co_flush_deferred(), lambda: self.current_actor)
-
     def co_flush_deferred(self):
         """Generator twin of :meth:`flush_deferred` (canonical)."""
         rank = self.current_rank
@@ -360,10 +356,6 @@ class SmpiWorld:
         if amount > 0:
             self._deferred_flops[rank] = 0.0
             yield from self.co_execute_flops(amount)
-
-    def execute_flops(self, flops: float) -> None:
-        """Run a compute action for the calling rank and wait it out."""
-        run_blocking(self.co_execute_flops(flops), lambda: self.current_actor)
 
     def co_execute_flops(self, flops: float):
         """Generator twin of :meth:`execute_flops` (canonical)."""
@@ -394,6 +386,17 @@ class SmpiWorld:
     def co_tiny_progress(self):
         """Advance simulated time by the Test-poll delay (see request.py)."""
         yield from self.co_sleep(self.config.test_delay)
+
+
+# the blocking compute calls are generated from their ``co_`` bodies
+SmpiWorld.flush_deferred = sync_twin(
+    SmpiWorld.co_flush_deferred, "flush_deferred",
+    "Charge the calling rank's accumulated deferred compute.",
+    lambda world: world.current_actor)
+SmpiWorld.execute_flops = sync_twin(
+    SmpiWorld.co_execute_flops, "execute_flops",
+    "Run a compute action for the calling rank and wait it out.",
+    lambda world, _flops: world.current_actor)
 
 
 @dataclass

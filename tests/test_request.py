@@ -230,3 +230,82 @@ class TestPersistent:
             return done
 
         assert run_app(app, 2).returns == [True, True]
+
+
+#: the eight blocking calls generated from their ``co_`` bodies, each
+#: with whether it takes a list of requests
+_GENERATED = {"wait": False, "test": False, "waitall": True, "testall": True,
+              "waitany": True, "testany": True, "waitsome": True,
+              "testsome": True}
+
+
+def _exchange(mpi, op, many):
+    """Two tagged messages 0 -> 1; ``op`` runs on the fresh requests."""
+    comm = mpi.COMM_WORLD
+    if mpi.rank == 0:
+        reqs = [comm.Isend(np.full(4, float(t)), 1, t) for t in range(2)]
+    else:
+        reqs = [comm.Irecv(np.zeros(4), 0, t) for t in range(2)]
+    value = op(reqs if many else reqs[0])
+    rq.waitall(reqs)
+    return value, mpi.wtime()
+
+
+class TestGeneratedSurface:
+    def test_every_blocking_call_is_generated(self):
+        assert set(_GENERATED) | {"startall"} == {
+            name for name in rq.__all__ if not name.startswith("co_")
+            and name[0].islower()}
+        for name in _GENERATED:
+            sync, twin = getattr(rq, name), getattr(rq, "co_" + name)
+            assert sync.__wrapped__ is twin
+            assert (sync.__name__, sync.__qualname__) == (name, name)
+            assert sync.__doc__.startswith("MPI_")
+            assert f":func:`{name}`" in twin.__doc__
+
+    @pytest.mark.parametrize("name", sorted(_GENERATED))
+    def test_sync_name_drives_its_twin(self, name):
+        sync, twin = getattr(rq, name), getattr(rq, "co_" + name)
+        many = _GENERATED[name]
+
+        def app(mpi):  # a plain function: runs on a stack-capable context
+            comm = mpi.COMM_WORLD
+            return (_exchange(mpi, sync, many),
+                    _exchange(mpi, lambda r: comm._run(twin(r)), many))
+
+        for (sync_value, sync_t), (twin_value, twin_t) in run(app).returns:
+            assert sync_value == twin_value
+            assert twin_t > sync_t
+
+    def test_null_requests_need_no_simulation(self):
+        assert rq.wait(REQUEST_NULL).source == constants.ANY_SOURCE
+        assert rq.waitall([REQUEST_NULL]) == [rq.wait(REQUEST_NULL)]
+        assert rq.testany([REQUEST_NULL])[:2] == (True, constants.UNDEFINED)
+
+    def test_world_compute_calls_drive_their_twins(self):
+        from repro.smpi import SmpiWorld
+
+        for name in ("flush_deferred", "execute_flops"):
+            sync = getattr(SmpiWorld, name)
+            assert sync.__wrapped__ is getattr(SmpiWorld, "co_" + name)
+            assert sync.__qualname__ == f"SmpiWorld.{name}"
+            assert sync.__doc__
+
+        def app(mpi):
+            world = mpi._world
+            t0 = mpi.wtime()
+            world.execute_flops(1e8)
+            t1 = mpi.wtime()
+            mpi.COMM_WORLD._run(world.co_execute_flops(1e8))
+            t2 = mpi.wtime()
+            world.defer_flops(1e8)
+            world.flush_deferred()
+            return t1 - t0, t2 - t1, mpi.wtime() - t2
+
+        for sync_dt, twin_dt, flushed_dt in run(app).returns:
+            assert sync_dt > 0
+            assert twin_dt == pytest.approx(sync_dt)
+            assert flushed_dt == pytest.approx(sync_dt)
+
+    def test_persistent_requests_finish_like_any_request(self):
+        assert rq.PersistentRequest.finish is rq.Request.finish
