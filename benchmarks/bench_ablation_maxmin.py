@@ -1,16 +1,12 @@
-"""Ablation — max-min solver implementations and incremental re-sharing.
+"""Ablation — the incremental max-min solver and incremental re-sharing.
 
-DESIGN.md commits to two cross-checked one-shot solvers with a size-based
-switch (`VECTORIZE_THRESHOLD`); both now live in tests/oracles.py.  This
-bench measures both on growing systems and prints where the crossover
-actually falls on this machine, validating that constant.  The incremental
-solver has one plain-Python component kernel; a second table times one
-warm churn event per component size, from 8 to 1024 flows, so its
-growth with the component stays visible, and the scaling curve
-(``test_maxmin_scaling``) times the same solver's churn on a staircase
-whose round count grows with the system.
+The incremental solver has one plain-Python component kernel; the first
+table times one warm churn event per component size, from 8 to 1024
+flows, so its growth with the component stays visible, and the scaling
+curve (``test_maxmin_scaling``) times the same solver's churn on a
+staircase whose round count grows with the system.
 
-The second half ablates the engine's *incremental* re-sharing: the same
+The second table ablates the engine's *incremental* re-sharing: the same
 scatter / all-to-all workloads run once with the dirty-set solver
 (:class:`IncrementalMaxMin`) and once with the rebuild-everything share
 (``FullReshareEngine`` of tests/oracles.py), and the
@@ -33,49 +29,7 @@ from repro import rng as rng_mod
 from repro.smpi import SmpiConfig, smpirun
 from repro.surf import cluster
 from repro.surf.maxmin import IncrementalMaxMin
-from tests.oracles import (
-    VECTORIZE_THRESHOLD,
-    MaxMinSystem,
-    oracle_engine,
-    solve_maxmin_reference,
-    solve_maxmin_vectorized,
-)
-
-
-def random_system(n_flows: int, n_cons: int, seed: int) -> MaxMinSystem:
-    gen = rng_mod.substream(seed, "ablation-maxmin", n_flows)
-    system = MaxMinSystem()
-    for i in range(n_cons):
-        system.add_constraint(f"c{i}", float(gen.uniform(10, 1000)))
-    for i in range(n_flows):
-        k = int(gen.integers(1, min(4, n_cons) + 1))
-        cids = tuple(sorted(gen.choice(n_cons, size=k, replace=False).tolist()))
-        bound = math.inf if gen.random() < 0.5 else float(gen.uniform(1, 500))
-        system.add_flow(f"f{i}", cids, bound=bound)
-    return system
-
-
-def time_solver(solver, system, repeats=30) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        solver(system)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def experiment():
-    rows = []
-    for n_flows in (4, 8, 16, 32, 64, 128, 256, 512):
-        n_cons = max(2, n_flows // 2)
-        system = random_system(n_flows, n_cons, seed=1)
-        ref = solve_maxmin_reference(system)
-        vec = solve_maxmin_vectorized(system)
-        np.testing.assert_allclose(ref, vec, rtol=1e-9, atol=1e-9)
-        t_ref = time_solver(solve_maxmin_reference, system)
-        t_vec = time_solver(solve_maxmin_vectorized, system)
-        rows.append((n_flows, t_ref, t_vec))
-    return rows
+from tests.oracles import oracle_engine
 
 
 # -- incremental component solve: per-event cost by component size ------------------
@@ -317,33 +271,13 @@ def test_maxmin_scaling(once):
 
 
 def test_ablation_maxmin(once):
-    rows = once(experiment)
+    event_rows = once(component_experiment)
     report = FigureReport(
-        "ablation_maxmin", "reference vs vectorised max-min solver"
+        "ablation_maxmin", "incremental max-min solve and re-sharing"
     )
-    report.line(f"  {'flows':>6} {'reference':>12} {'vectorised':>12} {'ratio':>8}")
-    crossover = None
-    for n_flows, t_ref, t_vec in rows:
-        marker = ""
-        if t_vec < t_ref and crossover is None:
-            crossover = n_flows
-            marker = "  <- vectorised wins"
-        report.line(
-            f"  {n_flows:>6} {t_ref * 1e6:>10.1f}us {t_vec * 1e6:>10.1f}us "
-            f"{t_ref / t_vec:>7.2f}x{marker}"
-        )
-    report.line()
-    report.measured(
-        f"configured threshold {VECTORIZE_THRESHOLD}; measured crossover "
-        f"around {crossover} flows"
-    )
-
-    # -- incremental component solve ----------------------------------------------
-    report.line()
     report.line("incremental component solve, one warm churn event "
                 "(ring-like component):")
     report.line(f"  {'flows':>6} {'per event':>12} {'per flow':>10}")
-    event_rows = component_experiment()
     for n_flows, t_event in event_rows:
         report.line(f"  {n_flows:>6} {t_event:>10.1f}us "
                     f"{t_event / n_flows:>8.2f}us")
@@ -373,11 +307,6 @@ def test_ablation_maxmin(once):
         "simulated times"
     )
     report.finish()
-
-    big = rows[-1]
-    assert big[2] < big[1], "vectorised must win on large systems"
-    small = rows[0]
-    assert small[1] < small[2] * 5, "reference competitive on small systems"
 
     for label, t_inc, t_full, s_inc, s_full in inc_rows:
         assert t_inc == t_full, f"{label}: incremental changed the simulation"

@@ -381,9 +381,8 @@ class RecomputeUsageMaxMin(IncrementalMaxMin):
 
 
 #: Flows plus constraints above which :func:`solve_maxmin` switches to the
-#: vectorised implementation.  ``benchmarks/bench_ablation_maxmin.py``
-#: prints the measured crossover beside it; the crossover is flat between
-#: 16 and 64 on CPython 3.11.
+#: vectorised implementation (the crossover was flat between 16 and 64
+#: flows on CPython 3.11).
 VECTORIZE_THRESHOLD = 32
 
 
