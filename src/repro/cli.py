@@ -52,21 +52,15 @@ executes on platforms you do not own, entirely on this node.
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import shutil
 import sys
 from pathlib import Path
-from typing import Callable
 
 from .errors import ConfigError, ReproError
-from .offline import (
-    TiTrace,
-    record_trace,
-    record_trace_streaming,
-    replay_trace,
-)
-from .platforms import gdx, griffon
+from .offline import TiTrace, record_trace_streaming, replay_trace
+from .scenario import PlatformSpec, build_platform, load_app
+from .simix import available_backends
 from .smpi import SmpiConfig, smpirun
-from .surf import Engine, Platform, cluster, load_platform_xml, load_profile
 from .trace import (
     CsvStreamSink,
     PajeStreamSink,
@@ -84,51 +78,6 @@ from .units import format_size, format_time
 __all__ = ["main", "build_platform", "load_app"]
 
 
-def build_platform(spec: str, n_ranks: int) -> Platform:
-    """Resolve a --platform argument.
-
-    Accepted forms: ``griffon``, ``gdx``, ``cluster:N[:bw[:lat]]``, or a
-    path to a SimGrid-style XML file.  The bare names build just enough
-    nodes for the requested rank count.
-    """
-    if spec == "griffon":
-        return griffon(min(n_ranks, 92)) if n_ranks <= 92 else griffon()
-    if spec == "gdx":
-        return gdx(min(n_ranks, 312)) if n_ranks <= 312 else gdx()
-    if spec.startswith("cluster:"):
-        parts = spec.split(":")
-        if len(parts) < 2 or len(parts) > 4 or not parts[1].isdigit():
-            raise ConfigError(f"bad cluster spec {spec!r} "
-                              "(cluster:N[:bandwidth[:latency]])")
-        size = int(parts[1])
-        bandwidth = parts[2] if len(parts) > 2 else "125MBps"
-        latency = parts[3] if len(parts) > 3 else "50us"
-        return cluster("cli", size, link_bandwidth=bandwidth,
-                       link_latency=latency)
-    path = Path(spec)
-    if path.exists():
-        return load_platform_xml(path)
-    raise ConfigError(
-        f"unknown platform {spec!r}: expected griffon, gdx, cluster:N, "
-        "or an existing XML file"
-    )
-
-
-def load_app(path: str, entry: str = "app") -> Callable:
-    """Import ``entry`` (default ``app``) from a Python file."""
-    file = Path(path)
-    if not file.exists():
-        raise ConfigError(f"application file {path!r} not found")
-    spec = importlib.util.spec_from_file_location(file.stem, file)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    function = getattr(module, entry, None)
-    if not callable(function):
-        raise ConfigError(f"{path!r} does not define a callable {entry!r}")
-    return function
-
-
 def _config_from_args(args: argparse.Namespace) -> SmpiConfig:
     options = {}
     if args.eager_threshold is not None:
@@ -137,58 +86,19 @@ def _config_from_args(args: argparse.Namespace) -> SmpiConfig:
         options["eager_threshold"] = parse_size(args.eager_threshold)
     if args.zero_copy:
         options["zero_copy"] = True
+    if args.trace and args.trace_format != "ti":
+        options["tracing"] = True
     for pair in args.coll or []:
         try:
             collective, algorithm = pair.split("=", 1)
         except ValueError:
             raise ConfigError(f"--coll expects name=algorithm, got {pair!r}")
         options.setdefault("coll_algorithms", {})[collective] = algorithm
-    if getattr(args, "comm_retries", None) is not None:
-        options["comm_retries"] = args.comm_retries
-    if getattr(args, "retry_backoff", None) is not None:
-        options["retry_backoff"] = args.retry_backoff
-    if getattr(args, "comm_timeout", None) is not None:
-        options["comm_timeout"] = args.comm_timeout
-    if getattr(args, "on_host_down", None) is not None:
-        options["on_host_down"] = args.on_host_down
+    for name in ("comm_retries", "retry_backoff", "comm_timeout",
+                 "on_host_down"):
+        if getattr(args, name) is not None:
+            options[name] = getattr(args, name)
     return SmpiConfig(**options)
-
-
-def _find_resource(platform: Platform, name: str):
-    """A link or host by name (fault flags accept either)."""
-    for getter in (platform.link, platform.host):
-        try:
-            return getter(name)
-        except ReproError:
-            continue
-    raise ConfigError(f"no link or host named {name!r} on this platform")
-
-
-def _attach_profiles(platform: Platform, args: argparse.Namespace) -> None:
-    """Apply --availability / --state-profile RES=FILE flags.
-
-    Must run before the engine is built: the engine scans the platform's
-    resources for profiles at construction time.
-    """
-    for attr, flag in (("availability_profile", "availability"),
-                       ("state_profile", "state_profile")):
-        for pair in getattr(args, flag, None) or []:
-            try:
-                name, file = pair.split("=", 1)
-            except ValueError:
-                raise ConfigError(
-                    f"--{flag.replace('_', '-')} expects RESOURCE=FILE, "
-                    f"got {pair!r}")
-            setattr(_find_resource(platform, name), attr,
-                    load_profile(file))
-
-
-def _parse_at(spec: str, flag: str) -> tuple[float, str]:
-    try:
-        t_s, name = spec.split(":", 1)
-        return float(t_s), name
-    except ValueError:
-        raise ConfigError(f"--{flag} expects TIME:RESOURCE, got {spec!r}")
 
 
 def _report(result, n_ranks: int, show_stats: bool = False) -> None:
@@ -236,134 +146,82 @@ def _report(result, n_ranks: int, show_stats: bool = False) -> None:
             print(f"  pooled reuses    : {stats.pooled_reuses}")
 
 
-def _make_engine(platform, args):
-    """The simulation kernel for a run/replay command.
-
-    Builds an explicit engine whenever ``--fail-at``/``--restore-at``
-    events need scripting (None lets the runtime build its default
-    engine; profiles attached to platform resources work either way).
-    """
-    fail_specs = getattr(args, "fail_at", None) or []
-    restore_specs = getattr(args, "restore_at", None) or []
-    if not (fail_specs or restore_specs):
-        return None
-    engine = Engine(platform)
-    for spec in fail_specs:
-        t, name = _parse_at(spec, "fail-at")
-        resource = _find_resource(platform, name)
-        engine.at(t, lambda r=resource: engine.fail_resource(r))
-    for spec in restore_specs:
-        t, name = _parse_at(spec, "restore-at")
-        resource = _find_resource(platform, name)
-        engine.at(t, lambda r=resource: engine.restore_resource(r))
-    return engine
+def _scenario(args: argparse.Namespace) -> PlatformSpec:
+    """The --platform spec with its profile and fault flags."""
+    return PlatformSpec(args.platform, args.availability, args.state_profile,
+                        args.fail_at, args.restore_at)
 
 
-def _export_run_trace(result, n_ranks: int, args: argparse.Namespace) -> None:
-    """Write ``result.trace`` to ``args.trace`` in csv or paje form."""
-    tracer = result.trace
-    if args.trace_format == "paje":
-        text = export_paje(tracer, n_ranks)
-    else:
-        text = tracer.to_csv()
-    Path(args.trace).write_text(text, encoding="utf-8")
-    print(f"trace written  : {args.trace} ({args.trace_format}, "
-          f"{len(tracer.comms)} messages, "
-          f"{len(tracer.computes)} compute bursts)")
-
-
-def _make_trace_sink(args: argparse.Namespace, n_ranks: int):
-    """The streaming sink for ``--stream-trace``, or None."""
-    if not (getattr(args, "stream_trace", False) and args.trace):
+def _trace_sink(args: argparse.Namespace, n_ranks: int):
+    """The streaming sink writing a csv/paje ``--trace``, or None."""
+    if not args.trace or args.trace_format == "ti":
         return None
     if args.trace_format == "paje":
         return PajeStreamSink(args.trace, n_ranks)
     return CsvStreamSink(args.trace)
 
 
-def _report_streamed_trace(result, args: argparse.Namespace) -> None:
+def _report_trace(result, args: argparse.Namespace) -> None:
     tracer = result.trace
-    print(f"trace written  : {args.trace} ({args.trace_format}, streamed, "
+    print(f"trace written  : {args.trace} ({args.trace_format}, "
           f"{tracer.n_comm_records} messages, "
           f"{tracer.n_compute_records} compute bursts)")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     app = load_app(args.app, args.entry)
-    platform = build_platform(args.platform, args.n)
-    _attach_profiles(platform, args)
+    platform, engine = _scenario(args).build(args.n)
     config = _config_from_args(args)
-    engine = _make_engine(platform, args)
-    want_ti = args.trace and args.trace_format == "ti"
-    if args.trace and not want_ti:
-        config = config.with_options(tracing=True)
-    streaming = getattr(args, "stream_trace", False) and args.trace
-    if streaming and want_ti:
-        result = record_trace_streaming(app, args.n, platform, args.trace,
-                                        config=config, engine=engine,
-                                        ctx=args.ctx)
-        print(f"trace written  : {args.trace} (ti, streamed)")
-        if args.record:
-            raise ConfigError(
-                "--stream-trace with --trace-format ti already records; "
-                "drop --record or the streaming flag")
-    elif args.record or want_ti:
-        result, trace = record_trace(app, args.n, platform, config=config,
-                                     engine=engine, ctx=args.ctx)
-        for target in filter(None, [args.record,
-                                    args.trace if want_ti else None]):
-            trace.save(target)
-            print(f"trace written  : {target} ({trace.summary()})")
+    sink = _trace_sink(args, args.n)
+    run = dict(config=config, engine=engine, ctx=args.ctx, trace_sink=sink)
+    ti_files = [args.record] if args.record else []
+    if args.trace and args.trace_format == "ti":
+        ti_files.append(args.trace)
+    if ti_files:
+        result = record_trace_streaming(app, args.n, platform, ti_files[0],
+                                        **run)
+        for copy in ti_files[1:]:
+            shutil.copyfile(ti_files[0], copy)
+        for target in ti_files:
+            print(f"trace written  : {target} (ti)")
     else:
-        result = smpirun(app, args.n, platform, config=config, engine=engine,
-                         ctx=args.ctx,
-                         trace_sink=_make_trace_sink(args, args.n))
-    if args.trace and not want_ti:
-        if streaming:
-            _report_streamed_trace(result, args)
-        else:
-            _export_run_trace(result, args.n, args)
+        result = smpirun(app, args.n, platform, **run)
+    if sink is not None:
+        _report_trace(result, args)
     _report(result, args.n, show_stats=args.stats)
     return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = TiTrace.load(args.trace_file)
-    platform = build_platform(args.platform, trace.n_ranks)
-    _attach_profiles(platform, args)
-    config = _config_from_args(args)
-    if args.trace:
-        if args.trace_format == "ti":
-            raise ConfigError(
-                "replay consumes a TI trace; re-exporting it as 'ti' would "
-                "copy the input — use --trace-format csv or paje"
-            )
-        config = config.with_options(tracing=True)
-    streaming = getattr(args, "stream_trace", False) and args.trace
-    resume_from = getattr(args, "resume_from", None)
-    checkpoint_at = getattr(args, "checkpoint_at", None)
-    if resume_from is not None:
+    if args.trace and args.trace_format == "ti":
+        raise ConfigError(
+            "replay consumes a TI trace; re-exporting it as 'ti' would "
+            "copy the input — use --trace-format csv or paje"
+        )
+    if args.resume_from is not None and (args.trace or
+                                         args.checkpoint_at is not None):
+        raise ConfigError("--resume-from continues an untraced replay: it "
+                          "takes neither --trace nor --checkpoint-at")
+    platform, engine = _scenario(args).build(trace.n_ranks)
+    if args.resume_from is not None:
         from .offline import load_checkpoint, resume_replay
 
-        if checkpoint_at is not None:
-            raise ConfigError("--resume-from and --checkpoint-at are "
-                              "mutually exclusive")
-        result = resume_replay(trace, platform, load_checkpoint(resume_from),
+        result = resume_replay(trace, platform,
+                               load_checkpoint(args.resume_from),
                                ctx=args.ctx)
-        print(f"resumed from   : {resume_from}")
+        print(f"resumed from   : {args.resume_from}")
     else:
-        result = replay_trace(trace, platform, config=config,
-                              engine=_make_engine(platform, args),
-                              ctx=args.ctx,
-                              trace_sink=_make_trace_sink(args,
-                                                          trace.n_ranks),
-                              checkpoint_at=checkpoint_at)
-        if checkpoint_at is not None:
+        result = replay_trace(trace, platform, config=_config_from_args(args),
+                              engine=engine, ctx=args.ctx,
+                              trace_sink=_trace_sink(args, trace.n_ranks),
+                              checkpoint_at=args.checkpoint_at)
+        if args.checkpoint_at is not None:
             from .offline import save_checkpoint
 
             if result.checkpoint is None:
                 print(f"checkpoint     : none (run ended before "
-                      f"t={checkpoint_at:g})")
+                      f"t={args.checkpoint_at:g})")
             else:
                 out = (args.checkpoint_out
                        or f"{args.trace_file}.ckpt.json")
@@ -376,12 +234,40 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"recorded on    : {trace.meta['recorded_on']}"
               + (f" ({format_time(recorded_t)})" if recorded_t else ""))
     if args.trace:
-        if streaming:
-            _report_streamed_trace(result, args)
-        else:
-            _export_run_trace(result, trace.n_ranks, args)
+        _report_trace(result, args)
     _report(result, trace.n_ranks, show_stats=args.stats)
     return 0
+
+
+def _print_sweep_summary(result) -> None:
+    """How many points ran, how many came from the cache, which failed."""
+    n = len(result.points)
+    where = ("inline" if result.workers == 0
+             else f"{result.workers} worker processes")
+    print(f"simulated      : {result.misses} points ({where})")
+    print(f"cache hits     : {result.hits}/{n}"
+          + (" (all points served from cache)" if result.hits == n else ""))
+    print(f"wall-clock time: {format_time(result.wall_time)}")
+    for failed in result.errors:
+        print(f"  FAILED {failed.point.label()}: {failed.error}")
+
+
+def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
+    """Print ``rows`` as --format table/csv/json, or write them to -o."""
+    from .sweep import format_table, rows_to_csv, rows_to_json
+
+    if args.format == "csv":
+        text = rows_to_csv(rows)
+    elif args.format == "json":
+        text = rows_to_json(rows)
+    else:
+        text = format_table(rows) + "\n"
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+        print(f"report written : {args.output} ({args.format}, "
+              f"{len(rows)} rows)")
+    else:
+        print(text, end="")
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
@@ -392,15 +278,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     print(f"sweep          : {spec.name} — {spec.describe()}")
     result = run_sweep(spec, jobs=args.jobs, cache=cache, force=args.force,
                        echo=print if args.verbose else None)
-    n = len(result.points)
-    where = ("inline" if result.workers == 0
-             else f"{result.workers} worker processes")
-    print(f"simulated      : {result.misses} points ({where})")
-    print(f"cache hits     : {result.hits}/{n}"
-          + (" (all points served from cache)" if result.hits == n else ""))
-    print(f"wall-clock time: {format_time(result.wall_time)}")
-    for failed in result.errors:
-        print(f"  FAILED {failed.point.label()}: {failed.error}")
+    _print_sweep_summary(result)
     return 1 if result.errors else 0
 
 
@@ -424,36 +302,21 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_report(args: argparse.Namespace) -> int:
-    from .sweep import (ResultCache, SweepSpec, format_table, result_rows,
-                        rows_to_csv, rows_to_json, run_sweep)
+    from .sweep import ResultCache, SweepSpec, result_rows, run_sweep
 
     spec = SweepSpec.load(args.spec)
-    cache = ResultCache(args.cache_dir)
-    result = run_sweep(spec, jobs=args.jobs, cache=cache)
-    if result.errors:
-        for failed in result.errors:
-            print(f"  FAILED {failed.point.label()}: {failed.error}",
-                  file=sys.stderr)
-    rows = result_rows(result)
-    if args.format == "csv":
-        text = rows_to_csv(rows)
-    elif args.format == "json":
-        text = rows_to_json(rows)
-    else:
-        text = format_table(rows) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"report written : {args.output} ({args.format}, "
-              f"{len(rows)} rows)")
-    else:
-        print(text, end="")
+    result = run_sweep(spec, jobs=args.jobs, cache=ResultCache(args.cache_dir))
+    for failed in result.errors:
+        print(f"  FAILED {failed.point.label()}: {failed.error}",
+              file=sys.stderr)
+    _write_rows(result_rows(result), args)
     return 1 if result.errors else 0
 
 
 def _cmd_coll_sweep(args: argparse.Namespace) -> int:
     """``repro coll sweep``: size x ranks x algorithm collective campaign."""
     from .sweep import (ResultCache, coll_rows, coll_sweep_spec, crossovers,
-                        format_table, run_sweep, size_ladder)
+                        run_sweep, size_ladder)
 
     if args.algos.strip() == "all":
         from .smpi.coll import ALGORITHMS
@@ -474,33 +337,9 @@ def _cmd_coll_sweep(args: argparse.Namespace) -> int:
     print(f"sweep          : {spec.name} — {spec.describe()}")
     result = run_sweep(spec, jobs=args.jobs, cache=cache, force=args.force,
                        echo=print if args.verbose else None)
-    n = len(result.points)
-    where = ("inline" if result.workers == 0
-             else f"{result.workers} worker processes")
-    print(f"simulated      : {result.misses} points ({where})")
-    print(f"cache hits     : {result.hits}/{n}"
-          + (" (all points served from cache)" if result.hits == n else ""))
-    print(f"wall-clock time: {format_time(result.wall_time)}")
-    for failed in result.errors:
-        print(f"  FAILED {failed.point.label()}: {failed.error}")
-
+    _print_sweep_summary(result)
     rows = coll_rows(result)
-    if args.format == "csv":
-        from .sweep import rows_to_csv
-
-        text = rows_to_csv(rows)
-    elif args.format == "json":
-        from .sweep import rows_to_json
-
-        text = rows_to_json(rows)
-    else:
-        text = format_table(rows) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"rows written   : {args.output} ({args.format}, "
-              f"{len(rows)} rows)")
-    else:
-        print(text, end="")
+    _write_rows(rows, args)
     if args.format == "table":
         points = crossovers(rows)
         if points:
@@ -658,7 +497,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                    help="fold payloads (timing only, erroneous results)")
     p.add_argument("--coll", action="append", metavar="NAME=ALGO",
                    help="force a collective algorithm (repeatable)")
-    p.add_argument("--ctx", choices=("auto", "coroutine", "thread"),
+    p.add_argument("--ctx", choices=available_backends(),
                    default=None,
                    help="execution-context backend for rank actors "
                         "(default: auto — coroutine for generator apps, "
@@ -673,10 +512,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-format", choices=("csv", "paje", "ti"),
                    default="csv",
                    help="format for --trace (default: csv)")
-    p.add_argument("--stream-trace", action="store_true",
-                   help="stream the --trace export to disk as records "
-                        "close (bounded trace memory; output is "
-                        "byte-identical to the in-memory exporter)")
     p.add_argument("--stats", action="store_true",
                    help="print kernel counters (shares, flow re-solves)")
     p.add_argument("--profile", action="store_true",

@@ -36,6 +36,7 @@ import json
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..scenario import build_platform
 from ..surf import EngineStats
 from . import workloads
 from .spec import SweepPoint
@@ -46,33 +47,11 @@ __all__ = ["ResultCache", "SnapshotStore", "point_fingerprint", "point_key"]
 CACHE_SCHEMA = 1
 
 
-def _build_platform(point: SweepPoint, base_dir: Path):
-    """Build (and fault-script-check) the point's platform object."""
-    from ..cli import build_platform  # late: the CLI imports this package
-
-    spec = point.platform.spec
-    path = base_dir / spec
-    if path.suffix == ".xml" and path.exists():
-        spec = str(path)
-    return build_platform(spec, point.workload.n)
-
-
-def _profile_contents(pairs: tuple[str, ...], base_dir: Path) -> list:
-    """``RESOURCE=FILE`` pairs resolved to ``[resource, file text]``."""
-    out = []
-    for pair in pairs:
-        try:
-            resource, file = pair.split("=", 1)
-        except ValueError:
-            raise ConfigError(
-                f"profile binding {pair!r} is not RESOURCE=FILE")
-        target = Path(file)
-        if not target.is_absolute():
-            target = base_dir / target
-        if not target.exists():
-            raise ConfigError(f"profile file {file!r} not found")
-        out.append([resource, target.read_text(encoding="utf-8")])
-    return out
+def _profile_contents(point: SweepPoint, attr: str, base_dir: Path) -> list:
+    """The point's ``attr`` profile bindings as ``[resource, file text]``."""
+    return [[resource, path.read_text(encoding="utf-8")]
+            for kind, resource, path in point.platform.profiles(base_dir)
+            if kind == attr]
 
 
 def _workload_fingerprint(point: SweepPoint, base_dir: Path) -> dict:
@@ -80,9 +59,7 @@ def _workload_fingerprint(point: SweepPoint, base_dir: Path) -> dict:
     if work.builtin is not None:
         source = f"builtin:{work.builtin}:{workloads.fingerprint(work.builtin)}"
     else:
-        target = Path(work.file)
-        if not target.is_absolute():
-            target = base_dir / target
+        target = base_dir / work.file
         if not target.exists():
             raise ConfigError(f"workload file {work.file!r} not found")
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
@@ -105,16 +82,15 @@ def point_fingerprint(point: SweepPoint, base_dir: str | Path = ".") -> dict:
     from ..surf.platform_xml import dumps_platform_xml
 
     base = Path(base_dir)
-    platform = _build_platform(point, base)
+    platform = build_platform(point.platform.spec, point.workload.n, base)
     config = point.smpi_config()
     return {
         "schema": CACHE_SCHEMA,
         "platform": {
             "xml": dumps_platform_xml(platform),
-            "availability": _profile_contents(point.platform.availability,
+            "availability": _profile_contents(point, "availability_profile",
                                               base),
-            "state_profile": _profile_contents(point.platform.state_profile,
-                                               base),
+            "state_profile": _profile_contents(point, "state_profile", base),
             "fail_at": list(point.platform.fail_at),
             "restore_at": list(point.platform.restore_at),
         },

@@ -21,10 +21,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, ReproError
+from ..errors import ReproError
 from ..surf import EngineStats
 from .cache import ResultCache, point_key
-from .spec import SweepPoint, SweepSpec
+from .spec import PlatformSpec, SweepPoint, SweepSpec, _thaw
 
 __all__ = ["PointResult", "SweepResult", "run_sweep"]
 
@@ -98,7 +98,8 @@ class SweepResult:
 
 # -- worker side ---------------------------------------------------------------
 
-#: per-worker-process platform cache: payload platform signature -> Platform
+#: per-worker-process build cache: (platform spec, ranks, base dir) ->
+#: Platform with its profiles attached
 _PLATFORMS: dict = {}
 
 
@@ -109,144 +110,44 @@ def _init_worker(parent_path: list[str]) -> None:
             sys.path.insert(0, entry)
 
 
-def _payload(point: SweepPoint, key: str, base_dir: str) -> dict:
-    """A picklable description of one point for the worker."""
-    return {
-        "key": key,
-        "base_dir": base_dir,
-        "label": point.label(),
-        "platform": {
-            "spec": point.platform.spec,
-            "availability": point.platform.availability,
-            "state_profile": point.platform.state_profile,
-            "fail_at": point.platform.fail_at,
-            "restore_at": point.platform.restore_at,
-        },
-        "workload": {
-            "builtin": point.workload.builtin,
-            "file": point.workload.file,
-            "entry": point.workload.entry,
-            "n": point.workload.n,
-            "params": point.workload.params,
-            "args": point.workload.args,
-        },
-        "config": point.smpi_config(),
-        "ctx": point.ctx(),
-        "trace": point.trace,
-    }
+def _worker_platform(spec: PlatformSpec, n_ranks: int, base_dir: str):
+    """Build-or-reuse the worker's platform for ``spec``.
 
-
-def _worker_platform(desc: dict, n_ranks: int, base_dir: str):
-    """Build-or-reuse the worker's platform for ``desc``.
-
-    Keyed by the full platform signature (spec + profile bindings + rank
-    count): the expensive parse/build/calibration happens once per worker
-    and every later point with the same signature reuses the object —
-    including its warmed route-resolution cache.
+    The expensive parse/build/calibration happens once per worker and
+    every later point with the same spec, rank count and base directory
+    reuses the object — including its warmed route-resolution cache.
     """
-    from pathlib import Path
-
-    from ..cli import _attach_profiles, build_platform
-
-    signature = (desc["spec"], desc["availability"], desc["state_profile"],
-                 n_ranks, base_dir)
+    signature = (spec, n_ranks, base_dir)
     platform = _PLATFORMS.get(signature)
     if platform is None:
-        spec = desc["spec"]
-        candidate = Path(base_dir) / spec
-        if candidate.suffix == ".xml" and candidate.exists():
-            spec = str(candidate)
-        platform = build_platform(spec, n_ranks)
-
-        class _Args:  # argparse-shaped shim for the CLI profile helper
-            pass
-
-        args = _Args()
-        args.availability = [_resolve_binding(b, base_dir)
-                             for b in desc["availability"]]
-        args.state_profile = [_resolve_binding(b, base_dir)
-                              for b in desc["state_profile"]]
-        _attach_profiles(platform, args)
-        _PLATFORMS[signature] = platform
+        platform = _PLATFORMS[signature] = spec.platform(n_ranks, base_dir)
     return platform
 
 
-def _resolve_binding(binding: str, base_dir: str) -> str:
-    """Make the FILE half of a RESOURCE=FILE binding spec-relative."""
-    from pathlib import Path
-
-    if "=" not in binding:
-        raise ConfigError(f"profile binding {binding!r} is not RESOURCE=FILE")
-    resource, file = binding.split("=", 1)
-    path = Path(file)
-    if not path.is_absolute():
-        path = Path(base_dir) / path
-    return f"{resource}={path}"
-
-
-def _point_engine(platform, desc: dict, config):
-    """An explicit Engine when the point needs scripted fault events."""
-    from ..cli import _find_resource, _parse_at
-    from ..surf import Engine
-
-    if not (desc["fail_at"] or desc["restore_at"]):
-        return None
-    engine = Engine(platform)
-    for spec in desc["fail_at"]:
-        t, name = _parse_at(spec, "fail-at")
-        resource = _find_resource(platform, name)
-        engine.at(t, lambda r=resource: engine.fail_resource(r))
-    for spec in desc["restore_at"]:
-        t, name = _parse_at(spec, "restore-at")
-        resource = _find_resource(platform, name)
-        engine.at(t, lambda r=resource: engine.restore_resource(r))
-    return engine
-
-
-def _resolve_app(work: dict, base_dir: str):
-    from pathlib import Path
-
-    from ..cli import load_app
-    from . import workloads
-    from .spec import _thaw
-
-    if work["builtin"] is not None:
-        return workloads.resolve(work["builtin"], _thaw(work["params"]) or {})
-    path = Path(work["file"])
-    if not path.is_absolute():
-        path = Path(base_dir) / path
-    return load_app(str(path), work["entry"])
-
-
-def _simulate_point(payload: dict) -> dict:
+def _simulate_point(point: SweepPoint, key: str, base_dir: str) -> dict:
     """Run one point (in a worker or inline) and return its record."""
     from ..smpi import smpirun
-    from .spec import _thaw
 
-    work = payload["workload"]
+    work = point.workload
     try:
-        platform = _worker_platform(payload["platform"], work["n"],
-                                    payload["base_dir"])
-        app = _resolve_app(work, payload["base_dir"])
-        config = payload["config"]
-        engine = _point_engine(platform, payload["platform"], config)
+        platform = _worker_platform(point.platform, work.n, base_dir)
         result = smpirun(
-            app, work["n"], platform,
-            app_args=tuple(_thaw(work["args"])),
-            config=config, engine=engine, ctx=payload["ctx"],
+            work.app(base_dir), work.n, platform,
+            app_args=tuple(_thaw(work.args)), config=point.smpi_config(),
+            engine=point.platform.engine(platform), ctx=point.ctx(),
         )
     except ReproError as exc:
-        return {"key": payload["key"], "error": f"{type(exc).__name__}: {exc}"}
+        return {"key": key, "error": f"{type(exc).__name__}: {exc}"}
     record = {
-        "key": payload["key"],
-        "label": payload["label"],
+        "key": key,
+        "label": point.label(),
         "simulated_time": result.simulated_time,
         "wall_time": result.wall_time,
         "stats": result.stats.to_dict() if result.stats is not None else None,
     }
     if result.returns and isinstance(result.returns[0], (int, float, str, bool)):
         record["rank0"] = result.returns[0]
-    if payload["trace"] and result.trace is not None:
+    if point.trace and result.trace is not None:
         record["trace_text"] = result.trace.to_csv()
     return record
 
@@ -308,20 +209,22 @@ def run_sweep(
         else:
             todo.append((point, key))
 
-    payloads = [_payload(p, k, base_dir) for p, k in todo]
     workers = 0
-    if payloads:
+    if todo:
+        todo_points, todo_keys = zip(*todo)
+        dirs = [base_dir] * len(todo)
         if jobs is None:
-            jobs = min(len(payloads), os.cpu_count() or 2)
+            jobs = min(len(todo), os.cpu_count() or 2)
         if jobs > 1:
-            workers = min(jobs, len(payloads))
+            workers = min(jobs, len(todo))
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker, initargs=(list(sys.path),),
             ) as pool:
-                records = list(pool.map(_simulate_point, payloads))
+                records = list(pool.map(_simulate_point, todo_points,
+                                        todo_keys, dirs))
         else:
-            records = [_simulate_point(p) for p in payloads]
+            records = list(map(_simulate_point, todo_points, todo_keys, dirs))
         for (point, key), record in zip(todo, records):
             trace_text = record.pop("trace_text", None)
             if cache is not None and record.get("error") is None:

@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..scenario import PlatformSpec, load_app
+from ..simix import available_backends
 from ..smpi import SmpiConfig
 
 __all__ = ["PlatformSpec", "WorkloadSpec", "SweepPoint", "SweepSpec"]
@@ -52,8 +54,8 @@ __all__ = ["PlatformSpec", "WorkloadSpec", "SweepPoint", "SweepSpec"]
 #: axis keys handled outside SmpiConfig (execution backend selection)
 _ENGINE_AXES = frozenset({"ctx"})
 
-#: valid --ctx values (mirrors the CLI choices)
-_CTX_VALUES = ("auto", "coroutine", "thread")
+#: valid ``ctx`` values (the CLI's --ctx choices)
+_CTX_VALUES = tuple(available_backends())
 
 
 def _freeze(value):
@@ -75,35 +77,6 @@ def _thaw(value):
     if isinstance(value, tuple):
         return [_thaw(v) for v in value]
     return value
-
-
-@dataclass(frozen=True)
-class PlatformSpec:
-    """One platform axis value: a ``--platform`` spec plus fault scripting.
-
-    ``availability``/``state_profile`` are ``RESOURCE=FILE`` pairs and
-    ``fail_at``/``restore_at`` are ``TIME:RESOURCE`` pairs — the exact
-    grammars of the CLI fault flags (docs/faults.md); files are resolved
-    relative to the spec file.
-    """
-
-    spec: str
-    availability: tuple[str, ...] = ()
-    state_profile: tuple[str, ...] = ()
-    fail_at: tuple[str, ...] = ()
-    restore_at: tuple[str, ...] = ()
-
-    def label(self) -> str:
-        """Short human-readable identifier used in tables and reports."""
-        name = self.spec.replace(":", "-")
-        if self.is_dynamic():
-            name += "+faults"
-        return name
-
-    def is_dynamic(self) -> bool:
-        """Whether this platform carries profiles or scripted events."""
-        return bool(self.availability or self.state_profile
-                    or self.fail_at or self.restore_at)
 
 
 @dataclass(frozen=True)
@@ -133,6 +106,14 @@ class WorkloadSpec:
         """Short human-readable identifier used in tables and reports."""
         base = self.builtin if self.builtin else Path(self.file).stem
         return f"{base}/n{self.n}"
+
+    def app(self, base_dir: str | Path = "."):
+        """The rank entry point: a built-in's app or the file's ``entry``."""
+        if self.builtin is not None:
+            from . import workloads
+
+            return workloads.resolve(self.builtin, _thaw(self.params) or {})
+        return load_app(Path(base_dir) / self.file, self.entry)
 
 
 @dataclass(frozen=True)
@@ -245,13 +226,7 @@ class SweepSpec:
                                 "fail_at", "restore_at"}
             if bad or "spec" not in entry:
                 raise ConfigError(f"bad platform entry {entry!r}")
-            platforms.append(PlatformSpec(
-                spec=entry["spec"],
-                availability=tuple(entry.get("availability", ())),
-                state_profile=tuple(entry.get("state_profile", ())),
-                fail_at=tuple(entry.get("fail_at", ())),
-                restore_at=tuple(entry.get("restore_at", ())),
-            ))
+            platforms.append(PlatformSpec(**entry))
         workloads = []
         for entry in data.get("workloads", []):
             bad = set(entry) - {"builtin", "file", "entry", "n", "params",

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import os
+import pickle
 
 import pytest
 
 from repro.cli import build_platform, load_app, main
 from repro.errors import ConfigError
+from repro.scenario import PlatformSpec
+from repro.sweep import SweepSpec
 
 APP_SOURCE = '''
 import numpy as np
@@ -74,6 +77,62 @@ class TestBuildPlatform:
     def test_unknown_spec(self):
         with pytest.raises(ConfigError):
             build_platform("the-cloud", 4)
+
+
+class TestPlatformSpec:
+    """The scenario grammar shared by ``repro run`` and sweep specs."""
+
+    @pytest.mark.parametrize("field, entry", [
+        ("availability", "cli-l0"), ("availability", "=wave.trace"),
+        ("state_profile", "cli-l0="), ("fail_at", "soon:cli-l0"),
+        ("fail_at", "0.5"), ("restore_at", "1.0:"),
+    ])
+    def test_malformed_entries_are_refused_when_made(self, field, entry):
+        with pytest.raises(ConfigError, match=field):
+            PlatformSpec("cluster:2", **{field: [entry]})
+        with pytest.raises(ConfigError, match=field):
+            SweepSpec.from_dict({
+                "platforms": [{"spec": "cluster:2", field: [entry]}],
+                "workloads": [{"builtin": "pingpong", "n": 2}]})
+
+    def test_static_spec_builds_no_engine(self):
+        platform, engine = PlatformSpec("cluster:3").build(3)
+        assert len(platform.hosts) == 3 and engine is None
+        assert not PlatformSpec("cluster:3").is_dynamic()
+
+    def test_paths_resolve_against_base_dir(self, tmp_path):
+        from repro.surf import cluster, save_platform_xml
+
+        save_platform_xml(cluster("x", 3), tmp_path / "p.xml")
+        (tmp_path / "wave.trace").write_text("0.0 1.0\n0.5 0.5\n")
+        spec = PlatformSpec("p.xml", availability=["x-l1=wave.trace"])
+        platform, _ = spec.build(3, base_dir=tmp_path)
+        assert platform.link("x-l1").availability_profile.value_at(0.7) == 0.5
+        # relative to the working directory, neither file exists
+        with pytest.raises(ConfigError, match="unknown platform 'p.xml'"):
+            spec.build(3)
+        with pytest.raises(ConfigError, match="'wave.trace' not found"):
+            PlatformSpec("cluster:3", availability=["cli-l1=wave.trace"]
+                         ).build(3)
+
+    def test_events_script_the_engine(self):
+        spec = PlatformSpec("cluster:2", fail_at=["0.001:node-1"],
+                            restore_at=["0.002:node-1"])
+        assert spec.events == ((0.001, "node-1", True),
+                               (0.002, "node-1", False))
+        platform, engine = spec.build(2)
+        engine.run()
+        assert engine.stats.resource_failures == 1
+        assert engine.stats.resource_restores == 1
+        assert not engine.is_dead(platform.host("node-1"))
+        with pytest.raises(ConfigError, match="no link or host"):
+            PlatformSpec("cluster:2", fail_at=["1:nowhere"]).build(2)
+
+    def test_specs_hash_by_their_entries(self):
+        a = PlatformSpec("cluster:2", fail_at=["0.5:cli-l0"])
+        assert a == PlatformSpec("cluster:2", fail_at=("0.5:cli-l0",))
+        assert hash(a) != hash(PlatformSpec("cluster:2"))
+        assert pickle.loads(pickle.dumps(a)).events == a.events
 
 
 class TestLoadApp:
@@ -414,3 +473,50 @@ class TestScenarioParity:
         (point,) = sweep.points
         assert point.simulated_time.hex() == result.simulated_time.hex()
         assert point.stats.to_dict() == result.stats.to_dict()
+
+
+class TestTraceOutputs:
+    """``--trace`` streams; the bytes match the in-memory exporters."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "paje"])
+    def test_streamed_trace_matches_in_memory_export(self, app_file, tmp_path,
+                                                     fmt, capsys):
+        from repro.smpi import SmpiConfig, smpirun
+        from repro.trace import export_paje
+
+        path = tmp_path / f"run.{fmt}"
+        assert main(["run", app_file, "-n", "4", "--platform", "cluster:4",
+                     "--trace", str(path), "--trace-format", fmt]) == 0
+        assert f"trace written  : {path} ({fmt}, " in capsys.readouterr().out
+        tracer = smpirun(load_app(app_file), 4, build_platform("cluster:4", 4),
+                         config=SmpiConfig(tracing=True)).trace
+        expected = tracer.to_csv() if fmt == "csv" else export_paje(tracer, 4)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_record_and_ti_trace_write_both_files(self, app_file, tmp_path,
+                                                  capsys):
+        from repro.offline import TiTrace, record_trace
+
+        record, ti = tmp_path / "r.json", tmp_path / "t.json"
+        assert main(["run", app_file, "-n", "2", "--platform", "cluster:2",
+                     "--record", str(record), "--trace", str(ti),
+                     "--trace-format", "ti"]) == 0
+        out = capsys.readouterr().out
+        assert f"trace written  : {record}" in out
+        assert f"trace written  : {ti}" in out
+        assert record.read_bytes() == ti.read_bytes()
+        _, trace = record_trace(load_app(app_file), 2,
+                                build_platform("cluster:2", 2))
+        trace.save(tmp_path / "memory.json")
+        assert (tmp_path / "memory.json").read_bytes() == record.read_bytes()
+        assert TiTrace.load(ti).n_ranks == 2
+
+    def test_resume_refuses_a_trace(self, app_file, tmp_path, capsys):
+        path = str(tmp_path / "t.json")
+        main(["run", app_file, "-n", "2", "--platform", "cluster:2",
+              "--record", path])
+        capsys.readouterr()
+        assert main(["replay", path, "--platform", "cluster:2",
+                     "--resume-from", path,
+                     "--trace", str(tmp_path / "x.csv")]) == 2
+        assert "--resume-from" in capsys.readouterr().err

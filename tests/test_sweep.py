@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.surf import EngineStats
 from repro.sweep import (
+    PlatformSpec,
     ResultCache,
     SweepSpec,
     point_fingerprint,
@@ -266,12 +267,11 @@ class TestRunner:
             assert text.splitlines()[0].startswith("kind")
 
     def test_worker_platform_is_reused(self, tmp_path):
-        desc = {"spec": "cluster:2", "availability": (),
-                "state_profile": (), "fail_at": (), "restore_at": ()}
-        first = _worker_platform(desc, 2, str(tmp_path))
-        second = _worker_platform(desc, 2, str(tmp_path))
+        spec = PlatformSpec("cluster:2")
+        first = _worker_platform(spec, 2, str(tmp_path))
+        second = _worker_platform(spec, 2, str(tmp_path))
         assert first is second
-        other = _worker_platform(desc, 4, str(tmp_path))
+        other = _worker_platform(spec, 4, str(tmp_path))
         assert other is not first
 
 
