@@ -261,9 +261,12 @@ _DAMP = 0.9999
 _TAG = 11
 
 
-def _source_features(rank: int, elems: int, seed: int) -> np.ndarray:
+def _source_features(rank: int, elems: int, seed: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """A source node's ``elems`` features, written into ``out`` if given
+    (no temporary) and returned."""
     gen = rng_mod.substream(seed, "nas-dt", rank)
-    return gen.standard_normal(elems)
+    return gen.standard_normal(elems, out=out)
 
 
 def _node_process(graph: DtGraph, node: DtNode, work: np.ndarray) -> None:
@@ -299,7 +302,7 @@ def dt_app(mpi, graph: DtGraph, seed: int = 0, folded: bool = False):
         work = mpi.malloc(in_elems)
 
     if node.is_source:
-        work[:] = _source_features(node.rank, in_elems, seed)
+        _source_features(node.rank, in_elems, seed, out=work)
     else:
         offset = 0
         for src in node.in_edges:

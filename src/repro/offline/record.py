@@ -68,43 +68,34 @@ class Recorder:
 
 
 class StreamingRecorder(Recorder):
-    """Recorder that spills events to disk under a bounded buffer.
+    """Recorder that spills events to disk as they happen.
 
     Events append to a JSONL spill file (``[rank, [kind, *args]]`` per
-    line) instead of growing per-rank lists, so recording a 10k+-rank
-    run holds at most ``high_water`` events in memory while the
-    simulation is live.  :meth:`finish` regroups the spill into the
-    canonical :class:`~repro.offline.trace.TiTrace` JSON — that final
-    pass materialises the trace once, after simulation state is gone —
-    and the written file is byte-identical to ``TiTrace.save`` from an
+    line), each line written through the file object's own buffer,
+    instead of growing per-rank lists, so recording a 10k+-rank run
+    holds no more events in memory than the file buffer while the
+    simulation is live.
+    :meth:`finish` regroups the spill into the canonical
+    :class:`~repro.offline.trace.TiTrace` JSON — that final pass
+    materialises the trace once, after simulation state is gone — and
+    the written file is byte-identical to ``TiTrace.save`` from an
     in-memory recording.
     """
 
-    def __init__(self, n_ranks: int, path: str | Path,
-                 high_water: int = 4096) -> None:
+    def __init__(self, n_ranks: int, path: str | Path) -> None:
         super().__init__(n_ranks)
         self.trace = None  # streaming: no in-memory trace
         self.path = Path(path)
         self._spill_path = self.path.with_name(self.path.name + ".spill")
         self._spill = open(self._spill_path, "w", encoding="utf-8")
-        self._buffer: list[str] = []
-        self._high_water = max(1, high_water)
         self.n_events = 0
 
     def _emit(self, rank: int, event: TiEvent) -> None:
-        self._buffer.append(json.dumps([rank, event.to_json()]))
+        self._spill.write(json.dumps([rank, event.to_json()]) + "\n")
         self.n_events += 1
-        if len(self._buffer) >= self._high_water:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self._buffer:
-            self._spill.write("\n".join(self._buffer) + "\n")
-            self._buffer.clear()
 
     def finish(self, meta: dict | None = None) -> TiTrace:
         """Regroup the spill into ``path`` (canonical TI JSON)."""
-        self._flush()
         self._spill.close()
         trace = TiTrace(self.n_ranks)
         with open(self._spill_path, "r", encoding="utf-8") as spill:
@@ -149,7 +140,6 @@ def record_trace_streaming(
     n_ranks: int,
     platform: Platform,
     path: str | Path,
-    high_water: int = 4096,
     **smpirun_kwargs: Any,
 ) -> SmpiResult:
     """Run ``app`` on-line and stream its TI trace straight to ``path``.
@@ -158,7 +148,7 @@ def record_trace_streaming(
     disk as they happen and the canonical trace file is assembled at the
     end, byte-identical to ``record_trace(...)[1].save(path)``.
     """
-    recorder = StreamingRecorder(n_ranks, path, high_water=high_water)
+    recorder = StreamingRecorder(n_ranks, path)
     result = smpirun(app, n_ranks, platform, recorder=recorder,
                      **smpirun_kwargs)
     recorder.finish(

@@ -5,15 +5,16 @@ CommRecord` in memory and serialises once at the end (``Tracer.to_csv``)
 — O(messages) resident bytes, which is exactly what a 10k+-rank run
 cannot afford.  A *sink* inverts that: the :class:`~repro.trace.Tracer`
 hands each record over as soon as it can never change again (see
-``Tracer._flush_closed``), the sink appends it to disk under a bounded
-buffer, and only the open-transfer window stays in memory.
+``Tracer._flush_closed``), the sink writes its CSV line through the
+file object's own buffer, and only the open-transfer window stays in
+memory.
 
 Sinks implement four calls, all invoked by the tracer::
 
     comm_row(record)      # one closed CommRecord, in start order
     compute_row(record)   # one closed ComputeRecord
     resource_row(record)  # one ResourceEventRecord
-    finalize(tracer)      # end of run: drain buffers, write trailers
+    finalize(tracer)      # end of run: write trailers, close files
 
 :class:`CsvStreamSink` produces output byte-identical to
 ``Tracer.save``: the CSV schema orders sections (comms, computes,
@@ -23,20 +24,25 @@ back in section order at finalize.  :class:`PajeStreamSink` spills the
 same CSV during the run and renders the Paje file at finalize — the Paje
 format needs a *global* time sort, so the final render materialises the
 trace once, but the live simulation (when memory pressure peaks) stays
-bounded.  Buffers flush at ``high_water`` rows; lower it to trade write
-syscalls for residency.
+bounded.  No sink holds lines of its own: each file's buffer is the only
+one.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from pathlib import Path
 
-__all__ = ["TraceSink", "CsvStreamSink", "PajeStreamSink"]
+from .tracer import (
+    CSV_HEADER_LINE,
+    Tracer,
+    comm_csv_line,
+    compute_csv_line,
+    resource_csv_line,
+    write_timeline_csv,
+)
 
-#: default rows buffered per section before a flush to disk
-DEFAULT_HIGH_WATER = 4096
+__all__ = ["TraceSink", "CsvStreamSink", "PajeStreamSink"]
 
 
 class TraceSink:
@@ -55,93 +61,55 @@ class TraceSink:
         raise NotImplementedError
 
 
-class _Section:
-    """One append-only CSV file with a bounded row buffer."""
-
-    def __init__(self, path: Path, high_water: int) -> None:
-        self.path = path
-        self._high_water = max(1, high_water)
-        self._rows: list[list] = []
-        self._file = open(path, "w", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._file, lineterminator="\n")
-
-    def add(self, row: list) -> None:
-        self._rows.append(row)
-        if len(self._rows) >= self._high_water:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._rows:
-            self._writer.writerows(self._rows)
-            self._rows.clear()
-
-    def close(self) -> None:
-        self.flush()
-        self._file.close()
+def _open(path: Path):
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 class CsvStreamSink(TraceSink):
     """Stream a run's trace to ``path`` in ``Tracer.to_csv`` format.
 
-    The main file receives the header and then comm rows as they close;
-    compute and resource rows spill to ``<path>.computes`` /
+    The main file receives the header and then comm lines as they close;
+    compute and resource lines spill to ``<path>.computes`` /
     ``<path>.resources`` side files that are appended (and deleted) at
-    finalize, followed by the timeline rows — so the finished file is
+    finalize, followed by the timeline lines — so the finished file is
     byte-identical to what ``Tracer.save`` writes from an in-memory run.
+    Each line is written through the file object's own buffer as soon
+    as it is formatted.
     """
 
-    def __init__(self, path: str | Path,
-                 high_water: int = DEFAULT_HIGH_WATER) -> None:
-        from .tracer import Tracer
-
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._main = _Section(self.path, high_water)
-        self._main.add(list(Tracer.CSV_HEADER))
-        self._computes = _Section(
-            self.path.with_name(self.path.name + ".computes"), high_water)
-        self._resources = _Section(
-            self.path.with_name(self.path.name + ".resources"), high_water)
-        self.n_rows = 0
+        self._main = _open(self.path)
+        self._main.write(CSV_HEADER_LINE)
+        self._computes = _open(
+            self.path.with_name(self.path.name + ".computes"))
+        self._resources = _open(
+            self.path.with_name(self.path.name + ".resources"))
 
     def comm_row(self, record) -> None:
-        from .tracer import comm_csv_row
-
-        self._main.add(comm_csv_row(record))
-        self.n_rows += 1
+        self._main.write(comm_csv_line(record))
 
     def compute_row(self, record) -> None:
-        from .tracer import compute_csv_row
-
-        self._computes.add(compute_csv_row(record))
-        self.n_rows += 1
+        self._computes.write(compute_csv_line(record))
 
     def resource_row(self, record) -> None:
-        from .tracer import resource_csv_row
+        self._resources.write(resource_csv_line(record))
 
-        self._resources.add(resource_csv_row(record))
-        self.n_rows += 1
-
-    def _append_spill(self, section: _Section) -> None:
-        section.close()
-        with open(section.path, "r", encoding="utf-8", newline="") as spill:
+    def _append_spill(self, spill) -> None:
+        spill.close()
+        with open(spill.name, "r", encoding="utf-8", newline="") as lines:
             while True:
-                chunk = spill.read(1 << 20)
+                chunk = lines.read(1 << 20)
                 if not chunk:
                     break
-                self._main._file.write(chunk)
-        os.unlink(section.path)
+                self._main.write(chunk)
+        os.unlink(spill.name)
 
     def finalize(self, tracer) -> None:
-        from .tracer import timeline_capacity_row, timeline_link_row
-
-        self._main.flush()
         self._append_spill(self._computes)
         self._append_spill(self._resources)
         if tracer.timeline is not None:
-            for row in tracer.timeline.iter_rows():
-                self._main.add(timeline_link_row(*row))
-            for row in tracer.timeline.iter_capacity_rows():
-                self._main.add(timeline_capacity_row(*row))
+            write_timeline_csv(self._main.write, tracer.timeline)
         self._main.close()
 
 
@@ -158,12 +126,11 @@ class PajeStreamSink(TraceSink):
     ``repr``, which is exact.
     """
 
-    def __init__(self, path: str | Path, n_ranks: int,
-                 high_water: int = DEFAULT_HIGH_WATER) -> None:
+    def __init__(self, path: str | Path, n_ranks: int) -> None:
         self.path = Path(path)
         self.n_ranks = n_ranks
         self._spill = CsvStreamSink(
-            self.path.with_name(self.path.name + ".spill.csv"), high_water)
+            self.path.with_name(self.path.name + ".spill.csv"))
 
     def comm_row(self, record) -> None:
         self._spill.comm_row(record)
@@ -176,7 +143,6 @@ class PajeStreamSink(TraceSink):
 
     def finalize(self, tracer) -> None:
         from .paje import export_paje
-        from .tracer import Tracer
 
         self._spill.finalize(tracer)
         loaded = Tracer.load(self._spill.path)

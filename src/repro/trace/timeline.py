@@ -162,21 +162,21 @@ class Timeline:
 
     # -- (de)serialisation ---------------------------------------------------------
 
-    def iter_rows(self):
-        """Yield ``(name, kind, capacity, time, usage)`` rows lazily.
+    def iter_series(self):
+        """Yield ``(name, kind, capacity, samples)`` per sampled resource.
 
-        The streaming CSV sink walks this at finalize time; materialising
-        the full row list first would undo the bounded-memory property.
+        ``samples`` is the resource's own ``(time, usage)`` list, in
+        insertion order of the resources; the CSV exporters format each
+        resource's constant fields once per series, not once per sample.
         """
-        for name, series in self._series.items():
-            kind = self.kinds[name]
-            capacity = self.capacities[name]
-            for t, usage in series:
-                yield (name, kind, capacity, t, usage)
+        for name, samples in self._series.items():
+            yield name, self.kinds[name], self.capacities[name], samples
 
     def as_rows(self) -> list[tuple[str, str, float, float, float]]:
-        """Flat ``(name, kind, capacity, time, usage)`` rows for CSV export."""
-        return list(self.iter_rows())
+        """Flat ``(name, kind, capacity, time, usage)`` rows."""
+        return [(name, kind, capacity, t, usage)
+                for name, kind, capacity, samples in self.iter_series()
+                for t, usage in samples]
 
     def load_row(self, name: str, kind: str, capacity: float,
                  t: float, usage: float) -> None:
@@ -187,16 +187,16 @@ class Timeline:
         series.append((t, usage))
         self.n_samples += 1
 
-    def iter_capacity_rows(self):
-        """Yield ``(name, kind, time, capacity)`` capacity-step rows lazily."""
-        for name, series in self.capacity_series.items():
-            kind = self.kinds.get(name, "link")
-            for t, capacity in series:
-                yield (name, kind, t, capacity)
+    def iter_capacity_series(self):
+        """Yield ``(name, kind, steps)`` per resource with capacity steps."""
+        for name, steps in self.capacity_series.items():
+            yield name, self.kinds.get(name, "link"), steps
 
     def capacity_rows(self) -> list[tuple[str, str, float, float]]:
         """Flat ``(name, kind, time, capacity)`` capacity-step rows."""
-        return list(self.iter_capacity_rows())
+        return [(name, kind, t, capacity)
+                for name, kind, steps in self.iter_capacity_series()
+                for t, capacity in steps]
 
     def load_capacity_row(self, name: str, kind: str, t: float,
                           capacity: float) -> None:

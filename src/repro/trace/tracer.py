@@ -53,12 +53,16 @@ __all__ = [
     "ComputeRecord",
     "ResourceEventRecord",
     "Tracer",
-    "comm_csv_row",
-    "compute_csv_row",
-    "resource_csv_row",
-    "timeline_link_row",
-    "timeline_capacity_row",
+    "comm_csv_line",
+    "compute_csv_line",
+    "resource_csv_line",
+    "write_timeline_csv",
 ]
+
+
+CSV_HEADER = ("kind", "mid", "src", "dst", "tag", "nbytes_or_flops",
+              "eager", "start", "end", "capacity", "failed")
+CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 
 
 @dataclass
@@ -106,36 +110,59 @@ class ResourceEventRecord:
     t: float
 
 
-def _end_field(record) -> str | float:
-    return record.end if record.closed else ""
+def _field(text: str) -> str:
+    """``text`` as one CSV field, byte for byte what :mod:`csv` writes.
+
+    Only a delimiter, a quote or a line break can make :mod:`csv` quote
+    a field; such a field goes through :mod:`csv` itself, which follows
+    the running Python's rules (whether a bare ``\\r`` is quoted differs
+    between versions).  Any other text is written as it is.
+    """
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((text, ""))
+        return buf.getvalue()[:-2]  # drop the empty field's ",\n"
+    return text
 
 
-def comm_csv_row(r: CommRecord) -> list:
-    """The CSV row of one comm record (shared by exporter and sinks)."""
-    return ["comm", r.mid, r.src, r.dst, r.tag, r.nbytes,
-            int(r.eager), r.start, _end_field(r), "", int(r.failed)]
+# Numbers are written with ``str``, as :mod:`csv` writes them (``repr``
+# of a NumPy 2 scalar is ``np.float64(...)``, its ``str`` is the number).
+def comm_csv_line(r: CommRecord) -> str:
+    """The CSV line of one comm record (shared by exporter and sinks)."""
+    end = r.end if r.closed else ""
+    return (f"comm,{r.mid!s},{r.src!s},{r.dst!s},{r.tag!s},{r.nbytes!s},"
+            f"{int(r.eager)},{r.start!s},{end!s},,{int(r.failed)}\n")
 
 
-def compute_csv_row(c: ComputeRecord) -> list:
-    """The CSV row of one compute record."""
-    return ["compute", "", c.rank, "", "", c.flops, "",
-            c.start, _end_field(c), "", ""]
+def compute_csv_line(c: ComputeRecord) -> str:
+    """The CSV line of one compute record."""
+    end = c.end if c.closed else ""
+    return f"compute,,{c.rank!s},,,{c.flops!s},,{c.start!s},{end!s},,\n"
 
 
-def resource_csv_row(e: ResourceEventRecord) -> list:
-    """The CSV row of one resource failure/recovery record."""
-    return ["resource", "", e.name, e.kind, "", "", e.event, e.t, "", "", ""]
+def resource_csv_line(e: ResourceEventRecord) -> str:
+    """The CSV line of one resource failure/recovery record."""
+    return (f"resource,,{_field(e.name)},{_field(e.kind)},,,"
+            f"{_field(e.event)},{e.t!s},,,\n")
 
 
-def timeline_link_row(name, kind, capacity, t, usage) -> list:
-    """The CSV row of one timeline utilization sample."""
-    return ["link", "", name, kind if kind != "link" else "", "", usage,
-            "", t, "", capacity, ""]
+def write_timeline_csv(write, timeline) -> None:
+    """Pass ``timeline``'s sample lines, then its capacity-step lines, to
+    ``write``, one resource at a time.
 
-
-def timeline_capacity_row(name, kind, t, capacity) -> list:
-    """The CSV row of one timeline capacity step."""
-    return ["capacity", "", name, kind, "", "", "", t, "", capacity, ""]
+    Each resource's leading fields and its capacity field are formatted
+    once; a sample line then costs the ``str`` of its two numbers.
+    """
+    for name, kind, capacity, samples in timeline.iter_series():
+        kind = "" if kind == "link" else _field(kind)
+        head = f"link,,{_field(name)},{kind},,"
+        tail = f",,{capacity!s},\n"
+        write("".join([f"{head}{usage!s},,{t!s}{tail}"
+                       for t, usage in samples]))
+    for name, kind, steps in timeline.iter_capacity_series():
+        head = f"capacity,,{_field(name)},{_field(kind)},,,,"
+        write("".join([f"{head}{t!s},,{capacity!s},\n"
+                       for t, capacity in steps]))
 
 
 class Tracer:
@@ -270,8 +297,7 @@ class Tracer:
 
     # -- export ------------------------------------------------------------------------------
 
-    CSV_HEADER = ("kind", "mid", "src", "dst", "tag", "nbytes_or_flops",
-                  "eager", "start", "end", "capacity", "failed")
+    CSV_HEADER = CSV_HEADER
 
     def to_csv(self, include_open: bool = False) -> str:
         """Serialise as CSV (schema in the module docstring).
@@ -282,21 +308,18 @@ class Tracer:
         empty ``end`` field instead.
         """
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
+        write = buf.write
+        write(CSV_HEADER_LINE)
         for r in self.comms:
             if r.closed or include_open:
-                writer.writerow(comm_csv_row(r))
+                write(comm_csv_line(r))
         for c in self.computes:
             if c.closed or include_open:
-                writer.writerow(compute_csv_row(c))
+                write(compute_csv_line(c))
         for e in self.resource_events:
-            writer.writerow(resource_csv_row(e))
+            write(resource_csv_line(e))
         if self.timeline is not None:
-            for row in self.timeline.iter_rows():
-                writer.writerow(timeline_link_row(*row))
-            for row in self.timeline.iter_capacity_rows():
-                writer.writerow(timeline_capacity_row(*row))
+            write_timeline_csv(write, self.timeline)
         return buf.getvalue()
 
     @classmethod

@@ -35,11 +35,19 @@ the oracles can be snapshotted.
   :class:`~repro.smpi.intern.InternPool` keyed by a blake2b digest of the
   whole payload (:func:`digest_key`), with the interface of
   :class:`~repro.smpi.intern.PayloadPool`.
+
+* :func:`trace_csv` — the trace CSV as :mod:`csv` writes it: one list
+  row per record or sample (:func:`comm_csv_row` …
+  :func:`timeline_capacity_row`), serialised by ``csv.writer``.  The
+  line formatters of :mod:`repro.trace.tracer` are pinned against it
+  byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -694,3 +702,65 @@ class DigestPayloadPool(InternPool):
 
     def release(self, entry: PayloadEntry) -> bool:
         return super().release(entry.key)
+
+
+# -- trace CSV oracle ----------------------------------------------------------------
+
+
+def _end_field(record) -> str | float:
+    return record.end if record.closed else ""
+
+
+def comm_csv_row(r) -> list:
+    """The CSV row of one comm record."""
+    return ["comm", r.mid, r.src, r.dst, r.tag, r.nbytes,
+            int(r.eager), r.start, _end_field(r), "", int(r.failed)]
+
+
+def compute_csv_row(c) -> list:
+    """The CSV row of one compute record."""
+    return ["compute", "", c.rank, "", "", c.flops, "",
+            c.start, _end_field(c), "", ""]
+
+
+def resource_csv_row(e) -> list:
+    """The CSV row of one resource failure/recovery record."""
+    return ["resource", "", e.name, e.kind, "", "", e.event, e.t, "", "", ""]
+
+
+def timeline_link_row(name, kind, capacity, t, usage) -> list:
+    """The CSV row of one timeline utilization sample."""
+    return ["link", "", name, kind if kind != "link" else "", "", usage,
+            "", t, "", capacity, ""]
+
+
+def timeline_capacity_row(name, kind, t, capacity) -> list:
+    """The CSV row of one timeline capacity step."""
+    return ["capacity", "", name, kind, "", "", "", t, "", capacity, ""]
+
+
+def trace_csv(tracer, include_open: bool = False) -> str:
+    """``tracer.to_csv(include_open)``, written row by row by ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(tracer.CSV_HEADER)
+    for r in tracer.comms:
+        if r.closed or include_open:
+            writer.writerow(comm_csv_row(r))
+    for c in tracer.computes:
+        if c.closed or include_open:
+            writer.writerow(compute_csv_row(c))
+    for e in tracer.resource_events:
+        writer.writerow(resource_csv_row(e))
+    timeline = tracer.timeline
+    if timeline is not None:
+        for name in timeline.names():
+            for t, usage in timeline.samples(name):
+                writer.writerow(timeline_link_row(
+                    name, timeline.kinds[name], timeline.capacities[name],
+                    t, usage))
+        for name, steps in timeline.capacity_series.items():
+            for t, capacity in steps:
+                writer.writerow(timeline_capacity_row(
+                    name, timeline.kinds.get(name, "link"), t, capacity))
+    return buf.getvalue()

@@ -126,6 +126,18 @@ class TestDtExecution:
         assert a != b
 
 
+    def test_source_features_in_place_equal_returned(self):
+        """A source rank's features written into its work buffer are the
+        reference's returned features, bit for bit."""
+        from repro.nas.dt import _source_features
+
+        for rank, elems, seed in [(0, 1, 0), (3, 1000, 0), (7, 4097, 5)]:
+            returned = _source_features(rank, elems, seed)
+            work = np.full(elems, np.nan)
+            assert _source_features(rank, elems, seed, out=work) is work
+            assert work.tobytes() == returned.tobytes()
+
+
 class TestEp:
     def test_counts_match_reference(self):
         n, chunks, pairs = 2, 8, 64

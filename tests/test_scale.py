@@ -355,7 +355,7 @@ class TestStreamingSinks:
         expected = reference.trace.to_csv()
 
         out = tmp_path / "run.csv"
-        sink = CsvStreamSink(out, high_water=4)  # force mid-run flushes
+        sink = CsvStreamSink(out)
         streamed = smpirun(traffic_app, self.N, self._platform(),
                            config=self._config(), trace_sink=sink)
         assert out.read_text(encoding="utf-8") == expected
@@ -367,7 +367,7 @@ class TestStreamingSinks:
 
     def test_streaming_keeps_window_bounded(self, tmp_path):
         out = tmp_path / "run.csv"
-        sink = CsvStreamSink(out, high_water=2)
+        sink = CsvStreamSink(out)
         result = smpirun(traffic_app, self.N, self._platform(),
                          config=self._config(), trace_sink=sink)
         tracer = result.trace
@@ -383,7 +383,7 @@ class TestStreamingSinks:
                                timeline=reference.trace.timeline)
 
         out = tmp_path / "run.paje"
-        sink = PajeStreamSink(out, self.N, high_water=4)
+        sink = PajeStreamSink(out, self.N)
         smpirun(traffic_app, self.N, self._platform(),
                 config=self._config(), trace_sink=sink)
         assert out.read_text(encoding="utf-8") == expected
@@ -397,7 +397,7 @@ class TestStreamingSinks:
 
         streamed_path = tmp_path / "stream.json"
         record_trace_streaming(traffic_app, self.N, self._platform(),
-                               streamed_path, high_water=3)
+                               streamed_path)
         assert (streamed_path.read_bytes() == expected_path.read_bytes())
 
     def test_replay_with_csv_sink_matches_replay_export(self, tmp_path):
@@ -411,7 +411,7 @@ class TestStreamingSinks:
         out = tmp_path / "replay.csv"
         streamed = replay_trace(trace, self._platform(),
                                 config=SmpiConfig(tracing=True),
-                                trace_sink=CsvStreamSink(out, high_water=4))
+                                trace_sink=CsvStreamSink(out))
         assert out.read_text(encoding="utf-8") == expected
         assert streamed.simulated_time == ref.simulated_time
 
@@ -419,7 +419,7 @@ class TestStreamingSinks:
         out = tmp_path / "run.csv"
         smpirun(traffic_app, self.N, self._platform(),
                 config=self._config(),
-                trace_sink=CsvStreamSink(out, high_water=4))
+                trace_sink=CsvStreamSink(out))
         loaded = Tracer.load(out)
         assert len(loaded.comms) > 0
         assert len(loaded.computes) > 0
