@@ -31,6 +31,7 @@ one.
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
 
 from .tracer import (
@@ -98,11 +99,7 @@ class CsvStreamSink(TraceSink):
     def _append_spill(self, spill) -> None:
         spill.close()
         with open(spill.name, "r", encoding="utf-8", newline="") as lines:
-            while True:
-                chunk = lines.read(1 << 20)
-                if not chunk:
-                    break
-                self._main.write(chunk)
+            shutil.copyfileobj(lines, self._main)
         os.unlink(spill.name)
 
     def finalize(self, tracer) -> None:
