@@ -24,8 +24,8 @@ back in section order at finalize.  :class:`PajeStreamSink` spills the
 same CSV during the run and renders the Paje file at finalize — the Paje
 format needs a *global* time sort, so the final render materialises the
 trace once, but the live simulation (when memory pressure peaks) stays
-bounded.  No sink holds lines of its own: each file's buffer is the only
-one.
+bounded.  No sink keeps a row buffer: a line is written as soon as it
+is formatted, and timeline lines at most ``LINES_PER_WRITE`` at a time.
 """
 
 from __future__ import annotations

@@ -187,20 +187,9 @@ class Timeline:
         series.append((t, usage))
         self.n_samples += 1
 
-    def iter_capacity_series(self):
-        """Yield ``(name, kind, steps)`` per resource with capacity steps."""
-        for name, steps in self.capacity_series.items():
-            yield name, self.kinds.get(name, "link"), steps
-
-    def capacity_rows(self) -> list[tuple[str, str, float, float]]:
-        """Flat ``(name, kind, time, capacity)`` capacity-step rows."""
-        return [(name, kind, t, capacity)
-                for name, kind, steps in self.iter_capacity_series()
-                for t, capacity in steps]
-
     def load_capacity_row(self, name: str, kind: str, t: float,
                           capacity: float) -> None:
-        """Re-insert one :meth:`capacity_rows` row (CSV import path)."""
+        """Re-insert one ``capacity`` CSV row (CSV import path)."""
         self.capacity_series.setdefault(name, []).append((t, capacity))
         self.kinds.setdefault(name, kind)
         self.capacities[name] = capacity

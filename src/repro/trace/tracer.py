@@ -63,6 +63,8 @@ __all__ = [
 CSV_HEADER = ("kind", "mid", "src", "dst", "tag", "nbytes_or_flops",
               "eager", "start", "end", "capacity", "failed")
 CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+#: timeline lines formatted into one string per ``write`` call
+LINES_PER_WRITE = 4096
 
 
 @dataclass
@@ -114,11 +116,14 @@ def _field(text: str) -> str:
     """``text`` as one CSV field, byte for byte what :mod:`csv` writes.
 
     Only a delimiter, a quote or a line break can make :mod:`csv` quote
-    a field; such a field goes through :mod:`csv` itself, which follows
-    the running Python's rules (whether a bare ``\\r`` is quoted differs
-    between versions).  Any other text is written as it is.
+    a field, and only a NUL can make it refuse one; such a field goes
+    through :mod:`csv` itself, which follows the running Python's rules
+    (whether a bare ``\\r`` is quoted differs between versions, and
+    before 3.11 a NUL raises :class:`csv.Error`).  Any other text is
+    written as it is.
     """
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
+    if ("," in text or '"' in text or "\r" in text or "\n" in text
+            or "\0" in text):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow((text, ""))
         return buf.getvalue()[:-2]  # drop the empty field's ",\n"
@@ -151,18 +156,24 @@ def write_timeline_csv(write, timeline) -> None:
     ``write``, one resource at a time.
 
     Each resource's leading fields and its capacity field are formatted
-    once; a sample line then costs the ``str`` of its two numbers.
+    once; a sample line then costs the ``str`` of its two numbers.  Lines
+    are joined :data:`LINES_PER_WRITE` at a time, so a long series is
+    never held as text all at once.
     """
+    n = LINES_PER_WRITE
     for name, kind, capacity, samples in timeline.iter_series():
         kind = "" if kind == "link" else _field(kind)
         head = f"link,,{_field(name)},{kind},,"
         tail = f",,{capacity!s},\n"
-        write("".join([f"{head}{usage!s},,{t!s}{tail}"
-                       for t, usage in samples]))
-    for name, kind, steps in timeline.iter_capacity_series():
-        head = f"capacity,,{_field(name)},{_field(kind)},,,,"
-        write("".join([f"{head}{t!s},,{capacity!s},\n"
-                       for t, capacity in steps]))
+        for i in range(0, len(samples), n):
+            write("".join([f"{head}{usage!s},,{t!s}{tail}"
+                           for t, usage in samples[i:i + n]]))
+    for name, steps in timeline.capacity_series.items():
+        head = (f"capacity,,{_field(name)},"
+                f"{_field(timeline.kinds.get(name, 'link'))},,,,")
+        for i in range(0, len(steps), n):
+            write("".join([f"{head}{t!s},,{capacity!s},\n"
+                           for t, capacity in steps[i:i + n]]))
 
 
 class Tracer:
@@ -297,8 +308,6 @@ class Tracer:
 
     # -- export ------------------------------------------------------------------------------
 
-    CSV_HEADER = CSV_HEADER
-
     def to_csv(self, include_open: bool = False) -> str:
         """Serialise as CSV (schema in the module docstring).
 
@@ -338,7 +347,7 @@ class Tracer:
         def _end(field: str) -> float:
             return float(field) if field else float("nan")
 
-        n_cols = len(cls.CSV_HEADER)
+        n_cols = len(CSV_HEADER)
         for row in reader:
             if not row:
                 continue

@@ -63,6 +63,7 @@ from repro.surf import Engine
 from repro.surf.action import Action, ActionState
 from repro.surf.maxmin import _EPS, IncrementalMaxMin
 from repro.surf.resources import Link
+from repro.trace.tracer import CSV_HEADER
 
 T = TypeVar("T")
 
@@ -743,7 +744,7 @@ def trace_csv(tracer, include_open: bool = False) -> str:
     """``tracer.to_csv(include_open)``, written row by row by ``csv.writer``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(tracer.CSV_HEADER)
+    writer.writerow(CSV_HEADER)
     for r in tracer.comms:
         if r.closed or include_open:
             writer.writerow(comm_csv_row(r))

@@ -6,14 +6,18 @@ line break.  These tests pin both writers, byte for byte, to
 :func:`oracles.trace_csv`, which serialises one list row per record with
 ``csv.writer``, on random traces: awkward names, NumPy scalars,
 ``inf``/``nan``, open records, resource events and capacity steps.
+Where the oracle refuses a trace (``csv`` before 3.11 raises on a NUL
+in a field), both writers must raise :class:`csv.Error` too.
 """
 
 from __future__ import annotations
 
+import csv
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.trace import (
@@ -27,7 +31,7 @@ from repro.trace import (
 from tests.oracles import trace_csv
 
 #: text that exercises every quoting rule of :mod:`csv`, and any text
-names = st.text(st.sampled_from(list('ab ,"\r\n%{}é\t')), max_size=6) | \
+names = st.text(st.sampled_from(list('ab ,"\r\n\0%{}é\t')), max_size=6) | \
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 
 ints = st.integers(-(2**40), 2**40)
@@ -74,17 +78,19 @@ def tracers(draw):
     return tracer
 
 
-@given(tracers(), st.booleans())
-def test_to_csv_equals_csv_writer(tracer, include_open):
-    assert tracer.to_csv(include_open=include_open) == \
-        trace_csv(tracer, include_open=include_open)
+def oracle(tracer, include_open):
+    """The oracle's CSV text, or the :class:`csv.Error` it raised."""
+    try:
+        return trace_csv(tracer, include_open=include_open)
+    except csv.Error as exc:
+        return exc
 
 
-@given(tracers(), st.booleans())
-def test_stream_sink_equals_csv_writer(tracer, include_open):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.csv"
-        sink = CsvStreamSink(path)
+def stream(tracer, include_open, tmp):
+    """Write ``tracer`` through a :class:`CsvStreamSink` under ``tmp``."""
+    path = Path(tmp) / "trace.csv"
+    sink = CsvStreamSink(path)
+    try:
         # a sink writes every record it is handed; the tracer hands it
         # closed ones only, and include_open stands for a caller that
         # hands it all of them
@@ -97,9 +103,45 @@ def test_stream_sink_equals_csv_writer(tracer, include_open):
         for e in tracer.resource_events:
             sink.resource_row(e)
         sink.finalize(tracer)
-        written = path.read_bytes().decode("utf-8")
+    finally:
+        for f in (sink._main, sink._computes, sink._resources):
+            f.close()
+    return path.read_bytes().decode("utf-8")
+
+
+@given(tracers(), st.booleans())
+def test_to_csv_equals_csv_writer(tracer, include_open):
+    expected = oracle(tracer, include_open)
+    if isinstance(expected, csv.Error):
+        with pytest.raises(csv.Error):
+            tracer.to_csv(include_open=include_open)
+    else:
+        assert tracer.to_csv(include_open=include_open) == expected
+
+
+@given(tracers(), st.booleans())
+def test_stream_sink_equals_csv_writer(tracer, include_open):
+    expected = oracle(tracer, include_open)
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(expected, csv.Error):
+            with pytest.raises(csv.Error):
+                stream(tracer, include_open, tmp)
+            return
+        written = stream(tracer, include_open, tmp)
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["trace.csv"]
-    assert written == trace_csv(tracer, include_open=include_open)
+    assert written == expected
+
+
+def test_nul_in_a_name_follows_csv():
+    tracer = Tracer()
+    tracer.resource_events = [ResourceEventRecord("a\0b", "link", "fail",
+                                                  1.0)]
+    expected = oracle(tracer, False)
+    if isinstance(expected, csv.Error):  # CPython before 3.11
+        with pytest.raises(csv.Error):
+            tracer.to_csv()
+    else:
+        assert tracer.to_csv() == expected
 
 
 def test_numpy_scalars_are_written_as_numbers():
