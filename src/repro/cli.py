@@ -78,27 +78,37 @@ from .units import format_size, format_time
 __all__ = ["main", "build_platform", "load_app"]
 
 
-def _config_from_args(args: argparse.Namespace) -> SmpiConfig:
-    options = {}
-    if args.eager_threshold is not None:
-        from .units import parse_size
+#: SmpiConfig fields run, replay and profile expose, each as the flag
+#: ``--field-name`` (``--coll`` sets ``coll.<name>`` keys); the values go
+#: through SmpiConfig.from_options, the parser of sweep specs too
+_CONFIG_FLAGS = {
+    "eager_threshold": dict(help="eager/rendezvous switch, e.g. 64KiB"),
+    "zero_copy": dict(action="store_true",
+                      help="fold payloads (timing only, erroneous results)"),
+    "comm_retries": dict(type=int, metavar="N",
+                         help="retry failed pt2pt transfers up to N times"),
+    "retry_backoff": dict(type=float, metavar="S",
+                          help="base retry delay in seconds (doubles per "
+                               "attempt)"),
+    "comm_timeout": dict(type=float, metavar="S",
+                         help="give up on transfers still in flight after S "
+                              "simulated seconds"),
+    "on_host_down": dict(metavar="POLICY",
+                         help="host-failure policy: fail-fast (raise) or "
+                              "terminate the host's ranks (kill-rank)"),
+}
 
-        options["eager_threshold"] = parse_size(args.eager_threshold)
-    if args.zero_copy:
-        options["zero_copy"] = True
-    if args.trace and args.trace_format != "ti":
-        options["tracing"] = True
-    for pair in args.coll or []:
-        try:
-            collective, algorithm = pair.split("=", 1)
-        except ValueError:
+
+def _config_from_args(args: argparse.Namespace) -> SmpiConfig:
+    options = {name: getattr(args, name) for name in _CONFIG_FLAGS
+               if getattr(args, name) is not None}
+    for pair in args.coll_algorithms or []:
+        collective, sep, algorithm = pair.partition("=")
+        if not sep:
             raise ConfigError(f"--coll expects name=algorithm, got {pair!r}")
-        options.setdefault("coll_algorithms", {})[collective] = algorithm
-    for name in ("comm_retries", "retry_backoff", "comm_timeout",
-                 "on_host_down"):
-        if getattr(args, name) is not None:
-            options[name] = getattr(args, name)
-    return SmpiConfig(**options)
+        options[f"coll.{collective}"] = algorithm
+    return SmpiConfig.from_options(
+        options, tracing=bool(args.trace) and args.trace_format != "ti")
 
 
 def _report(result, n_ranks: int, show_stats: bool = False) -> None:
@@ -119,7 +129,7 @@ def _report(result, n_ranks: int, show_stats: bool = False) -> None:
         print(f"  partial shares   : {stats.partial_shares}")
         print(f"  flows resolved   : {stats.flows_resolved}")
         print(f"  components solved: {stats.components_solved}")
-        print(f"  fill rounds      : {getattr(stats, 'fill_rounds', 0)}")
+        print(f"  fill rounds      : {stats.fill_rounds}")
         print(f"  actions          : {stats.actions_created} created, "
               f"{stats.actions_completed} completed")
         print(f"  actions touched  : {stats.actions_touched}")
@@ -130,19 +140,16 @@ def _report(result, n_ranks: int, show_stats: bool = False) -> None:
               f"({stats.ctx_fast_resumes} fast resumes)")
         if stats.link_samples:
             print(f"  link samples     : {stats.link_samples}")
-        if getattr(stats, "capacity_events", 0):
+        if stats.capacity_events:
             print(f"  capacity events  : {stats.capacity_events}")
-        failures = getattr(stats, "resource_failures", 0)
-        restores = getattr(stats, "resource_restores", 0)
-        if failures or restores:
-            print(f"  resource faults  : {failures} failed, "
-                  f"{restores} restored")
-        probes = getattr(stats, "match_probes", 0)
-        if probes:
-            print(f"  match probes     : {probes} "
+        if stats.resource_failures or stats.resource_restores:
+            print(f"  resource faults  : {stats.resource_failures} failed, "
+                  f"{stats.resource_restores} restored")
+        if stats.match_probes:
+            print(f"  match probes     : {stats.match_probes} "
                   f"({stats.match_fast_hits} fast hits, "
                   f"{stats.wildcard_scans} wildcard scans)")
-        if getattr(stats, "pooled_reuses", 0):
+        if stats.pooled_reuses:
             print(f"  pooled reuses    : {stats.pooled_reuses}")
 
 
@@ -239,8 +246,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_sweep_summary(result) -> None:
-    """How many points ran, how many came from the cache, which failed."""
+def _run_campaign(spec, args: argparse.Namespace):
+    """Simulate ``spec``'s missing points; print how many ran, how many
+    came from the cache, and which failed."""
+    from .sweep import ResultCache, run_sweep
+
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    print(f"sweep          : {spec.name} — {spec.describe()}")
+    result = run_sweep(spec, jobs=args.jobs, cache=cache, force=args.force,
+                       echo=print if args.verbose else None)
     n = len(result.points)
     where = ("inline" if result.workers == 0
              else f"{result.workers} worker processes")
@@ -250,6 +264,7 @@ def _print_sweep_summary(result) -> None:
     print(f"wall-clock time: {format_time(result.wall_time)}")
     for failed in result.errors:
         print(f"  FAILED {failed.point.label()}: {failed.error}")
+    return result
 
 
 def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
@@ -271,14 +286,9 @@ def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from .sweep import ResultCache, SweepSpec, run_sweep
+    from .sweep import SweepSpec
 
-    spec = SweepSpec.load(args.spec)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    print(f"sweep          : {spec.name} — {spec.describe()}")
-    result = run_sweep(spec, jobs=args.jobs, cache=cache, force=args.force,
-                       echo=print if args.verbose else None)
-    _print_sweep_summary(result)
+    result = _run_campaign(SweepSpec.load(args.spec), args)
     return 1 if result.errors else 0
 
 
@@ -315,13 +325,13 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
 
 def _cmd_coll_sweep(args: argparse.Namespace) -> int:
     """``repro coll sweep``: size x ranks x algorithm collective campaign."""
-    from .sweep import (ResultCache, coll_rows, coll_sweep_spec, crossovers,
-                        run_sweep, size_ladder)
+    from .sweep import coll_rows, coll_sweep_spec, crossovers, size_ladder
 
     if args.algos.strip() == "all":
         from .smpi.coll import ALGORITHMS
 
-        algos = sorted(ALGORITHMS.get(args.coll, {}))
+        # an unknown collective reaches the spec, which names it
+        algos = sorted(ALGORITHMS.get(args.coll, ["auto"]))
     else:
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     spec = coll_sweep_spec(
@@ -333,11 +343,7 @@ def _cmd_coll_sweep(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         iters=args.iters,
     )
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    print(f"sweep          : {spec.name} — {spec.describe()}")
-    result = run_sweep(spec, jobs=args.jobs, cache=cache, force=args.force,
-                       echo=print if args.verbose else None)
-    _print_sweep_summary(result)
+    result = _run_campaign(spec, args)
     rows = coll_rows(result)
     _write_rows(rows, args)
     if args.format == "table":
@@ -460,8 +466,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_fault_flags(p: argparse.ArgumentParser) -> None:
-    """Dynamic-platform and fault-semantics flags (docs/faults.md)."""
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    """Platform, fault (docs/faults.md), SMPI-configuration, trace and
+    counter flags of run, replay and profile."""
+    p.add_argument("--platform", default="cluster:64",
+                   help="griffon | gdx | cluster:N[:bw[:lat]] | file.xml")
     p.add_argument("--availability", action="append", metavar="RES=FILE",
                    help="attach a capacity-scaling profile file to a link "
                         "or host (repeatable)")
@@ -474,28 +483,11 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restore-at", action="append", metavar="T:RES",
                    help="restore a failed link or host at simulated time T "
                         "(repeatable)")
-    p.add_argument("--comm-retries", type=int, default=None, metavar="N",
-                   help="retry failed pt2pt transfers up to N times")
-    p.add_argument("--retry-backoff", type=float, default=None, metavar="S",
-                   help="base retry delay in seconds (doubles per attempt)")
-    p.add_argument("--comm-timeout", type=float, default=None, metavar="S",
-                   help="give up on transfers still in flight after S "
-                        "simulated seconds")
-    p.add_argument("--on-host-down", choices=("raise", "kill-rank"),
-                   default=None,
-                   help="host-failure policy: fail-fast (raise) or "
-                        "terminate the host's ranks (kill-rank)")
-
-
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    """Platform and SMPI-configuration flags of run, replay and profile."""
-    p.add_argument("--platform", default="cluster:64",
-                   help="griffon | gdx | cluster:N[:bw[:lat]] | file.xml")
-    p.add_argument("--eager-threshold", default=None,
-                   help="eager/rendezvous switch, e.g. 64KiB")
-    p.add_argument("--zero-copy", action="store_true",
-                   help="fold payloads (timing only, erroneous results)")
-    p.add_argument("--coll", action="append", metavar="NAME=ALGO",
+    for name, flag in _CONFIG_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       default=None, **flag)
+    p.add_argument("--coll", dest="coll_algorithms", action="append",
+                   metavar="NAME=ALGO",
                    help="force a collective algorithm (repeatable)")
     p.add_argument("--ctx", choices=available_backends(),
                    default=None,
@@ -503,10 +495,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                         "(default: auto — coroutine for generator apps, "
                         "thread for plain functions; REPRO_CTX env var "
                         "overrides)")
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    """Trace export and counter flags of run and replay."""
     p.add_argument("--trace", metavar="FILE",
                    help="export an execution trace to FILE")
     p.add_argument("--trace-format", choices=("csv", "paje", "ti"),
@@ -535,8 +523,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--record", metavar="TRACE.json",
                        help="record a time-independent trace")
         _add_sim_flags(p)
-        _add_output_flags(p)
-        _add_fault_flags(p)
         p.set_defaults(func=_cmd_run)
 
     _run_args(sub.add_parser("run", help="simulate an application file"))
@@ -550,7 +536,6 @@ def make_parser() -> argparse.ArgumentParser:
     replay.add_argument("trace_file", metavar="trace",
                         help="time-independent trace JSON file")
     _add_sim_flags(replay)
-    _add_output_flags(replay)
     replay.add_argument("--checkpoint-at", type=float, default=None,
                         metavar="T",
                         help="capture a resumable checkpoint at the first "
@@ -562,7 +547,6 @@ def make_parser() -> argparse.ArgumentParser:
     replay.add_argument("--resume-from", default=None, metavar="FILE",
                         help="resume a checkpointed replay instead of "
                              "starting from t=0 (bit-identical finish)")
-    _add_fault_flags(replay)
     replay.set_defaults(func=_cmd_replay)
 
     trace = sub.add_parser("trace", help="analyse an exported trace")
@@ -603,56 +587,49 @@ def make_parser() -> argparse.ArgumentParser:
                         help="output file")
     export.set_defaults(func=_cmd_trace_export)
 
+    # the campaign commands' flags (sweep run/status/report, coll sweep),
+    # each declared once in the group the commands take as a parent
+    cache, jobs, simulate, rows = (argparse.ArgumentParser(add_help=False)
+                                   for _ in range(4))
+    cache.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
+                       help="memo-cache root (default: .repro-cache)")
+    jobs.add_argument("--jobs", type=int, default=None, metavar="N",
+                      help="worker processes for the points not yet cached "
+                           "(default: one per CPU, capped at the number of "
+                           "points; 1 = inline)")
+    simulate.add_argument("--force", action="store_true",
+                          help="re-simulate every point, overwriting the "
+                               "cache")
+    simulate.add_argument("--no-cache", action="store_true",
+                          help="simulate without reading or writing the "
+                               "memo cache")
+    simulate.add_argument("--verbose", action="store_true",
+                          help="print one line per completed point")
+    rows.add_argument("--format", choices=("table", "csv", "json"),
+                      default="table", help="output format (default: table)")
+    rows.add_argument("-o", "--output", metavar="OUT",
+                      help="write the rows to OUT instead of stdout")
+
     sweep = sub.add_parser(
         "sweep", help="batched simulation campaigns with memoized results")
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-
-    def _sweep_common(p: argparse.ArgumentParser) -> None:
+    for name, func, parents, help in (
+            ("run", _cmd_sweep_run, [jobs, simulate],
+             "expand the spec and simulate the missing points"),
+            ("status", _cmd_sweep_status, [],
+             "list the run matrix and which points are cached"),
+            ("report", _cmd_sweep_report, [rows, jobs],
+             "aggregate per-point results into a table")):
+        p = sweep_sub.add_parser(name, parents=[cache, *parents], help=help)
         p.add_argument("spec", help="sweep spec file (.toml or .json)")
-        p.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
-                       help="memo-cache root (default: .repro-cache)")
-
-    sweep_run = sweep_sub.add_parser(
-        "run", help="expand the spec and simulate the missing points")
-    _sweep_common(sweep_run)
-    sweep_run.add_argument("--jobs", type=int, default=None, metavar="N",
-                           help="worker processes (default: one per CPU, "
-                                "capped at the number of points; 1 = inline)")
-    sweep_run.add_argument("--force", action="store_true",
-                           help="re-simulate every point, overwriting the "
-                                "cache")
-    sweep_run.add_argument("--no-cache", action="store_true",
-                           help="simulate without reading or writing the "
-                                "memo cache")
-    sweep_run.add_argument("--verbose", action="store_true",
-                           help="print one line per completed point")
-    sweep_run.set_defaults(func=_cmd_sweep_run)
-
-    sweep_status = sweep_sub.add_parser(
-        "status", help="list the run matrix and which points are cached")
-    _sweep_common(sweep_status)
-    sweep_status.set_defaults(func=_cmd_sweep_status)
-
-    sweep_report = sweep_sub.add_parser(
-        "report", help="aggregate per-point results into a table")
-    _sweep_common(sweep_report)
-    sweep_report.add_argument("--format", choices=("table", "csv", "json"),
-                              default="table",
-                              help="output format (default: table)")
-    sweep_report.add_argument("-o", "--output", metavar="OUT",
-                              help="write the report to OUT instead of "
-                                   "stdout")
-    sweep_report.add_argument("--jobs", type=int, default=None, metavar="N",
-                              help="worker processes for any points not yet "
-                                   "cached")
-    sweep_report.set_defaults(func=_cmd_sweep_report)
+        p.set_defaults(func=func)
 
     coll = sub.add_parser(
         "coll", help="collective-algorithm tooling (size/ranks/algo sweeps)")
     coll_sub = coll.add_subparsers(dest="coll_command", required=True)
 
     coll_sweep = coll_sub.add_parser(
-        "sweep",
+        "sweep", parents=[jobs, cache, simulate, rows],
         help="latency/bandwidth of a collective over a size x ranks x "
              "algorithm grid (memoized)")
     coll_sweep.add_argument("--coll", default="allreduce", metavar="NAME",
@@ -676,25 +653,6 @@ def make_parser() -> argparse.ArgumentParser:
     coll_sweep.add_argument("--platform", default="griffon", metavar="SPEC",
                             help="platform spec, as for 'repro run' "
                                  "(default: griffon)")
-    coll_sweep.add_argument("--jobs", type=int, default=None, metavar="N",
-                            help="worker processes (default: one per CPU, "
-                                 "capped at the number of points; 1 = inline)")
-    coll_sweep.add_argument("--cache-dir", default=".repro-cache",
-                            metavar="DIR",
-                            help="memo-cache root (default: .repro-cache)")
-    coll_sweep.add_argument("--force", action="store_true",
-                            help="re-simulate every point, overwriting the "
-                                 "cache")
-    coll_sweep.add_argument("--no-cache", action="store_true",
-                            help="simulate without reading or writing the "
-                                 "memo cache")
-    coll_sweep.add_argument("--format", choices=("table", "csv", "json"),
-                            default="table",
-                            help="row output format (default: table)")
-    coll_sweep.add_argument("-o", "--output", metavar="OUT",
-                            help="write the rows to OUT instead of stdout")
-    coll_sweep.add_argument("--verbose", action="store_true",
-                            help="print one line per completed point")
     coll_sweep.set_defaults(func=_cmd_coll_sweep)
 
     platforms = sub.add_parser("platforms", help="list built-in platforms")

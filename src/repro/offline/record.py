@@ -66,6 +66,9 @@ class Recorder:
         if op_ids:
             self._emit(rank, TiEvent("wait", (list(op_ids),)))
 
+    def abort(self) -> None:
+        """The run raised: close and delete what this recording wrote."""
+
 
 class StreamingRecorder(Recorder):
     """Recorder that spills events to disk as they happen.
@@ -93,6 +96,10 @@ class StreamingRecorder(Recorder):
     def _emit(self, rank: int, event: TiEvent) -> None:
         self._spill.write(json.dumps([rank, event.to_json()]) + "\n")
         self.n_events += 1
+
+    def abort(self) -> None:
+        self._spill.close()
+        self._spill_path.unlink(missing_ok=True)
 
     def finish(self, meta: dict | None = None) -> TiTrace:
         """Regroup the spill into ``path`` (canonical TI JSON)."""

@@ -153,23 +153,6 @@ class _RankReplayer:
             yield from self._co_wait(leftovers)
 
 
-def _finish_result(world: SmpiWorld, trace: TiTrace, simulated: float,
-                   wall: float, checkpoint: dict | None) -> SmpiResult:
-    if world.trace.timeline is not None:
-        world.trace.timeline.close(simulated)
-        world.engine.stats.link_samples = world.trace.timeline.n_samples
-    world.trace.finish(simulated)
-    return SmpiResult(
-        simulated_time=simulated,
-        wall_time=wall,
-        returns=[None] * trace.n_ranks,
-        memory=world.memory.report(),
-        stats=world.engine.stats,
-        trace=world.trace,
-        checkpoint=checkpoint,
-    )
-
-
 def replay_trace(
     trace: TiTrace,
     platform: Platform,
@@ -203,8 +186,6 @@ def replay_trace(
             "the recorded application configuration"
         )
 
-    import time
-
     world = SmpiWorld(platform, trace.n_ranks, hosts, config, network_model,
                       engine, ctx=ctx, trace_sink=trace_sink)
 
@@ -224,8 +205,6 @@ def replay_trace(
         arm_checkpoint(world, replayers, trace, checkpoint_at,
                        checkpoint_box)
 
-    wall_start = time.perf_counter()
-    simulated = world.scheduler.run()
-    wall = time.perf_counter() - wall_start
-    return _finish_result(world, trace, simulated, wall,
-                          checkpoint_box.get("checkpoint"))
+    result = world.run()
+    result.checkpoint = checkpoint_box.get("checkpoint")
+    return result

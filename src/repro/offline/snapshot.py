@@ -262,7 +262,7 @@ def resume_replay(
     the original run's.  The returned result's ``simulated_time`` is
     bit-identical to the uninterrupted run's.
     """
-    from .replay import _RankReplayer, _finish_result
+    from .replay import _RankReplayer
 
     version = checkpoint.get("version")
     if version != CHECKPOINT_VERSION:
@@ -277,8 +277,6 @@ def resume_replay(
             "checkpoint does not match this trace (rank count or "
             "per-rank event counts differ)"
         )
-
-    import time
 
     try:
         config = SmpiConfig().with_options(**checkpoint["config"])
@@ -384,10 +382,7 @@ def resume_replay(
         )
         world.register_actor(rank, actor)
 
-    wall_start = time.perf_counter()
-    simulated = world.scheduler.run()
-    wall = time.perf_counter() - wall_start
-    return _finish_result(world, trace, simulated, wall, None)
+    return world.run()
 
 
 def warm_replay(

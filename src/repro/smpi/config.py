@@ -15,16 +15,26 @@ dataclass, mirroring SMPI's ``--cfg=smpi/...`` options:
 * **host speed factor** scaling measured CPU-burst durations onto target
   nodes (paper section 3.1);
 * the **memory limit** enforced on the simulated heap (Fig. 16's OM bars).
+
+Outside values — ``repro run`` flags, sweep-spec axes and options —
+become a config through one entry point, :meth:`SmpiConfig.from_options`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from ..errors import ConfigError
 from ..units import parse_size
 
-__all__ = ["SmpiConfig"]
+__all__ = ["SmpiConfig", "parse_options"]
+
+#: fields holding a byte count: an int or a ``parse_size`` string
+_SIZE_FIELDS = frozenset({"eager_threshold", "memory_limit"})
+
+#: the value types each annotated field type accepts (an int is a float)
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass
@@ -106,9 +116,17 @@ class SmpiConfig:
             raise ConfigError(f"unknown SMPI options: {sorted(unknown)}")
         return replace(self, **overrides)
 
+    @classmethod
+    def from_options(cls, options: Mapping[str, object],
+                     tracing: bool = False) -> "SmpiConfig":
+        """A config from outside values (CLI flags, sweep specs).
+
+        :func:`parse_options` checks the values by kind, then the new
+        config's own checks refuse out-of-range ones.
+        """
+        return cls(tracing=tracing, **parse_options(options))
+
     def __post_init__(self) -> None:
-        if isinstance(self.memory_limit, str):
-            self.memory_limit = parse_size(self.memory_limit)
         if self.eager_threshold < 0:
             raise ConfigError("eager_threshold must be >= 0")
         if self.send_overhead < 0 or self.recv_overhead < 0:
@@ -124,3 +142,48 @@ class SmpiConfig:
         if self.on_host_down not in ("raise", "kill-rank"):
             raise ConfigError(
                 "on_host_down must be 'raise' or 'kill-rank'")
+
+
+def parse_options(options: Mapping[str, object],
+                  source: str = "option") -> dict:
+    """Outside values as :class:`SmpiConfig` keyword arguments.
+
+    Keys are field names or ``coll.<collective>`` (``"auto"`` or an
+    algorithm of :data:`repro.smpi.coll.ALGORITHMS`).  Size fields take
+    an int or a ``parse_size`` string (``"64KiB"``), other fields their
+    annotated type (an int for a float, no bool for a number); numbers
+    pass through unchanged.  Refusals raise :class:`ConfigError`.
+    """
+    from .coll import ALGORITHMS
+
+    fields = SmpiConfig.__dataclass_fields__
+    values: dict = {}
+    for key, value in options.items():
+        where = f"{source} {key!r}"
+        if key.startswith("coll."):
+            collective = key[len("coll."):]
+            if collective not in ALGORITHMS:
+                raise ConfigError(f"{where}: unknown collective; available: "
+                                  f"{sorted(ALGORITHMS)}")
+            table = ALGORITHMS[collective]
+            if value not in ("auto", *table):
+                raise ConfigError(f"{where}: unknown algorithm {value!r}; "
+                                  f"available: {sorted(table)} or 'auto'")
+            values.setdefault("coll_algorithms", {})[collective] = value
+            continue
+        if key in ("coll_algorithms", "tracing") or key not in fields:
+            raise ConfigError(f"unknown {where}: expected an SmpiConfig field "
+                              "or 'coll.<collective>' (tracing is the run's "
+                              "trace switch)")
+        kind, _, optional = fields[key].type.partition(" | ")
+        if key in _SIZE_FIELDS and isinstance(value, str):
+            try:
+                value = parse_size(value)
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+        elif not (value is None and optional) and (
+                isinstance(value, bool) != (kind == "bool")
+                or not isinstance(value, _KINDS[kind])):
+            raise ConfigError(f"{where} takes {kind}, got {value!r}")
+        values[key] = value
+    return values

@@ -307,6 +307,51 @@ class SmpiWorld:
         if len(pool) < self._POOL_CAP:
             pool.append(message)
 
+    # -- the run ----------------------------------------------------------------------------
+
+    def run(self) -> SmpiResult:
+        """Run the registered ranks to the end and report the run.
+
+        The one finish path of :func:`smpirun` and the trace replays.  If
+        the run raises, the trace sink and the TI recorder close and
+        remove every file they created (a partial trace would read as a
+        whole one) and the error propagates unchanged.
+        """
+        wall_start = time.perf_counter()
+        try:
+            simulated = self.scheduler.run()
+        except BaseException:
+            if self.trace.sink is not None:
+                self.trace.sink.abort()
+            if self.recorder is not None:
+                self.recorder.abort()
+            raise
+        wall = time.perf_counter() - wall_start
+        if self.trace.timeline is not None:
+            self.trace.timeline.close(simulated)
+            self.engine.stats.link_samples = self.trace.timeline.n_samples
+        self.trace.finish(simulated)
+
+        memory = self.memory.report()
+        if self.payload_pool.acquires or memory.intern_naive_peak:
+            # surface the interned-vs-naive gap next to the engine counters
+            self.engine.stats.extra["interning"] = {
+                "payload": self.payload_pool.stats(),
+                "naive_peak_bytes": memory.intern_naive_peak,
+                "stored_peak_bytes": memory.intern_stored_peak,
+                "saved_bytes": memory.intern_saved,
+            }
+        return SmpiResult(
+            simulated_time=simulated,
+            wall_time=wall,
+            returns=[actor.result
+                     for actor in self.scheduler.actors[:self.n_ranks]],
+            memory=memory,
+            stats=self.engine.stats,
+            trace=self.trace,
+            sampler_stats=self.sampler.site_stats(),
+        )
+
     # -- fault handling (docs/faults.md) ------------------------------------------------
 
     def _on_resource_event(self, event: str, resource, now: float) -> None:
@@ -596,30 +641,4 @@ def smpirun(
         )
         world.register_actor(rank, actor)
 
-    wall_start = time.perf_counter()
-    simulated = world.scheduler.run()
-    wall = time.perf_counter() - wall_start
-    if world.trace.timeline is not None:
-        world.trace.timeline.close(simulated)
-        world.engine.stats.link_samples = world.trace.timeline.n_samples
-    world.trace.finish(simulated)
-
-    memory = world.memory.report()
-    if world.payload_pool.acquires or memory.intern_naive_peak:
-        # surface the interned-vs-naive gap next to the engine counters
-        world.engine.stats.extra["interning"] = {
-            "payload": world.payload_pool.stats(),
-            "naive_peak_bytes": memory.intern_naive_peak,
-            "stored_peak_bytes": memory.intern_stored_peak,
-            "saved_bytes": memory.intern_saved,
-        }
-
-    return SmpiResult(
-        simulated_time=simulated,
-        wall_time=wall,
-        returns=[actor.result for actor in world.scheduler.actors[:n_ranks]],
-        memory=memory,
-        stats=world.engine.stats,
-        trace=world.trace,
-        sampler_stats=world.sampler.site_stats(),
-    )
+    return world.run()

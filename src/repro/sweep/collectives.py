@@ -60,21 +60,9 @@ def coll_sweep_spec(
     One ``coll``-builtin workload per (size, nprocs) pair, one
     ``coll.<collective>`` axis carrying the algorithms — so every
     (size, nprocs, algorithm) cell is a separately memoized point.
-    Algorithm names are validated eagerly against the
-    :data:`repro.smpi.coll.ALGORITHMS` registry.
+    The spec refuses a collective or an algorithm name that is not in
+    the :data:`repro.smpi.coll.ALGORITHMS` registry when it is built.
     """
-    from ..smpi.coll import ALGORITHMS
-
-    if collective not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown collective {collective!r}; "
-            f"available: {sorted(ALGORITHMS)}")
-    known = set(ALGORITHMS[collective]) | {"auto"}
-    bad = [a for a in algos if a not in known]
-    if bad:
-        raise ConfigError(
-            f"unknown {collective} algorithm(s) {bad}; "
-            f"available: {sorted(known)}")
     workloads = [
         {
             "builtin": "coll",

@@ -32,9 +32,11 @@ Grammar (TOML shown; the JSON form is the same object tree)::
     [options]                            # fixed SmpiConfig fields
     comm_retries = 1
 
-Axis keys are :class:`~repro.smpi.config.SmpiConfig` field names, the
-execution-context selector ``ctx``, or ``coll.<collective>`` entries
-feeding ``coll_algorithms``.  Unknown keys are rejected at load time.
+Axis and option keys are ``ctx`` (the execution-context backend) or,
+as for ``repro run``'s config flags, what
+:meth:`~repro.smpi.config.SmpiConfig.from_options` takes.  Keys, value
+types (sizes may be strings: ``"64KiB"``), collectives and algorithms
+are checked when the spec loads; value ranges and ``ctx`` on expansion.
 """
 
 from __future__ import annotations
@@ -48,11 +50,9 @@ from ..errors import ConfigError
 from ..scenario import PlatformSpec, load_app
 from ..simix import available_backends
 from ..smpi import SmpiConfig
+from ..smpi.config import parse_options
 
 __all__ = ["PlatformSpec", "WorkloadSpec", "SweepPoint", "SweepSpec"]
-
-#: axis keys handled outside SmpiConfig (execution backend selection)
-_ENGINE_AXES = frozenset({"ctx"})
 
 #: valid ``ctx`` values (the CLI's --ctx choices)
 _CTX_VALUES = tuple(available_backends())
@@ -140,20 +140,9 @@ class SweepPoint:
 
     def smpi_config(self) -> SmpiConfig:
         """The :class:`SmpiConfig` this point simulates under."""
-        options: dict = {}
-        coll: dict = {}
-        for key, value in self.config_items().items():
-            if key in _ENGINE_AXES:
-                continue
-            if key.startswith("coll."):
-                coll[key[len("coll."):]] = value
-            else:
-                options[key] = value
-        if coll:
-            options["coll_algorithms"] = coll
-        if self.trace:
-            options["tracing"] = True
-        return SmpiConfig(**options)
+        options = self.config_items()
+        options.pop("ctx", None)
+        return SmpiConfig.from_options(options, tracing=self.trace)
 
     def ctx(self) -> str | None:
         """The execution-context backend, when the ``ctx`` axis is set."""
@@ -164,19 +153,6 @@ class SweepPoint:
         parts = [self.platform.label(), self.workload.label()]
         parts += [f"{k}={_thaw(v)}" for k, v in self.assignment]
         return " ".join(parts)
-
-
-def _validate_axis_key(key: str) -> None:
-    if key in _ENGINE_AXES or key.startswith("coll."):
-        return
-    if key in ("coll_algorithms", "tracing"):
-        raise ConfigError(
-            f"axis {key!r}: use 'coll.<collective>' axes for algorithm "
-            "selection and the spec-level 'trace' switch for tracing")
-    if key not in SmpiConfig.__dataclass_fields__:
-        raise ConfigError(
-            f"unknown sweep axis {key!r}: expected an SmpiConfig field, "
-            "'ctx', or 'coll.<collective>'")
 
 
 @dataclass
@@ -199,12 +175,13 @@ class SweepSpec:
         if not self.workloads:
             raise ConfigError("sweep spec lists no workloads")
         for key, values in self.axes.items():
-            _validate_axis_key(key)
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(
                     f"axis {key!r} must map to a non-empty list of values")
-        for key in self.options:
-            _validate_axis_key(key)
+        values = [(k, v) for k, vs in self.axes.items() for v in vs]
+        for key, value in values + list(self.options.items()):
+            if key != "ctx":
+                parse_options({key: value}, source="sweep axis")
         self.base_dir = Path(self.base_dir)
 
     # -- loading ---------------------------------------------------------------

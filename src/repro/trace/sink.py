@@ -9,12 +9,14 @@ hands each record over as soon as it can never change again (see
 file object's own buffer, and only the open-transfer window stays in
 memory.
 
-Sinks implement four calls, all invoked by the tracer::
+Sinks implement five calls, the first four invoked by the tracer and
+``abort`` by the run's finish path (``SmpiWorld.run``)::
 
     comm_row(record)      # one closed CommRecord, in start order
     compute_row(record)   # one closed ComputeRecord
     resource_row(record)  # one ResourceEventRecord
     finalize(tracer)      # end of run: write trailers, close files
+    abort()               # the run raised: close and delete every file
 
 :class:`CsvStreamSink` produces output byte-identical to
 ``Tracer.save``: the CSV schema orders sections (comms, computes,
@@ -59,6 +61,9 @@ class TraceSink:
         raise NotImplementedError
 
     def finalize(self, tracer) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def abort(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -109,6 +114,11 @@ class CsvStreamSink(TraceSink):
             write_timeline_csv(self._main.write, tracer.timeline)
         self._main.close()
 
+    def abort(self) -> None:
+        for file in (self._main, self._computes, self._resources):
+            file.close()
+            Path(file.name).unlink(missing_ok=True)
+
 
 class PajeStreamSink(TraceSink):
     """Stream to a CSV spill during the run; render Paje at finalize.
@@ -137,6 +147,9 @@ class PajeStreamSink(TraceSink):
 
     def resource_row(self, record) -> None:
         self._spill.resource_row(record)
+
+    def abort(self) -> None:
+        self._spill.abort()
 
     def finalize(self, tracer) -> None:
         from .paje import export_paje

@@ -243,6 +243,33 @@ class TestCommands:
                      "--coll", "not-a-pair"]) == 2
 
 
+class TestConfigFlags:
+    MARKED_APP = '''
+import numpy as np
+from pathlib import Path
+
+def app(mpi):
+    Path(__file__).with_name("ran").touch()
+    out = np.zeros(1)
+    mpi.COMM_WORLD.Allreduce(np.ones(1), out)
+'''
+
+    @pytest.mark.parametrize("flags", [
+        ["--coll", "alltoal=pairwise"], ["--coll", "allreduce=nonsense"],
+        ["--eager-threshold", "lots"], ["--on-host-down", "panic"],
+    ])
+    def test_bad_value_is_refused_before_the_run(self, tmp_path, capsys,
+                                                 flags):
+        app = tmp_path / "app.py"
+        app.write_text(self.MARKED_APP)
+        assert main(["run", str(app), "-n", "2", "--platform", "cluster:2",
+                     *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "ran").exists()
+
+
 class TestStatsFlag:
     def test_run_prints_kernel_stats(self, app_file, capsys):
         assert main(["run", app_file, "-n", "4", "--platform", "cluster:4",
@@ -414,6 +441,21 @@ def app(mpi):
 '''
 
 
+ABORTING_SOURCE = '''
+import numpy as np
+
+def app(mpi):
+    comm = mpi.COMM_WORLD
+    buf = np.zeros(16, dtype=np.uint8)
+    if mpi.rank == 0:
+        comm.Send(buf, dest=1)
+        mpi.execute(1e6)
+        raise RuntimeError("boom")
+    comm.Recv(buf, source=0)
+    comm.Recv(buf, source=0)
+'''
+
+
 class TestScenarioParity:
     """``repro run`` and a one-point sweep read a scenario the same way."""
 
@@ -475,6 +517,89 @@ class TestScenarioParity:
         assert point.stats.to_dict() == result.stats.to_dict()
 
 
+    CONFIG_FLAGS = ["--eager-threshold", "1KiB", "--zero-copy",
+                    "--coll", "allreduce=ring", "--comm-retries", "4",
+                    "--retry-backoff", "1e-3", "--comm-timeout", "5",
+                    "--on-host-down", "kill-rank"]
+    CONFIG_OPTIONS = {"eager_threshold": "1KiB", "zero_copy": True,
+                      "coll.allreduce": "ring", **FAULT_OPTIONS}
+
+    def test_every_config_flag_matches_a_one_point_sweep(
+            self, scenario, monkeypatch, capsys):
+        import dataclasses
+
+        import repro.cli as cli
+        from repro.sweep import SweepSpec, run_sweep
+
+        d = scenario
+        configs = []
+        build = cli._config_from_args
+        monkeypatch.setattr(cli, "_config_from_args", lambda args: (
+            configs.append(build(args)) or configs[-1]))
+        result = self.cli_result([
+            "run", str(d / "ring.py"), "-n", "4", "--platform", "cluster:4",
+            "--fail-at", "0.002:cli-l1", "--restore-at", "0.007:cli-l1",
+            *self.CONFIG_FLAGS], monkeypatch)
+        (config,) = configs
+        assert config.eager_threshold == 1024 and config.zero_copy
+        assert config.coll_algorithms == {"allreduce": "ring"}
+
+        spec = SweepSpec.from_dict({
+            "platforms": [{"spec": "cluster:4", "fail_at": ["0.002:cli-l1"],
+                           "restore_at": ["0.007:cli-l1"]}],
+            "workloads": [{"file": "ring.py", "n": 4}],
+            "options": self.CONFIG_OPTIONS,
+        }, base_dir=d)
+        (point,) = spec.expand()
+        assert (dataclasses.asdict(point.smpi_config())
+                == dataclasses.asdict(config))
+        sweep = run_sweep(spec, jobs=1, cache=None)
+        assert not sweep.errors
+        (point,) = sweep.points
+        assert point.simulated_time.hex() == result.simulated_time.hex()
+        assert point.stats.to_dict() == result.stats.to_dict()
+
+
+class TestStatsBlock:
+    """The full ``--stats`` block of one faulty, traced run, pinned."""
+
+    EXPECTED = """\
+kernel stats   :
+  steps            : 76
+  shares           : 53
+  partial shares   : 0
+  flows resolved   : 65
+  components solved: 47
+  fill rounds      : 18
+  actions          : 92 created, 92 completed
+  actions touched  : 132
+  heap pops        : 84 (2 stale)
+  peak concurrent  : 6
+  context switches : 76 (0 fast resumes)
+  link samples     : 181
+  capacity events  : 13
+  resource faults  : 2 failed, 2 restored
+  match probes     : 48 (24 fast hits, 0 wildcard scans)
+  pooled reuses    : 76
+"""
+
+    def test_stats_block_is_unchanged(self, tmp_path, capsys):
+        d = tmp_path
+        (d / "ring.py").write_text(FAULTY_RING_SOURCE)
+        (d / "wave.trace").write_text("PERIODICITY 0.01\n0.0 1.0\n0.004 0.5\n")
+        (d / "outage.trace").write_text("0.003 0\n0.009 1\n")
+        assert main([
+            "run", str(d / "ring.py"), "-n", "4", "--platform", "cluster:4",
+            "--availability", f"cli-backbone={d / 'wave.trace'}",
+            "--state-profile", f"cli-l2={d / 'outage.trace'}",
+            "--fail-at", "0.002:cli-l1", "--restore-at", "0.007:cli-l1",
+            "--comm-retries", "4", "--retry-backoff", "1e-3",
+            "--comm-timeout", "5", "--on-host-down", "kill-rank", "--stats",
+            "--trace", str(d / "t.csv")]) == 0
+        out = capsys.readouterr().out
+        assert out[out.index("kernel stats"):] == self.EXPECTED
+
+
 class TestTraceOutputs:
     """``--trace`` streams; the bytes match the in-memory exporters."""
 
@@ -510,6 +635,34 @@ class TestTraceOutputs:
         trace.save(tmp_path / "memory.json")
         assert (tmp_path / "memory.json").read_bytes() == record.read_bytes()
         assert TiTrace.load(ti).n_ranks == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--trace", "t.csv"], ["--trace", "t.paje", "--trace-format", "paje"],
+        ["--trace", "t.json", "--trace-format", "ti"], ["--record", "r.json"],
+        ["--record", "r.json", "--trace", "t.csv"],
+    ])
+    def test_aborted_run_leaves_no_file(self, tmp_path, capsys, flags):
+        app = tmp_path / "abort.py"
+        app.write_text(ABORTING_SOURCE)
+        flags = [str(tmp_path / f) if f.startswith(("t.", "r.")) else f
+                 for f in flags]
+        assert main(["run", str(app), "-n", "2", "--platform", "cluster:2",
+                     *flags]) == 2
+        assert "boom" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["abort.py"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "paje"])
+    def test_aborted_replay_leaves_no_file(self, app_file, tmp_path, capsys,
+                                           fmt):
+        recorded = tmp_path / "r.json"
+        assert main(["run", app_file, "-n", "2", "--platform", "cluster:2",
+                     "--record", str(recorded)]) == 0
+        before = sorted(tmp_path.iterdir())
+        assert main(["replay", str(recorded), "--platform", "cluster:2",
+                     "--fail-at", "0.0:cli-l0", "--trace-format", fmt,
+                     "--trace", str(tmp_path / f"t.{fmt}")]) == 2
+        assert "network failure" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_resume_refuses_a_trace(self, app_file, tmp_path, capsys):
         path = str(tmp_path / "t.json")

@@ -181,8 +181,34 @@ class TestConfig:
             SmpiConfig(speed_factor=0)
 
     def test_memory_limit_parses_strings(self):
-        config = SmpiConfig(memory_limit="2GiB")
+        config = SmpiConfig.from_options({"memory_limit": "2GiB"})
         assert config.memory_limit == 2 * 1024**3
+
+    def test_from_options_keeps_valid_values_as_given(self):
+        config = SmpiConfig.from_options({
+            "eager_threshold": "1KiB", "send_overhead": 0, "zero_copy": True,
+            "comm_timeout": None, "coll.bcast": "linear",
+            "coll.alltoall": "auto", "on_host_down": "kill-rank",
+        }, tracing=True)
+        assert config.eager_threshold == 1024
+        assert type(config.send_overhead) is int  # an int is not made float
+        assert config.coll_algorithms == {"bcast": "linear",
+                                          "alltoall": "auto"}
+        assert config.tracing and config.zero_copy
+        assert config.on_host_down == "kill-rank"
+
+    @pytest.mark.parametrize("options", [
+        {"eager_threshold": "64 parsecs"}, {"eager_threshold": 1.5},
+        {"comm_retries": "3"}, {"comm_retries": 1.0}, {"comm_retries": True},
+        {"send_overhead": "fast"}, {"zero_copy": 1}, {"speed_factor": None},
+        {"on_host_down": "panic"}, {"on_host_down": 1},
+        {"warp_drive": True}, {"tracing": True}, {"coll_algorithms": {}},
+        {"coll.telepathy": "auto"}, {"coll.bcast": "carrier-pigeon"},
+        {"coll.bcast": ["linear"]},
+    ])
+    def test_from_options_refuses(self, options):
+        with pytest.raises(ConfigError):
+            SmpiConfig.from_options(options)
 
     def test_algorithm_for(self):
         config = SmpiConfig(coll_algorithms={"bcast": "linear"})

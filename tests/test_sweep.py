@@ -109,6 +109,35 @@ class TestSpec:
         with pytest.raises(ConfigError):
             spec.expand()
 
+    def test_size_strings_parse_like_the_cli(self, tmp_path):
+        spec = make_spec(tmp_path, axes={"eager_threshold": ["64KiB"]},
+                         options={"memory_limit": "1GiB"})
+        (point, _) = spec.expand()
+        config = point.smpi_config()
+        assert config.eager_threshold == 65536
+        assert config.memory_limit == 1024**3
+        assert point.label().endswith("eager_threshold=64KiB")
+        same = make_spec(tmp_path, axes={"eager_threshold": [65536]},
+                         options={"memory_limit": 1024**3}).expand()[0]
+        assert point_key(point, tmp_path) == point_key(same, tmp_path)
+
+    @pytest.mark.parametrize("axes, message", [
+        ({"eager_threshold": ["lots"]}, "cannot parse size"),
+        ({"comm_retries": ["three"]}, "takes int"),
+        ({"retry_backoff": [True]}, "takes float"),
+        ({"coll.alltoal": ["pairwise"]}, "unknown collective"),
+        ({"coll.allreduce": ["nonsense"]}, "unknown algorithm"),
+    ])
+    def test_bad_values_are_refused_when_the_spec_loads(self, tmp_path, axes,
+                                                        message):
+        data = dict(BASE_SPEC, axes=axes)
+        (tmp_path / "s.json").write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec.load(tmp_path / "s.json")
+        with pytest.raises(ConfigError, match=message):
+            make_spec(tmp_path, axes={}, options={
+                k: v[0] for k, v in axes.items()})
+
     def test_structural_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="no platforms"):
             SweepSpec.from_dict({"workloads": BASE_SPEC["workloads"]})
@@ -328,6 +357,32 @@ class TestSweepCli:
                      "--cache-dir", str(tmp_path / "c")]) == 1
         out = capsys.readouterr().out
         assert "FAILED" in out
+
+    @pytest.mark.parametrize("axes", [
+        {"eager_threshold": ["lots"]}, {"comm_retries": ["three"]},
+        {"coll.alltoal": ["pairwise"]}, {"coll.allreduce": ["nonsense"]},
+    ])
+    @pytest.mark.parametrize("command", ["run", "status"])
+    def test_bad_value_exits_2_before_any_simulation(self, tmp_path, capsys,
+                                                     axes, command):
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps(dict(BASE_SPEC, axes=axes)))
+        cache_dir = tmp_path / "cache"
+        assert main(["sweep", command, str(spec_file),
+                     "--cache-dir", str(cache_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: sweep axis ")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not cache_dir.exists()
+
+    def test_status_reads_size_strings(self, tmp_path, capsys):
+        spec_file = tmp_path / "sizes.json"
+        spec_file.write_text(json.dumps(
+            dict(BASE_SPEC, axes={"eager_threshold": ["4KiB", "64KiB"]})))
+        assert main(["sweep", "status", str(spec_file),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert "0/4 points ready" in capsys.readouterr().out
 
     def test_bad_spec_is_a_config_error(self, tmp_path, capsys):
         spec_file = tmp_path / "broken.json"
