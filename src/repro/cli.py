@@ -199,8 +199,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_file(path: str) -> str:
+    """``path``, or a :class:`ConfigError` when no file is there."""
+    if not Path(path).exists():
+        raise ConfigError(f"trace file {path!r} not found")
+    return path
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
-    trace = TiTrace.load(args.trace_file)
+    trace = TiTrace.load(_trace_file(args.trace_file))
     if args.trace and args.trace_format == "ti":
         raise ConfigError(
             "replay consumes a TI trace; re-exporting it as 'ti' would "
@@ -374,7 +381,7 @@ def _load_trace(args: argparse.Namespace) -> tuple[Tracer, int]:
     they are replayed (``--platform`` required) with tracing enabled to
     synthesize the timed records the analyses need.
     """
-    text = Path(args.file).read_text(encoding="utf-8")
+    text = Path(_trace_file(args.file)).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         ti = TiTrace.load(args.file)
@@ -455,7 +462,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    trace = TiTrace.load(args.trace)
+    trace = TiTrace.load(_trace_file(args.trace))
     print(trace.summary())
     for key, value in trace.meta.items():
         print(f"  {key}: {value}")

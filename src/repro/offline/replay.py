@@ -179,31 +179,38 @@ def replay_trace(
     later run from that cut.  Checkpointing requires tracing disabled
     and no ``comm_timeout`` watchdogs (see ``docs/scaling.md``).
     """
-    if n_ranks is not None and n_ranks != trace.n_ranks:
-        raise ConfigError(
-            f"trace was recorded with {trace.n_ranks} ranks and cannot be "
-            f"replayed on {n_ranks}: time-independent traces are tied to "
-            "the recorded application configuration"
-        )
-
-    world = SmpiWorld(platform, trace.n_ranks, hosts, config, network_model,
-                      engine, ctx=ctx, trace_sink=trace_sink)
-
-    replayers = []
-    for rank in range(trace.n_ranks):
-        replayer = _RankReplayer(world, rank, trace.events[rank])
-        replayers.append(replayer)
-        actor = world.scheduler.add_actor(
-            f"replay-{rank}", world.host_of(rank), replayer.run
-        )
-        world.register_actor(rank, actor)
-
     checkpoint_box: dict = {}
-    if checkpoint_at is not None:
-        from .snapshot import arm_checkpoint
+    try:
+        if n_ranks is not None and n_ranks != trace.n_ranks:
+            raise ConfigError(
+                f"trace was recorded with {trace.n_ranks} ranks and cannot "
+                f"be replayed on {n_ranks}: time-independent traces are "
+                "tied to the recorded application configuration"
+            )
 
-        arm_checkpoint(world, replayers, trace, checkpoint_at,
-                       checkpoint_box)
+        world = SmpiWorld(platform, trace.n_ranks, hosts, config,
+                          network_model, engine, ctx=ctx,
+                          trace_sink=trace_sink)
+
+        replayers = []
+        for rank in range(trace.n_ranks):
+            replayer = _RankReplayer(world, rank, trace.events[rank])
+            replayers.append(replayer)
+            actor = world.scheduler.add_actor(
+                f"replay-{rank}", world.host_of(rank), replayer.run
+            )
+            world.register_actor(rank, actor)
+
+        if checkpoint_at is not None:
+            from .snapshot import arm_checkpoint
+
+            arm_checkpoint(world, replayers, trace, checkpoint_at,
+                           checkpoint_box)
+    except BaseException:
+        # a refused replay leaves no trace file, as a failed run does not
+        if trace_sink is not None:
+            trace_sink.abort()
+        raise
 
     result = world.run()
     result.checkpoint = checkpoint_box.get("checkpoint")

@@ -1,11 +1,12 @@
-"""The thread backend: one OS thread per actor, baton-passed with Events.
+"""The thread backend: one OS thread per actor, baton-passed with Locks.
 
 This is the historical execution model, retained as the bit-identical
 equivalence oracle: the scheduler thread and the actor thread share a
-pair of :class:`threading.Event` objects, and at any instant exactly one
-of them holds the baton.  Every
-switch costs two kernel wait/set round-trips — which is precisely what
-the coroutine backend exists to retire.
+pair of :class:`threading.Lock` objects, each created held, and at any
+instant exactly one of them holds the baton.  A side hands the baton over
+by releasing the other side's lock and waits for it back by acquiring its
+own, so every switch costs one release and one blocking acquire — which
+is still what the coroutine backend exists to retire.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ class ThreadContext(ExecutionContext):
 
     def __init__(self, actor) -> None:
         super().__init__(actor)
-        self._baton_actor = threading.Event()  # set -> actor may run
-        self._baton_sched = threading.Event()  # set -> scheduler may run
+        # each lock is created held; releasing it lets its side run
+        self._baton_actor = threading.Lock()
+        self._baton_actor.acquire()
+        self._baton_sched = threading.Lock()
+        self._baton_sched.acquire()
         self._thread = threading.Thread(
             target=self._bootstrap, name=f"actor-{actor.name}", daemon=True
         )
@@ -43,9 +47,8 @@ class ThreadContext(ExecutionContext):
         if not self._started:
             self._started = True
             self._thread.start()
-        self._baton_sched.clear()
-        self._baton_actor.set()
-        self._baton_sched.wait()
+        self._baton_actor.release()
+        self._baton_sched.acquire()
 
     def join(self, timeout: float | None = None) -> None:
         if self._started:
@@ -60,9 +63,8 @@ class ThreadContext(ExecutionContext):
     def block(self) -> None:
         from ..actor import ActorKilled
 
-        self._baton_sched.set()
-        self._baton_actor.wait()
-        self._baton_actor.clear()
+        self._baton_sched.release()
+        self._baton_actor.acquire()
         if self.actor._killed:
             raise ActorKilled()
 
@@ -71,8 +73,7 @@ class ThreadContext(ExecutionContext):
 
         actor = self.actor
         try:
-            self._baton_actor.wait()
-            self._baton_actor.clear()
+            self._baton_actor.acquire()
             if actor._killed:
                 raise ActorKilled()
             if inspect.isgeneratorfunction(actor.func):
@@ -89,4 +90,4 @@ class ThreadContext(ExecutionContext):
             actor.exception = exc
         finally:
             actor.finished = True
-            self._baton_sched.set()
+            self._baton_sched.release()

@@ -389,16 +389,17 @@ class Engine:
                 solver.remove_flow(action.aid)
         self._retired.clear()
 
-        solved = solver.solve_dirty()
+        solver.solve_dirty()
         # Only the flows whose rate actually changed value are re-anchored
         # and re-scheduled; every other flow's completion prediction is
         # still exact, so its heap entry survives untouched.
-        for aid in solver.last_rate_changed:
-            self._apply_rate(members[aid], solver.rate(aid))
-        self.stats.flows_resolved += len(solved)
+        for aid, rate in solver.last_rate_changed.items():
+            self._apply_rate(members[aid], rate)
+        solved = solver.last_flows_solved
+        self.stats.flows_resolved += solved
         self.stats.components_solved += solver.last_components
         self.stats.fill_rounds += solver.last_fill_rounds
-        if members and len(solved) < len(members):
+        if members and solved < len(members):
             self.stats.partial_shares += 1
         if self.timeline is not None:
             now = self.now

@@ -19,6 +19,11 @@ here, not in ``src/``, so the product keeps one path per layer:
 the fuzz grids read ``oracle_engine(platform, eager=e, full=f)``.  None of
 the oracles can be snapshotted.
 
+* :class:`WalkMaxMin` — the walk-per-solve share: every solve walks each
+  dirty component from its records and rebuilds the filling kernel's
+  inputs (:func:`_progressive_fill_scalar`), where the canonical solver
+  keeps its components and their inputs alive between solves.
+
 * :class:`RecomputeUsageMaxMin` — the always-recompute utilization
   update: every component solve sums again the consumed rate of every
   constraint its flows cross, touched or not.
@@ -389,6 +394,185 @@ class RecomputeUsageMaxMin(IncrementalMaxMin):
                 self.last_usage.append((record, usage))
 
 
+def _progressive_fill_scalar(members: list, cons: list) -> tuple[list, int]:
+    """Progressive filling of one walked component, read from its records.
+
+    The kernel of :class:`WalkMaxMin`, which rebuilt its inputs at every
+    solve.  ``members`` are :class:`_IncFlow` records in ``seq`` order;
+    ``cons`` lists every SHARED constraint they cross that the walk kept.
+    FATPIPE constraints only enter the per-flow caps.  A shared
+    constraint whose only flow is member *i* (when *i* crosses no
+    constraint twice) is folded into ``solo[i]``.  Every float operation
+    happens in the order :func:`_progressive_fill_arrays` performs it, so
+    rates, round count and error messages are bit-identical to it.
+
+    Returns ``(rates, rounds)``.
+    """
+    n_flows = len(members)
+    n_cons = len(cons)
+    index = {record: pos for pos, record in enumerate(cons)}
+    inf = math.inf
+    weights = []
+    entries = []  # per flow: index of each coupling constraint it crosses
+    caps = []  # per flow: own bound plus any FATPIPE constraint it crosses
+    solo = []  # per flow: tightest level of its single-flow constraints
+    for flow in members:
+        weight = flow.weight
+        cap = flow.bound
+        level = inf
+        crossed = []
+        for record in flow.cons:
+            if not record.shared:
+                fat_cap = record.capacity / weight
+                if fat_cap < cap:
+                    cap = fat_cap
+            elif len(record.flows) == 1 and flow.folds:
+                if weight > _EPS and record.capacity / weight < level:
+                    level = record.capacity / weight
+            else:
+                crossed.append(index[record])
+        weights.append(weight)
+        entries.append(crossed)
+        caps.append(cap)
+        solo.append(level)
+    remaining = [record.capacity for record in cons]
+    rates = [0.0] * n_flows
+    active = list(range(n_flows))
+
+    rounds = 0
+    while active:
+        if rounds > n_flows + n_cons:
+            raise SimulationError("progressive filling failed to converge")
+        users = [0.0] * n_cons
+        for i in active:
+            weight = weights[i]
+            for c in entries[i]:
+                users[c] += weight
+        cons_level = [remaining[c] / u if u > _EPS else inf
+                      for c, u in enumerate(users)]
+        cons_min = min(min(cons_level, default=inf),
+                       min([solo[i] for i in active]))
+        flow_min = min([caps[i] for i in active])
+        level = min(cons_min, flow_min)
+        if math.isinf(level):
+            names = [members[i].name for i in active]
+            raise SimulationError("max-min system is unbounded: flows " + ", ".join(names))
+
+        limit = level + _EPS
+        if flow_min <= limit:
+            to_fix = [i for i in active if caps[i] <= limit]
+        else:
+            to_fix = [i for i in active if solo[i] <= limit
+                      or any(cons_level[c] <= limit for c in entries[i])]
+        if not to_fix:
+            raise SimulationError("progressive filling made no progress")
+
+        consumption = [0.0] * n_cons
+        for i in to_fix:
+            rates[i] = level
+            used = level * weights[i]
+            for c in entries[i]:
+                consumption[c] += used
+        for c, used in enumerate(consumption):
+            left = remaining[c] - used
+            remaining[c] = 0.0 if left < 0.0 else left
+        fixed = set(to_fix)
+        active = [i for i in active if i not in fixed]
+        rounds += 1
+    return rates, rounds
+
+
+class WalkMaxMin(IncrementalMaxMin):
+    """The walk-per-solve share.
+
+    Every :meth:`solve_dirty` gathers its seeds (the dirty flows and the
+    flows of the dirty constraints), sorts them by ``seq``, walks the
+    component of each seed not yet solved from the flow and constraint
+    records, and fills it with :func:`_progressive_fill_scalar`, which
+    rebuilds the kernel's inputs.  Registration is the canonical
+    solver's; the persistent components it keeps are never read here.
+    The canonical solver must match it bit for bit: rates, the
+    ``last_*`` statistics, ``last_usage`` and error messages.
+    """
+
+    def solve_dirty(self) -> set:
+        self.last_components = 0
+        self.last_flows_solved = 0
+        self.last_usage = []
+        self.last_rate_changed = {}
+        self.last_fill_rounds = 0
+        solved: set = set()
+        if self._dirty_cons or self._dirty_flows:
+            seeds = set(self._dirty_flows)
+            for record in self._dirty_cons:
+                seeds.update(record.flows)
+            self._dirty_cons.clear()
+            self._dirty_flows.clear()
+            flows = self._flows
+            for seed in sorted(seeds, key=lambda k: flows[k].seq):
+                if seed in solved or seed not in flows:
+                    continue
+                members, cons = self._collect_component(seed, solved)
+                self._solve_walked(members, cons)
+                self.last_components += 1
+                self.last_flows_solved += len(members)
+        if self._released:
+            self._settle_released()
+        return solved
+
+    def _collect_component(self, seed, solved: set) -> tuple[list, list]:
+        """Flows transitively connected to ``seed`` via shared constraints,
+        in ``seq`` order, and the shared constraints the kernel must see.
+
+        A shared constraint with a single flow is passed over, unless
+        that flow crosses some constraint twice: it reaches no other
+        flow, and the kernel folds it into that flow's solo level.
+        """
+        flows = self._flows
+        members = []
+        cons = []
+        seen: set = set()
+        solved.add(seed)
+        stack = [seed]
+        while stack:
+            flow = flows[stack.pop()]
+            members.append(flow)
+            for record in flow.cons:
+                if not record.shared or record in seen:
+                    continue
+                crossing = record.flows
+                if len(crossing) == 1 and flow.folds:
+                    continue
+                seen.add(record)
+                cons.append(record)
+                fresh = crossing - solved
+                if fresh:
+                    solved.update(fresh)
+                    stack.extend(fresh)
+        members.sort(key=lambda f: f.seq)
+        return members, cons
+
+    def _solve_walked(self, members: list, cons: list) -> None:
+        flow = members[0]
+        if len(members) == 1 and flow.folds:
+            rate = flow.bound
+            for record in flow.cons:
+                rate = min(rate, record.capacity / flow.weight)
+            if math.isinf(rate):
+                raise SimulationError(
+                    "max-min system is unbounded: flows " + flow.name
+                )
+            flow.fill = rate
+        else:
+            rates, rounds = _progressive_fill_scalar(members, cons)
+            self.last_fill_rounds += rounds
+            for flow, rate in zip(members, rates):
+                flow.fill = rate
+        self._store_rates(members)
+        if self._track_usage:
+            self._update_usage(members)
+
+
 #: Flows plus constraints above which :func:`solve_maxmin` switches to the
 #: vectorised implementation (the crossover was flat between 16 and 64
 #: flows on CPython 3.11).
@@ -566,7 +750,8 @@ def _progressive_fill_arrays(
     name_of,
 ) -> tuple[np.ndarray, int]:
     """Array core of progressive filling over a whole system, the NumPy
-    oracle of :func:`repro.surf.maxmin._progressive_fill_scalar`.
+    oracle of :func:`_progressive_fill_scalar` and of
+    :func:`repro.surf.maxmin._progressive_fill`.
 
     ``row``/``col`` are COO-style incidence entries (flow ``row[k]`` crosses
     constraint ``col[k]``); ``weights``/``bounds`` are per flow, ``shared``/

@@ -242,6 +242,25 @@ class TestCommands:
         assert main(["run", app_file, "-n", "2", "--platform", "cluster:2",
                      "--coll", "not-a-pair"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["replay", "{missing}", "--platform", "cluster:2"],
+        ["trace", "summary", "{missing}"],
+        ["trace", "gantt", "{missing}"],
+        ["trace", "critical-path", "{missing}"],
+        ["trace", "export", "{missing}", "--format", "csv", "-o", "{out}"],
+        ["info", "{missing}"],
+    ], ids=["replay", "summary", "gantt", "critical-path", "export", "info"])
+    def test_missing_trace_file_is_a_plain_error(self, tmp_path, capsys, argv):
+        """A missing input is a one-line diagnosis with exit code 2, as a
+        missing application file is, not a traceback."""
+        missing = str(tmp_path / "nope.json")
+        argv = [arg.format(missing=missing, out=tmp_path / "out.csv")
+                for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: trace file {missing!r} not found\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFlags:
     MARKED_APP = '''
@@ -662,6 +681,22 @@ class TestTraceOutputs:
                      "--fail-at", "0.0:cli-l0", "--trace-format", fmt,
                      "--trace", str(tmp_path / f"t.{fmt}")]) == 2
         assert "network failure" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("fmt", ["csv", "paje"])
+    def test_refused_checkpoint_leaves_no_file(self, app_file, tmp_path,
+                                               capsys, fmt):
+        """Checkpointing a traced replay is refused before the run: the
+        trace files the sink opened are removed with the refusal."""
+        recorded = tmp_path / "r.json"
+        assert main(["run", app_file, "-n", "2", "--platform", "cluster:2",
+                     "--record", str(recorded)]) == 0
+        before = sorted(tmp_path.iterdir())
+        assert main(["replay", str(recorded), "--platform", "cluster:2",
+                     "--trace-format", fmt, "--trace", str(tmp_path / "x"),
+                     "--checkpoint-at", "0.0001"]) == 2
+        assert "checkpointing requires tracing disabled" in \
+            capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
 
     def test_resume_refuses_a_trace(self, app_file, tmp_path, capsys):

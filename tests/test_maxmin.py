@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.surf.maxmin import _IncConstraint, _IncFlow, _progressive_fill_scalar
+from repro.surf.maxmin import IncrementalMaxMin, _progressive_fill
 from tests.oracles import (
     MaxMinSystem,
     _progressive_fill_arrays,
+    _progressive_fill_scalar,
     solve_maxmin,
     solve_maxmin_reference,
     solve_maxmin_vectorized,
@@ -240,7 +241,7 @@ class TestIncrementalMaxMin:
             inc.rate("f")
         inc.solve_dirty()
         assert inc.rate("f") == 0.0
-        assert inc.last_rate_changed == {"f"}
+        assert inc.last_rate_changed == {"f": 0.0}
 
     def test_constraint_crossed_twice_counts_twice_alone_or_not(self):
         """A flow crossing ``c`` twice counts twice in ``c``'s fair share,
@@ -530,6 +531,104 @@ class TestIncrementalMaxMin:
         assert len(set(sizes)) == 1  # flat from the first cycle on
 
 
+class TestPersistentComponents:
+    """Arrivals and departures update the kept components in place."""
+
+    @staticmethod
+    def _comp_keys(inc, key):
+        return [flow.key for flow in inc._flows[key].comp.members]
+
+    def test_fold_moves_one_to_two_and_back(self):
+        """A constraint reaching a second flow couples it (the first flow
+        stops folding it into its solo level); losing that flow folds it
+        back, and the rates follow both ways."""
+        inc = IncrementalMaxMin()
+        inc.ensure_constraint("a", 100.0)
+        inc.ensure_constraint("b", 30.0)
+        inc.add_flow("f", ["a", "b"])
+        inc.solve_dirty()
+        f = inc._flows["f"]
+        a = inc._cons["a"]
+        assert not a.coupled and f.solo == 30.0 and f.crossed == []
+        assert inc.rate("f") == 30.0
+        inc.add_flow("g", ["a"])  # 1 -> 2
+        inc.solve_dirty()
+        assert a.coupled and f.crossed == [a] and f.solo == 30.0
+        assert list(a.members) == [f, inc._flows["g"]] and a.wsum == 2.0
+        assert self._comp_keys(inc, "f") == ["f", "g"]
+        assert (inc.rate("f"), inc.rate("g")) == (30.0, 70.0)
+        inc.ensure_constraint("b", 300.0)  # b is f's alone: solo level moves
+        inc.solve_dirty()
+        assert f.solo == 300.0
+        assert (inc.rate("f"), inc.rate("g")) == (50.0, 50.0)
+        inc.remove_flow("g")  # 2 -> 1
+        inc.solve_dirty()
+        assert not a.coupled and f.crossed == [] and f.solo == 100.0
+        assert list(a.members) == [f] and a.wsum == 1.0
+        assert inc.rate("f") == 100.0
+
+    def test_one_arrival_merges_two_components(self):
+        inc = IncrementalMaxMin()
+        inc.ensure_constraint("a", 100.0)
+        inc.ensure_constraint("b", 60.0)
+        for key, cons in (("f0", ["a"]), ("f1", ["a"]), ("g0", ["b"]),
+                          ("g1", ["b"])):
+            inc.add_flow(key, cons)
+        inc.solve_dirty()
+        assert inc.last_components == 2
+        assert self._comp_keys(inc, "f0") == ["f0", "f1"]
+        inc.add_flow("bridge", ["a", "b"])
+        assert inc.solve_dirty() == {"f0", "f1", "g0", "g1", "bridge"}
+        assert inc.last_components == 1
+        comp = inc._flows["f0"].comp
+        assert all(inc._flows[key].comp is comp for key in inc._flows)
+        assert self._comp_keys(inc, "g1") == ["f0", "f1", "g0", "g1", "bridge"]
+        assert sorted(r.key for r in comp.cons) == ["a", "b"]
+        assert inc.rate("bridge") == 20.0
+
+    def test_one_departure_splits_a_component(self):
+        """The departed flow was the only link between two groups: its
+        component is walked again into two, each solved on its own."""
+        inc = IncrementalMaxMin()
+        inc.ensure_constraint("a", 100.0)
+        inc.ensure_constraint("b", 60.0)
+        for key, cons in (("f0", ["a"]), ("bridge", ["a", "b"]),
+                          ("f1", ["a"]), ("g0", ["b"]), ("g1", ["b"])):
+            inc.add_flow(key, cons)
+        inc.solve_dirty()
+        assert inc.last_components == 1
+        inc.remove_flow("bridge")
+        assert inc._flows["f0"].comp is not inc._flows["g0"].comp
+        assert self._comp_keys(inc, "f1") == ["f0", "f1"]
+        assert self._comp_keys(inc, "g0") == ["g0", "g1"]
+        assert inc.solve_dirty() == {"f0", "f1", "g0", "g1"}
+        assert inc.last_components == 2
+        assert [inc.rate(k) for k in ("f0", "f1", "g0", "g1")] == \
+            [50.0, 50.0, 30.0, 30.0]
+
+    def test_departure_through_a_hub_keeps_the_component(self, monkeypatch):
+        """Every flow left on the departed flow's constraints crosses the
+        shared hub: the component stays whole without a walk."""
+        walks = []
+        monkeypatch.setattr(IncrementalMaxMin, "_rewalk",
+                            lambda self, comps: walks.append(comps))
+        inc = IncrementalMaxMin()
+        for key, cap in (("hub", 90.0), ("a", 100.0), ("b", 100.0)):
+            inc.ensure_constraint(key, cap)
+        inc.add_flow("x", ["a", "hub", "b"])
+        inc.add_flow("y", ["a", "hub"])
+        inc.add_flow("z", ["hub", "b"])
+        inc.solve_dirty()
+        comp = inc._flows["y"].comp
+        inc.remove_flow("x")
+        assert walks == []
+        assert inc._flows["y"].comp is comp is inc._flows["z"].comp
+        assert [r.key for r in comp.cons] == ["hub"]
+        inc.solve_dirty()
+        assert inc.last_components == 1
+        assert (inc.rate("y"), inc.rate("z")) == (45.0, 45.0)
+
+
 def _random_incremental_trace(gen, n_cons=6, n_events=40):
     """Yield (incremental solver, batch solver snapshot) after random churn.
 
@@ -640,33 +739,31 @@ def random_component(draw):
 
 
 def _kernel_outcomes(capacities, shared, flows):
-    """Solve one component with the kernel and with its NumPy oracle; each
-    gives its rates (as ``float.hex``) and round count, or its error
-    message.
+    """Solve one component with the kernel, with the walk oracle's kernel
+    and with the NumPy oracle; each gives its rates (as ``float.hex``)
+    and round count, or its error message.
 
-    The kernel gets what the component walk hands it: the shared
-    constraints it must see.  A shared constraint with a single flow is
-    left out of ``cons`` and folded by the kernel into that flow's solo
-    level, unless the flow crosses some constraint twice; the oracle
-    sees every constraint."""
-    records = [_IncConstraint(f"c{i}", f"c{i}", cap, sh)
-               for i, (cap, sh) in enumerate(zip(capacities, shared))]
-    members = [
-        _IncFlow(f"f{i}", i, f"f{i}", tuple(records[c] for c in cids),
-                 bound, weight)
-        for i, (cids, bound, weight) in enumerate(flows)
-    ]
-    for flow in members:
-        for record in flow.cons:
-            record.flows.add(flow.key)
-    cons = []
-    for flow in members:
-        for record in flow.cons:
-            if (record.shared and record not in cons
-                    and not (flow.folds and len(record.flows) == 1)):
-                cons.append(record)
-    for pos, record in enumerate(cons):
+    Registration builds the kernel's kept inputs: a shared constraint
+    with a single flow does not couple and is folded into that flow's
+    solo level, unless the flow crosses some constraint twice.  The walk
+    kernel gets the shared constraints the walk would keep and rebuilds
+    its inputs; the NumPy oracle sees every constraint."""
+    inc = IncrementalMaxMin()
+    for i, (cap, sh) in enumerate(zip(capacities, shared)):
+        inc.ensure_constraint(f"c{i}", cap, shared=sh)
+    for i, (cids, bound, weight) in enumerate(flows):
+        inc.add_flow(f"f{i}", [f"c{c}" for c in cids], bound=bound,
+                     weight=weight)
+    members = list(inc._flows.values())  # registration (seq) order
+    coupling = [record for record in inc._cons.values() if record.coupled]
+    for pos, record in enumerate(coupling):
         record.pos = pos
+    walked = []
+    for flow in members:
+        for record in flow.cons:
+            if (record.shared and record not in walked
+                    and not (flow.folds and len(record.flows) == 1)):
+                walked.append(record)
     row = np.array([i for i, (cids, _, _) in enumerate(flows) for _ in cids],
                    dtype=np.intp)
     col = np.array([c for cids, _, _ in flows for c in cids], dtype=np.intp)
@@ -678,14 +775,19 @@ def _kernel_outcomes(capacities, shared, flows):
             return str(exc)
         return [float(r).hex() for r in rates], rounds
 
-    scalar = outcome(lambda: _progressive_fill_scalar(members, cons))
+    def kept():
+        rounds = _progressive_fill(members, coupling, -1)
+        return [flow.fill for flow in members], rounds
+
+    scalar = outcome(kept)
+    walk = outcome(lambda: _progressive_fill_scalar(members, walked))
     arrays = outcome(lambda: _progressive_fill_arrays(
         len(flows), len(capacities), row, col,
         np.array([w for _, _, w in flows]), np.array([b for _, b, _ in flows]),
         np.array(shared, dtype=bool), np.array(capacities, dtype=float),
         lambda i: members[i].name,
     ))
-    return scalar, arrays
+    return scalar, walk, arrays
 
 
 _UNBOUNDED = ([100.0, 5.0], [True, False],
@@ -716,11 +818,12 @@ _UNBOUNDED = ([100.0, 5.0], [True, False],
 ))
 @settings(max_examples=300, deadline=None)
 def test_scalar_kernel_matches_array_kernel(component):
-    """The plain-Python kernel is a transcription of the NumPy oracle: same
-    rates to the last bit, same rounds, same errors, with
-    its single-flow constraints folded into solo levels."""
-    scalar, arrays = _kernel_outcomes(*component)
-    assert scalar == arrays
+    """The plain-Python kernel, on its kept inputs, and the walk oracle's
+    kernel, on rebuilt ones, are transcriptions of the NumPy oracle: same
+    rates to the last bit, same rounds, same errors, with their
+    single-flow constraints folded into solo levels."""
+    scalar, walk, arrays = _kernel_outcomes(*component)
+    assert scalar == walk == arrays
 
 
 def test_component_growing_to_80_flows_matches_batch():
