@@ -1,35 +1,41 @@
-"""Ablation — execution-context backends (coroutine vs thread).
+"""Ablation — execution contexts (coroutine vs the thread oracle).
 
 The historical design parks every rank on its own OS thread and moves a
-baton of ``threading.Event`` pairs between them: two kernel round-trips
-per context switch, plus one kernel stack per rank.  The coroutine
-backend replaces all of that with generator continuations resumed on the
+baton of ``threading.Lock`` pairs between them: a release and a blocking
+acquire per context switch, plus one kernel stack per rank.  Generator
+ranks run on coroutine contexts instead: continuations resumed on the
 scheduler's own stack — a context switch is one Python frame activation.
+The thread design survives as the test oracle
+(:func:`tests.oracles.thread_contexts`), which runs generator ranks on
+threads.
 
 This bench measures both layers of the claim:
 
 * a switch microbenchmark — many actors, many pure yields, negligible
   engine work — reporting wall time *per context switch* for each
-  backend at growing rank counts;
-* the NAS DT end-to-end wall time per backend, at bit-identical
-  simulated clocks (the backends are a pure implementation choice).
+  context at growing rank counts;
+* the NAS DT end-to-end wall time per context, at bit-identical
+  simulated clocks (the context is a pure implementation choice).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 from _helpers import FigureReport
 from repro.nas import dt_app, dt_graph
 from repro.simix import Scheduler
 from repro.smpi import smpirun
 from repro.surf import Engine, cluster
+from tests.oracles import thread_contexts
 
 RANK_COUNTS = (64, 256)
 YIELD_ROUNDS = 40
 
 
-BACKENDS = ("coroutine", "thread")
+#: the contexts generator ranks get, and the thread oracle
+BACKENDS = {"coroutine": nullcontext, "thread": thread_contexts}
 
 
 def switch_storm(n_ranks: int, ctx: str):
@@ -37,18 +43,19 @@ def switch_storm(n_ranks: int, ctx: str):
 
     The workload is pure context traffic — every resume does one loop
     iteration and parks again — so wall/switches isolates what one
-    suspend/resume pair costs on each backend, including the per-actor
+    suspend/resume pair costs on each context, including the per-actor
     setup (thread spawn vs generator allocation).
     """
-    sched = Scheduler(Engine(cluster("ctxsw", n_ranks)), ctx=ctx)
+    sched = Scheduler(Engine(cluster("ctxsw", n_ranks)))
 
     def storm():
         me = sched.current
         for _ in range(YIELD_ROUNDS):
             yield from me.co_yield_now()
 
-    for i in range(n_ranks):
-        sched.add_actor(f"a{i}", f"node-{i}", storm)
+    with BACKENDS[ctx]():
+        for i in range(n_ranks):
+            sched.add_actor(f"a{i}", f"node-{i}", storm)
     start = time.perf_counter()
     sched.run()
     wall = time.perf_counter() - start
@@ -61,8 +68,8 @@ def nas_dt_wall(ctx: str):
     graph = dt_graph("BH", "A")
     platform = cluster("ctxdt", graph.n_ranks)
     start = time.perf_counter()
-    result = smpirun(dt_app, graph.n_ranks, platform, app_args=(graph,),
-                     ctx=ctx)
+    with BACKENDS[ctx]():
+        result = smpirun(dt_app, graph.n_ranks, platform, app_args=(graph,))
     wall = time.perf_counter() - start
     return result.simulated_time, wall
 
@@ -82,9 +89,9 @@ def test_ablation_contexts(once):
     storm_rows, dt_rows = once(experiment)
     report = FigureReport(
         "ablation_contexts",
-        "execution-context backends: per-switch cost and NAS DT wall",
+        "execution contexts: per-switch cost and NAS DT wall",
     )
-    report.line(f"  {'ranks':>6} {'backend':>10} {'wall':>9} "
+    report.line(f"  {'ranks':>6} {'context':>10} {'wall':>9} "
                 f"{'switches':>9} {'cost/switch':>12}")
     for n_ranks, row in storm_rows:
         for ctx, (wall, switches, per) in row.items():
@@ -111,8 +118,8 @@ def test_ablation_contexts(once):
     report.finish()
 
     clocks = {simulated for simulated, _ in dt_rows.values()}
-    assert len(clocks) == 1, f"backends disagree on simulated time: {dt_rows}"
+    assert len(clocks) == 1, f"contexts disagree on simulated time: {dt_rows}"
     assert speedup >= 5.0, (
-        f"expected >=5x cheaper context switches on the coroutine backend "
+        f"expected >=5x cheaper context switches on coroutine contexts "
         f"at {RANK_COUNTS[-1]} ranks, got {speedup:.1f}x"
     )

@@ -147,7 +147,7 @@ def run_case(app, n_ranks: int, mode: str, app_args=(),
     with matching(mode):
         start = time.perf_counter()
         result = smpirun(app, n_ranks, platform, app_args=app_args,
-                         ctx="coroutine", network_model=model)
+                         network_model=model)
         wall = time.perf_counter() - start
     stats = result.stats
     return {

@@ -63,7 +63,7 @@ def _child_main(n_ranks: int) -> None:
     app = resolve("hpl", HPL_PARAMS)
     platform = cluster("scale", min(n_ranks, 256))
     start = time.perf_counter()
-    result = smpirun(app, n_ranks, platform, ctx="coroutine")
+    result = smpirun(app, n_ranks, platform)
     wall = time.perf_counter() - start
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     memory = result.memory

@@ -59,7 +59,6 @@ from pathlib import Path
 from .errors import ConfigError, ReproError
 from .offline import TiTrace, record_trace_streaming, replay_trace
 from .scenario import PlatformSpec, build_platform, load_app
-from .simix import available_backends
 from .smpi import SmpiConfig, smpirun
 from .trace import (
     CsvStreamSink,
@@ -180,7 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     platform, engine = _scenario(args).build(args.n)
     config = _config_from_args(args)
     sink = _trace_sink(args, args.n)
-    run = dict(config=config, engine=engine, ctx=args.ctx, trace_sink=sink)
+    run = dict(config=config, engine=engine, trace_sink=sink)
     ti_files = [args.record] if args.record else []
     if args.trace and args.trace_format == "ti":
         ti_files.append(args.trace)
@@ -222,12 +221,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         from .offline import load_checkpoint, resume_replay
 
         result = resume_replay(trace, platform,
-                               load_checkpoint(args.resume_from),
-                               ctx=args.ctx)
+                               load_checkpoint(args.resume_from))
         print(f"resumed from   : {args.resume_from}")
     else:
         result = replay_trace(trace, platform, config=_config_from_args(args),
-                              engine=engine, ctx=args.ctx,
+                              engine=engine,
                               trace_sink=_trace_sink(args, trace.n_ranks),
                               checkpoint_at=args.checkpoint_at)
         if args.checkpoint_at is not None:
@@ -496,12 +494,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coll", dest="coll_algorithms", action="append",
                    metavar="NAME=ALGO",
                    help="force a collective algorithm (repeatable)")
-    p.add_argument("--ctx", choices=available_backends(),
-                   default=None,
-                   help="execution-context backend for rank actors "
-                        "(default: auto — coroutine for generator apps, "
-                        "thread for plain functions; REPRO_CTX env var "
-                        "overrides)")
     p.add_argument("--trace", metavar="FILE",
                    help="export an execution trace to FILE")
     p.add_argument("--trace-format", choices=("csv", "paje", "ti"),

@@ -45,12 +45,13 @@ class ActorFailure(SimulationError):
 
 
 class ContextError(SimulationError):
-    """An execution-context backend was used outside its contract.
+    """An execution context was used outside its contract.
 
-    The common case: an actor on the ``coroutine`` backend tried to block
-    from a plain (non-generator) frame — pure-Python continuations cannot
-    suspend a synchronous call stack, so the blocking path must be written
-    in the generator dialect or the actor run on a stack-capable backend.
+    The common case: an actor on a ``coroutine`` context (its entry is a
+    generator function) tried to block from a plain (non-generator) frame
+    — pure-Python continuations cannot suspend a synchronous call stack,
+    so the blocking path must be written in the generator dialect or the
+    entry made a plain function, which runs on a thread.
     """
 
 

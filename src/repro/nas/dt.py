@@ -287,7 +287,7 @@ def dt_app(mpi, graph: DtGraph, seed: int = 0, folded: bool = False):
     meaningful unfolded.
 
     Written in the generator dialect (``yield from`` at every blocking
-    call) so it runs on the coroutine backend without an OS thread per
+    call) so it runs on a coroutine context without an OS thread per
     rank.
     """
     comm = mpi.COMM_WORLD

@@ -32,7 +32,7 @@ from ..smpi import constants
 from ..smpi import request as rq
 from ..smpi.config import SmpiConfig
 from ..smpi.request import Request
-from ..smpi.runtime import SmpiResult, SmpiWorld
+from ..smpi.runtime import SmpiResult, SmpiWorld, check_ctx
 from ..surf.platform import Platform
 from .trace import TiTrace
 
@@ -168,7 +168,9 @@ def replay_trace(
     """Simulate the recorded execution on ``platform``.
 
     ``n_ranks`` may be passed for API symmetry but must equal the trace's
-    rank count — a TI trace cannot be re-shaped (paper §2).
+    rank count — a TI trace cannot be re-shaped (paper §2).  Replayers
+    are generators, so they run on coroutine contexts; ``ctx`` takes
+    only ``None`` or ``"coroutine"`` (:func:`repro.smpi.runtime.check_ctx`).
 
     ``checkpoint_at`` arms mid-run checkpointing: at the first quiescent
     scheduler cut with simulated clock >= the given date, the full
@@ -181,6 +183,7 @@ def replay_trace(
     """
     checkpoint_box: dict = {}
     try:
+        check_ctx(ctx)
         if n_ranks is not None and n_ranks != trace.n_ranks:
             raise ConfigError(
                 f"trace was recorded with {trace.n_ranks} ranks and cannot "
@@ -189,8 +192,7 @@ def replay_trace(
             )
 
         world = SmpiWorld(platform, trace.n_ranks, hosts, config,
-                          network_model, engine, ctx=ctx,
-                          trace_sink=trace_sink)
+                          network_model, engine, trace_sink=trace_sink)
 
         replayers = []
         for rank in range(trace.n_ranks):

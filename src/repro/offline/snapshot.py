@@ -252,7 +252,6 @@ def resume_replay(
     platform: Platform,
     checkpoint: dict,
     network_model=None,
-    ctx: str | None = None,
 ) -> SmpiResult:
     """Continue a checkpointed replay run to completion.
 
@@ -286,7 +285,7 @@ def resume_replay(
                                      network_model=network_model)
     world = SmpiWorld(platform, trace.n_ranks,
                       hosts=checkpoint["rank_hosts"], config=config,
-                      engine=engine, ctx=ctx)
+                      engine=engine)
     world.msg_seq.reset(checkpoint["msg_next"])
     world._next_ctx = checkpoint["next_ctx"]
 
@@ -392,7 +391,6 @@ def warm_replay(
     store,
     config: SmpiConfig | None = None,
     network_model=None,
-    ctx: str | None = None,
 ) -> SmpiResult:
     """Replay with a checkpoint store: resume on hit, capture on miss.
 
@@ -408,9 +406,9 @@ def warm_replay(
     checkpoint = store.get(key)
     if checkpoint is not None:
         return resume_replay(trace, platform, checkpoint,
-                             network_model=network_model, ctx=ctx)
+                             network_model=network_model)
     result = replay_trace(trace, platform, config=config,
-                          network_model=network_model, ctx=ctx,
+                          network_model=network_model,
                           checkpoint_at=checkpoint_at)
     if result.checkpoint is not None:
         store.put(key, result.checkpoint)

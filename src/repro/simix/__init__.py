@@ -2,38 +2,29 @@
 
 SIMIX turns the passive action kernel into an *on-line* simulator: each
 simulated process (:class:`~repro.simix.actor.Actor`) runs unmodified
-user Python code on an *execution context* supplied by a pluggable
-backend (:mod:`repro.simix.contexts`), and the :class:`Scheduler`
-enforces that **exactly one context runs at a time** — the paper's fully
-sequential design that sidesteps parallel-discrete-event correctness
-issues.  User code blocks by waiting on *activities* (communications,
-executions, sleeps); the scheduler then advances the SURF clock to the
-next completion and resumes whoever it unblocked.
+user Python code on an *execution context* (:mod:`repro.simix.contexts`),
+and the :class:`Scheduler` enforces that **exactly one context runs at a
+time** — the paper's fully sequential design that sidesteps
+parallel-discrete-event correctness issues.  User code blocks by waiting
+on *activities* (communications, executions, sleeps); the scheduler then
+advances the SURF clock to the next completion and resumes whoever it
+unblocked.
 
-Two context backends exist, bit-identical in simulated time:
+An actor's entry function picks its context; the two are bit-identical
+in simulated time:
 
-* ``coroutine`` (default for generator-dialect code) — each actor is a
-  plain Python generator resumed on the scheduler's own stack; no kernel
-  objects, no synchronisation round-trips.
-* ``thread`` — the original one-OS-thread-per-rank design with an
-  Event-pair baton; the equivalence oracle, and the backend that runs
-  plain (non-generator) functions.
+* ``coroutine`` (generator functions) — each actor is a plain Python
+  generator resumed on the scheduler's own stack; no kernel objects, no
+  synchronisation round-trips.
+* ``thread`` (plain functions) — the original one-OS-thread-per-rank
+  design with a lock-pair baton; run on generator functions too, it is
+  the equivalence oracle (``tests/oracles.py``).
 """
 
 from .activity import Activity, CommActivity, ExecActivity, SleepActivity
 from .actor import Actor
 from .context import Scheduler
-from .contexts import (
-    CTX_ENV_VAR,
-    AutoBackend,
-    ContextBackend,
-    CoroutineBackend,
-    ExecutionContext,
-    ThreadBackend,
-    available_backends,
-    run_blocking,
-    select_backend,
-)
+from .contexts import ExecutionContext, run_blocking
 from .mailbox import (
     IndexedMessageQueue,
     IndexedRecvQueue,
@@ -43,11 +34,7 @@ from .mailbox import (
 __all__ = [
     "Activity",
     "Actor",
-    "AutoBackend",
-    "CTX_ENV_VAR",
     "CommActivity",
-    "ContextBackend",
-    "CoroutineBackend",
     "ExecActivity",
     "ExecutionContext",
     "IndexedMessageQueue",
@@ -55,8 +42,5 @@ __all__ = [
     "MatchCounters",
     "Scheduler",
     "SleepActivity",
-    "ThreadBackend",
-    "available_backends",
     "run_blocking",
-    "select_backend",
 ]

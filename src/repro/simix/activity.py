@@ -85,7 +85,7 @@ class Activity:
         This is the canonical implementation (:meth:`wait` drives it), so
         both dialects suspend at exactly the same points: the activity
         ``wait()`` seam is where every MPI-blocking call reaches the
-        execution-context backends.
+        execution contexts.
         """
         while not self.done:
             self.add_waiter(actor)

@@ -12,10 +12,10 @@ Each blocking primitive exists in two dialects with identical scheduler
 interactions:
 
 * synchronous — ``suspend()``, ``yield_now()``, ``wait_for()`` — parks
-  the real stack via ``context.block()``; needs a stack-capable backend.
+  the real stack via ``context.block()``; needs a thread context.
 * generator — ``co_suspend()``, ``co_yield_now()``, ``co_wait_for()`` —
-  does the same bookkeeping, then ``yield``\\ s; works on every backend,
-  and is the *only* way to block on the coroutine backend.
+  does the same bookkeeping, then ``yield``\\ s; works on every context,
+  and is the *only* way to block on a coroutine context.
 
 An actor blocks by suspending; anything that might unblock it calls
 :meth:`Scheduler.wake`.  Waits are predicate-based (the waker may be
@@ -83,14 +83,14 @@ class Actor:
         #: there is no activity to name
         self.waiting_reason: str | None = None
         #: the execution context carrying this actor's frames; attached by
-        #: :meth:`Scheduler.add_actor` from the scheduler's backend
+        #: :meth:`Scheduler.add_actor` from the entry function's kind
         self._context: "ExecutionContext" = None  # type: ignore[assignment]
 
     # -- scheduler side ---------------------------------------------------------
 
     @property
     def context_kind(self) -> str:
-        """Backend tag of this actor's execution context (e.g. ``thread``)."""
+        """Kind of this actor's execution context (e.g. ``thread``)."""
         return self._context.kind
 
     def resume(self) -> None:
@@ -100,7 +100,7 @@ class Actor:
     def kill(self) -> None:
         """Unwind the actor (teardown); must be resumed once after.
 
-        Idempotent across backends: repeated kills, or killing an actor
+        Idempotent on every context: repeated kills, or killing an actor
         that already finished, are no-ops.
         """
         self._killed = True

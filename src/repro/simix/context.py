@@ -28,7 +28,7 @@ from ..surf.engine import Engine
 from ..surf.resources import Host
 from .activity import CommActivity, ExecActivity, SleepActivity
 from .actor import Actor
-from .contexts import ContextBackend, select_backend
+from .contexts import context_for
 
 __all__ = ["Scheduler"]
 
@@ -38,16 +38,12 @@ _log = get_logger("simix")
 class Scheduler:
     """Cooperative scheduler over one SURF engine.
 
-    ``ctx`` picks the execution-context backend actors run on: a name
-    from :func:`repro.simix.contexts.available_backends`, a
-    :class:`~repro.simix.contexts.ContextBackend` instance, or ``None``
-    to honour the ``REPRO_CTX`` environment variable (default ``auto``).
+    Each actor runs on the execution context its entry function calls
+    for (:func:`repro.simix.contexts.context_for`).
     """
 
-    def __init__(self, engine: Engine,
-                 ctx: str | ContextBackend | None = None) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.backend = select_backend(ctx)
         self.actors: list[Actor] = []
         #: actors added and not yet finished; an actor finishes only
         #: inside its own resume, so the drain loop keeps this exact
@@ -76,7 +72,7 @@ class Scheduler:
         if isinstance(host, str):
             host = self.engine.platform.host(host)
         actor = Actor(self, name, host, func, args, kwargs)
-        actor._context = self.backend.create(actor)
+        actor._context = context_for(actor)
         self.actors.append(actor)
         self._live += 1
         self._make_runnable(actor)

@@ -1,33 +1,33 @@
-"""Pluggable execution-context backends for SIMIX actors.
+"""Execution contexts for SIMIX actors.
 
-See :mod:`repro.simix.contexts.base` for the model.  The public surface
-is the backend registry (:func:`select_backend`, :func:`available_backends`)
-plus the :class:`ContextBackend`/:class:`ExecutionContext` interfaces;
-individual backends live in their own modules and are imported lazily.
+See :mod:`repro.simix.contexts.base` for the model.  An actor's context
+follows its entry function (:func:`context_for`): a generator function
+runs on a :class:`CoroutineContext`, any other callable on a
+:class:`ThreadContext`.
 """
 
-from .base import (
-    CTX_ENV_VAR,
-    AutoBackend,
-    ContextBackend,
-    CoroutineBackend,
-    ExecutionContext,
-    ThreadBackend,
-    available_backends,
-    drive_on_stack,
-    run_blocking,
-    select_backend,
-)
+from __future__ import annotations
+
+import inspect
+
+from .base import ExecutionContext, drive_on_stack, run_blocking
+from .coroutine import CoroutineContext
+from .threads import ThreadContext
 
 __all__ = [
-    "CTX_ENV_VAR",
-    "AutoBackend",
-    "ContextBackend",
-    "CoroutineBackend",
+    "CoroutineContext",
     "ExecutionContext",
-    "ThreadBackend",
-    "available_backends",
+    "ThreadContext",
+    "context_for",
     "drive_on_stack",
     "run_blocking",
-    "select_backend",
 ]
+
+
+def context_for(actor) -> ExecutionContext:
+    """The context carrying ``actor``'s frames: a coroutine for a
+    generator function, which speaks the dialect, and a thread for
+    anything else, whose plain frames only a real stack can park."""
+    if inspect.isgeneratorfunction(actor.func):
+        return CoroutineContext(actor)
+    return ThreadContext(actor)

@@ -1,22 +1,24 @@
-"""Execution-context backends: how an actor's frames are suspended.
+"""Execution contexts: how an actor's frames are suspended.
 
-The scheduler is backend-agnostic: it calls ``resume()`` on an actor and
-gets control back when the actor blocks or finishes.  *How* the actor's
-call stack is parked meanwhile is the backend's business:
+The scheduler calls ``resume()`` on an actor and gets control back when
+the actor blocks or finishes.  *How* the actor's call stack is parked
+meanwhile is its context's business, and the actor's entry function
+decides which context it gets (:func:`repro.simix.contexts.context_for`):
 
-``thread``
-    One OS thread per actor, parked on a pair of ``threading.Event``
-    objects (two kernel round-trips per switch).  Any Python code can
-    block anywhere — this is the semantics oracle, kept bit-identical.
-
-``coroutine``
+``coroutine`` (generator functions)
     The actor is a generator-based continuation resumed directly on the
-    scheduler's own stack (``gen.send``): zero kernel objects, zero Event
+    scheduler's own stack (``gen.send``): zero kernel objects, zero lock
     round-trips.  The price is the *generator dialect*: every frame
     between the actor's entry point and a blocking call must be a
     generator (``yield from``).  The MPI layer ships such continuations
     for its entire blocking surface, so applications written as generator
     functions run here unmodified.
+
+``thread`` (any other callable)
+    One OS thread per actor, parked on a pair of ``threading.Lock``
+    objects (a release and a blocking acquire per switch).  Any Python
+    code can block anywhere.  Run on generator functions too, it is the
+    bit-identical semantics oracle (``tests/oracles.py``).
 
 Actors with different context kinds coexist in one simulation because
 execution is strictly sequential — exactly one actor (or the scheduler)
@@ -25,34 +27,20 @@ runs at any instant regardless of how its stack is parked.
 
 from __future__ import annotations
 
-import inspect
-import os
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
-from ...errors import ConfigError, ContextError
+from ...errors import ContextError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..actor import Actor
 
-__all__ = [
-    "ContextBackend",
-    "ExecutionContext",
-    "available_backends",
-    "drive_on_stack",
-    "run_blocking",
-    "select_backend",
-]
-
-#: Environment variable overriding the default backend (same values as
-#: the ``--ctx`` CLI flag).  CI uses ``REPRO_CTX=thread`` to run the
-#: whole suite under the oracle backend.
-CTX_ENV_VAR = "REPRO_CTX"
+__all__ = ["ExecutionContext", "drive_on_stack", "run_blocking"]
 
 
 class ExecutionContext:
     """Per-actor strategy for parking and resuming the actor's frames."""
 
-    #: short backend tag shown in stats / diagnostics
+    #: short context tag shown in stats / diagnostics
     kind = "?"
 
     def __init__(self, actor: "Actor") -> None:
@@ -77,8 +65,8 @@ class ExecutionContext:
     def block(self) -> None:
         """Park the *currently running* actor in-stack until next resume.
 
-        Only the stack-capable thread backend implements this;
-        the coroutine backend cannot suspend plain frames and raises
+        Only the stack-capable thread context implements this;
+        a coroutine context cannot suspend plain frames and raises
         :class:`~repro.errors.ContextError` with a pointer at the
         generator dialect instead.
         """
@@ -90,7 +78,7 @@ def drive_on_stack(context: ExecutionContext, gen: Generator) -> Any:
 
     Each ``yield`` means "the suspension bookkeeping is done — park me";
     we park via ``context.block()`` which only returns once the scheduler
-    resumes the actor.  Used by stack-capable backends to host generator
+    resumes the actor.  Used by the thread context to host generator
     actors, and by :func:`run_blocking` to give the canonical generator
     implementations of the MPI blocking calls a synchronous face.
     """
@@ -132,93 +120,12 @@ def drive_on_stack_resumed(context: ExecutionContext, gen: Generator) -> Any:
             return stop.value
 
 
-class ContextBackend:
-    """Factory choosing the :class:`ExecutionContext` for each new actor."""
-
-    #: registry name (what ``--ctx`` and ``REPRO_CTX`` accept)
-    name = "?"
-
-    def create(self, actor: "Actor") -> ExecutionContext:
-        """Build the execution context carrying ``actor``'s frames."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class ThreadBackend(ContextBackend):
-    """One OS thread per actor — the bit-identical equivalence oracle."""
-
-    name = "thread"
-
-    def create(self, actor: "Actor") -> ExecutionContext:
-        from .threads import ThreadContext
-
-        return ThreadContext(actor)
-
-
-class CoroutineBackend(ContextBackend):
-    """Generator continuations on the scheduler's stack (pure Python)."""
-
-    name = "coroutine"
-
-    def create(self, actor: "Actor") -> ExecutionContext:
-        from .coroutine import CoroutineContext
-
-        return CoroutineContext(actor)
-
-
-class AutoBackend(ContextBackend):
-    """Pick the cheapest context each actor supports.
-
-    Generator functions get the coroutine backend (they speak the
-    dialect); plain functions get the thread backend — never the
-    coroutine backend, which cannot suspend plain frames.
-    """
-
-    name = "auto"
-
-    def create(self, actor: "Actor") -> ExecutionContext:
-        if inspect.isgeneratorfunction(actor.func):
-            from .coroutine import CoroutineContext
-
-            return CoroutineContext(actor)
-        from .threads import ThreadContext
-
-        return ThreadContext(actor)
-
-
-_BACKENDS: dict[str, type[ContextBackend]] = {
-    "auto": AutoBackend,
-    "coroutine": CoroutineBackend,
-    "thread": ThreadBackend,
-}
-
-
-def available_backends() -> list[str]:
-    """Names accepted by :func:`select_backend` (and ``--ctx``)."""
-    return list(_BACKENDS)
-
-
-def select_backend(ctx: str | ContextBackend | None = None) -> ContextBackend:
-    """Resolve a backend spec: instance, name, ``REPRO_CTX``, or auto."""
-    if isinstance(ctx, ContextBackend):
-        return ctx
-    if ctx is None:
-        ctx = os.environ.get(CTX_ENV_VAR) or "auto"
-    try:
-        cls = _BACKENDS[ctx]
-    except KeyError:
-        names = ", ".join(sorted(_BACKENDS))
-        raise ConfigError(f"unknown ctx backend {ctx!r} (expected one of {names})")
-    return cls()
-
-
 def blocking_unsupported(actor: "Actor") -> ContextError:
-    """The diagnostic for a plain synchronous block under ``coroutine``."""
+    """The diagnostic for a plain synchronous block on a coroutine."""
     return ContextError(
-        f"actor {actor.name!r} runs on the coroutine backend but tried to "
-        "block from a plain (non-generator) call; write the blocking path "
-        "in the generator dialect (yield from the co_* twin) or run this "
-        "actor on a stack-capable backend (--ctx thread or auto)"
+        f"actor {actor.name!r} runs on a coroutine (its entry is a "
+        "generator function) but tried to block from a plain "
+        "(non-generator) call; write the blocking path in the generator "
+        "dialect (yield from the co_* twin), or make the entry a plain "
+        "function so the actor runs on a thread"
     )

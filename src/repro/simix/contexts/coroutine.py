@@ -1,11 +1,12 @@
-"""The coroutine backend: actors as generator continuations.
+"""The coroutine context: actors as generator continuations.
 
-The actor's entry point is a generator function; every blocking library
-call it makes is a ``co_*`` generator twin reached through ``yield from``.
-A bare ``yield`` therefore always means "my suspension bookkeeping is
-done — return to the scheduler", and ``resume()`` is a single
-``gen.send(None)`` on the scheduler's own stack: no kernel objects, no
-Event round-trips, switch cost is one Python frame activation.
+Every actor whose entry point is a generator function runs here; every
+blocking library call it makes is a ``co_*`` generator twin reached
+through ``yield from``.  A bare ``yield`` therefore always means "my
+suspension bookkeeping is done — return to the scheduler", and
+``resume()`` is a single ``gen.send(None)`` on the scheduler's own
+stack: no kernel objects, no lock round-trips, switch cost is one
+Python frame activation.
 
 Kill semantics mirror the thread oracle exactly: a killed actor has
 :class:`~repro.simix.actor.ActorKilled` thrown *into* its continuation at
@@ -14,8 +15,6 @@ chain run in the same order a real stack unwind would run them.
 """
 
 from __future__ import annotations
-
-import inspect
 
 from .base import ExecutionContext, blocking_unsupported
 
@@ -45,13 +44,6 @@ class CoroutineContext(ExecutionContext):
                 self._started = True
                 if actor._killed:
                     raise ActorKilled()
-                if not inspect.isgeneratorfunction(actor.func):
-                    # A plain function can still run here as long as it
-                    # never blocks (any attempt raises ContextError via
-                    # block() below); it completes on this first resume.
-                    actor.result = actor.func(*actor.args, **actor.kwargs)
-                    self._finish()
-                    return
                 self._gen = actor.func(*actor.args, **actor.kwargs)
             if actor._killed:
                 self._gen.throw(ActorKilled())

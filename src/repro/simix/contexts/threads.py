@@ -1,12 +1,14 @@
-"""The thread backend: one OS thread per actor, baton-passed with Locks.
+"""The thread context: one OS thread per actor, baton-passed with Locks.
 
-This is the historical execution model, retained as the bit-identical
-equivalence oracle: the scheduler thread and the actor thread share a
-pair of :class:`threading.Lock` objects, each created held, and at any
-instant exactly one of them holds the baton.  A side hands the baton over
-by releasing the other side's lock and waits for it back by acquiring its
-own, so every switch costs one release and one blocking acquire — which
-is still what the coroutine backend exists to retire.
+Actors whose entry is a plain function run here, since only a real stack
+can park plain frames; run on generator functions too, it is the
+bit-identical equivalence oracle of the coroutine context.  The scheduler
+thread and the actor thread share a pair of :class:`threading.Lock`
+objects, each created held, and at any instant exactly one of them holds
+the baton.  A side hands the baton over by releasing the other side's
+lock and waits for it back by acquiring its own, so every switch costs
+one release and one blocking acquire — which is what the coroutine
+context exists to retire.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ class ThreadContext(ExecutionContext):
             if actor._killed:
                 raise ActorKilled()
             if inspect.isgeneratorfunction(actor.func):
-                # generator-dialect actors run on every backend: here the
-                # thread itself trampolines the continuation, blocking
-                # in-stack at each yield.
+                # a generator actor on the thread oracle: the thread
+                # itself trampolines the continuation, blocking in-stack
+                # at each yield.
                 gen = actor.func(*actor.args, **actor.kwargs)
                 actor.result = drive_on_stack(self, gen)
             else:

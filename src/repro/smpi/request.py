@@ -215,10 +215,10 @@ class PersistentRequest(Request):
 # Communicator exposes bound versions.  All run on the calling actor's
 # execution context; ``world.current_actor`` supplies the waiter.  Each
 # blocking call has one canonical implementation, a ``co_*`` generator
-# that works on every context backend; the synchronous name is generated
-# from it (``sync_twin`` below) and drives that same generator in-stack,
-# so both dialects suspend at identical points and backends stay
-# bit-identical.
+# that works on every execution context; the synchronous name is
+# generated from it (``sync_twin`` below) and drives that same generator
+# in-stack, so both dialects suspend at identical points and contexts
+# stay bit-identical.
 
 
 def _record_wait(requests: list[Request]) -> None:

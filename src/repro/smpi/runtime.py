@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..errors import MpiError, SimulationError
+from ..errors import ConfigError, MpiError, SimulationError
 from ..seq import Sequencer
 from ..simix import Scheduler
 from ..simix.actor import Actor
@@ -61,7 +61,6 @@ class SmpiWorld:
         network_model: NetworkModel | None = None,
         engine: Engine | None = None,
         recorder=None,
-        ctx: str | None = None,
         trace_sink=None,
     ) -> None:
         self.config = config or SmpiConfig()
@@ -70,9 +69,7 @@ class SmpiWorld:
         # ``engine`` may be any Engine-compatible kernel — notably the
         # packet-level testbed (repro.packetsim.PacketEngine)
         self.engine = engine or Engine(platform, network_model=network_model)
-        # ``ctx`` picks the execution-context backend ranks run on
-        # (auto/coroutine/thread; see repro.simix.contexts)
-        self.scheduler = Scheduler(self.engine, ctx)
+        self.scheduler = Scheduler(self.engine)
         #: per-world message-id allocator — per-run ids keep repeated
         #: runs in one process byte-identical and snapshots restorable
         self.msg_seq = Sequencer()
@@ -470,9 +467,9 @@ class MpiCo:
     """Generator-dialect twins of the blocking :class:`Mpi` calls.
 
     Reached as ``mpi.co``; each method returns a continuation to drive
-    with ``yield from``, so generator-function applications block on any
-    execution-context backend — including the default coroutine backend,
-    which cannot suspend plain synchronous frames.
+    with ``yield from``, so generator-function applications block on the
+    coroutine context they run on, which cannot suspend plain synchronous
+    frames.
     """
 
     def __init__(self, world: SmpiWorld):
@@ -581,6 +578,21 @@ class Mpi:
         return io.File
 
 
+def check_ctx(ctx: str | None) -> None:
+    """Refuse a ``ctx=`` other than ``None`` or ``"coroutine"``.
+
+    An actor's context follows its entry function, so the keyword picks
+    nothing: ``"coroutine"`` names what every generator rank already
+    runs on and is accepted for old callers.
+    """
+    if ctx not in (None, "coroutine"):
+        raise ConfigError(
+            f"ctx={ctx!r}: a rank's execution context follows its entry "
+            "function (a generator function runs on a coroutine, anything "
+            "else on a thread); the thread oracle for generator ranks is "
+            "tests/oracles.thread_contexts")
+
+
 def smpirun(
     app: Callable[..., Any],
     n_ranks: int,
@@ -598,13 +610,11 @@ def smpirun(
 
     ``app`` is called as ``app(mpi, *app_args)`` on every rank's execution
     context, where ``mpi`` is that rank's :class:`Mpi` handle.  A plain
-    function runs on a stack-capable context (one OS thread per rank);
-    a *generator function* additionally runs
-    on the default coroutine context — zero kernel objects per rank — by
-    reaching every blocking call through its ``co_*`` twin
-    (``yield from comm.co.Send(...)``).  ``ctx`` forces a specific backend
-    (``auto``/``coroutine``/``thread``); the thread oracle is
-    bit-identical to the coroutine backend.
+    function runs on a thread context (one OS thread per rank); a
+    *generator function* runs on a coroutine context — zero kernel
+    objects per rank — by reaching every blocking call through its
+    ``co_*`` twin (``yield from comm.co.Send(...)``).  ``ctx`` takes only
+    ``None`` or ``"coroutine"``, which mean the same (:func:`check_ctx`).
 
     Blocks until every rank returned; raises
     :class:`~repro.errors.ActorFailure` if any rank raised and
@@ -614,8 +624,9 @@ def smpirun(
     """
     if n_ranks < 1:
         raise SimulationError("need at least one MPI rank")
+    check_ctx(ctx)
     world = SmpiWorld(platform, n_ranks, hosts, config, network_model, engine,
-                      recorder=recorder, ctx=ctx, trace_sink=trace_sink)
+                      recorder=recorder, trace_sink=trace_sink)
 
     if inspect.isgeneratorfunction(app):
         def make_main(rank: int) -> Callable[[], Any]:

@@ -213,6 +213,7 @@ class Engine:
         self._solver = IncrementalMaxMin()
         #: RUNNING actions currently registered as solver flows, by aid
         self._members: dict[int, Action] = {}
+        #: zero-duration actions waiting for observer delivery
         self._instant_done: list[Action] = []
         #: min-heap of (deadline, aid, epoch) completion predictions
         self._heap: list[tuple[float, int, int]] = []
@@ -331,7 +332,7 @@ class Engine:
             # zero-work (or stillborn-failed) actions complete immediately;
             # observers still fire through the normal harvest path
             action.finish_time = self.now
-            self._completed_now.append(action)
+            self._instant_done.append(action)
         else:
             if action.state is ActionState.LATENCY:
                 action.deadline = self.now + action.latency_remaining
@@ -348,11 +349,6 @@ class Engine:
         """Schedule ``action``'s current deadline on the completion heap."""
         if action.deadline < math.inf:
             heappush(self._heap, (action.deadline, action.aid, action.epoch))
-
-    @property
-    def _completed_now(self) -> list[Action]:
-        """Zero-duration actions waiting for observer delivery."""
-        return self._instant_done
 
     @property
     def busy(self) -> bool:
@@ -515,11 +511,6 @@ class Engine:
                 return horizon
         return math.inf
 
-    def next_event_delta(self) -> float:
-        """Time until the next action completes (inf when none will)."""
-        date = self.next_deadline()
-        return date - self.now if date < math.inf else math.inf
-
     def _stalled_error(self) -> SimulationError:
         stalled = ", ".join(a.name for a in islice(self.pending.values(), 8))
         return SimulationError(f"no action can complete: {stalled}")
@@ -645,7 +636,7 @@ class Engine:
         return finished
 
     def _drain_instant(self) -> list[Action]:
-        instant = self._completed_now
+        instant = self._instant_done
         if not instant:
             return []
         done = list(instant)
@@ -665,7 +656,7 @@ class Engine:
         whichever driver (``run()`` or the SIMIX scheduler) paces the
         simulation.
         """
-        while self.pending or self._completed_now:
+        while self.pending or self._instant_done:
             self.step()
         if self.timeline is not None:
             # the last completion ends the run without a further share,
@@ -756,10 +747,6 @@ class Engine:
         self.stats.resource_restores += 1
         self._needs_share = True
         self._notify("restore", resource)
-
-    def availability(self, resource: "Link | Host") -> float:
-        """Current capacity factor of ``resource`` (1.0 = nominal)."""
-        return self._availability.get(resource.name, 1.0)
 
     def set_availability(self, resource: "Link | Host", factor: float) -> None:
         """Scale ``resource``'s capacity by ``factor`` from now on.

@@ -169,7 +169,6 @@ def _progressive_fill(members: list, cons: list, token: int) -> int:
 # -- incremental sharing ------------------------------------------------------------
 
 _by_seq = attrgetter("seq")
-_by_key = attrgetter("key")
 
 
 class _IncConstraint:
@@ -669,14 +668,13 @@ class IncrementalMaxMin:
 
     # -- solving --------------------------------------------------------------
 
-    def solve_dirty(self) -> set:
+    def solve_dirty(self) -> None:
         """Re-solve every component holding a dirty flow or constraint.
 
-        Returns the keys of the flows whose rate was recomputed; all other
-        flows keep their previous rate (which is still the exact max-min
-        solution for their untouched component).  Components are solved
-        in the ``seq`` order of the first dirty flow, or flow of a dirty
-        constraint, each holds.  Sets :attr:`last_components` /
+        Flows outside those components keep their previous rate (which is
+        still the exact max-min solution for their untouched component).
+        Components are solved in the ``seq`` order of the first dirty
+        flow, or flow of a dirty constraint, each holds.  Sets :attr:`last_components` /
         :attr:`last_flows_solved` / :attr:`last_rate_changed` /
         :attr:`last_fill_rounds`.  Also garbage-collects constraints whose
         flow set drained since the last solve, so solver memory stays
@@ -687,7 +685,6 @@ class IncrementalMaxMin:
         self.last_usage = []
         self.last_rate_changed = {}
         self.last_fill_rounds = 0
-        solved: set = set()
         if self._stale:
             for record in self._stale:
                 record.wsum = _weight_sum(record.members)
@@ -699,10 +696,8 @@ class IncrementalMaxMin:
                 self._solve_component(members, comp.cons)
                 self.last_components += 1
                 self.last_flows_solved += len(members)
-                solved.update(map(_by_key, members))
         if self._released:
             self._settle_released()
-        return solved
 
     def _dirty_components(self) -> list:
         """The components to solve, in the order of their first seed, and

@@ -96,7 +96,6 @@ def point_fingerprint(point: SweepPoint, base_dir: str | Path = ".") -> dict:
         },
         "workload": _workload_fingerprint(point, base),
         "config": dataclasses.asdict(config),
-        "ctx": point.ctx() or "auto",
     }
 
 

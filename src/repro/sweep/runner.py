@@ -134,7 +134,7 @@ def _simulate_point(point: SweepPoint, key: str, base_dir: str) -> dict:
         result = smpirun(
             work.app(base_dir), work.n, platform,
             app_args=tuple(_thaw(work.args)), config=point.smpi_config(),
-            engine=point.platform.engine(platform), ctx=point.ctx(),
+            engine=point.platform.engine(platform),
         )
     except ReproError as exc:
         return {"key": key, "error": f"{type(exc).__name__}: {exc}"}

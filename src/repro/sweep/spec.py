@@ -32,11 +32,10 @@ Grammar (TOML shown; the JSON form is the same object tree)::
     [options]                            # fixed SmpiConfig fields
     comm_retries = 1
 
-Axis and option keys are ``ctx`` (the execution-context backend) or,
-as for ``repro run``'s config flags, what
+Axis and option keys are, as for ``repro run``'s config flags, what
 :meth:`~repro.smpi.config.SmpiConfig.from_options` takes.  Keys, value
 types (sizes may be strings: ``"64KiB"``), collectives and algorithms
-are checked when the spec loads; value ranges and ``ctx`` on expansion.
+are checked when the spec loads; value ranges on expansion.
 """
 
 from __future__ import annotations
@@ -48,15 +47,10 @@ from pathlib import Path
 
 from ..errors import ConfigError
 from ..scenario import PlatformSpec, load_app
-from ..simix import available_backends
 from ..smpi import SmpiConfig
 from ..smpi.config import parse_options
 
 __all__ = ["PlatformSpec", "WorkloadSpec", "SweepPoint", "SweepSpec"]
-
-#: valid ``ctx`` values (the CLI's --ctx choices)
-_CTX_VALUES = tuple(available_backends())
-
 
 def _freeze(value):
     """Mappings/lists to sorted tuples so axis values hash and compare."""
@@ -121,8 +115,8 @@ class SweepPoint:
     """One cell of the expanded run matrix.
 
     ``assignment`` holds this point's axis values (sorted by axis key);
-    ``fixed`` the spec-wide ``[options]``.  :meth:`smpi_config` and
-    :meth:`ctx` translate both into the runtime's vocabulary.
+    ``fixed`` the spec-wide ``[options]``.  :meth:`smpi_config`
+    translates both into the runtime's vocabulary.
     """
 
     index: int
@@ -140,13 +134,8 @@ class SweepPoint:
 
     def smpi_config(self) -> SmpiConfig:
         """The :class:`SmpiConfig` this point simulates under."""
-        options = self.config_items()
-        options.pop("ctx", None)
-        return SmpiConfig.from_options(options, tracing=self.trace)
-
-    def ctx(self) -> str | None:
-        """The execution-context backend, when the ``ctx`` axis is set."""
-        return self.config_items().get("ctx")
+        return SmpiConfig.from_options(self.config_items(),
+                                       tracing=self.trace)
 
     def label(self) -> str:
         """Stable human-readable identifier, e.g. for status listings."""
@@ -180,8 +169,7 @@ class SweepSpec:
                     f"axis {key!r} must map to a non-empty list of values")
         values = [(k, v) for k, vs in self.axes.items() for v in vs]
         for key, value in values + list(self.options.items()):
-            if key != "ctx":
-                parse_options({key: value}, source="sweep axis")
+            parse_options({key: value}, source="sweep axis")
         self.base_dir = Path(self.base_dir)
 
     # -- loading ---------------------------------------------------------------
@@ -287,11 +275,6 @@ class SweepSpec:
                     assignment=assignment, fixed=fixed, trace=self.trace,
                 )
                 point.smpi_config()  # validate axis values eagerly
-                ctx = point.ctx()
-                if ctx is not None and ctx not in _CTX_VALUES:
-                    raise ConfigError(
-                        f"bad ctx value {ctx!r}: expected one of "
-                        f"{_CTX_VALUES}")
                 points.append(point)
         return points
 

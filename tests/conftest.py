@@ -5,13 +5,14 @@ from __future__ import annotations
 import faulthandler
 import os
 import sys
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import settings
 
 from repro.smpi import SmpiConfig, smpirun
 from repro.surf import cluster
-from tests.oracles import matching
+from tests.oracles import matching, thread_contexts
 
 #: tier-1 runs draw the same hypothesis examples every time, so an
 #: equivalence failure reproduces run to run; the CI fuzz steps select
@@ -23,6 +24,11 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 #: ``REPRO_MATCH=scan`` runs every test on the linear-scan matching
 #: oracle instead of the indexed match queues
 MATCH_ENV_VAR = "REPRO_MATCH"
+
+#: ``REPRO_CTX=thread`` runs every actor of every test on the thread
+#: oracle, generator functions included; a test marked
+#: ``coroutine_contexts`` pins what the product picks and keeps it
+CTX_ENV_VAR = "REPRO_CTX"
 
 #: a test still running after this many seconds is taken to hang: every
 #: thread's stack is printed and the run exits instead of stalling CI
@@ -36,6 +42,13 @@ _terminal_stderr: int | None = None
 
 def pytest_configure(config):
     global _terminal_stderr
+    mode = os.environ.get(CTX_ENV_VAR, "")
+    if mode not in ("", "thread"):
+        raise pytest.UsageError(
+            f"unknown {CTX_ENV_VAR}={mode!r}; expected 'thread' or unset")
+    config.addinivalue_line(
+        "markers", "coroutine_contexts: runs on the contexts the product "
+        f"picks even under {CTX_ENV_VAR}=thread")
     _terminal_stderr = os.dup(sys.stderr.fileno())  # capture is off here
 
 
@@ -57,6 +70,15 @@ def _dump_stacks_on_hang():
 def _match_oracle():
     """Swap the scan matcher in for the whole test under REPRO_MATCH=scan."""
     with matching(os.environ.get(MATCH_ENV_VAR) or "index"):
+        yield
+
+
+@pytest.fixture(autouse=True)
+def _context_oracle(request):
+    """Run every actor on a thread under REPRO_CTX=thread."""
+    oracle = (os.environ.get(CTX_ENV_VAR) == "thread"
+              and request.node.get_closest_marker("coroutine_contexts") is None)
+    with thread_contexts() if oracle else nullcontext():
         yield
 
 

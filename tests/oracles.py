@@ -4,6 +4,12 @@ Each optimised path of the kernel is pinned bit-for-bit against the
 straightforward algorithm it replaced.  Those reference algorithms live
 here, not in ``src/``, so the product keeps one path per layer:
 
+* :func:`thread_contexts` — the thread oracle of the execution
+  contexts: inside the block every actor runs on a
+  :class:`~repro.simix.contexts.ThreadContext`, generator functions
+  included, where the product gives those a coroutine.
+  ``REPRO_CTX=thread`` applies that to the whole suite
+  (``tests/conftest.py``).
 * :class:`ScanMessageQueue` / :class:`ScanRecvQueue` — the original
   oldest-first linear-scan matcher, with the interface of the indexed
   queues of :mod:`repro.simix.mailbox`.  ``with matching("scan"):`` swaps
@@ -23,6 +29,8 @@ the oracles can be snapshotted.
   dirty component from its records and rebuilds the filling kernel's
   inputs (:func:`_progressive_fill_scalar`), where the canonical solver
   keeps its components and their inputs alive between solves.
+  :func:`solved_flows` runs a solve of either and returns the keys of
+  the flows it re-solved.
 
 * :class:`RecomputeUsageMaxMin` — the always-recompute utilization
   update: every component solve sums again the consumed rate of every
@@ -61,6 +69,8 @@ from typing import Callable, Generic, Iterator, TypeVar
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.simix import context as scheduler_module
+from repro.simix.contexts import ThreadContext
 from repro.simix.mailbox import MatchCounters
 from repro.smpi import pt2pt
 from repro.smpi.intern import InternPool, PayloadEntry
@@ -250,6 +260,24 @@ def matching(mode: str):
         yield
     finally:
         pt2pt.IndexedRecvQueue, pt2pt.IndexedMessageQueue = saved
+
+
+@contextmanager
+def thread_contexts():
+    """Run every actor added inside the block on a thread context.
+
+    The scheduler looks ``context_for`` up in :mod:`repro.simix.context`
+    when it adds an actor, so actors added inside the block park their
+    frames on threads — generator functions through the thread's
+    trampoline, bit-identical to their coroutines.  ``context_for``
+    returns on exit.
+    """
+    saved = scheduler_module.context_for
+    scheduler_module.context_for = ThreadContext
+    try:
+        yield
+    finally:
+        scheduler_module.context_for = saved
 
 
 # -- engine oracles ------------------------------------------------------------------
@@ -495,7 +523,7 @@ class WalkMaxMin(IncrementalMaxMin):
     ``last_*`` statistics, ``last_usage`` and error messages.
     """
 
-    def solve_dirty(self) -> set:
+    def solve_dirty(self) -> None:
         self.last_components = 0
         self.last_flows_solved = 0
         self.last_usage = []
@@ -513,12 +541,11 @@ class WalkMaxMin(IncrementalMaxMin):
                 if seed in solved or seed not in flows:
                     continue
                 members, cons = self._collect_component(seed, solved)
-                self._solve_walked(members, cons)
+                self._solve_component(members, cons)
                 self.last_components += 1
                 self.last_flows_solved += len(members)
         if self._released:
             self._settle_released()
-        return solved
 
     def _collect_component(self, seed, solved: set) -> tuple[list, list]:
         """Flows transitively connected to ``seed`` via shared constraints,
@@ -552,7 +579,7 @@ class WalkMaxMin(IncrementalMaxMin):
         members.sort(key=lambda f: f.seq)
         return members, cons
 
-    def _solve_walked(self, members: list, cons: list) -> None:
+    def _solve_component(self, members: list, cons: list) -> None:
         flow = members[0]
         if len(members) == 1 and flow.folds:
             rate = flow.bound
@@ -571,6 +598,25 @@ class WalkMaxMin(IncrementalMaxMin):
         self._store_rates(members)
         if self._track_usage:
             self._update_usage(members)
+
+
+def solved_flows(solver: IncrementalMaxMin) -> set:
+    """Run ``solver.solve_dirty()`` and return the keys of the flows it
+    re-solved: the members of every component it passed to
+    ``_solve_component``."""
+    solved: set = set()
+    solve_component = solver._solve_component
+
+    def recording(members: list, cons: list) -> None:
+        solved.update(flow.key for flow in members)
+        solve_component(members, cons)
+
+    solver._solve_component = recording
+    try:
+        solver.solve_dirty()
+    finally:
+        del solver._solve_component
+    return solved
 
 
 #: Flows plus constraints above which :func:`solve_maxmin` switches to the

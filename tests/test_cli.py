@@ -238,6 +238,19 @@ class TestCommands:
         assert main(["run", "/nope.py", "-n", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "replay", "profile"])
+    def test_there_is_no_ctx_flag(self, command, app_file, capsys):
+        """A rank's execution context follows its entry function."""
+        ranks = [] if command == "replay" else ["-n", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, app_file, *ranks, "--ctx", "thread"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --ctx thread" in \
+            capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--ctx" not in capsys.readouterr().out
+
     def test_coll_option_validation(self, app_file, capsys):
         assert main(["run", app_file, "-n", "2", "--platform", "cluster:2",
                      "--coll", "not-a-pair"]) == 2

@@ -5,11 +5,13 @@ The fuzz tests use *integer-valued* float payloads: integer sums are
 exact in float64, so every summation order gives bit-identical results
 — which is what lets us demand exact equality across algorithms whose
 combination orders differ.  Simulated clocks must also be deterministic:
-same point, same config => same simulated time, on every execution
-backend and under both sharing solvers.
+same point, same config => same simulated time, on the coroutine
+contexts and on the thread oracle.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -25,8 +27,7 @@ from repro.errors import ConfigError
 from repro.smpi import SmpiConfig, smpirun
 from repro.smpi.coll import ALGORITHMS
 from repro.surf import cluster, multi_cabinet_cluster
-
-BACKENDS = ["coroutine", "thread"]
+from tests.oracles import thread_contexts
 
 #: 8 ranks over 3 cabinets (3+3+2) — hierarchical strategies see real
 #: uplinks, flat ones a two-level route
@@ -214,8 +215,8 @@ def test_fuzz_allreduce_bit_identical(algo, seed, n, count):
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS["allreduce"]))
 def test_fuzz_allreduce_deterministic_clock(algo):
-    """Same point => identical simulated time, on every execution backend
-    and on repeat runs."""
+    """Same point => identical simulated time, on the coroutine contexts,
+    on the thread oracle and on repeat runs."""
     payloads = _fuzz_payloads(3, 6, 33)
 
     def app(mpi):
@@ -227,10 +228,10 @@ def test_fuzz_allreduce_deterministic_clock(algo):
     expected = payloads.sum(axis=0).tobytes()
     times = set()
     config = SmpiConfig(coll_algorithms={"allreduce": algo})
-    for ctx in BACKENDS:
+    for contexts in (nullcontext, thread_contexts):
         for _repeat in range(2):
-            result = smpirun(app, 6, cab_platform("clk"),
-                             config=config, ctx=ctx)
+            with contexts():
+                result = smpirun(app, 6, cab_platform("clk"), config=config)
             assert all(r == expected for r in result.returns)
             times.add(result.simulated_time)
     assert len(times) == 1, (algo, times)

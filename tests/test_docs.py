@@ -66,6 +66,7 @@ def docs_cwd(tmp_path, monkeypatch):
     return tmp_path
 
 
+@pytest.mark.coroutine_contexts  # the docs show the contexts ranks get
 @pytest.mark.parametrize("doc", SNIPPET_DOCS, ids=str)
 def test_python_snippets_execute(doc, docs_cwd):
     blocks = fenced_blocks(doc, "python")

@@ -10,6 +10,8 @@ mid-flight kills.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.smpi.constants import ERR_OTHER, ERR_PROC_FAILED
 from repro.surf import Engine, cluster
 from repro.surf.action import ActionState
 from repro.trace import Tracer, export_paje, parse_paje
-from tests.oracles import oracle_engine
+from tests.oracles import oracle_engine, thread_contexts
 
 
 def _flaky_window(platform, engine, link_name, down_at, up_at):
@@ -380,27 +382,30 @@ class TestConfigValidation:
 
 
 # ---------------------------------------------------------------------------
-# fault semantics are backend-independent
+# fault semantics are context-independent
 # ---------------------------------------------------------------------------
 
 
-CONTEXT_BACKENDS = ["coroutine", "thread"]
+#: run a block on the contexts the product picks (generator ranks on
+#: coroutines), or on the thread oracle
+CONTEXTS = {"coroutine": nullcontext, "thread": thread_contexts}
 
 
 class TestFaultsAcrossBackends:
-    """The fault machinery behaves identically on every context backend.
+    """The fault machinery behaves identically on every execution context.
 
-    Each scenario is a generator-dialect twin of a case above, run once
-    per backend; simulated clocks and per-rank outcomes must match the
-    thread oracle exactly (``==``, not ``approx``).
+    Each scenario is a generator-dialect twin of a case above, run on
+    coroutines and on the thread oracle; simulated clocks and per-rank
+    outcomes must match the oracle exactly (``==``, not ``approx``).
     """
 
     def _run_everywhere(self, make_setup, n_ranks, config):
         outcomes = {}
-        for ctx in CONTEXT_BACKENDS:
+        for ctx, contexts in CONTEXTS.items():
             app, platform, engine = make_setup()
-            result = smpirun(app, n_ranks, platform, engine=engine,
-                             config=config, ctx=ctx)
+            with contexts():
+                result = smpirun(app, n_ranks, platform, engine=engine,
+                                 config=config)
             outcomes[ctx] = (result.simulated_time, tuple(result.returns))
         oracle = outcomes["thread"]
         assert all(o == oracle for o in outcomes.values()), outcomes
@@ -479,7 +484,7 @@ class TestFaultsAcrossBackends:
             make_setup, 2, SmpiConfig(on_host_down="kill-rank"))
         assert returns == (ERR_PROC_FAILED, None)
 
-    @pytest.mark.parametrize("ctx", CONTEXT_BACKENDS)
+    @pytest.mark.parametrize("ctx", CONTEXTS)
     def test_deadlock_report_names_the_waiter(self, ctx):
         platform = cluster(f"xdl-{ctx}", 2)
 
@@ -489,6 +494,6 @@ class TestFaultsAcrossBackends:
                 yield from comm.co.Recv(np.zeros(8, dtype=np.uint8), 1, 7)
             # rank 1 never sends: rank 0 deadlocks
 
-        with pytest.raises(DeadlockError) as info:
-            smpirun(app, 2, platform, ctx=ctx)
+        with pytest.raises(DeadlockError) as info, CONTEXTS[ctx]():
+            smpirun(app, 2, platform)
         assert "rank-0" in str(info.value)

@@ -9,10 +9,10 @@ These tests drive both through the same random sequences — arrivals that
 merge components, departures that split them, 1↔2-flow fold changes,
 capacity changes to and from zero, policy flips, FATPIPE links and flows
 crossing one constraint twice — and compare after every
-:meth:`solve_dirty` the solved set, every rate (as ``float.hex``),
-``last_rate_changed``, ``last_components``, ``last_flows_solved``,
-``last_fill_rounds``, ``last_usage`` (order and values) and error
-messages.  They also check the kept state itself against a fresh
+:meth:`solve_dirty` the re-solved flows (:func:`solved_flows`), every
+rate (as ``float.hex``), ``last_rate_changed``, ``last_components``,
+``last_flows_solved``, ``last_fill_rounds``, ``last_usage`` (order and
+values) and error messages.  They also check the kept state itself against a fresh
 computation after every step.
 """
 
@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.surf.maxmin import IncrementalMaxMin, _couples, _refresh_inputs
-from tests.oracles import WalkMaxMin
+from tests.oracles import WalkMaxMin, solved_flows
 
 N_CONS = 6
 #: capacities at registration; constraint 5 starts as FATPIPE
@@ -110,7 +110,7 @@ class _Pair:
 def _solve_view(solver) -> tuple | str:
     """Everything one solve exposes, bit for bit, or its error message."""
     try:
-        solved = solver.solve_dirty()
+        solved = solved_flows(solver)
     except SimulationError as exc:
         return str(exc)
     return (

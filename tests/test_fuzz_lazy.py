@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.smpi import smpirun
 from repro.surf import cluster
-from tests.oracles import oracle_engine
+from tests.oracles import oracle_engine, thread_contexts
 
 _FUZZ = settings(max_examples=20, deadline=None)
 
@@ -170,7 +170,7 @@ def test_smpirun_matches_between_event_loops(pattern, seed):
 @given(st.lists(exchange, min_size=1, max_size=8), st.integers(0, 20))
 @settings(max_examples=15, deadline=None)
 def test_smpirun_matches_between_context_backends(pattern, seed):
-    """Execution-context backends are bit-identical on random workloads.
+    """Coroutines and the thread oracle are bit-identical on random workloads.
 
     The same generator-dialect application — nonblocking exchanges, a
     waitall, optional computes — must produce the same simulated clock,
@@ -199,10 +199,9 @@ def test_smpirun_matches_between_context_backends(pattern, seed):
             yield from mpi.co.execute(1e6 * (mpi.rank + 1))
         return (yield from mpi.co.wtime())
 
-    times = {}
-    for ctx in ("coroutine", "thread"):
-        platform = cluster("fzc", 4, split_duplex=bool(seed % 3))
-        result = smpirun(app, 4, platform, ctx=ctx)
-        times[ctx] = (result.simulated_time, tuple(result.returns))
-    oracle = times["thread"]
-    assert all(t == oracle for t in times.values())
+    result = smpirun(app, 4, cluster("fzc", 4, split_duplex=bool(seed % 3)))
+    with thread_contexts():
+        oracle = smpirun(app, 4,
+                         cluster("fzc", 4, split_duplex=bool(seed % 3)))
+    assert result.simulated_time == oracle.simulated_time
+    assert result.returns == oracle.returns

@@ -2,8 +2,9 @@
 
 The indexed match queues and the linear-scan oracle of tests/oracles.py
 must be *bit-identical*: same per-rank receive transcripts, same
-simulated clocks, across every context backend, faults included.  These tests
-fuzz whole simulations over random wildcard/exact receive mixes.
+simulated clocks, on coroutines and on the thread oracle, faults
+included.  These tests fuzz whole simulations over random wildcard/exact
+receive mixes.
 
 The receive mixes are deadlock-free **by layered construction**: every
 rank posts its exact receives first, then single-wildcard receives of
@@ -17,6 +18,8 @@ resolves it.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.smpi import SmpiConfig, Status, smpirun
 from repro.smpi.constants import ANY_SOURCE, ANY_TAG, ERR_PROC_FAILED
 from repro.surf import Engine, cluster
-from tests.oracles import matching
+from tests.oracles import matching, thread_contexts
 
 _FUZZ = settings(max_examples=15, deadline=None)
 
@@ -64,6 +67,7 @@ def _matching_app(sends, wild_kind):
 
     Each payload is filled with the send's index, so the per-slot
     transcript identifies exactly which message matched which receive.
+    The ranks are generators, so they run on coroutines.
     """
     plan = _recv_layers(sends, wild_kind)
 
@@ -79,7 +83,7 @@ def _matching_app(sends, wild_kind):
                 buf = np.zeros(2000, dtype=np.uint8)
                 recvs.append(comm.Irecv(buf, source, tag))
                 bufs.append(buf)
-            statuses = rq.waitall(recvs)
+            statuses = yield from rq.co_waitall(recvs)
             return [
                 (int(buf[0]), s.source, s.tag, s.count_bytes)
                 for buf, s in zip(bufs, statuses)
@@ -89,18 +93,15 @@ def _matching_app(sends, wild_kind):
             if mpi.rank == src:
                 payload = np.full(nbytes, index % 251, dtype=np.uint8)
                 sends_here.append(comm.Isend(payload, 0, tag))
-        rq.waitall(sends_here)
-        return mpi.wtime()
+        yield from rq.co_waitall(sends_here)
+        return (yield from mpi.co.wtime())
 
     return app
 
 
-def _run(app, mode, ctx=None, with_stats=False):
-    platform = cluster("fm", N_RANKS)
-    with matching(mode):
-        result = smpirun(app, N_RANKS, platform, ctx=ctx)
-    if with_stats:
-        return result, platform
+def _run(app, mode, oracle=False):
+    with matching(mode), thread_contexts() if oracle else nullcontext():
+        result = smpirun(app, N_RANKS, cluster("fm", N_RANKS))
     return result.returns, result.simulated_time
 
 
@@ -117,11 +118,11 @@ def test_index_and_scan_are_bit_identical(sends, wild_kind):
        st.sampled_from(["src", "tag"]))
 @settings(max_examples=8, deadline=None)
 def test_backends_agree_under_the_index(sends, wild_kind):
-    """coroutine- and thread-backed runs resolve matches identically."""
+    """Coroutines and the thread oracle resolve matches identically."""
     app = _matching_app(sends, wild_kind)
     base = _run(app, "index")
-    assert _run(app, "index", ctx="thread") == base
-    assert _run(app, "scan", ctx="thread") == base
+    assert _run(app, "index", oracle=True) == base
+    assert _run(app, "scan", oracle=True) == base
 
 
 def test_duplicate_envelopes_stay_ordered():

@@ -66,7 +66,7 @@ def test_cluster_run_loads_neither():
         "from repro.smpi import smpirun\n"
         "def app(mpi):\n"
         "    yield from mpi.COMM_WORLD.co.Barrier()\n"
-        "smpirun(app, 4, griffon(), ctx='coroutine')\n"
+        "smpirun(app, 4, griffon())\n"
         + loaded())
     assert out == {"scipy": False, "networkx": False}
 

@@ -14,6 +14,7 @@ from tests.oracles import (
     MaxMinSystem,
     _progressive_fill_arrays,
     _progressive_fill_scalar,
+    solved_flows,
     solve_maxmin,
     solve_maxmin_reference,
     solve_maxmin_vectorized,
@@ -228,7 +229,7 @@ class TestIncrementalMaxMin:
         inc = self._solver()
         inc.ensure_constraint("c0", 100.0)
         inc.add_flow("f0", ["c0"])
-        assert inc.solve_dirty() == {"f0"}
+        assert solved_flows(inc) == {"f0"}
         assert inc.rate("f0") == pytest.approx(100.0)
 
     def test_first_rate_of_a_new_flow_counts_as_changed(self):
@@ -271,7 +272,7 @@ class TestIncrementalMaxMin:
         inc.solve_dirty()
         # a new flow on c1 must not re-solve the c0 component
         inc.add_flow("f2", ["c1"])
-        solved = inc.solve_dirty()
+        solved = solved_flows(inc)
         assert solved == {"f1", "f2"}
         assert inc.last_components == 1
         assert inc.rate("f0") == pytest.approx(100.0)
@@ -286,7 +287,7 @@ class TestIncrementalMaxMin:
         inc.solve_dirty()
         assert inc.rate("f0") == pytest.approx(50.0)
         inc.remove_flow("f1")
-        assert inc.solve_dirty() == {"f0"}
+        assert solved_flows(inc) == {"f0"}
         assert inc.rate("f0") == pytest.approx(100.0)
         assert "f1" not in inc
 
@@ -295,7 +296,7 @@ class TestIncrementalMaxMin:
         inc.ensure_constraint("c0", 100.0)
         inc.add_flow("f0", ["c0"])
         inc.solve_dirty()
-        assert inc.solve_dirty() == set()
+        assert solved_flows(inc) == set()
         assert inc.last_components == 0
 
     def test_capacity_update_marks_dirty(self):
@@ -304,7 +305,7 @@ class TestIncrementalMaxMin:
         inc.add_flow("f0", ["c0"])
         inc.solve_dirty()
         inc.ensure_constraint("c0", 40.0)
-        assert inc.solve_dirty() == {"f0"}
+        assert solved_flows(inc) == {"f0"}
         assert inc.rate("f0") == pytest.approx(40.0)
 
     def test_fatpipe_does_not_couple_components(self):
@@ -318,7 +319,7 @@ class TestIncrementalMaxMin:
         # the FATPIPE caps each flow individually but must not merge the
         # c0 and c1 components: a change on c1 leaves f0 untouched
         inc.ensure_constraint("c1", 30.0)
-        assert inc.solve_dirty() == {"f1"}
+        assert solved_flows(inc) == {"f1"}
         assert inc.rate("f0") == pytest.approx(80.0)
         assert inc.rate("f1") == pytest.approx(30.0)
 
@@ -378,7 +379,7 @@ class TestIncrementalMaxMin:
         inc.solve_dirty()
         inc.ensure_constraint("c0", 10.0)
         # the chain c0 -bridge- c1 is one component
-        assert inc.solve_dirty() == {"f0", "bridge", "f1"}
+        assert solved_flows(inc) == {"f0", "bridge", "f1"}
 
     def test_bound_and_weight_respected(self):
         inc = self._solver()
@@ -434,7 +435,7 @@ class TestIncrementalMaxMin:
             with pytest.raises(SimulationError, match="'c'"):
                 inc.ensure_constraint("c", capacity)
         # the rejected updates left the constraint and the rates alone
-        assert inc.solve_dirty() == set()
+        assert solved_flows(inc) == set()
         assert inc.rate("f0") == inc.rate("f1") == 5.0
 
     def test_unknown_sharing_mode_rejected(self):
@@ -472,7 +473,7 @@ class TestIncrementalMaxMin:
         inc.remove_flow("f0", strict=False)
         inc.remove_flow("f0", strict=False)  # no-op, no error
         inc.remove_flow("never-added", strict=False)
-        assert inc.solve_dirty() == set()
+        assert solved_flows(inc) == set()
 
     def test_drained_constraints_are_garbage_collected(self):
         inc = self._solver()
@@ -578,7 +579,7 @@ class TestPersistentComponents:
         assert inc.last_components == 2
         assert self._comp_keys(inc, "f0") == ["f0", "f1"]
         inc.add_flow("bridge", ["a", "b"])
-        assert inc.solve_dirty() == {"f0", "f1", "g0", "g1", "bridge"}
+        assert solved_flows(inc) == {"f0", "f1", "g0", "g1", "bridge"}
         assert inc.last_components == 1
         comp = inc._flows["f0"].comp
         assert all(inc._flows[key].comp is comp for key in inc._flows)
@@ -601,7 +602,7 @@ class TestPersistentComponents:
         assert inc._flows["f0"].comp is not inc._flows["g0"].comp
         assert self._comp_keys(inc, "f1") == ["f0", "f1"]
         assert self._comp_keys(inc, "g0") == ["g0", "g1"]
-        assert inc.solve_dirty() == {"f0", "f1", "g0", "g1"}
+        assert solved_flows(inc) == {"f0", "f1", "g0", "g1"}
         assert inc.last_components == 2
         assert [inc.rate(k) for k in ("f0", "f1", "g0", "g1")] == \
             [50.0, 50.0, 30.0, 30.0]
@@ -899,6 +900,6 @@ def test_solve_dirty_hashes_no_resource(monkeypatch):
             return _original(self)
 
         monkeypatch.setattr(cls, "__hash__", counting)
-    solved = inc.solve_dirty()
+    solved = solved_flows(inc)
     assert len(solved) == 68 and inc.last_flows_solved == 68
     assert calls == []

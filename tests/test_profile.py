@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.profile import LAYERS, SpanRecorder, _own, targets
 from repro.smpi import request as rq
 from repro.smpi import smpirun
 from repro.surf import Engine, cluster
+from tests.oracles import thread_contexts
 
 N_RANKS = 4
 
@@ -66,20 +68,22 @@ def deferred_isend(mpi):
     return float(buf[0])
 
 
+#: (run on the thread oracle, app): plain apps always run on threads
 CASES = [
-    pytest.param("coroutine", co_ring, id="coroutine-generator"),
-    pytest.param("thread", plain_ring, id="thread-plain"),
-    pytest.param("thread", co_ring, id="thread-generator"),
-    pytest.param("thread", deferred_isend, id="thread-deferred-isend"),
+    pytest.param(False, co_ring, id="coroutine-generator"),
+    pytest.param(False, plain_ring, id="thread-plain"),
+    pytest.param(True, co_ring, id="thread-generator"),
+    pytest.param(False, deferred_isend, id="thread-deferred-isend"),
 ]
 
 
-@pytest.mark.parametrize("ctx, app", CASES)
-def test_layers_are_exclusive_and_restored(ctx, app):
+@pytest.mark.parametrize("oracle, app", CASES)
+def test_layers_are_exclusive_and_restored(oracle, app):
     originals = {(owner, name): _own(owner, name)
                  for _layer, owner, name in targets()}
-    with SpanRecorder() as spans:
-        smpirun(app, N_RANKS, cluster("c", N_RANKS), ctx=ctx)
+    with SpanRecorder() as spans, \
+            thread_contexts() if oracle else nullcontext():
+        smpirun(app, N_RANKS, cluster("c", N_RANKS))
     table = spans.table()
     assert spans.stack == []
     assert all(seconds >= 0.0 for seconds in table.values()), table
@@ -91,12 +95,14 @@ def test_layers_are_exclusive_and_restored(ctx, app):
     assert Engine.__dict__["step"] is originals[(Engine, "step")]
 
 
-@pytest.mark.parametrize("ctx, app", [("coroutine", co_ring),
-                                      ("thread", plain_ring)])
-def test_profiling_does_not_change_the_run(ctx, app):
+@pytest.mark.parametrize("app", [
+    pytest.param(co_ring, id="coroutine-co_ring"),
+    pytest.param(plain_ring, id="thread-plain_ring"),
+])
+def test_profiling_does_not_change_the_run(app):
     with SpanRecorder():
-        profiled = smpirun(app, N_RANKS, cluster("c", N_RANKS), ctx=ctx)
-    plain = smpirun(app, N_RANKS, cluster("c", N_RANKS), ctx=ctx)
+        profiled = smpirun(app, N_RANKS, cluster("c", N_RANKS))
+    plain = smpirun(app, N_RANKS, cluster("c", N_RANKS))
     assert profiled.simulated_time == plain.simulated_time
     assert profiled.returns == plain.returns
     assert profiled.stats.steps == plain.stats.steps
@@ -113,7 +119,7 @@ def test_originals_restored_when_the_run_raises():
 
     with pytest.raises(Exception):
         with SpanRecorder() as spans:
-            smpirun(broken, 2, cluster("c", 2), ctx="coroutine")
+            smpirun(broken, 2, cluster("c", 2))
     assert spans.stack == []
     for (owner, name), original in originals.items():
         assert _own(owner, name) is original, (owner, name)
@@ -121,7 +127,7 @@ def test_originals_restored_when_the_run_raises():
 
 def test_report_lists_layers_other_and_total():
     with SpanRecorder() as spans:
-        smpirun(co_ring, N_RANKS, cluster("c", N_RANKS), ctx="coroutine")
+        smpirun(co_ring, N_RANKS, cluster("c", N_RANKS))
     lines = spans.report().splitlines()
     names = [line.split()[0] for line in lines[1:]]
     assert names[-1] == "total"

@@ -86,25 +86,25 @@ class TestSpec:
 
     def test_point_config_translation(self, tmp_path):
         spec = make_spec(tmp_path,
-                         axes={"coll.alltoall": ["pairwise"],
-                               "ctx": ["coroutine"]},
+                         axes={"coll.alltoall": ["pairwise"]},
                          options={"comm_retries": 2})
         point = spec.expand()[0]
         config = point.smpi_config()
         assert config.coll_algorithms == {"alltoall": "pairwise"}
         assert config.comm_retries == 2
-        assert point.ctx() == "coroutine"
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown sweep axis"):
             make_spec(tmp_path, axes={"warp_speed": [9]})
+        # an actor's execution context follows its entry function
+        with pytest.raises(ConfigError, match="unknown sweep axis 'ctx'"):
+            make_spec(tmp_path, axes={"ctx": ["thread"]})
+        with pytest.raises(ConfigError, match="unknown sweep axis 'ctx'"):
+            make_spec(tmp_path, options={"ctx": "coroutine"})
         with pytest.raises(ConfigError, match="coll."):
             make_spec(tmp_path, axes={"coll_algorithms": [{}]})
 
     def test_bad_axis_value_rejected_at_expansion(self, tmp_path):
-        spec = make_spec(tmp_path, axes={"ctx": ["hyperthread"]})
-        with pytest.raises(ConfigError, match="bad ctx value"):
-            spec.expand()
         spec = make_spec(tmp_path, axes={"on_host_down": ["shrug"]})
         with pytest.raises(ConfigError):
             spec.expand()
@@ -206,8 +206,8 @@ class TestCacheKey:
             dict(axes={"eager_threshold": [8192, 65536]}),
             # a fixed option
             dict(options={"comm_retries": 1}),
-            # execution backend
-            dict(axes={"eager_threshold": [4096], "ctx": ["thread"]}),
+            # a second axis
+            dict(axes={"eager_threshold": [4096], "zero_copy": [True]}),
         ]
         seen = {base}
         for overrides in edits:
