@@ -79,9 +79,9 @@ class Actor:
         #: scheduler's deadlock report to say who waits on what)
         self.waiting_on = None
         #: human-readable label of a predicate wait (set by
-        #: :meth:`wait_for`); the deadlock report falls back to it when
-        #: there is no activity to name
-        self.waiting_reason: str | None = None
+        #: :meth:`wait_for`), or a callable returning it; the deadlock
+        #: report falls back to it when there is no activity to name
+        self.waiting_reason: str | Callable[[], str] | None = None
         #: the execution context carrying this actor's frames; attached by
         #: :meth:`Scheduler.add_actor` from the entry function's kind
         self._context: "ExecutionContext" = None  # type: ignore[assignment]
@@ -130,11 +130,12 @@ class Actor:
         self._context.block()
 
     def wait_for(self, predicate: Callable[[], bool],
-                 reason: str | None = None) -> None:
+                 reason: str | Callable[[], str] | None = None) -> None:
         """Suspend until ``predicate()`` holds; tolerant of spurious wakes.
 
         ``reason`` labels the wait in deadlock reports — predicate waits
-        have no activity whose name could be shown otherwise.
+        have no activity whose name could be shown otherwise.  A callable
+        reason is called only when a report is written.
         """
         if reason is not None:
             self.waiting_reason = reason
@@ -158,7 +159,8 @@ class Actor:
         yield
 
     def co_wait_for(self, predicate: Callable[[], bool],
-                    reason: str | None = None) -> Generator[None, None, None]:
+                    reason: str | Callable[[], str] | None = None,
+                    ) -> Generator[None, None, None]:
         """Generator twin of :meth:`wait_for` — same bookkeeping, same order."""
         if reason is not None:
             self.waiting_reason = reason

@@ -190,8 +190,11 @@ class Scheduler:
             activity = actor.waiting_on
             if activity is not None:
                 return f"{actor.name} (waiting on {activity.name!r})"
-            if actor.waiting_reason:
-                return f"{actor.name} ({actor.waiting_reason})"
+            reason = actor.waiting_reason
+            if callable(reason):
+                reason = reason()
+            if reason:
+                return f"{actor.name} ({reason})"
             return actor.name
 
         alive = [a for a in self.actors if not a.finished]

@@ -20,7 +20,7 @@ from ...errors import MpiError
 from .. import constants
 from ..buffer import BufferSpec
 from ..datatype import PredefinedDatatype
-from ..request import Request
+from ..request import Request, co_wait, co_waitall
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..comm import Communicator
@@ -129,19 +129,15 @@ def irecv_view(
 
 def co_send_view(comm, src_arr, offset, count, dest, kind):
     """Blocking send of a buffer slice (``yield from``)."""
-    from .. import request as rq
-
     req = isend_view(comm, src_arr, offset, count, dest, kind)
-    yield from rq.co_wait(req)
+    yield from co_wait(req)
     comm.world.release_request(req)
 
 
 def co_recv_view(comm, dst_arr, offset, count, source, kind):
     """Blocking receive into a buffer slice (``yield from``)."""
-    from .. import request as rq
-
     req = irecv_view(comm, dst_arr, offset, count, source, kind)
-    yield from rq.co_wait(req)
+    yield from co_wait(req)
     comm.world.release_request(req)
 
 
@@ -152,9 +148,7 @@ def co_complete(comm, requests):
     single waitall; routing the wait through here returns every request
     to the world's free list once its round is over.
     """
-    from .. import request as rq
-
-    yield from rq.co_waitall(requests)
+    yield from co_waitall(requests)
     release = comm.world.release_request
     for req in requests:
         release(req)

@@ -244,7 +244,10 @@ def _world_of(requests: list[Request]) -> "SmpiWorld":
 
 
 def _describe_requests(requests: list[Request]) -> str:
-    """Short label of what is being waited on, for deadlock reports."""
+    """Short label of what is being waited on, for deadlock reports.
+
+    The waits pass it inside a lambda: only a deadlock report calls it.
+    """
 
     def one(req: Request) -> str:
         message = req.message
@@ -270,7 +273,7 @@ def co_wait(request: Request):
     actor = request.world.current_actor
     yield from actor.co_wait_for(
         lambda: request.complete,
-        reason=f"in MPI_Wait: {_describe_requests([request])}")
+        reason=lambda: f"in MPI_Wait: {_describe_requests([request])}")
     return request.make_status()
 
 
@@ -299,7 +302,7 @@ def co_waitall(requests: list[Request]):
         actor = _world_of(live).current_actor
         yield from actor.co_wait_for(
             lambda: all(r.complete for r in live),
-            reason=f"in MPI_Waitall: {_describe_requests(live)}")
+            reason=lambda: f"in MPI_Waitall: {_describe_requests(live)}")
     return [r.make_status() for r in requests]
 
 
@@ -331,7 +334,7 @@ def co_waitany(requests: list[Request]):
         actor = _world_of(requests).current_actor
         yield from actor.co_wait_for(
             lambda: ready() is not None,
-            reason=f"in MPI_Waitany: {_describe_requests(requests)}")
+            reason=lambda: f"in MPI_Waitany: {_describe_requests(requests)}")
         idx = ready()
     assert idx is not None
     _record_wait([requests[idx]])
@@ -367,7 +370,7 @@ def co_waitsome(requests: list[Request]):
         actor = _world_of(requests).current_actor
         yield from actor.co_wait_for(
             lambda: bool(done_indices()),
-            reason=f"in MPI_Waitsome: {_describe_requests(requests)}")
+            reason=lambda: f"in MPI_Waitsome: {_describe_requests(requests)}")
         indices = done_indices()
     _record_wait([requests[i] for i in indices])
     return indices, [requests[i].make_status() for i in indices]

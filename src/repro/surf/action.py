@@ -27,7 +27,9 @@ absolute simulated date at which the current phase ends — is reached
 touched, which is what lets the engine process an event without visiting
 every pending action.  ``epoch`` counts invalidations of the prediction;
 the engine stamps heap entries with it so stale predictions are skipped
-on pop rather than eagerly deleted.
+on pop rather than eagerly deleted.  Every exit from ``LATENCY`` or
+``RUNNING`` (:meth:`Action.expire`, :meth:`Action.fail`) bumps it too, so
+an entry whose epoch still matches belongs to a pending action.
 """
 
 from __future__ import annotations
@@ -139,28 +141,33 @@ class Action:
 
     # -- lazy updates (engine hot path) -------------------------------------
 
-    def set_rate(self, rate: float, now: float) -> None:
+    def set_rate(self, rate: float, now: float) -> float:
         """Assign a new sharing rate at simulated time ``now``.
 
         Materializes ``remaining`` (work done since ``last_touched`` at the
         old rate is subtracted), re-anchors the action at ``now``, and
-        recomputes the completion ``deadline``.  Callers must skip the call
-        when the rate is unchanged: the existing prediction is still exact,
-        and re-anchoring would perturb the floating-point trajectory.
+        recomputes and returns the completion ``deadline``.  Callers must
+        skip the call when the rate is unchanged: the existing prediction
+        is still exact, and re-anchoring would perturb the floating-point
+        trajectory.
         """
+        remaining = self.remaining
         if self.rate > 0.0:
-            self.remaining = max(
-                self.remaining - self.rate * (now - self.last_touched), 0.0
-            )
+            remaining -= self.rate * (now - self.last_touched)
+            if remaining < 0.0:
+                remaining = 0.0
+            self.remaining = remaining
         self.last_touched = now
         self.rate = rate
         self.epoch += 1
-        if self.remaining <= 0:
-            self.deadline = now
+        if remaining <= 0:
+            deadline = now
         elif rate > 0.0:
-            self.deadline = now + self.remaining / rate
+            deadline = now + remaining / rate
         else:
-            self.deadline = math.inf
+            deadline = math.inf
+        self.deadline = deadline
+        return deadline
 
     def expire(self, now: float) -> None:
         """Apply the phase change whose ``deadline`` has been reached.

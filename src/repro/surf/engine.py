@@ -30,11 +30,16 @@ up) that is recomputed only when its rate actually changes — the rates
 that stayed equal after a re-share, reported by
 :attr:`~repro.surf.maxmin.IncrementalMaxMin.last_rate_changed`, keep
 their predictions untouched.  The engine keeps those deadlines in a
-min-heap of epoch-stamped entries: advancing to the next event is a heap
-peek, and harvesting is driven by heap pops, so an event that completes
-one flow among 2048 costs O(affected · log P) instead of O(P).  Stale
-entries (the action's epoch moved on) are skipped on pop rather than
-deleted.
+min-heap of ``(deadline, aid, epoch, action)`` entries: advancing to the
+next event is a heap peek, and harvesting is driven by heap pops, so an
+event that completes one flow among 2048 costs O(affected · log P)
+instead of O(P).  ``(aid, epoch)`` is unique, so two entries never
+compare their actions.  Every exit from LATENCY or RUNNING bumps the
+action's epoch, so an entry is live exactly when its epoch still equals
+its action's: a stale entry (a re-anchored, expired, failed or harvested
+action) costs one comparison on pop and is skipped rather than deleted.
+A share re-anchors the flows whose rate changed in one loop
+(:meth:`Engine._reanchor`), pushing each new deadline as it goes.
 
 Resources are *dynamic* (see ``docs/faults.md``): availability profiles
 scale a link's bandwidth or a host's speed over time, state profiles turn
@@ -57,6 +62,7 @@ import math
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from itertools import islice
+from operator import attrgetter
 
 from ..errors import SimulationError
 from ..log import bind_clock, get_logger
@@ -76,6 +82,21 @@ _log = get_logger("surf")
 #: layout change so stale checkpoints are rejected instead of misread.
 #: v2: the ``"sharing"`` field is gone (every share is exact max-min)
 SNAPSHOT_VERSION = 2
+
+_INF = math.inf
+_by_aid = attrgetter("aid")
+
+
+class _Harvested:
+    """The action of a restored heap entry whose action was harvested
+    before the snapshot: its epoch, -1, matches no entry, so the entry
+    pops as stale."""
+
+    __slots__ = ()
+    epoch = -1
+
+
+_HARVESTED = _Harvested()
 
 
 @dataclass
@@ -215,8 +236,9 @@ class Engine:
         self._members: dict[int, Action] = {}
         #: zero-duration actions waiting for observer delivery
         self._instant_done: list[Action] = []
-        #: min-heap of (deadline, aid, epoch) completion predictions
-        self._heap: list[tuple[float, int, int]] = []
+        #: min-heap of (deadline, aid, epoch, action) completion
+        #: predictions; live while ``epoch == action.epoch``
+        self._heap: list[tuple[float, int, int, Action]] = []
         #: actions that reached DONE/FAILED and await observer delivery
         self._finished: list[Action] = []
         #: actions that entered RUNNING since the last share (to enroll)
@@ -303,7 +325,7 @@ class Engine:
                 name, size, (), latency=1e-7 + extra_latency,
                 rate_bound=min(rate_cap, 12.5e9), src=src, dst=dst,
             )
-        if self._route_is_dead(route.links):
+        if self._dead_resources and self._route_is_dead(route.links):
             action.fail()
         self._register(action)
         return action
@@ -347,8 +369,9 @@ class Engine:
 
     def _push(self, action: Action) -> None:
         """Schedule ``action``'s current deadline on the completion heap."""
-        if action.deadline < math.inf:
-            heappush(self._heap, (action.deadline, action.aid, action.epoch))
+        if action.deadline < _INF:
+            heappush(self._heap,
+                     (action.deadline, action.aid, action.epoch, action))
 
     @property
     def busy(self) -> bool:
@@ -389,8 +412,8 @@ class Engine:
         # Only the flows whose rate actually changed value are re-anchored
         # and re-scheduled; every other flow's completion prediction is
         # still exact, so its heap entry survives untouched.
-        for aid, rate in solver.last_rate_changed.items():
-            self._apply_rate(members[aid], rate)
+        if solver.last_rate_changed:
+            self._reanchor(solver.last_rate_changed)
         solved = solver.last_flows_solved
         self.stats.flows_resolved += solved
         self.stats.components_solved += solver.last_components
@@ -405,18 +428,28 @@ class Engine:
                               record.kind)
             self.stats.link_samples = self.timeline.n_samples
 
-    def _apply_rate(self, action: Action, rate: float) -> None:
-        """Re-anchor ``action`` at a new rate and reschedule its deadline.
+    def _reanchor(self, rates: dict) -> None:
+        """Re-anchor the member flows of ``rates`` (aid -> new rate) and
+        push their new deadlines.
 
-        Equal rates are skipped entirely — the existing prediction stays
-        exact, and skipping keeps the floating-point trajectory identical
-        to the eager test oracle's, which re-examines every action.
+        A rate equal to the action's own (a new flow whose first rate is
+        0, which the solver reports as changed from never-solved) is
+        skipped entirely — the existing prediction stays exact, and
+        skipping keeps the floating-point trajectory identical to the
+        eager test oracle's, which re-examines every action.
         """
-        if rate == action.rate:
-            return
-        action.set_rate(rate, self.now)
-        self.stats.actions_touched += 1
-        self._push(action)
+        members = self._members
+        heap = self._heap
+        now = self.now
+        touched = 0
+        for aid, rate in rates.items():
+            action = members[aid]
+            if rate != action.rate:
+                touched += 1
+                deadline = action.set_rate(rate, now)
+                if deadline < _INF:
+                    heappush(heap, (deadline, aid, action.epoch, action))
+        self.stats.actions_touched += touched
 
     def _capacity_of(self, resource: "Link | Host") -> float:
         """Current constraint capacity: nominal scaled by availability."""
@@ -441,11 +474,17 @@ class Engine:
             )
 
     def _enroll(self, action: Action) -> None:
-        """Register a newly-RUNNING action as a solver flow."""
+        """Register a newly-RUNNING action as a solver flow.
+
+        Only resources the solver does not hold yet are registered: a
+        held constraint already carries the current capacity, since
+        :meth:`set_availability` updates it in place.
+        """
         solver = self._solver
         resources = action.constraints()
         for resource in resources:
-            self._ensure_solver_constraint(resource)
+            if not solver.has_constraint(resource):
+                self._ensure_solver_constraint(resource)
         solver.add_flow(action.aid, resources, bound=action.rate_bound,
                         weight=action.weight, name=action.name)
         self._members[action.aid] = action
@@ -463,16 +502,19 @@ class Engine:
             self.share_resources()
         horizon = self._next_profile_time()
         heap = self._heap
-        stats = self.stats
+        stale = 0
         while heap:
-            deadline, aid, epoch = heap[0]
-            action = self.pending.get(aid)
-            if action is None or epoch != action.epoch or not action.is_pending:
-                heappop(heap)
-                stats.heap_pops += 1
-                stats.stale_heap_entries += 1
-                continue
-            return min(deadline, horizon)
+            deadline, _aid, epoch, action = heap[0]
+            if epoch == action.epoch:
+                break
+            heappop(heap)
+            stale += 1
+        if stale:
+            stats = self.stats
+            stats.heap_pops += stale
+            stats.stale_heap_entries += stale
+        if heap:
+            return horizon if horizon < deadline else deadline
         return self._stalled_horizon(horizon)
 
     def _stalled_horizon(self, horizon: float) -> float:
@@ -524,12 +566,10 @@ class Engine:
         grants positive rates to flows on positive-capacity resources.
         """
         self.stats.steps += 1
-        instant = self._drain_instant()
-        if instant:
-            return instant
-        finished = self._harvest()  # e.g. actions cancelled since last step
-        if finished:
-            return finished
+        if self._instant_done:
+            return self._drain_instant()
+        if self._finished:  # e.g. actions cancelled since last step
+            return self._harvest()
         if not self.pending:
             return []
         date = self.next_deadline()
@@ -557,17 +597,18 @@ class Engine:
         """Heap-driven event processing: pop exactly the due predictions."""
         now = self.now
         heap = self._heap
-        stats = self.stats
-        pending = self.pending
+        pops = stale = 0
         while heap and heap[0][0] <= now:
-            _deadline, aid, epoch = heappop(heap)
-            stats.heap_pops += 1
-            action = pending.get(aid)
-            if action is None or epoch != action.epoch or not action.is_pending:
-                stats.stale_heap_entries += 1
+            _deadline, _aid, epoch, action = heappop(heap)
+            pops += 1
+            if epoch != action.epoch:
+                stale += 1
                 continue
-            stats.actions_touched += 1
             self._expire(action)
+        stats = self.stats
+        stats.heap_pops += pops
+        stats.stale_heap_entries += stale
+        stats.actions_touched += pops - stale
 
     def _expire(self, action: Action) -> None:
         """Apply one due phase change and queue completions for harvest."""
@@ -626,7 +667,7 @@ class Engine:
         finished, self._finished = self._finished, []
         # observers fire in registration order, whatever order completions
         # and cancellations were discovered in
-        finished.sort(key=lambda a: a.aid)
+        finished.sort(key=_by_aid)
         for action in finished:
             self.pending.pop(action.aid, None)
             action.finish_time = self.now
@@ -913,7 +954,8 @@ class Engine:
             "next_aid": _action_ids.peek,
             "actions": actions,
             "pending": list(self.pending),
-            "heap": [list(entry) for entry in self._heap],
+            "heap": [[deadline, aid, epoch]
+                     for deadline, aid, epoch, _action in self._heap],
             "newly_running": [a.aid for a in self._newly_running],
             "retired": sorted(retired_aids),
             "needs_share": self._needs_share,
@@ -1055,7 +1097,10 @@ class Engine:
             action = engine._revive_action(data)
             actions[action.aid] = action
         engine.pending = {aid: actions[aid] for aid in snap["pending"]}
-        engine._heap = [tuple(entry) for entry in snap["heap"]]
+        # an entry of an action the snapshot does not hold (harvested
+        # before the cut) is stale: bind it to an action it never matches
+        engine._heap = [(deadline, aid, epoch, actions.get(aid, _HARVESTED))
+                        for deadline, aid, epoch in snap["heap"]]
         engine._newly_running = [actions[aid]
                                  for aid in snap["newly_running"]]
         engine._retired = [actions[aid] for aid in snap["retired"]]

@@ -594,7 +594,8 @@ class IncrementalMaxMin:
             self._rewalk([comp])
 
     def has_constraint(self, key) -> bool:
-        """Whether the resource ``key`` was ever registered as a constraint."""
+        """Whether the resource ``key`` is registered as a constraint now
+        (a constraint its last flow left is forgotten at the next solve)."""
         return key in self._cons
 
     # -- snapshot/restore support ---------------------------------------------

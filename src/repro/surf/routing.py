@@ -21,6 +21,7 @@ routes and clears that cache on every mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from ..errors import RoutingError
@@ -48,17 +49,20 @@ class Route:
     dst: str
     links: tuple[Link, ...]
 
-    @property
+    # Computed once per Route (a cached_property writes the instance
+    # dict directly, which a frozen dataclass allows): the links are
+    # fixed, and Platform.route drops its cached Routes on any mutation.
+    @cached_property
     def latency(self) -> float:
         return sum(link.latency for link in self.links)
 
-    @property
+    @cached_property
     def bandwidth(self) -> float:
         if not self.links:
             return float("inf")
         return min(link.bandwidth for link in self.links)
 
-    @property
+    @cached_property
     def params(self) -> RouteParams:
         return RouteParams(latency=self.latency, bandwidth=self.bandwidth)
 

@@ -301,6 +301,12 @@ class EagerEngine(_NoSnapshot, Engine):
     def _push(self, action: Action) -> None:
         """Deadlines are rescanned at every event: nothing to schedule."""
 
+    def _reanchor(self, rates: dict) -> None:
+        """Re-anchor exactly as the canonical engine does, then drop the
+        entries it scheduled: the heap stays empty."""
+        super()._reanchor(rates)
+        self._heap.clear()
+
     def next_deadline(self) -> float:
         if self._needs_share:
             self.share_resources()
@@ -354,8 +360,8 @@ class FullReshareEngine(_NoSnapshot, Engine):
         for action in running:
             self._enroll(action)
         solver.solve_dirty()
-        for action in running:
-            self._apply_rate(action, solver.rate(action.aid))
+        self._reanchor({action.aid: solver.rate(action.aid)
+                        for action in running})
         self.stats.flows_resolved += len(running)
         self.stats.components_solved += 1
         if self.timeline is not None:

@@ -443,6 +443,42 @@ class TestLazyUpdates:
         assert eager.stats.heap_pops == 0
         assert eager.stats.stale_heap_entries == 0
 
+    @pytest.mark.parametrize("full", [False, True])
+    def test_eager_oracle_never_fills_the_heap(self, full):
+        engine = oracle_engine(self._platform("eh"), eager=True, full=full)
+        sizes = []
+        for i in range(8):
+            engine.communicate(f"node-{i}", f"node-{(i + 3) % 8}",
+                               250_000 * (i + 1), name=f"c{i}")
+        engine.sleep(0.002)
+        while engine.busy:
+            engine.step()
+            sizes.append(len(engine._heap))
+        assert engine.stats.actions_touched > 0
+        assert set(sizes) == {0}
+
+    def test_every_exit_from_a_live_phase_bumps_the_epoch(self):
+        # a heap entry is live exactly while its epoch equals its
+        # action's, so no transition out of LATENCY/RUNNING may keep it
+        engine = Engine(self._platform("ep"))
+        expiring = engine.communicate("node-0", "node-1", 1_000, name="x")
+        failing = engine.communicate("node-2", "node-3", 10**9, name="f")
+        epochs = {a.aid: a.epoch for a in (expiring, failing)}
+        engine.step()  # both latency phases expire
+        assert expiring.state is ActionState.RUNNING
+        assert expiring.epoch > epochs[expiring.aid]
+        epochs = {a.aid: a.epoch for a in (expiring, failing)}
+        engine.share_resources()  # set_rate re-anchors both flows
+        assert all(a.epoch > epochs[a.aid] for a in (expiring, failing))
+        epoch = failing.epoch
+        engine.cancel(failing)
+        assert failing.state is ActionState.FAILED
+        assert failing.epoch > epoch
+        epoch = expiring.epoch
+        engine.run()
+        assert expiring.state is ActionState.DONE
+        assert expiring.epoch > epoch
+
     @pytest.mark.parametrize("eager, full", [(True, False), (False, True),
                                              (True, True)])
     def test_oracles_refuse_snapshot(self, eager, full):

@@ -266,6 +266,27 @@ class TestDeadlockReporting:
         assert "rank-0" in message
         assert "in MPI_Wait: unmatched recv" in message
 
+    def test_waits_format_no_text_without_a_deadlock(self, monkeypatch):
+        from repro.smpi import request as rq
+
+        calls = []
+        describe = rq._describe_requests
+        monkeypatch.setattr(rq, "_describe_requests",
+                            lambda reqs: calls.append(reqs) or describe(reqs))
+
+        def app(mpi):
+            comm = mpi.COMM_WORLD
+            peer = 1 - mpi.rank
+            reqs = [comm.Irecv(np.zeros(10, dtype=np.uint8), peer, 0),
+                    comm.Isend(np.zeros(10, dtype=np.uint8), peer, 0)]
+            rq.waitall(reqs)
+            comm.Sendrecv(np.zeros(10, dtype=np.uint8), peer, 1,
+                          np.zeros(10, dtype=np.uint8), peer, 1)
+            return "ok"
+
+        assert smpirun(app, 2, cluster("dl0", 2)).returns == ["ok", "ok"]
+        assert calls == []
+
     def test_waitall_deadlock_describes_pending_requests(self):
         platform = cluster("dl2", 2)
 

@@ -105,6 +105,23 @@ class TestPlatform:
         with pytest.raises(RoutingError):
             platform.route("a", "b")
 
+    def test_route_numbers_follow_a_mutation(self):
+        # Route numbers are computed once per Route, so a mutation must
+        # hand out a fresh Route rather than the cached one
+        platform = Platform("p")
+        platform.add_host(Host("a", 1e9))
+        platform.add_host(Host("b", 1e9))
+        platform.add_route("a", "b", [Link("slow", 1e6, "1ms")])
+        before = platform.route("a", "b")
+        assert before.params.bandwidth == pytest.approx(1e6)
+        assert platform.route("a", "b") is before
+        platform.add_route("a", "b", [Link("fast", 1e9, "1us")])
+        after = platform.route("a", "b")
+        assert after.bandwidth == pytest.approx(1e9)
+        assert after.latency == pytest.approx(1e-6)
+        assert after.params.bandwidth == pytest.approx(1e9)
+        assert before.bandwidth == pytest.approx(1e6)
+
     def test_explicit_route_symmetry(self):
         platform = Platform("p")
         platform.add_host(Host("a", 1e9))

@@ -91,6 +91,43 @@ class TestEngineSnapshot:
         assert (restored.stats.actions_completed
                 == engine.stats.actions_completed)
 
+    def test_restored_heap_keeps_stale_entries_of_harvested_actions(self):
+        # flows sharing one backbone speed up as others finish, so a
+        # finished flow leaves its older, later-dated entries behind; the
+        # sleep outlasts them all, so the continuation pops every one
+        def engine_at_cut(engine):
+            engine.sleep(1.0, name="tail")
+            for i in range(6):
+                engine.communicate(f"node-{i}", f"node-{(i + 3) % 6}",
+                                   200_000 * (i + 1), name=f"s{i}")
+            while True:
+                engine.step()
+                engine.poll_progress()  # the share retires the finished
+                harvested = [aid for _deadline, aid, _epoch, _action
+                             in engine._heap if aid not in engine.pending]
+                if harvested and len(engine.pending) > 1:
+                    return engine, len(harvested)
+                assert engine.pending, "the run ended without such a cut"
+
+        def finish(engine):
+            while engine.poll_progress():
+                engine.step()
+            return engine.stats
+
+        engine, harvested = engine_at_cut(Engine(cluster("hs", 6)))
+        stale_at_cut = engine.stats.stale_heap_entries
+        snap = engine.snapshot()
+        assert all(len(entry) == 3 for entry in snap["heap"])
+        held = {data["aid"] for data in snap["actions"]}
+        assert sum(aid not in held for _d, aid, _e in snap["heap"]) == harvested
+        restored, _ = Engine.restore(cluster("hs", 6), snap)
+        whole, resumed = finish(engine), finish(restored)
+        assert restored.now == engine.now == 1.0
+        assert whole.stale_heap_entries >= stale_at_cut + harvested
+        for counter in ("heap_pops", "stale_heap_entries", "actions_touched",
+                        "steps", "actions_completed"):
+            assert getattr(resumed, counter) == getattr(whole, counter), counter
+
     def test_snapshot_survives_json(self):
         import json
 
