@@ -73,8 +73,9 @@ def solver_layout_experiment(n_cons: int = 32, n_live: int = 256,
     records at the peak of each cycle (every flow solved) and at its end
     (every flow removed and solved again).  The structural claim: the
     records are the solver's whole state, a flow's record goes with the
-    flow, and drained-constraint GC keeps ``_cons`` keyed only by live
-    resources, so the footprint is the same in every cycle.
+    flow, and a drained constraint stays as one empty record, so
+    ``_cons`` holds one record per resource ever used and the footprint
+    is the same in every cycle.
     """
     inc = IncrementalMaxMin()
 
@@ -114,12 +115,13 @@ def test_solver_state_layout(once):
         )
     report.measured(
         "state footprint is the same in every cycle: flow records leave "
-        "with their flows and drained-constraint GC empties the record "
-        "table between cycles"
+        "with their flows and each drained constraint stays as one empty "
+        "record, reused by the next cycle"
     )
     report.finish()
 
-    # all flows are removed at cycle end; GC must leave no record behind
-    assert all(s["end"] == {"cons": 0, "flows": 0} for s in footprint)
+    # all flows are removed at cycle end: no flow record is left, and
+    # the drained constraints are the same 32 records, emptied
+    assert all(s["end"] == {"cons": 32, "flows": 0} for s in footprint)
     # at the peak the records are exactly the live set
     assert all(s["peak"] == {"cons": 32, "flows": 256} for s in footprint)

@@ -87,7 +87,8 @@ class _RankReplayer:
             world.trace.compute(self.rank, flops, start, world.engine.now)
 
     def _co_wait(self, pending: list[Request]):
-        yield from rq.co_waitall(pending)
+        # a replay reads no status: settle, raising what a waitall raises
+        yield from rq.co_settle(pending)
         self.blocked = None
 
     # -- the actor body ------------------------------------------------------

@@ -304,8 +304,7 @@ def resume_replay(
     messages: dict[int, Message] = {}
     for row in checkpoint["messages"]:
         message = Message(row["src"], row["dst"], row["tag"], row["ctx"],
-                          _EMPTY, row["eager"],
-                          wire_bytes=row["wire_bytes"], mid=row["mid"])
+                          _EMPTY, row["eager"], row["wire_bytes"], row["mid"])
         message.delivered = row["delivered"]
         message.attempts = row["attempts"]
         message.handshake = row["handshake"]

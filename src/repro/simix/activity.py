@@ -47,15 +47,12 @@ class Activity:
     # -- engine callback ----------------------------------------------------------
 
     def _on_action_done(self, action: Action) -> None:
+        # the bound method closes a cycle (activity -> action -> observer
+        # -> activity): break it, so refcounting frees the finished pair
+        action.observer = None
         self.done = True
         self.failed = action.state is ActionState.FAILED
         self.finish_time = action.finish_time
-        self._wake_all()
-
-    def complete_now(self) -> None:
-        """Mark done outside any engine action (e.g. locally-satisfied op)."""
-        self.done = True
-        self.finish_time = self.scheduler.engine.now
         self._wake_all()
 
     def _wake_all(self) -> None:

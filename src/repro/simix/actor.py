@@ -109,9 +109,6 @@ class Actor:
         """Wait for the context's kernel resources (if any) to unwind."""
         self._context.join(timeout)
 
-    # retained under the historical name for callers of the thread era
-    join_thread = join_context
-
     @property
     def context_alive(self) -> bool:
         """True while the context still holds live frames after teardown."""

@@ -75,7 +75,7 @@ class Scheduler:
         actor._context = context_for(actor)
         self.actors.append(actor)
         self._live += 1
-        self._make_runnable(actor)
+        self.wake(actor)
         return actor
 
     # -- actor services (called from actor threads) --------------------------------
@@ -110,9 +110,6 @@ class Scheduler:
 
     def wake(self, actor: Actor) -> None:
         """Mark a blocked actor runnable (idempotent)."""
-        self._make_runnable(actor)
-
-    def _make_runnable(self, actor: Actor) -> None:
         if not actor.finished and not actor.scheduled:
             actor.scheduled = True
             self._runnable.append(actor)

@@ -16,6 +16,7 @@ chain run in the same order a real stack unwind would run them.
 
 from __future__ import annotations
 
+from ..actor import ActorKilled
 from .base import ExecutionContext, blocking_unsupported
 
 __all__ = ["CoroutineContext"]
@@ -34,8 +35,6 @@ class CoroutineContext(ExecutionContext):
     # -- scheduler side ----------------------------------------------------------
 
     def resume(self) -> None:
-        from ..actor import ActorKilled
-
         actor = self.actor
         if actor.finished:
             return

@@ -17,6 +17,7 @@ import inspect
 import threading
 
 from ...log import get_logger
+from ..actor import ActorKilled
 from .base import ExecutionContext, drive_on_stack
 
 _log = get_logger("simix")
@@ -63,16 +64,12 @@ class ThreadContext(ExecutionContext):
     # -- actor side --------------------------------------------------------------
 
     def block(self) -> None:
-        from ..actor import ActorKilled
-
         self._baton_sched.release()
         self._baton_actor.acquire()
         if self.actor._killed:
             raise ActorKilled()
 
     def _bootstrap(self) -> None:
-        from ..actor import ActorKilled
-
         actor = self.actor
         try:
             self._baton_actor.acquire()

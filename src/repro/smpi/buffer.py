@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import MpiError
 from . import constants
 from .datatype import BYTE, Datatype, from_numpy_dtype
-from .intern import BufferDescriptor, datatype_signature, intern_descriptor
+from .intern import BufferDescriptor, intern_descriptor
 
 __all__ = ["BufferSpec", "resolve", "pack_object", "unpack_object"]
 
@@ -48,7 +48,7 @@ class BufferSpec:
 
     @property
     def descriptor(self) -> BufferDescriptor:
-        """The interned shape of this buffer (count + datatype signature).
+        """The interned shape of this buffer (count + datatype).
 
         Every rank of a folded application resolves the same specs, so
         the descriptors — unlike the arrays — are perfect interning
@@ -56,11 +56,6 @@ class BufferSpec:
         object serves all 10k ranks.
         """
         return intern_descriptor(self.count, self.datatype)
-
-    @property
-    def signature(self) -> tuple:
-        """Interned (name, size, extent) signature of the datatype."""
-        return datatype_signature(self.datatype)
 
     def pack(self) -> np.ndarray:
         """Contiguous uint8 snapshot of the data to send (one copy)."""
@@ -95,7 +90,13 @@ class BufferSpec:
 
 
 def resolve(buf: Any, default_count: int | None = None) -> BufferSpec:
-    """Normalise any accepted buffer argument to a :class:`BufferSpec`."""
+    """Normalise any accepted buffer argument to a :class:`BufferSpec`.
+
+    A spec is already normal and comes back as is: collectives hand
+    their block views to ``Isend``/``Irecv`` ready-made.
+    """
+    if isinstance(buf, BufferSpec):
+        return buf
     count: int | None = default_count
     datatype: Datatype | None = None
 

@@ -33,13 +33,13 @@ __all__ = [
 
 def _send_obj(comm: "Communicator", obj: Any, dest: int) -> None:
     req = comm.isend(obj, dest, coll_tag("object"), _ctx=comm.ctx + 1)
-    yield from rq.co_wait(req)
+    yield from rq.co_settle([req], "MPI_Wait")
     comm.world.release_request(req)
 
 
 def _recv_obj(comm: "Communicator", source: int) -> Any:
     req = comm.irecv(source, coll_tag("object"), _ctx=comm.ctx + 1)
-    yield from rq.co_wait(req)
+    yield from rq.co_settle([req], "MPI_Wait")
     raw = req.raw_data  # consume before recycling the request
     comm.world.release_request(req)
     return unpack_object(raw) if raw is not None else None
@@ -125,7 +125,7 @@ def alltoall_object(comm: "Communicator", objs: list[Any]) -> list[Any]:
         sreq = comm.isend(objs[dst], dst, coll_tag("object"),
                           _ctx=comm.ctx + 1)
         rreq = comm.irecv(src, coll_tag("object"), _ctx=comm.ctx + 1)
-        yield from rq.co_waitall([sreq, rreq])
+        yield from rq.co_settle([sreq, rreq])
         raw = rreq.raw_data
         comm.world.release_request(sreq)
         comm.world.release_request(rreq)

@@ -19,8 +19,8 @@ import numpy as np
 from ...errors import MpiError
 from .. import constants
 from ..buffer import BufferSpec
-from ..datatype import PredefinedDatatype
-from ..request import Request, co_wait, co_waitall
+from ..datatype import PredefinedDatatype, from_numpy_dtype
+from ..request import Request, co_settle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..comm import Communicator
@@ -93,7 +93,8 @@ def flat_view(spec: BufferSpec) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def _sub(spec_or_array, offset: int, count: int) -> np.ndarray:
+def _sub(spec_or_array, offset: int, count: int) -> BufferSpec:
+    """The ready spec of ``count`` elements at ``offset`` (a view)."""
     if isinstance(spec_or_array, BufferSpec):
         arr = flat_view(spec_or_array)
     else:
@@ -103,52 +104,52 @@ def _sub(spec_or_array, offset: int, count: int) -> np.ndarray:
                 constants.ERR_BUFFER, "collective buffers must be C-contiguous"
             )
         arr = arr.reshape(-1)
-    if offset < 0 or offset + count > arr.size:
+    if offset < 0 or count < 0 or offset + count > arr.size:
         raise MpiError(
             constants.ERR_COUNT,
             f"slice [{offset},{offset + count}) outside buffer of {arr.size}",
         )
-    return arr[offset : offset + count]
+    view = arr[offset : offset + count]  # a non-integral count raises
+    return BufferSpec(view, int(count), from_numpy_dtype(arr.dtype))
 
 
 def isend_view(
     comm: "Communicator", src_arr, offset: int, count: int, dest: int, kind: str
 ) -> Request:
     """Nonblocking send of ``count`` elements at ``offset`` of an array."""
-    view = _sub(src_arr, offset, count)
-    return comm.Isend([view, count], dest, coll_tag(kind), _ctx=comm.ctx + 1)
+    return comm.Isend(_sub(src_arr, offset, count), dest,
+                      constants.TAG_UB - _TAGS[kind], _ctx=comm.ctx + 1)
 
 
 def irecv_view(
     comm: "Communicator", dst_arr, offset: int, count: int, source: int, kind: str
 ) -> Request:
     """Nonblocking receive into ``count`` elements at ``offset``."""
-    view = _sub(dst_arr, offset, count)
-    return comm.Irecv([view, count], source, coll_tag(kind), _ctx=comm.ctx + 1)
+    return comm.Irecv(_sub(dst_arr, offset, count), source,
+                      constants.TAG_UB - _TAGS[kind], _ctx=comm.ctx + 1)
 
 
 def co_send_view(comm, src_arr, offset, count, dest, kind):
     """Blocking send of a buffer slice (``yield from``)."""
-    req = isend_view(comm, src_arr, offset, count, dest, kind)
-    yield from co_wait(req)
-    comm.world.release_request(req)
+    return co_complete(comm, [isend_view(comm, src_arr, offset, count,
+                                         dest, kind)])
 
 
 def co_recv_view(comm, dst_arr, offset, count, source, kind):
     """Blocking receive into a buffer slice (``yield from``)."""
-    req = irecv_view(comm, dst_arr, offset, count, source, kind)
-    yield from co_wait(req)
-    comm.world.release_request(req)
+    return co_complete(comm, [irecv_view(comm, dst_arr, offset, count,
+                                         source, kind)])
 
 
 def co_complete(comm, requests):
     """Wait on a batch of collective-internal requests, then recycle them.
 
     The algorithm files pair ``isend_view``/``irecv_view`` batches with a
-    single waitall; routing the wait through here returns every request
-    to the world's free list once its round is over.
+    single wait; routing it through here returns every request to the
+    world's free list once its round is over.  It builds no status; the
+    first delivery error in request order still raises.
     """
-    yield from co_waitall(requests)
+    yield from co_settle(requests)
     release = comm.world.release_request
     for req in requests:
         release(req)

@@ -45,6 +45,8 @@ __all__ = ["Communicator", "CoCommunicator"]
 
 #: shared sentinel for zero-copy sends (never read)
 _EMPTY_PAYLOAD = np.zeros(0, dtype=np.uint8)
+#: the buffer of an object receive: the raw bytes land on the request
+_OBJECT = object()
 
 
 class Communicator:
@@ -84,12 +86,21 @@ class Communicator:
     def _world_rank(self, local: int, what: str = "rank") -> int:
         if local == constants.PROC_NULL:
             return constants.PROC_NULL
-        if not 0 <= local < self.group.size:
+        ranks = self.group.ranks
+        if not 0 <= local < len(ranks):
             raise MpiError(
                 constants.ERR_RANK,
-                f"{what} {local} out of range [0,{self.group.size}) in {self.name}",
+                f"{what} {local} out of range [0,{len(ranks)}) in {self.name}",
             )
-        return self.group.world_rank(local)
+        return ranks[local]
+
+    def _caller(self) -> int:
+        """World rank of the calling rank, which must be a member."""
+        me = self.world.current_rank
+        if not self.group.contains(me):
+            raise MpiError(constants.ERR_RANK,
+                           f"rank {me} is not a member of {self.name}")
+        return me
 
     def _source_rank(self, source: int) -> int:
         """World rank of a receive's ``source``; wildcards pass through."""
@@ -127,20 +138,22 @@ class Communicator:
               _ctx: int | None = None, _mode: str = "standard") -> Request:
         """Nonblocking buffered/rendezvous send of a NumPy buffer."""
         self._check()
-        self._check_tag(tag, allow_any=False)
+        if _ctx is None:  # the collective plane's tags are reserved
+            self._check_tag(tag, allow_any=False)
         dst_world = self._world_rank(dest, "destination")
-        me = self.Get_rank()
-        req = self.world.acquire_request("send", self.group.world_rank(me))
+        world = self.world
+        me = self._caller()
+        req = world.acquire_request("send", me)
         if dst_world == constants.PROC_NULL:
             req.finish()
             return req
         spec = resolve(buf)
-        if self.world.config.zero_copy:
+        if world.config.zero_copy:
             data, wire = _EMPTY_PAYLOAD, spec.nbytes
         else:
             data, wire = spec, None
-        self.world.protocol.start_send(
-            src=self.group.world_rank(me),
+        world.protocol.start_send(
+            src=me,
             dst=dst_world,
             tag=tag,
             ctx=self.ctx if _ctx is None else _ctx,
@@ -187,24 +200,24 @@ class Communicator:
     ) -> Request:
         """Nonblocking receive into a NumPy buffer."""
         self._check()
-        self._check_tag(tag, allow_any=True)
-        me_world = self.group.world_rank(self.Get_rank())
-        req = self.world.acquire_request("recv", me_world)
+        if _ctx is None:
+            self._check_tag(tag, allow_any=True)
+        world = self.world
+        me = self._caller()
+        req = world.acquire_request("recv", me)
         if source == constants.PROC_NULL:
             req.finish()
             return req
-        src_world = self._source_rank(source)
-        spec = resolve(buf)
-        self.world.protocol.start_recv(
-            dst=me_world,
-            source=src_world,
+        world.protocol.start_recv(
+            dst=me,
+            source=self._source_rank(source),
             tag=tag,
             ctx=self.ctx if _ctx is None else _ctx,
-            buffer=spec,
+            buffer=None if buf is _OBJECT else resolve(buf),
             request=req,
         )
-        # translate the world-rank source back at completion
-        req.add_completion_hook(lambda: self._localise_source(req))
+        if not self.group.identity:  # report the source as a local rank
+            req.add_completion_hook(lambda: self._localise_source(req))
         return req
 
     def _localise_source(self, req: Request) -> None:
@@ -214,12 +227,11 @@ class Communicator:
     def _co_Send(self, buf: Any, dest: int, tag: int = 0,
                  _mode: str = "standard"):
         """Blocking send (eager below the threshold, rendezvous above)."""
-        # a real generator (not a co_wait pass-through) so the completed
+        # a real generator (not a wait pass-through) so the completed
         # request can go back to the world's free list
         req = self.Isend(buf, dest, tag, _mode=_mode)
-        got = yield from rq.co_wait(req)
+        yield from rq.co_settle([req], "MPI_Wait")
         self.world.release_request(req)
-        return got
 
     def _co_Recv(
         self,
@@ -230,12 +242,9 @@ class Communicator:
     ):
         """Blocking receive."""
         req = self.Irecv(buf, source, tag)
-        got = yield from rq.co_wait(req)
+        yield from rq.co_settle([req], "MPI_Wait")
         if status is not None:
-            status.source = got.source
-            status.tag = got.tag
-            status.error = got.error
-            status.count_bytes = got.count_bytes
+            req.fill_status(status)
         self.world.release_request(req)
 
     def _co_Sendrecv(
@@ -251,12 +260,9 @@ class Communicator:
         """Simultaneous send and receive (deadlock-free by construction)."""
         recv_req = self.Irecv(recvbuf, source, recvtag)
         send_req = self.Isend(sendbuf, dest, sendtag)
-        yield from rq.co_waitall([recv_req, send_req])
+        yield from rq.co_settle([recv_req, send_req])
         if status is not None:
-            got = recv_req.make_status()
-            status.source = got.source
-            status.tag = got.tag
-            status.count_bytes = got.count_bytes
+            recv_req.fill_status(status)
         self.world.release_request(recv_req)
         self.world.release_request(send_req)
 
@@ -268,7 +274,7 @@ class Communicator:
         spin-loops cannot stall the simulated clock.
         """
         self._check()
-        me_world = self.group.world_rank(self.Get_rank())
+        me_world = self._caller()
         src_world = self._source_rank(source)
         message = self.world.protocol.iprobe(me_world, src_world, tag, self.ctx)
         if message is None:
@@ -286,7 +292,7 @@ class Communicator:
                   tag: int = constants.ANY_TAG, status: Status | None = None):
         """MPI_Probe (extension): block until a matching message arrives."""
         self._check()
-        me_world = self.group.world_rank(self.Get_rank())
+        me_world = self._caller()
         src_world = self._source_rank(source)
         message = yield from self.world.protocol.co_probe(
             me_world, src_world, tag, self.ctx
@@ -301,7 +307,7 @@ class Communicator:
     def Send_init(self, buf: Any, dest: int, tag: int = 0) -> PersistentRequest:
         """MPI_Send_init: build a reusable send request (paper list)."""
         self._check()
-        me_world = self.group.world_rank(self.Get_rank())
+        me_world = self._caller()
         return PersistentRequest(
             self.world, "send", me_world, lambda: self.Isend(buf, dest, tag)
         )
@@ -314,7 +320,7 @@ class Communicator:
     ) -> PersistentRequest:
         """MPI_Recv_init: build a reusable receive request."""
         self._check()
-        me_world = self.group.world_rank(self.Get_rank())
+        me_world = self._caller()
         return PersistentRequest(
             self.world, "recv", me_world, lambda: self.Irecv(buf, source, tag)
         )
@@ -328,7 +334,7 @@ class Communicator:
         self._check()
         if _ctx is None:
             self._check_tag(tag, allow_any=False)
-        me_world = self.group.world_rank(self.Get_rank())
+        me_world = self._caller()
         dst_world = self._world_rank(dest, "destination")
         req = self.world.acquire_request("send", me_world)
         if dst_world == constants.PROC_NULL:
@@ -346,37 +352,19 @@ class Communicator:
         _ctx: int | None = None,
     ) -> Request:
         """Object receive; the object comes back from ``wait``-side helpers."""
-        self._check()
-        if _ctx is None:
-            self._check_tag(tag, allow_any=True)
-        me_world = self.group.world_rank(self.Get_rank())
-        req = self.world.acquire_request("recv", me_world)
-        if source == constants.PROC_NULL:
-            req.finish()
-            return req
-        src_world = self._source_rank(source)
-        self.world.protocol.start_recv(
-            dst=me_world, source=src_world, tag=tag,
-            ctx=self.ctx if _ctx is None else _ctx,
-            buffer=None, request=req,
-        )
-        req.add_completion_hook(lambda: self._localise_source(req))
-        return req
+        return self.Irecv(_OBJECT, source, tag, _ctx)
 
     def _co_send(self, obj: Any, dest: int, tag: int = 0):
         req = self.isend(obj, dest, tag)
-        got = yield from rq.co_wait(req)
+        yield from rq.co_settle([req], "MPI_Wait")
         self.world.release_request(req)
-        return got
 
     def _co_recv(self, source: int = constants.ANY_SOURCE,
                  tag: int = constants.ANY_TAG, status: Status | None = None):
         req = self.irecv(source, tag)
-        got = yield from rq.co_wait(req)
+        yield from rq.co_settle([req], "MPI_Wait")
         if status is not None:
-            status.source = got.source
-            status.tag = got.tag
-            status.count_bytes = got.count_bytes
+            req.fill_status(status)
         raw = req.raw_data  # consume before the request goes back to the pool
         self.world.release_request(req)
         return unpack_object(raw) if raw is not None else None
@@ -386,7 +374,7 @@ class Communicator:
                      recvtag: int = constants.ANY_TAG):
         recv_req = self.irecv(source, recvtag)
         send_req = self.isend(obj, dest, sendtag)
-        yield from rq.co_waitall([recv_req, send_req])
+        yield from rq.co_settle([recv_req, send_req])
         raw = recv_req.raw_data
         self.world.release_request(recv_req)
         self.world.release_request(send_req)
@@ -640,7 +628,7 @@ class Communicator:
         colors: dict[str, int] = {}
         for world_rank in self.group.ranks:
             colors.setdefault(label(world_rank), len(colors))
-        return colors[label(self.group.world_rank(self.Get_rank()))]
+        return colors[label(self._caller())]
 
     def Free(self) -> None:
         """MPI_Comm_free: mark unusable (the world forgets it)."""
@@ -685,8 +673,9 @@ def _flushing(co):
     @functools.wraps(co)
     def twin(self, *args, **kwargs):
         gen = co(self, *args, **kwargs)
-        if self.world.has_deferred():
-            return after_flush(self.world, gen)
+        world = self.world
+        if world.deferring and world.has_deferred():
+            return after_flush(world, gen)
         return gen
 
     return twin

@@ -24,7 +24,7 @@ UNEQUAL = 2
 class Group:
     """An immutable ordered set of world ranks."""
 
-    __slots__ = ("ranks", "_index")
+    __slots__ = ("ranks", "_index", "identity")
 
     def __init__(self, ranks: tuple[int, ...] | list[int]):
         ranks = tuple(int(r) for r in ranks)
@@ -34,6 +34,9 @@ class Group:
             raise MpiError(constants.ERR_GROUP, f"negative rank in group: {ranks}")
         self.ranks = ranks
         self._index = {world: local for local, world in enumerate(ranks)}
+        #: every member's local rank is its world rank (a prefix of
+        #: ``COMM_WORLD``), so no rank needs translating
+        self.identity = ranks == tuple(range(len(ranks)))
 
     # -- queries -------------------------------------------------------------------
 

@@ -4,15 +4,14 @@ The paper's ``SMPI_SHARED_MALLOC`` folds identical per-rank *user* arrays
 into one allocation (:mod:`repro.smpi.shared`).  At 10k+ ranks the same
 redundancy appears one layer down: every rank of a folded application
 packs byte-identical message payloads, builds identical buffer
-descriptors ``(count, datatype)``, and carries identical datatype
-signatures.  The pools here extend the folding to that rank state:
+descriptors ``(count, datatype)`` and envelope metadata.  The pools here extend the folding to that rank state:
 values are stored once, handed out by reference, and reference-counted
 so the pool can drop them when the last user releases.
 
 Two pools exist in practice:
 
 * a process-global :class:`InternPool` (:func:`intern_descriptor`,
-  :func:`datatype_signature`) for small immutable metadata, keyed by the
+  :func:`intern_meta`) for small immutable metadata, keyed by the
   metadata tuple itself — these live for the process lifetime and are
   never released;
 * a per-:class:`~repro.smpi.runtime.SmpiWorld` :class:`PayloadPool`
@@ -58,7 +57,6 @@ __all__ = [
     "BufferDescriptor",
     "payload_key",
     "intern_descriptor",
-    "datatype_signature",
 ]
 
 
@@ -133,14 +131,21 @@ class InternPool(_Accounting):
         is what one un-interned copy would cost.  Every acquire takes one
         reference — pair it with :meth:`release`.
         """
-        self.acquires += 1
         entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = _Entry(factory(), nbytes, 0)
-            self._account(nbytes, nbytes)
-        else:
-            self.hits += 1
-            self._account(nbytes, 0)
+        if entry is not None:
+            return self.take(entry, nbytes)
+        self.acquires += 1
+        entry = self._entries[key] = _Entry(factory(), nbytes, 1)
+        self._account(nbytes, nbytes)
+        return entry.value
+
+    def take(self, entry: _Entry, nbytes: int) -> Any:
+        """:meth:`acquire` a live ``entry`` the caller found itself."""
+        self.acquires += 1
+        self.hits += 1
+        self.naive_bytes += nbytes
+        if self._on_account is not None:
+            self._on_account(nbytes, 0)
         entry.refcount += 1
         return entry.value
 
@@ -323,7 +328,7 @@ class BufferDescriptor:
         return self.count * self.type_size
 
 
-#: process-global pool for descriptors and datatype signatures; entries
+#: process-global pool for descriptors and envelope metadata; entries
 #: are tiny immutable records kept for the process lifetime (references
 #: are taken but never released — the folded copies were the point)
 DESCRIPTOR_POOL = InternPool()
@@ -333,16 +338,30 @@ DESCRIPTOR_POOL = InternPool()
 _DESCRIPTOR_COST = 64
 
 
+#: :data:`DESCRIPTOR_POOL` entries by the arguments that built their key,
+#: so a hit builds neither key nor factory.  The descriptor index keeps
+#: its datatypes alive, so it starts over at 4096 entries
+_DESCRIPTORS: dict[tuple, _Entry] = {}
+_METAS: dict[tuple, _Entry] = {}
+
+
 def intern_descriptor(count: int, datatype) -> BufferDescriptor:
     """The interned :class:`BufferDescriptor` for ``(count, datatype)``."""
+    entry = _DESCRIPTORS.get((count, datatype))
+    if entry is not None:
+        return DESCRIPTOR_POOL.take(entry, _DESCRIPTOR_COST)
     key = ("desc", count, datatype.name, datatype.size, datatype.extent)
-    return DESCRIPTOR_POOL.acquire(
+    value = DESCRIPTOR_POOL.acquire(
         key,
         lambda: BufferDescriptor(
             count, datatype.name, datatype.size, datatype.extent
         ),
         _DESCRIPTOR_COST,
     )
+    if len(_DESCRIPTORS) >= 4096:
+        _DESCRIPTORS.clear()
+    _DESCRIPTORS[count, datatype] = DESCRIPTOR_POOL._entries[key]
+    return value
 
 
 def intern_meta(*fields: Hashable) -> tuple:
@@ -353,17 +372,11 @@ def intern_meta(*fields: Hashable) -> tuple:
     of distinct envelopes is tiny compared to the request count, so one
     tuple serves thousands of requests.
     """
+    entry = _METAS.get(fields)
+    if entry is not None:
+        return DESCRIPTOR_POOL.take(entry, _DESCRIPTOR_COST)
     key = ("meta", *fields)
-    return DESCRIPTOR_POOL.acquire(
-        key, lambda: tuple(fields), _DESCRIPTOR_COST
-    )
+    value = DESCRIPTOR_POOL.acquire(key, lambda: fields, _DESCRIPTOR_COST)
+    _METAS[fields] = DESCRIPTOR_POOL._entries[key]
+    return value
 
-
-def datatype_signature(datatype) -> tuple:
-    """The interned (name, size, extent) signature of a datatype."""
-    key = ("dtsig", datatype.name, datatype.size, datatype.extent)
-    return DESCRIPTOR_POOL.acquire(
-        key,
-        lambda: (datatype.name, datatype.size, datatype.extent),
-        _DESCRIPTOR_COST,
-    )

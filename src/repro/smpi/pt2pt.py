@@ -44,9 +44,9 @@ sequential protocol automaton it is.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,10 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Message", "Protocol"]
 
 _log = get_logger("smpi.pt2pt")
-#: fallback allocator for messages built outside a Protocol (tests);
-#: protocol-created messages draw from the per-world sequencer so runs
-#: are reproducible within one process and snapshots can restore it
-_msg_ids = itertools.count()
 
 #: the payload sentinel pooled messages park on between lives
 EMPTY_PAYLOAD = np.zeros(0, dtype=np.uint8)
@@ -89,8 +85,10 @@ class Message:
     #: sender's buffer when ``borrowed``; empty when zero-copy
     data: np.ndarray
     eager: bool
-    wire_bytes: int = -1
-    mid: int = field(default_factory=lambda: next(_msg_ids))
+    wire_bytes: int
+    #: drawn from the world's sequencer, so runs are reproducible within
+    #: one process and snapshots can restore it
+    mid: int
     send_req: Request | None = None
     recv_req: Request | None = None
     #: set when the wire transfer has finished
@@ -120,21 +118,9 @@ class Message:
     #: when the send completes: only delivery may read it
     borrowed: bool = False
 
-    def __post_init__(self) -> None:
-        if self.wire_bytes < 0:
-            self.wire_bytes = int(self.data.size)
-
     @property
     def nbytes(self) -> int:
         return self.wire_bytes
-
-    def matches(self, source: int, tag: int) -> bool:
-        """Does this message satisfy a recv posted for (source, tag)?"""
-        if source != constants.ANY_SOURCE and source != self.src:
-            return False
-        if tag != constants.ANY_TAG and tag != self.tag:
-            return False
-        return True
 
 
 @dataclass(slots=True)
@@ -204,11 +190,7 @@ class Protocol:
         pool = self._recv_pool
         if pool:
             recv = pool.pop()
-            recv.source = source
-            recv.tag = tag
-            recv.ctx = ctx
-            recv.request = request
-            recv.buffer = buffer
+            _PostedRecv.__init__(recv, source, tag, ctx, request, buffer)
             self._stats.pooled_reuses += 1
             return recv
         return _PostedRecv(source, tag, ctx, request, buffer)
@@ -277,31 +259,32 @@ class Protocol:
             borrowed = data is not None
             if not borrowed:
                 data = spec.pack()
-        if self.world.has_deferred():
+        world = self.world
+        if world.deferring and world.has_deferred():
             # only plain calls arrive with deferred compute: the blocking
             # twins charge it on the generator path before calling in
-            self.world.flush_deferred()
-        if dst in self.world.dead_ranks:
+            world.flush_deferred()
+        if dst in world.dead_ranks:
             raise MpiError(
                 constants.ERR_PROC_FAILED,
                 f"cannot send to rank {dst}: peer is dead (host failure)",
             )
         request.meta = intern_meta("send", tag, ctx, nbytes, eager)
         entry: PayloadEntry | None = None
-        pool = getattr(self.world, "payload_pool", None)
-        if pool is not None and cfg.payload_interning and data.size:
+        if cfg.payload_interning and data.size:
             # Fold byte-identical payloads: the array becomes pool-owned
             # and read-only (receivers only copy out of it), so 10k ranks
             # sending the same panel share one copy.  A borrowed view
             # stays borrowed until a second message folds onto it.
-            entry = pool.acquire(payload_key(data), data, borrowed)
+            entry = world.payload_pool.acquire(payload_key(data), data,
+                                               borrowed)
             data = entry.value
             borrowed = entry.borrowed
-        message = self.world.acquire_message(
+        message = world.acquire_message(
             src, dst, tag, ctx, data, eager, nbytes, request, entry,
             borrowed)
-        if self.world.recorder is not None:
-            request.trace_id = self.world.recorder.send(src, dst, nbytes, tag, ctx)
+        if world.recorder is not None:
+            request.trace_id = world.recorder.send(src, dst, nbytes, tag, ctx)
         request.message = message
         request.source = src
         request.tag = tag
@@ -314,7 +297,8 @@ class Protocol:
             self._start_transfer(message, handshake=not eager)
         else:
             unexpected.push(message)
-            self._wake_probers(ctx, dst)
+            if self._probe_waiters:
+                self._wake_probers(ctx, dst)
             if eager:
                 # buffered mode: bytes start flowing immediately
                 self._start_transfer(message, handshake=False)
@@ -332,16 +316,17 @@ class Protocol:
         request: Request,
     ) -> None:
         """Post a receive; matches an unexpected message or queues up."""
-        if self.world.has_deferred():  # see start_send
-            self.world.flush_deferred()
-        if source != constants.ANY_SOURCE and source in self.world.dead_ranks:
+        world = self.world
+        if world.deferring and world.has_deferred():  # see start_send
+            world.flush_deferred()
+        if source != constants.ANY_SOURCE and source in world.dead_ranks:
             raise MpiError(
                 constants.ERR_PROC_FAILED,
                 f"cannot receive from rank {source}: peer is dead "
                 f"(host failure)",
             )
-        if self.world.recorder is not None:
-            request.trace_id = self.world.recorder.recv(dst, source, tag, ctx)
+        if world.recorder is not None:
+            request.trace_id = world.recorder.recv(dst, source, tag, ctx)
         request.meta = intern_meta(
             "recv", tag, ctx,
             -1 if buffer is None else buffer.descriptor.nbytes,
@@ -412,9 +397,7 @@ class Protocol:
         """Drop the message's pool reference once its payload was consumed."""
         entry, message.payload_key = message.payload_key, None
         if entry is not None:
-            pool = getattr(self.world, "payload_pool", None)
-            if pool is not None:
-                pool.release(entry)
+            self.world.payload_pool.release(entry)
 
     def _close_message(self, message: Message) -> None:
         """Terminal point of a message's life: detach and recycle.
@@ -424,7 +407,8 @@ class Protocol:
         safe — nothing reads it after completion — and required: a
         recycled envelope must not be reachable from old handles.
         """
-        self._release_payload(message)
+        if message.payload_key is not None:
+            self._release_payload(message)
         message.closed = True
         send_req, recv_req = message.send_req, message.recv_req
         if send_req is not None and send_req.complete \
@@ -447,22 +431,26 @@ class Protocol:
     def _start_transfer(self, message: Message, handshake: bool) -> None:
         world = self.world
         cfg = world.config
-        src_host = world.host_of(message.src)
-        dst_host = world.host_of(message.dst)
+        hosts = world.rank_hosts
+        src_host = hosts[message.src]
+        dst_host = hosts[message.dst]
+        nbytes = message.wire_bytes
         extra = cfg.send_overhead + cfg.recv_overhead
-        route = world.engine.platform.route(src_host, dst_host)
+        rate_cap = math.inf
+        if handshake or cfg.wire_efficiency < 1.0:
+            # only these read the route; the engine resolves it anyway
+            route = world.engine.platform.route(src_host, dst_host)
+            if cfg.wire_efficiency < 1.0 and route.links:
+                rate_cap = cfg.wire_efficiency * route.bandwidth
         if message.eager:
             # buffered mode pays extra copies proportional to the payload
-            extra += message.nbytes / cfg.eager_copy_bandwidth
+            extra += nbytes / cfg.eager_copy_bandwidth
         elif handshake:
             extra += cfg.handshake_rtts * 2.0 * route.latency
-        rate_cap = math.inf
-        if cfg.wire_efficiency < 1.0 and route.links:
-            rate_cap = cfg.wire_efficiency * route.bandwidth
         activity = world.scheduler.communicate(
             src_host,
             dst_host,
-            max(message.nbytes, 1),
+            max(nbytes, 1),
             name=f"msg-{message.mid}:{message.src}->{message.dst}",
             extra_latency=extra,
             rate_cap=rate_cap,
@@ -477,7 +465,8 @@ class Protocol:
         if activity.done:
             self._on_transfer_done(message)
         else:
-            activity.callbacks.append(lambda: self._on_transfer_done(message))
+            activity.callbacks.append(
+                functools.partial(self._on_transfer_done, message))
 
     def _arm_timeout(self, message: Message, activity, timeout: float) -> None:
         """Cancel the attempt if it is still in flight after ``timeout``."""
@@ -494,25 +483,16 @@ class Protocol:
         # fire_on_cancel=False: disarming (cancelling the sleep) must also
         # suppress the callback, so a watchdog cancelled at completion time
         # can never expire a later attempt's activity
-        try:
-            message.watchdog = at(engine.now + timeout, expire,
-                                  fire_on_cancel=False)
-        except TypeError:  # duck-typed engines with a 2-arg ``at``
-            message.watchdog = at(engine.now + timeout, expire)
-
-    def _disarm_timeout(self, message: Message) -> None:
-        """Cancel a still-pending ``comm_timeout`` watchdog, if any."""
-        watchdog = message.watchdog
-        if watchdog is None:
-            return
-        message.watchdog = None
-        engine = self.world.scheduler.engine
-        cancel = getattr(engine, "cancel", None)
-        if cancel is not None and getattr(watchdog, "is_pending", False):
-            cancel(watchdog)
+        message.watchdog = at(engine.now + timeout, expire,
+                              fire_on_cancel=False)
 
     def _on_transfer_done(self, message: Message) -> None:
-        self._disarm_timeout(message)
+        watchdog = message.watchdog
+        if watchdog is not None:  # cancel a still-pending comm_timeout
+            message.watchdog = None
+            cancel = getattr(self.world.scheduler.engine, "cancel", None)
+            if cancel is not None and getattr(watchdog, "is_pending", False):
+                cancel(watchdog)
         transfer = message.transfer
         if transfer is not None and getattr(transfer, "failed", False):
             self._on_transfer_failed(message)
@@ -639,7 +619,8 @@ class Protocol:
         finally:
             # buffered deliveries copied the bytes out; raw-data receives
             # hold their own array reference, so the pool ref can drop
-            self._release_payload(message)
-        request.received_bytes = message.nbytes
+            if message.payload_key is not None:
+                self._release_payload(message)
+        request.received_bytes = message.wire_bytes
         request.finish()
         self._close_message(message)

@@ -43,6 +43,7 @@ __all__ = [
     "co_wait",
     "co_test",
     "co_waitall",
+    "co_settle",
     "co_testall",
     "co_waitany",
     "co_testany",
@@ -141,6 +142,11 @@ class Request:
             cancelled=self.cancelled,
         )
 
+    def fill_status(self, status: Status) -> None:
+        """Write a completed receive's envelope into a caller's ``status``."""
+        status.source, status.tag = self.source, self.tag
+        status.error, status.count_bytes = constants.SUCCESS, self.received_bytes
+
     def cancel(self) -> None:
         """MPI_Cancel: only not-yet-matched receives can be cancelled."""
         if self.complete or self.is_null:
@@ -223,17 +229,12 @@ class PersistentRequest(Request):
 
 def _record_wait(requests: list[Request]) -> None:
     """Append a wait dependency to the TI trace, if one is being recorded."""
-    traced = [
-        r for r in requests
-        if r.world is not None and r.trace_id is not None
-    ]
-    if not traced:
-        return
-    world = traced[0].world
-    if world.recorder is not None:
-        world.recorder.wait(
-            world.current_rank, [r.trace_id for r in traced]
-        )
+    for req in requests:
+        if req.trace_id is not None:  # stamped only while recording
+            world = req.world
+            world.recorder.wait(world.current_rank, [
+                r.trace_id for r in requests if r.trace_id is not None])
+            return
 
 
 def _world_of(requests: list[Request]) -> "SmpiWorld":
@@ -266,14 +267,7 @@ def _describe_requests(requests: list[Request]) -> str:
 
 def co_wait(request: Request):
     """Generator twin of :func:`wait` (canonical implementation)."""
-    _record_wait([request])
-    if request.is_null or request.complete:
-        return request.make_status()
-    assert request.world is not None
-    actor = request.world.current_actor
-    yield from actor.co_wait_for(
-        lambda: request.complete,
-        reason=lambda: f"in MPI_Wait: {_describe_requests([request])}")
+    yield from co_settle([request], "MPI_Wait")
     return request.make_status()
 
 
@@ -294,15 +288,38 @@ def co_test(request: Request):
     return False, None
 
 
+def co_settle(requests: list[Request], call: str = "MPI_Waitall"):
+    """Wait until every request completes, building no status.
+
+    The body of :func:`co_wait` and :func:`co_waitall`, and the whole wait
+    of a caller that reads no status (a collective round, a trace
+    replay).  The first delivery error in request order still raises.
+    Completion is monotone, so waiting for each request in turn suspends
+    exactly when one is still pending.  ``call`` names the wait in a
+    deadlock report.
+    """
+    _record_wait(requests)
+    actor = None
+    try:
+        for req in requests:
+            while not req.complete:
+                if actor is None:
+                    actor = req.world.current_actor
+                    actor.waiting_reason = lambda: f"in {call}: " + \
+                        _describe_requests([r for r in requests
+                                            if not r.complete])
+                yield from actor.co_suspend()
+    finally:
+        if actor is not None:
+            actor.waiting_reason = None
+    for req in requests:
+        if req.error_exc is not None:
+            raise req.error_exc
+
+
 def co_waitall(requests: list[Request]):
     """Generator twin of :func:`waitall` (canonical implementation)."""
-    _record_wait(requests)
-    live = [r for r in requests if not r.is_null and not r.complete]
-    if live:
-        actor = _world_of(live).current_actor
-        yield from actor.co_wait_for(
-            lambda: all(r.complete for r in live),
-            reason=lambda: f"in MPI_Waitall: {_describe_requests(live)}")
+    yield from co_settle(requests)
     return [r.make_status() for r in requests]
 
 

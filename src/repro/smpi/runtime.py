@@ -123,6 +123,9 @@ class SmpiWorld:
         #: per-rank compute time accumulated by bypassed sample sites,
         #: flushed into one engine action at the next observable point
         self._deferred_flops = [0.0] * n_ranks
+        #: how many ranks hold deferred compute: while none does, the
+        #: protocol's flush check is this one attribute test
+        self.deferring = 0
         self._next_ctx = 0
         self._filesystem = None
         self._comm_cache: dict[tuple, Communicator] = {}
@@ -260,35 +263,17 @@ class SmpiWorld:
         borrowed: bool = False,
     ) -> Message:
         """A fresh-or-recycled :class:`Message` with a fresh ``mid``."""
+        fields = (src, dst, tag, ctx, data, eager, wire_bytes,
+                  next(self.msg_seq), send_req)
         pool = self._message_pool
         if pool:
             message = pool.pop()
-            message.src = src
-            message.dst = dst
-            message.tag = tag
-            message.ctx = ctx
-            message.data = data
-            message.eager = eager
-            message.wire_bytes = wire_bytes
-            message.mid = next(self.msg_seq)
-            message.send_req = send_req
-            message.recv_req = None
-            message.delivered = False
-            message.transfer = None
-            message.attempts = 0
-            message.timed_out = False
-            message.watchdog = None
-            message.handshake = False
-            message.payload_key = payload_key
-            message.closed = False
-            message.probed = False
-            message.borrowed = borrowed
+            # the dataclass __init__ sets every field, defaults included
+            Message.__init__(message, *fields, payload_key=payload_key,
+                             borrowed=borrowed)
             self.engine.stats.pooled_reuses += 1
             return message
-        return Message(src, dst, tag, ctx, data, eager,
-                       wire_bytes=wire_bytes, send_req=send_req,
-                       payload_key=payload_key, mid=next(self.msg_seq),
-                       borrowed=borrowed)
+        return Message(*fields, payload_key=payload_key, borrowed=borrowed)
 
     def release_message(self, message: Message) -> None:
         """Recycle a closed message (protocol-internal terminal point)."""
@@ -385,7 +370,10 @@ class SmpiWorld:
         message, wtime, sleep, or rank completion).
         """
         if flops > 0:
-            self._deferred_flops[self.current_rank] += flops
+            rank = self.current_rank
+            if not self._deferred_flops[rank]:
+                self.deferring += 1
+            self._deferred_flops[rank] += flops
 
     def has_deferred(self) -> bool:
         """Does the calling rank hold deferred compute?  (No generator.)"""
@@ -397,6 +385,7 @@ class SmpiWorld:
         amount = self._deferred_flops[rank]
         if amount > 0:
             self._deferred_flops[rank] = 0.0
+            self.deferring -= 1
             yield from self.co_execute_flops(amount)
 
     def co_execute_flops(self, flops: float):

@@ -241,6 +241,9 @@ class Engine:
         self._heap: list[tuple[float, int, int, Action]] = []
         #: actions that reached DONE/FAILED and await observer delivery
         self._finished: list[Action] = []
+        #: (completion-heap top, profile-heap top, date) of the last
+        #: :meth:`next_deadline`, for the :meth:`step` right after it
+        self._peeked: tuple | None = None
         #: actions that entered RUNNING since the last share (to enroll)
         self._newly_running: list[Action] = []
         #: actions that left RUNNING since the last share (to retire)
@@ -514,7 +517,10 @@ class Engine:
             stats.heap_pops += stale
             stats.stale_heap_entries += stale
         if heap:
-            return horizon if horizon < deadline else deadline
+            date = horizon if horizon < deadline else deadline
+            profiles = self._profile_heap
+            self._peeked = (heap[0], profiles[0] if profiles else None, date)
+            return date
         return self._stalled_horizon(horizon)
 
     def _stalled_horizon(self, horizon: float) -> float:
@@ -572,9 +578,19 @@ class Engine:
             return self._harvest()
         if not self.pending:
             return []
-        date = self.next_deadline()
-        if math.isinf(date):
-            raise self._stalled_error()
+        # the scheduler peeks (poll_progress) right before each step: its
+        # date stands while no share is due and both heap tops are the
+        # same entries, the completion one still live
+        peeked, self._peeked = self._peeked, None
+        heap, profiles = self._heap, self._profile_heap
+        if (peeked is not None and not self._needs_share and heap
+                and peeked[0] is heap[0] and heap[0][2] == heap[0][3].epoch
+                and peeked[1] is (profiles[0] if profiles else None)):
+            date = peeked[2]
+        else:
+            date = self.next_deadline()
+            if math.isinf(date):
+                raise self._stalled_error()
         self._advance_to(date)
         return self._harvest()
 

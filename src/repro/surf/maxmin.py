@@ -379,7 +379,7 @@ class IncrementalMaxMin:
         # constraint records a departure left that no component solve may
         # reach: every FATPIPE one, and shared ones whose flow set drained
         # (insertion-ordered).  solve_dirty() sums their usage again and
-        # garbage-collects the ones still empty
+        # resets the ones still empty
         self._released: dict = {}
         # shared constraint records whose weight sum a departure left
         # stale (insertion-ordered); solve_dirty() sums each once
@@ -594,8 +594,8 @@ class IncrementalMaxMin:
             self._rewalk([comp])
 
     def has_constraint(self, key) -> bool:
-        """Whether the resource ``key`` is registered as a constraint now
-        (a constraint its last flow left is forgotten at the next solve)."""
+        """Whether the resource ``key`` is registered as a constraint
+        (registrations last; a drained one holds no flow)."""
         return key in self._cons
 
     # -- snapshot/restore support ---------------------------------------------
@@ -677,9 +677,9 @@ class IncrementalMaxMin:
         Components are solved in the ``seq`` order of the first dirty
         flow, or flow of a dirty constraint, each holds.  Sets :attr:`last_components` /
         :attr:`last_flows_solved` / :attr:`last_rate_changed` /
-        :attr:`last_fill_rounds`.  Also garbage-collects constraints whose
-        flow set drained since the last solve, so solver memory stays
-        bounded under activity churn.
+        :attr:`last_fill_rounds`.  Also resets the constraints whose flow
+        set drained since the last solve, so solver memory stays bounded
+        by the resources ever used, however much activity churns.
         """
         self.last_components = 0
         self.last_flows_solved = 0
@@ -727,9 +727,10 @@ class IncrementalMaxMin:
         (no component solve summed it) is summed again: a drained one
         falls to its idle 0, a FATPIPE one drops to the flows it has left.
         This is the one place a constraint falls idle, shared or FATPIPE
-        alike.  A record still empty is then forgotten with its usage; a
-        later :meth:`ensure_constraint` with the same key registers a
-        fresh one.
+        alike.  A record still empty stays registered, reset as a fresh
+        one, so the next flow over it needs no :meth:`ensure_constraint`.
+        Its flow set is a new one, since :meth:`_usage_of` sums in set
+        order and a set that held more keys may iterate in another.
         """
         track = self._track_usage
         for record in self._released:
@@ -738,7 +739,8 @@ class IncrementalMaxMin:
                 record.usage = usage = self._usage_of(record)
                 self.last_usage.append((record, usage))
             if not record.flows:
-                del self._cons[record.key]
+                record.__init__(record.key, record.name, record.capacity,
+                                record.shared, record.kind)
         self._released.clear()
 
     def _merge(self, comps: list) -> _Component:

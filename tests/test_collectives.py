@@ -609,3 +609,49 @@ class TestSchedules:
 from repro.errors import ActorFailure, ConfigError  # noqa: E402
 
 ActorOrConfigError = (ActorFailure, ConfigError)
+
+
+class TestErrorsInsideCollectives:
+    """A collective's rounds build no status, but a failed message still
+    raises in the rank that waits on it."""
+
+    RING = {"allreduce": "ring"}
+
+    def test_truncation_raises(self):
+        from repro.errors import MpiError
+        from repro.smpi.constants import ERR_TRUNCATE
+
+        def app(mpi, _elems):
+            # rank 0's blocks hold 4 elements, rank 1's hold 2: rank 1's
+            # first receive overflows
+            n = 8 if mpi.rank == 0 else 4
+            mpi.COMM_WORLD.Allreduce(np.ones(n), np.zeros(n))
+
+        with pytest.raises(ActorFailure) as info:
+            run_coll(app, 2, self.RING)
+        cause = info.value.__cause__
+        assert isinstance(cause, MpiError) and cause.code == ERR_TRUNCATE
+
+    def test_dead_peer_raises(self):
+        from repro.errors import MpiError
+        from repro.smpi.constants import ERR_PROC_FAILED
+        from repro.surf import Engine
+
+        platform = cluster("coll-dead", 2)
+        engine = Engine(platform)
+        engine.at(1e-3, lambda: engine.fail_resource(platform.host("node-1")))
+
+        def app(mpi):
+            if mpi.rank == 1:
+                mpi.execute(1e12)  # dies at t=1e-3, inside the compute
+                return "unreachable"
+            try:  # its receive from rank 1 is posted before the failure
+                mpi.COMM_WORLD.Allreduce(np.ones(4), np.zeros(4))
+            except MpiError as exc:
+                return exc.code
+            return "reduced?"
+
+        config = SmpiConfig(coll_algorithms=self.RING,
+                            on_host_down="kill-rank")
+        result = smpirun(app, 2, platform, engine=engine, config=config)
+        assert result.returns == [ERR_PROC_FAILED, None]

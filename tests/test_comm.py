@@ -119,6 +119,36 @@ class TestCreateAndSplit:
         result = run_app(app, 4)
         assert result.returns == [3, 2, 1, 0]
 
+    def test_irecv_reports_local_sources(self, run_app):
+        """World ranks travel on the wire.  A receive on a communicator
+        whose local ranks differ from the world's reports the local rank;
+        one on an identity group (local rank = world rank) needs no
+        translation and reports the same number."""
+        from repro.smpi import request as rq
+
+        def app(mpi):
+            # key=-rank reverses each parity pair: local 0 is world 2 or 3
+            sub = mpi.COMM_WORLD.Split(color=mpi.rank % 2, key=-mpi.rank)
+            whole = mpi.COMM_WORLD.Split(color=0, key=mpi.rank)
+            sources = []
+            for comm in (sub, whole):
+                me, size = comm.Get_rank(), comm.Get_size()
+                buffers = [comm.Irecv(np.zeros(1), constants.ANY_SOURCE, 5),
+                           comm.Isend(np.zeros(1), (me + 1) % size, 5)]
+                objects = [comm.irecv(constants.ANY_SOURCE, 6),
+                           comm.isend(me, (me + 1) % size, 6)]
+                sources += [rq.waitall(buffers)[0].source,
+                            rq.waitall(objects)[0].source]
+            return sources, sub.group.identity, whole.group.identity
+
+        result = run_app(app, 4)
+        for rank, (sources, sub_identity, whole_identity) in \
+                enumerate(result.returns):
+            sub_left = rank // 2  # the other member of the reversed pair
+            left = (rank - 1) % 4
+            assert sources == [sub_left, sub_left, left, left]
+            assert (sub_identity, whole_identity) == (False, True)
+
     def test_split_undefined_opts_out(self, run_app):
         def app(mpi):
             color = 0 if mpi.rank < 2 else constants.UNDEFINED

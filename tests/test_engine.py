@@ -494,6 +494,39 @@ class TestLazyUpdates:
         engine.run()
         assert not engine.poll_progress()
 
+    def test_step_reuses_the_date_peeked_before_it(self, monkeypatch):
+        engine = Engine(self._platform("pk"))
+        engine.sleep(0.5)
+        engine.sleep(0.25)
+        peeks = []
+        peek = Engine.next_deadline
+        monkeypatch.setattr(Engine, "next_deadline",
+                            lambda self: peeks.append(1) or peek(self))
+        while engine.poll_progress():  # the scheduler's loop
+            engine.step()
+        assert len(peeks) == 2  # one per step: the poll's
+        assert engine.now == 0.5
+
+    def test_step_peeks_again_after_a_change(self):
+        engine = Engine(self._platform("pc"))
+        engine.sleep(0.5)
+        assert engine.poll_progress()
+        early = engine.sleep(0.125)  # a new, earlier heap top
+        engine.step()
+        assert engine.now == 0.125 and early.state is ActionState.DONE
+        assert engine.poll_progress()
+        engine.communicate("node-0", "node-1", 1000)  # a share is due
+        engine.step()
+        assert engine.now < 0.5
+        # the peeked top dies and nothing pops it before the step
+        late = engine.sleep(0.25)
+        assert engine.poll_progress()
+        engine.cancel(engine._heap[0][3])
+        engine.share_resources()
+        engine.step()  # delivers the cancellation
+        engine.step()
+        assert engine.now < 0.5 and late.state is ActionState.DONE
+
     def test_link_samples_stay_in_sync_after_idle_shares(self):
         # regression: the counter used to be refreshed only when the
         # solver re-solved something, so shares where every component was

@@ -475,19 +475,32 @@ class TestIncrementalMaxMin:
         inc.remove_flow("never-added", strict=False)
         assert solved_flows(inc) == set()
 
-    def test_drained_constraints_are_garbage_collected(self):
+    def test_drained_constraints_stay_registered_and_empty(self):
         inc = self._solver()
+        inc.track_usage = True
         inc.ensure_constraint("c0", 100.0)
-        inc.ensure_constraint("c1", 50.0)
+        inc.ensure_constraint("c1", 50.0, shared=False)
         inc.add_flow("f0", ["c0", "c1"])
         inc.solve_dirty()
-        assert len(inc._cons) == 2
+        assert inc.usage("c0") == 50.0
+        flow_sets = {key: inc._cons[key].flows for key in ("c0", "c1")}
         inc.remove_flow("f0")
         inc.solve_dirty()
-        # both constraints drained with the flow: records and usage gone
-        assert len(inc._cons) == 0
-        assert not inc.has_constraint("c0")
-        assert inc.usage("c0") == 0.0
+        # both drained with the flow: kept, and reset as fresh ones
+        assert len(inc._cons) == 2
+        for key in ("c0", "c1"):
+            record = inc._cons[key]
+            assert inc.has_constraint(key)
+            assert record.flows == set() and record.members == {}
+            # a new set: _usage_of sums in set order
+            assert record.flows is not flow_sets[key]
+            assert record.wsum == 0.0 and record.touched
+            assert inc.usage(key) == 0.0
+        # the next flow over them needs no registration
+        inc.add_flow("f1", ["c0", "c1"])
+        inc.solve_dirty()
+        assert inc.rate("f1") == 50.0
+        assert inc.usage("c0") == 50.0
 
     def test_gc_spares_repopulated_and_updated_constraints(self):
         inc = self._solver()
@@ -507,8 +520,8 @@ class TestIncrementalMaxMin:
         inc.add_flow("f0", ["c0"])
         inc.solve_dirty()
         inc.remove_flow("f0")
-        inc.solve_dirty()  # garbage-collects c0
-        # the engine's enrollment path: re-ensure, then add
+        inc.solve_dirty()  # drains c0: kept, emptied
+        # re-registering updates the kept record's capacity
         inc.ensure_constraint("c0", 80.0)
         inc.add_flow("f1", ["c0"])
         inc.solve_dirty()
@@ -658,8 +671,8 @@ def _random_incremental_trace(gen, n_cons=6, n_events=40):
             cids = tuple(sorted(gen.choice(n_cons, size=k, replace=False).tolist()))
             bound = math.inf if gen.random() < 0.5 else float(gen.uniform(1, 500))
             weight = float(gen.uniform(0.5, 3.0))
-            # re-registration path: drained constraints are garbage-collected
-            # by solve_dirty, so (like the engine) re-ensure before enrolling
+            # registration path: a held constraint at the same capacity
+            # is left as is, a drained one is still held
             for cid in cids:
                 inc.ensure_constraint(cid, capacities[cid], shared=shared[cid])
             inc.add_flow(next_id, cids, bound=bound, weight=weight)

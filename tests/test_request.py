@@ -162,6 +162,35 @@ class TestNonblocking:
         assert run_app(app, 2).returns[0] is True
 
 
+class TestLeanPath:
+    """What the collectives' message path relies on."""
+
+    def test_resolve_returns_a_spec_as_is(self):
+        from repro.smpi.buffer import BufferSpec, resolve
+        from repro.smpi.datatype import DOUBLE
+
+        spec = BufferSpec(np.zeros(4), 3, DOUBLE)
+        assert resolve(spec) is spec
+        built = resolve([spec.array, 3])
+        assert (built.array, built.count, built.datatype) == \
+            (spec.array, 3, DOUBLE)
+
+    def test_settle_raises_the_first_error_in_request_order(self, monkeypatch):
+        def no_status(_req):
+            raise AssertionError("settling builds no status")
+
+        monkeypatch.setattr(rq.Request, "make_status", no_status)
+        reqs = [rq.Request(None, "send", 0) for _ in range(3)]
+        for req in reqs:
+            req.finish()
+        first, second = (RuntimeError("first"), RuntimeError("second"))
+        reqs[1].error_exc, reqs[2].error_exc = first, second
+        with pytest.raises(RuntimeError) as info:
+            list(rq.co_settle(reqs))
+        assert info.value is first
+        assert list(rq.co_settle(reqs[:1])) == []
+
+
 class TestPersistent:
     def test_send_recv_init_start_roundtrips(self, run_app):
         def app(mpi):

@@ -176,6 +176,46 @@ class TestSharedMalloc:
         assert result.returns[0] == []
 
 
+class TestDeferredFlush:
+    """Compute deferred by bypassed sample sites is charged before the
+    rank's next message leaves or is posted."""
+
+    def test_flushed_before_a_send_and_before_a_receive(self, run_app):
+        from repro.smpi import request as rq
+
+        def app(mpi):
+            world = mpi._world
+            comm = mpi.COMM_WORLD
+            world.defer_flops(1e9)  # 1 s on the 1 Gf test hosts
+            assert world.deferring
+            if mpi.rank == 0:
+                req = comm.Isend(np.ones(4), 1, 0)
+            else:
+                req = comm.Irecv(np.zeros(4), 0, 0)
+            charged = world.engine.now  # the flush ran inside the call
+            rq.wait(req)
+            return charged, world.has_deferred(), world.deferring
+
+        for charged, held, deferring in run_app(app, 2).returns:
+            assert charged == pytest.approx(1.0)
+            assert not held and deferring == 0
+
+    def test_flushed_before_a_blocking_call_on_a_generator_rank(self, run_app):
+        def app(mpi):
+            world = mpi._world
+            comm = mpi.COMM_WORLD
+            world.defer_flops(1e9)
+            start = world.engine.now
+            if mpi.rank == 0:
+                yield from comm.co.Send(np.ones(4), 1, 0)
+            else:
+                yield from comm.co.Recv(np.zeros(4), 0, 0)
+            return start, world.engine.now
+
+        for start, end in run_app(app, 2).returns:
+            assert start == 0.0 and end > 1.0
+
+
 class TestMemoryTracker:
     def test_peaks_track_high_water_mark(self):
         tracker = MemoryTracker(2)

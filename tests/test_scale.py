@@ -95,6 +95,30 @@ class TestInternPool:
         t2 = intern_meta("send", 7, 0, 1024)
         assert t1 is t2
 
+    def test_interning_hits_keep_the_pool_accounting(self):
+        from repro.smpi.datatype import DOUBLE
+        from repro.smpi.intern import (
+            _DESCRIPTOR_COST,
+            DESCRIPTOR_POOL,
+            intern_descriptor,
+        )
+
+        for intern, args, key in (
+                (intern_meta, ("recv", 11, 3, 96), ("meta", "recv", 11, 3, 96)),
+                (intern_descriptor, (12, DOUBLE),
+                 ("desc", 12, DOUBLE.name, DOUBLE.size, DOUBLE.extent))):
+            first = intern(*args)
+            before = DESCRIPTOR_POOL.stats()
+            refs = DESCRIPTOR_POOL.refcount(key)
+            assert intern(*args) is first and intern(*args) is first
+            after = DESCRIPTOR_POOL.stats()
+            assert after["acquires"] - before["acquires"] == 2
+            assert after["hits"] - before["hits"] == 2
+            assert after["naive_bytes"] - before["naive_bytes"] \
+                == 2 * _DESCRIPTOR_COST
+            assert after["stored_bytes"] == before["stored_bytes"]
+            assert DESCRIPTOR_POOL.refcount(key) == refs + 2
+
 
 class TestSharedHeapRefcounting:
     def _world(self, n=4):

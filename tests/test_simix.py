@@ -187,6 +187,28 @@ class TestActivities:
         sched.run()
         assert actor.result == pytest.approx(0.5)
 
+    def test_finished_activities_need_no_cycle_collector(self):
+        """A fired observer is dropped, so no action<->activity cycle is
+        left: reference counting alone frees a finished activity."""
+        import gc
+        import weakref
+        from types import SimpleNamespace
+
+        sched = make_scheduler()
+        engine = sched.engine
+        comm = sched.communicate("node-0", "node-1", 1000, "t")
+        owner = SimpleNamespace(host=engine.platform.host("node-2"))
+        burst = sched.execute(owner, 1e6, "x")
+        refs = [weakref.ref(comm), weakref.ref(burst)]
+        del comm, burst
+        gc.disable()
+        try:
+            while engine.busy:
+                engine.step()
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_activity_callbacks_fire_before_wakeup(self):
         sched = make_scheduler()
         events = []
