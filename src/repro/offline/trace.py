@@ -17,6 +17,13 @@ Event kinds:
 
 Ranks and contexts are world-level (the trace flattens communicators the
 way real MPI tracing tools do).
+
+A loaded trace holds one small object per event: :class:`TiEvent` has
+slots, no ``__dict__``, and :meth:`TiEvent.from_json` stores the
+canonical :data:`KINDS` string instead of the one the JSON decoder made
+for that row.  :meth:`TiTrace.save` writes the document rank by rank, so
+the whole trace never exists twice in memory (as row lists plus one
+string); the bytes are those of :meth:`TiTrace.to_json`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ..errors import ConfigError
 
@@ -32,9 +39,11 @@ __all__ = ["TiEvent", "TiTrace"]
 
 #: canonical event kinds
 KINDS = ("compute", "send", "recv", "wait")
+#: a decoded kind string -> the :data:`KINDS` object equal to it
+_CANONICAL = {kind: kind for kind in KINDS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TiEvent:
     """One trace event; ``args`` depends on ``kind`` (see module doc)."""
 
@@ -55,7 +64,7 @@ class TiEvent:
         kind, *args = row
         if kind == "wait":
             args = (list(args[0]),)
-        return cls(kind, tuple(args))
+        return cls(_CANONICAL.get(kind, kind), tuple(args))
 
 
 @dataclass
@@ -109,19 +118,24 @@ class TiTrace:
 
     # -- (de)serialisation ----------------------------------------------------------------
 
+    def _json_chunks(self) -> Iterator[str]:
+        """The :meth:`to_json` document in pieces: a head, one piece per
+        rank (with its separator), and the closing brackets."""
+        head = json.dumps({
+            "format": "repro-ti-trace-1",
+            "n_ranks": self.n_ranks,
+            "meta": self.meta,
+            "events": [],
+        })
+        yield head[:-2]  # drop the empty list's "]" and the closing "}"
+        for rank, rank_events in enumerate(self.events):
+            rows = json.dumps([e.to_json() for e in rank_events])
+            yield f", {rows}" if rank else rows
+        yield "]}"
+
     def to_json(self) -> str:
         """Serialise to the versioned ``repro-ti-trace-1`` JSON document."""
-        return json.dumps(
-            {
-                "format": "repro-ti-trace-1",
-                "n_ranks": self.n_ranks,
-                "meta": self.meta,
-                "events": [
-                    [e.to_json() for e in rank_events]
-                    for rank_events in self.events
-                ],
-            }
-        )
+        return "".join(self._json_chunks())
 
     @classmethod
     def from_json(cls, text: str) -> "TiTrace":
@@ -140,8 +154,18 @@ class TiTrace:
         return trace
 
     def save(self, path: str | Path) -> None:
-        """Write the JSON document to ``path``."""
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        """Write the :meth:`to_json` document to ``path``, rank by rank.
+
+        A save that fails (a ``meta`` or an event JSON cannot encode)
+        leaves no partial file behind.
+        """
+        try:
+            with open(path, "w", encoding="utf-8") as out:
+                for chunk in self._json_chunks():
+                    out.write(chunk)
+        except Exception:
+            Path(path).unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "TiTrace":

@@ -12,6 +12,12 @@ candidate bucket *head* seqnos, which preserves MPI's oldest-first
 non-overtaking rule bit-exactly (tests/test_matchq.py fuzzes them against
 the linear-scan oracle of tests/oracles.py).
 
+A bucket lives only while it holds entries: the pop (or purge) that
+empties an exact ``(source, tag)`` bucket of the message queue, or a
+pattern bucket of the receive queue, deletes it, so a run with many
+distinct envelopes keeps no empty deques.  Every probe treats a missing
+bucket like an empty one, so pruning never changes a counter.
+
 The queues are generic: a ``key`` callable extracts the ``(source, tag)``
 envelope from an item, and the wildcard sentinels are constructor
 parameters, so this module needs no knowledge of the MPI layer.
@@ -189,6 +195,8 @@ class IndexedMessageQueue(Generic[T]):
                 self._live -= 1
                 self._dead += 1
                 break
+            if not view and not wildcard:
+                del self._exact[source, tag]
         stats.match_probes += probes if probes else 1
         if item is not None:
             if wildcard:
@@ -288,7 +296,7 @@ class IndexedRecvQueue(Generic[T]):
         """Oldest item whose pattern matches the concrete envelope."""
         buckets = self._buckets
         best = None
-        best_bucket = None
+        best_pattern = None
         probes = 0
         for pattern in (
             (source, tag),
@@ -302,13 +310,12 @@ class IndexedRecvQueue(Generic[T]):
                 head = bucket[0]
                 if best is None or head[0] < best[0]:
                     best = head
-                    best_bucket = bucket
+                    best_pattern = pattern
         stats = self.stats
         stats.match_probes += probes if probes else 1
         if best is None:
             return None
-        best_bucket.popleft()
-        self._n -= 1
+        self._take(best_pattern)
         item = best[1]
         src, tg = self._key(item)
         if src == self._any_source or tg == self._any_tag:
@@ -336,9 +343,16 @@ class IndexedRecvQueue(Generic[T]):
                 best_pattern = pattern
         if best is None:
             return None
-        self._buckets[best_pattern].popleft()
-        self._n -= 1
+        self._take(best_pattern)
         return best[1]
+
+    def _take(self, pattern: tuple[int, int]) -> None:
+        """Drop the head of ``pattern``'s bucket, and the bucket once empty."""
+        bucket = self._buckets[pattern]
+        bucket.popleft()
+        if not bucket:
+            del self._buckets[pattern]
+        self._n -= 1
 
     def remove_first(self, predicate: Callable[[T], bool]) -> T | None:
         """Remove the (unique) item satisfying ``predicate`` (cold path)."""
@@ -346,8 +360,11 @@ class IndexedRecvQueue(Generic[T]):
             for entry in bucket:
                 if predicate(entry[1]):
                     # identity filter: entries never compare by value
-                    self._buckets[pattern] = deque(
-                        e for e in bucket if e is not entry)
+                    rest = deque(e for e in bucket if e is not entry)
+                    if rest:
+                        self._buckets[pattern] = rest
+                    else:
+                        del self._buckets[pattern]
                     self._n -= 1
                     return entry[1]
         return None

@@ -329,7 +329,7 @@ class Protocol:
             request.trace_id = world.recorder.recv(dst, source, tag, ctx)
         request.meta = intern_meta(
             "recv", tag, ctx,
-            -1 if buffer is None else buffer.descriptor.nbytes,
+            -1 if buffer is None else buffer.nbytes,
         )
         posted, unexpected = self._queues(ctx, dst)
         message = unexpected.pop(source, tag)

@@ -215,13 +215,11 @@ def export_paje(tracer, n_ranks: int | None = None,
                     f'm{r.mid}')
     if timeline is not None:
         sampled = set(timeline.names())
-        for name in timeline.names():
+        for name, kind, capacity, times, usages in timeline.iter_series():
             alias = resource_alias[name]
-            is_link = timeline.kinds[name] == "link"
-            used, cap = ("UL", "CL") if is_link else ("UH", "CH")
-            emit(0.0, f'8 {zero} {cap} {alias} '
-                      f'{timeline.capacities[name]:g}')
-            for t, usage in timeline.samples(name):
+            used, cap = ("UL", "CL") if kind == "link" else ("UH", "CH")
+            emit(0.0, f'8 {zero} {cap} {alias} {capacity:g}')
+            for t, usage in zip(times, usages):
                 emit(t, f'8 {_t(t)} {used} {alias} {usage:g}')
         for name, steps in timeline.capacity_series.items():
             alias = resource_alias[name]

@@ -12,10 +12,20 @@ actually changed, which keeps all-to-all-sized runs at a few samples per
 link per communication phase.  Utilization queries integrate the step
 function, treating the resource as idle before its first sample and
 holding the last value until the queried horizon.
+
+Each resource's samples are two ``array('d')`` columns, times and
+usages, so a sample costs 16 bytes (plus the arrays' growth slack)
+instead of a tuple and a float object.  :meth:`Timeline.iter_series`
+hands out those columns as they are: ``(name, kind, capacity, times,
+usages)``, read-only for the caller, one resource at a time in the
+order the resources were first sampled.  :meth:`Timeline.samples` and
+:meth:`Timeline.as_rows` still build ``(time, usage)`` tuples for
+callers that want them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 __all__ = ["LinkUsage", "Timeline"]
@@ -33,12 +43,17 @@ class LinkUsage:
     busy_time: float  # simulated seconds with usage > 0
 
 
+#: the columns of a resource that has no series
+_NO_SERIES = ((), ())
+
+
 class Timeline:
     """Sparse per-resource usage-over-time samples."""
 
     def __init__(self) -> None:
-        # name -> [(time, consumed rate), ...] in non-decreasing time order
-        self._series: dict[str, list[tuple[float, float]]] = {}
+        # name -> (times, usages): parallel ``array('d')`` columns in
+        # non-decreasing time order
+        self._series: dict[str, tuple[array, array]] = {}
         self.capacities: dict[str, float] = {}
         self.kinds: dict[str, str] = {}
         #: per-resource capacity *steps*: ``name -> [(time, capacity), ...]``
@@ -58,20 +73,22 @@ class Timeline:
         """Append one sample; collapses same-time and same-value samples."""
         series = self._series.get(name)
         if series is None:
-            series = self._series[name] = []
+            series = self._series[name] = (array("d"), array("d"))
             self.kinds[name] = kind
         self.capacities[name] = capacity
-        if series:
-            last_t, last_u = series[-1]
-            if last_t == t:
+        times, usages = series
+        if times:
+            last_u = usages[-1]
+            if times[-1] == t:
                 if last_u != usage:
-                    series[-1] = (t, usage)
+                    usages[-1] = usage
                 return
             if last_u == usage:
                 return
         elif usage == 0.0:
             return  # still idle: keep the implicit leading zero implicit
-        series.append((t, usage))
+        times.append(t)
+        usages.append(usage)
         self.n_samples += 1
 
     def record_capacity(self, t: float, name: str, capacity: float,
@@ -98,8 +115,8 @@ class Timeline:
         re-share, so resources it used would otherwise appear busy
         forever; the runtime calls this once the scheduler drains.
         """
-        for name, series in self._series.items():
-            if series and series[-1][1] != 0.0:
+        for name, (_times, usages) in self._series.items():
+            if usages and usages[-1] != 0.0:
                 self.record(t, name, 0.0, self.capacities[name],
                             self.kinds[name])
 
@@ -113,26 +130,29 @@ class Timeline:
 
     def samples(self, name: str) -> list[tuple[float, float]]:
         """Raw ``(time, consumed rate)`` step points of one resource."""
-        return list(self._series.get(name, ()))
+        return list(zip(*self._series.get(name, _NO_SERIES)))
 
     def utilization(self, name: str) -> list[tuple[float, float]]:
         """Step points normalised by capacity: ``(time, fraction)``."""
+        times, usages = self._series.get(name, _NO_SERIES)
         capacity = self.capacities.get(name, 0.0)
         if capacity <= 0:
-            return [(t, 0.0) for t, _ in self._series.get(name, ())]
-        return [(t, u / capacity) for t, u in self._series.get(name, ())]
+            return [(t, 0.0) for t in times]
+        return [(t, u / capacity) for t, u in zip(times, usages)]
 
     def _integrate(self, name: str, until: float) -> tuple[float, float, float]:
         """(integral of usage dt, peak usage, busy seconds) over [0, until]."""
-        series = self._series.get(name, [])
+        times, usages = self._series.get(name, _NO_SERIES)
+        last = len(times) - 1
         integral = peak = busy = 0.0
-        for i, (t, usage) in enumerate(series):
+        for i, t in enumerate(times):
             if t >= until:
                 break
-            t_next = series[i + 1][0] if i + 1 < len(series) else until
+            t_next = times[i + 1] if i < last else until
             span = min(t_next, until) - t
             if span <= 0:
                 continue
+            usage = usages[i]
             integral += usage * span
             peak = max(peak, usage)
             if usage > 0:
@@ -163,28 +183,33 @@ class Timeline:
     # -- (de)serialisation ---------------------------------------------------------
 
     def iter_series(self):
-        """Yield ``(name, kind, capacity, samples)`` per sampled resource.
+        """Yield ``(name, kind, capacity, times, usages)`` per resource.
 
-        ``samples`` is the resource's own ``(time, usage)`` list, in
-        insertion order of the resources; the CSV exporters format each
-        resource's constant fields once per series, not once per sample.
+        ``times`` and ``usages`` are the resource's own columns (see the
+        module docstring), in insertion order of the resources; the CSV
+        exporters format each resource's constant fields once per series,
+        not once per sample.
         """
-        for name, samples in self._series.items():
-            yield name, self.kinds[name], self.capacities[name], samples
+        kinds, capacities = self.kinds, self.capacities
+        for name, (times, usages) in self._series.items():
+            yield name, kinds[name], capacities[name], times, usages
 
     def as_rows(self) -> list[tuple[str, str, float, float, float]]:
         """Flat ``(name, kind, capacity, time, usage)`` rows."""
         return [(name, kind, capacity, t, usage)
-                for name, kind, capacity, samples in self.iter_series()
-                for t, usage in samples]
+                for name, kind, capacity, times, usages in self.iter_series()
+                for t, usage in zip(times, usages)]
 
     def load_row(self, name: str, kind: str, capacity: float,
                  t: float, usage: float) -> None:
         """Re-insert one :meth:`as_rows` row (CSV import path)."""
-        series = self._series.setdefault(name, [])
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = (array("d"), array("d"))
         self.kinds.setdefault(name, kind)
         self.capacities[name] = capacity
-        series.append((t, usage))
+        series[0].append(t)
+        series[1].append(usage)
         self.n_samples += 1
 
     def load_capacity_row(self, name: str, kind: str, t: float,

@@ -161,13 +161,14 @@ def write_timeline_csv(write, timeline) -> None:
     never held as text all at once.
     """
     n = LINES_PER_WRITE
-    for name, kind, capacity, samples in timeline.iter_series():
+    for name, kind, capacity, times, usages in timeline.iter_series():
         kind = "" if kind == "link" else _field(kind)
         head = f"link,,{_field(name)},{kind},,"
         tail = f",,{capacity!s},\n"
-        for i in range(0, len(samples), n):
+        for i in range(0, len(times), n):
             write("".join([f"{head}{usage!s},,{t!s}{tail}"
-                           for t, usage in samples[i:i + n]]))
+                           for t, usage in zip(times[i:i + n],
+                                               usages[i:i + n])]))
     for name, steps in timeline.capacity_series.items():
         head = (f"capacity,,{_field(name)},"
                 f"{_field(timeline.kinds.get(name, 'link'))},,,,")

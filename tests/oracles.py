@@ -49,6 +49,11 @@ the oracles can be snapshotted.
   whole payload (:func:`digest_key`), with the interface of
   :class:`~repro.smpi.intern.PayloadPool`.
 
+* :class:`TupleTimeline` — the utilization timeline as a list of
+  ``(time, usage)`` tuples per resource, the layout
+  :class:`~repro.trace.timeline.Timeline` kept before its samples moved
+  into ``array('d')`` columns.
+
 * :func:`trace_csv` — the trace CSV as :mod:`csv` writes it: one list
   row per record or sample (:func:`comm_csv_row` …
   :func:`timeline_capacity_row`), serialised by ``csv.writer``.  The
@@ -78,6 +83,7 @@ from repro.surf import Engine
 from repro.surf.action import Action, ActionState
 from repro.surf.maxmin import _EPS, IncrementalMaxMin
 from repro.surf.resources import Link
+from repro.trace.timeline import LinkUsage
 from repro.trace.tracer import CSV_HEADER
 
 T = TypeVar("T")
@@ -93,6 +99,7 @@ __all__ = [
     "RecomputeUsageMaxMin",
     "ScanMessageQueue",
     "ScanRecvQueue",
+    "TupleTimeline",
     "VECTORIZE_THRESHOLD",
     "digest_key",
     "matching",
@@ -1002,3 +1009,91 @@ def trace_csv(tracer, include_open: bool = False) -> str:
                 writer.writerow(timeline_capacity_row(
                     name, timeline.kinds.get(name, "link"), t, capacity))
     return buf.getvalue()
+
+
+# -- timeline oracle -----------------------------------------------------------------
+
+
+class TupleTimeline:
+    """The sample side of :class:`~repro.trace.timeline.Timeline`, one
+    ``[(time, usage), ...]`` list per resource."""
+
+    def __init__(self) -> None:
+        self._series: dict[str, list[tuple[float, float]]] = {}
+        self.capacities: dict[str, float] = {}
+        self.kinds: dict[str, str] = {}
+        self.n_samples = 0
+
+    def record(self, t: float, name: str, usage: float, capacity: float,
+               kind: str = "link") -> None:
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = []
+            self.kinds[name] = kind
+        self.capacities[name] = capacity
+        if series:
+            last_t, last_u = series[-1]
+            if last_t == t:
+                if last_u != usage:
+                    series[-1] = (t, usage)
+                return
+            if last_u == usage:
+                return
+        elif usage == 0.0:
+            return
+        series.append((t, usage))
+        self.n_samples += 1
+
+    def close(self, t: float) -> None:
+        for name, series in self._series.items():
+            if series and series[-1][1] != 0.0:
+                self.record(t, name, 0.0, self.capacities[name],
+                            self.kinds[name])
+
+    def names(self, kind: str | None = None) -> list[str]:
+        if kind is None:
+            return list(self._series)
+        return [n for n in self._series if self.kinds[n] == kind]
+
+    def samples(self, name: str) -> list[tuple[float, float]]:
+        return list(self._series.get(name, ()))
+
+    def utilization(self, name: str) -> list[tuple[float, float]]:
+        capacity = self.capacities.get(name, 0.0)
+        if capacity <= 0:
+            return [(t, 0.0) for t, _ in self._series.get(name, ())]
+        return [(t, u / capacity) for t, u in self._series.get(name, ())]
+
+    def _integrate(self, name: str, until: float) -> tuple[float, float, float]:
+        series = self._series.get(name, [])
+        integral = peak = busy = 0.0
+        for i, (t, usage) in enumerate(series):
+            if t >= until:
+                break
+            t_next = series[i + 1][0] if i + 1 < len(series) else until
+            span = min(t_next, until) - t
+            if span <= 0:
+                continue
+            integral += usage * span
+            peak = max(peak, usage)
+            if usage > 0:
+                busy += span
+        return integral, peak, busy
+
+    def summarize(self, name: str, until: float) -> LinkUsage:
+        capacity = self.capacities.get(name, 0.0)
+        integral, peak, busy = self._integrate(name, max(until, 0.0))
+        scale = capacity * until
+        return LinkUsage(
+            name=name,
+            kind=self.kinds.get(name, "link"),
+            capacity=capacity,
+            mean_utilization=integral / scale if scale > 0 else 0.0,
+            peak_utilization=peak / capacity if capacity > 0 else 0.0,
+            busy_time=busy,
+        )
+
+    def as_rows(self) -> list[tuple[str, str, float, float, float]]:
+        return [(name, self.kinds[name], self.capacities[name], t, usage)
+                for name, series in self._series.items()
+                for t, usage in series]

@@ -137,6 +137,66 @@ class TestRecvQueueUnit:
         assert not q
 
 
+class TestEmptyBucketsArePruned:
+    """A drained queue keeps no bucket, and pruning moves no counter."""
+
+    PAIRS = [(src, tag) for src in range(8) for tag in range(4)]
+
+    @staticmethod
+    def _counters(queue):
+        stats = queue.stats
+        return (stats.match_probes, stats.match_fast_hits,
+                stats.wildcard_scans)
+
+    def test_message_queue_drain(self):
+        idx, scan = _mk_message_queues()
+        for uid, (src, tag) in enumerate(self.PAIRS):
+            idx.push((src, tag, uid))
+            scan.push((src, tag, uid))
+        for src, tag in self.PAIRS + self.PAIRS[:3]:  # then three misses
+            assert idx.pop(src, tag) == scan.pop(src, tag)
+        assert not idx and idx._exact == {}
+        assert self._counters(idx) == self._counters(scan)
+
+    def test_message_queue_tombstoned_bucket(self):
+        idx = IndexedMessageQueue("idx", _envelope)
+        for uid, (src, tag) in enumerate(self.PAIRS):
+            idx.push((src, tag, uid))
+        for _ in range(len(self.PAIRS) // 2):  # tombstones in exact buckets
+            assert idx.pop(ANY, ANY) is not None
+        for src, tag in self.PAIRS:
+            idx.pop(src, tag)
+        assert not idx and idx._exact == {}
+
+    def test_recv_queue_drain(self):
+        idx, scan = _mk_recv_queues()
+        for uid, pattern in enumerate(self.PAIRS):
+            idx.push((*pattern, uid))
+            scan.push((*pattern, uid))
+        for src, tag in self.PAIRS:
+            assert idx.pop(src, tag) == scan.pop(src, tag)
+        # one wildcard pattern at a time: the index probes each non-empty
+        # candidate bucket, the scan each entry up to the match
+        for pattern, (src, tag) in (((ANY, 9), (5, 9)), ((9, ANY), (9, 5)),
+                                    ((ANY, ANY), (7, 7))):
+            idx.push((*pattern, "w"))
+            scan.push((*pattern, "w"))
+            assert idx.pop(src, tag) == scan.pop(src, tag)
+        assert idx.pop(0, 0) is None and scan.pop(0, 0) is None
+        assert not idx and idx._buckets == {}
+        assert self._counters(idx) == self._counters(scan)
+
+    def test_recv_queue_cold_paths(self):
+        idx = IndexedRecvQueue("idx", _envelope)
+        idx.push((3, 0, "a"))
+        idx.push((3, 1, "b"))
+        idx.push((4, 0, "c"))
+        assert idx.pop_source(3) == (3, 0, "a")
+        assert idx.pop_source(3) == (3, 1, "b")
+        assert idx.remove_first(lambda r: r[2] == "c") == (4, 0, "c")
+        assert idx._buckets == {}
+
+
 # -- differential fuzz: indexed vs scan ------------------------------------------
 
 message_op = st.one_of(

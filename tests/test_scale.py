@@ -119,6 +119,25 @@ class TestInternPool:
             assert after["stored_bytes"] == before["stored_bytes"]
             assert DESCRIPTOR_POOL.refcount(key) == refs + 2
 
+    def test_a_posted_receive_interns_only_its_meta(self):
+        from repro.smpi import request as rq
+        from repro.smpi.intern import DESCRIPTOR_POOL
+
+        acquires = []
+
+        def app(mpi):
+            comm = mpi.COMM_WORLD
+            if mpi.rank == 1:
+                before = DESCRIPTOR_POOL.stats()["acquires"]
+                req = comm.Irecv(np.zeros(16), 0, 5)
+                acquires.append(DESCRIPTOR_POOL.stats()["acquires"] - before)
+                rq.wait(req)
+            else:
+                comm.Send(np.ones(16), 1, 5)
+
+        smpirun(app, 2, cluster("rcv", 2))
+        assert acquires == [1]
+
 
 class TestSharedHeapRefcounting:
     def _world(self, n=4):
