@@ -3,9 +3,10 @@
 A *checkpoint* is a plain-JSON-compatible dict capturing everything a
 replay run needs to continue from a mid-run cut:
 
-* the engine snapshot (:meth:`repro.surf.Engine.snapshot`): clock,
-  stats, every in-flight action's numeric state, the completion heap,
-  the incremental solver's membership/rates/dirtiness, profile cursors;
+* the engine snapshot (:func:`snapshot_engine`): clock, stats, every
+  in-flight action's numeric state, the completion heap, the incremental
+  solver's membership/rates/dirtiness, the availability map, the dead
+  set and the profile cursors;
 * the protocol state: live requests, in-flight messages, the posted and
   unexpected match queues (replay payloads are empty sentinels, so no
   data travels into the checkpoint);
@@ -28,11 +29,20 @@ Checkpointing requires tracing disabled (utilization series are
 streamed, not checkpointed), no ``comm_timeout`` watchdogs and no
 scripted fault events (their callbacks are closures); ``arm_checkpoint``
 rejects such configurations up front.
+
+This module owns the whole checkpoint layout, the engine's part
+included, and one number guards all of it: :data:`CHECKPOINT_VERSION`.
+:func:`snapshot_engine` / :func:`restore_engine` capture and rebuild a
+bare :class:`~repro.surf.engine.Engine` on their own (the engine tests
+and model-level studies use them directly), but their payload carries no
+version: a stale layout is refused at the checkpoint, before any part of
+it is read.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +55,13 @@ from ..smpi.pt2pt import Message, _PostedRecv
 from ..smpi.request import Request
 from ..smpi.runtime import SmpiResult, SmpiWorld
 from ..simix.activity import CommActivity, ExecActivity
+from ..surf.action import (Action, ActionState, ComputeAction, NetworkAction,
+                           SleepAction)
+from ..surf.action import _ids as _action_ids
 from ..surf.engine import Engine
 from ..surf.platform import Platform
+from ..surf.resources import Host
+from ..surf.stats import EngineStats
 from .trace import TiTrace
 
 __all__ = [
@@ -56,13 +71,277 @@ __all__ = [
     "resume_replay",
     "save_checkpoint",
     "load_checkpoint",
+    "restore_engine",
+    "snapshot_engine",
     "warm_replay",
 ]
 
-#: wire-format version of replay checkpoints; bump on any layout change
-CHECKPOINT_VERSION = 1
+#: wire-format version of replay checkpoints, engine part included; bump
+#: on any layout change so stale checkpoints are refused, not misread.
+#: v2: the engine part lost its own ``"version"`` field
+CHECKPOINT_VERSION = 2
 
 _EMPTY = np.zeros(0, dtype=np.uint8)
+
+
+# -- the engine ---------------------------------------------------------------
+
+
+class _Harvested:
+    """The action of a restored heap entry whose action was harvested
+    before the snapshot: its epoch, -1, matches no entry, so the entry
+    pops as stale."""
+
+    __slots__ = ()
+    epoch = -1
+
+
+_HARVESTED = _Harvested()
+
+
+def snapshot_engine(engine: Engine) -> dict:
+    """Serialize an engine's full dynamic state as a plain dict.
+
+    The payload is JSON-compatible (Python's ``json`` round-trips the
+    ``inf``/``nan`` values the numeric fields legitimately hold) and
+    :func:`restore_engine` rebuilds an engine from it that continues the
+    run **bit-identically** to the uninterrupted one: action ids, heap
+    tie-breaks, solver re-solve order and float trajectories are all
+    preserved.  Observers are *not* captured — they are closures into
+    the layer driving the engine, and that layer (here, the replay
+    checkpoint) re-attaches its own observers to the actions
+    :func:`restore_engine` returns.
+
+    A snapshot is only taken of the canonical engine (the test oracles
+    subclass it with other event loops) at a *quiescent* cut: every
+    completion already delivered.  The capture refuses (raising
+    :class:`SimulationError`) when undelivered completions are queued,
+    when an :meth:`~repro.surf.engine.Engine.at` callback is pending (its
+    closure cannot be serialized), when a timeline is attached
+    (utilization series are streamed, not checkpointed).
+    """
+    if type(engine) is not Engine:
+        raise SimulationError(
+            "snapshot supports the default lazy/incremental engine only"
+        )
+    if engine._instant_done or engine._finished:
+        raise SimulationError(
+            "engine is not quiescent: completions await delivery "
+            "(step once more, then capture)"
+        )
+    if engine.timeline is not None:
+        raise SimulationError(
+            "snapshot does not capture the utilization timeline; "
+            "checkpoint runs with tracing disabled"
+        )
+    for action in engine.pending.values():
+        if action.name.startswith("at-"):
+            raise SimulationError(
+                f"pending scheduled callback {action.name!r} cannot be "
+                "snapshotted (its closure is not serializable)"
+            )
+
+    solver = engine._solver
+    members = []
+    for aid in solver.flow_keys_in_seq_order():
+        try:
+            rate = solver.rate(aid)
+        except KeyError:  # enrolled but never solved (NaN sentinel)
+            rate = None
+        members.append([aid, rate])
+    retired_aids = {a.aid for a in engine._retired}
+    actions = [_serialize_action(a) for a in engine.pending.values()]
+    actions += [_serialize_action(a) for a in engine._retired
+                if a.aid not in engine.pending]
+    return {
+        "now": engine.now,
+        "stats": engine.stats.to_dict(),
+        "availability": dict(engine._availability),
+        "dead_resources": sorted(engine._dead_resources),
+        "next_aid": _action_ids.peek,
+        "actions": actions,
+        "pending": list(engine.pending),
+        "heap": [[deadline, aid, epoch]
+                 for deadline, aid, epoch, _action in engine._heap],
+        "newly_running": [a.aid for a in engine._newly_running],
+        "retired": sorted(retired_aids),
+        "needs_share": engine._needs_share,
+        "members": members,
+        "dirty_cons": sorted(_resource_ref(key)
+                             for key in solver.dirty_constraint_keys()),
+        "dirty_flows": sorted(solver._dirty_flows),
+        "profiles": [
+            {"resource": _resource_ref(record[0]),
+             "kind": record[1], "pulls": record[3]}
+            for record in engine._profile_cursors
+        ],
+        "profile_heap": [list(entry) for entry in engine._profile_heap],
+    }
+
+
+def _resource_ref(resource) -> list:
+    return ["host" if isinstance(resource, Host) else "link", resource.name]
+
+
+def _resource_by_ref(platform: Platform, ref):
+    rtype, name = ref
+    return platform.host(name) if rtype == "host" else platform.link(name)
+
+
+def _serialize_action(action: Action) -> dict:
+    data = {
+        "aid": action.aid,
+        "name": action.name,
+        "state": action.state.name,
+        "remaining": action.remaining,
+        "latency_remaining": action.latency_remaining,
+        "rate": action.rate,
+        "rate_bound": action.rate_bound,
+        "weight": action.weight,
+        "start_time": action.start_time,
+        "finish_time": action.finish_time,
+        "last_touched": action.last_touched,
+        "deadline": action.deadline,
+        "epoch": action.epoch,
+    }
+    if isinstance(action, NetworkAction):
+        data["kind"] = "network"
+        data["src"] = action.src
+        data["dst"] = action.dst
+        data["size"] = action.size
+        data["routed"] = bool(action.links)
+    elif isinstance(action, ComputeAction):
+        data["kind"] = "compute"
+        data["host"] = action.host.name
+    elif isinstance(action, SleepAction):
+        data["kind"] = "sleep"
+    else:
+        raise SimulationError(
+            f"cannot snapshot action of type {type(action).__name__}"
+        )
+    return data
+
+
+def _revive_action(platform: Platform, data: dict) -> Action:
+    """Rebuild one serialized action, observer-less, slots verbatim."""
+    kind = data["kind"]
+    if kind == "network":
+        action = NetworkAction.__new__(NetworkAction)
+        if data["routed"]:
+            # re-derive the link tuple from the (frozen, hence identical)
+            # platform topology; the numeric state is never re-derived
+            # from the network model
+            action.links = platform.route(data["src"], data["dst"]).links
+        else:
+            action.links = ()
+        action.src = data["src"]
+        action.dst = data["dst"]
+        action.size = float(data["size"])
+        action.payload = None
+    elif kind == "compute":
+        action = ComputeAction.__new__(ComputeAction)
+        action.host = platform.host(data["host"])
+    elif kind == "sleep":
+        action = SleepAction.__new__(SleepAction)
+    else:
+        raise SimulationError(f"unknown serialized action kind {kind!r}")
+    action.aid = data["aid"]
+    action.name = data["name"]
+    action.state = ActionState[data["state"]]
+    action.remaining = data["remaining"]
+    action.latency_remaining = data["latency_remaining"]
+    action.rate = data["rate"]
+    action.rate_bound = data["rate_bound"]
+    action.weight = data["weight"]
+    action.start_time = data["start_time"]
+    action.finish_time = data["finish_time"]
+    action.last_touched = data["last_touched"]
+    action.deadline = data["deadline"]
+    action.epoch = data["epoch"]
+    action.observer = None
+    return action
+
+
+def restore_engine(
+    platform: Platform,
+    snap: dict,
+    network_model=None,
+    cpu_model=None,
+) -> tuple[Engine, dict]:
+    """Rebuild an engine from a :func:`snapshot_engine` payload.
+
+    Returns ``(engine, actions)`` where ``actions`` maps each serialized
+    aid to its revived :class:`~repro.surf.action.Action` so the driving
+    layer can re-attach observers.  ``platform`` must be the platform
+    the snapshot was taken on (same topology and nominal capacities),
+    and ``network_model``/``cpu_model`` must equal the original run's
+    for the continuation to stay bit-identical — the snapshot stores
+    every in-flight action's *numeric* state verbatim, but actions
+    created after the restore consult the models again.
+    """
+    engine = Engine(platform, network_model=network_model,
+                    cpu_model=cpu_model)
+    engine.now = snap["now"]
+    engine.stats = EngineStats.from_dict(snap["stats"])
+    engine._availability = dict(snap["availability"])
+    engine._dead_resources = set(snap["dead_resources"])
+    engine._needs_share = snap["needs_share"]
+
+    actions: dict[int, Action] = {}
+    for data in snap["actions"]:
+        action = _revive_action(platform, data)
+        actions[action.aid] = action
+    engine.pending = {aid: actions[aid] for aid in snap["pending"]}
+    # an entry of an action the snapshot does not hold (harvested before
+    # the cut) is stale: bind it to an action it never matches
+    engine._heap = [(deadline, aid, epoch, actions.get(aid, _HARVESTED))
+                    for deadline, aid, epoch in snap["heap"]]
+    engine._newly_running = [actions[aid] for aid in snap["newly_running"]]
+    engine._retired = [actions[aid] for aid in snap["retired"]]
+
+    # Solver: re-enroll every member flow in original seq order (so
+    # component re-solves sort members identically), seed the solved
+    # rates, then reset dirtiness to exactly the serialized cut.
+    # Component solves run progressive filling from scratch, so this
+    # state is indistinguishable from having solved its way here.
+    solver = engine._solver
+    for aid, rate in snap["members"]:
+        engine._enroll(actions[aid])
+        if rate is not None:
+            solver.seed_rate(aid, rate)
+    solver.clear_dirty()
+    for ref in snap["dirty_cons"]:
+        solver.mark_dirty(_resource_by_ref(platform, ref))
+    for aid in snap["dirty_flows"]:
+        solver.mark_flow_dirty(aid)
+
+    # Profiles: the construction-time install is replaced.  Re-open each
+    # (platform-attached) profile and discard the consumed prefix; the
+    # upcoming-point heap is restored verbatim so firing order and
+    # tie-breaks are preserved.
+    cursors = []
+    for spec in snap["profiles"]:
+        resource = _resource_by_ref(platform, spec["resource"])
+        profile = getattr(resource, f"{spec['kind']}_profile", None)
+        if profile is None:
+            raise SimulationError(
+                f"snapshot references a {spec['kind']} profile on "
+                f"{resource.name!r} that the platform does not carry"
+            )
+        events = profile.iter_events()
+        for _ in range(spec["pulls"]):
+            next(events, None)
+        cursors.append([resource, spec["kind"], events, spec["pulls"],
+                        profile])
+    engine._profile_cursors = cursors
+    engine._profile_heap = heap = [tuple(entry)
+                                   for entry in snap["profile_heap"]]
+    engine._next_point = heap[0][0] if heap else math.inf
+
+    # continue numbering where the original left off: heap ties break
+    # on aid and harvests deliver aid-sorted, so ids must line up
+    _action_ids.advance_to(snap["next_aid"])
+    return engine, actions
 
 
 # -- capture ------------------------------------------------------------------
@@ -226,7 +505,7 @@ def capture_replay(world: SmpiWorld, replayers: list,
         },
         "config": _config_dict(world.config),
         "rank_hosts": list(world.rank_hosts),
-        "engine": engine.snapshot(),
+        "engine": snapshot_engine(engine),
         "msg_next": world.msg_seq.peek,
         "req_next": rq._ids.peek,
         "next_ctx": world._next_ctx,
@@ -281,7 +560,7 @@ def resume_replay(
         config = SmpiConfig().with_options(**checkpoint["config"])
     except ConfigError as exc:
         raise ConfigError(f"checkpoint config is stale: {exc}") from exc
-    engine, actions = Engine.restore(platform, checkpoint["engine"],
+    engine, actions = restore_engine(platform, checkpoint["engine"],
                                      network_model=network_model)
     world = SmpiWorld(platform, trace.n_ranks,
                       hosts=checkpoint["rank_hosts"], config=config,

@@ -23,7 +23,7 @@ from .. import rng as rng_mod
 from ..errors import SimulationError
 from ..log import bind_clock, get_logger
 from ..surf.action import Action, ActionState, ComputeAction, NetworkAction, SleepAction
-from ..surf.engine import EngineStats
+from ..surf.stats import EngineStats
 from ..surf.platform import Platform
 from ..surf.resources import Host, Link
 from .core import EventQueue, FlowState, LinkChannel, segment_sizes, wire_bytes

@@ -3,7 +3,7 @@
 Perf work on this codebase is measured, not guessed, in two layers:
 
 * **deterministic counters** — always on, free, and identical across
-  runs: :class:`~repro.surf.engine.EngineStats` counts steps, shares,
+  runs: :class:`~repro.surf.stats.EngineStats` counts steps, shares,
   matching probes, context switches and pool reuses.
 * **wall timers** — this module.  Nothing in the simulator is
   instrumented.  :class:`SpanRecorder` is a context manager: on entry it

@@ -24,7 +24,7 @@ parameters, so this module needs no knowledge of the MPI layer.
 
 All queues count their work into a stats sink (any object with
 ``match_probes`` / ``match_fast_hits`` / ``wildcard_scans`` counters —
-normally the engine's :class:`~repro.surf.engine.EngineStats`):
+normally the engine's :class:`~repro.surf.stats.EngineStats`):
 ``match_probes`` is the number of queue entries examined across matching
 attempts, the apples-to-apples cost metric the matching ablation bench
 gates on.

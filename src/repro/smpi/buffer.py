@@ -29,7 +29,6 @@ import numpy as np
 from ..errors import MpiError
 from . import constants
 from .datatype import BYTE, Datatype, from_numpy_dtype
-from .intern import BufferDescriptor, intern_descriptor
 
 __all__ = ["BufferSpec", "resolve", "pack_object", "unpack_object"]
 
@@ -45,17 +44,6 @@ class BufferSpec:
     @property
     def nbytes(self) -> int:
         return self.count * self.datatype.size
-
-    @property
-    def descriptor(self) -> BufferDescriptor:
-        """The interned shape of this buffer (count + datatype).
-
-        Every rank of a folded application resolves the same specs, so
-        the descriptors — unlike the arrays — are perfect interning
-        candidates: one :class:`~repro.smpi.intern.BufferDescriptor`
-        object serves all 10k ranks.
-        """
-        return intern_descriptor(self.count, self.datatype)
 
     def pack(self) -> np.ndarray:
         """Contiguous uint8 snapshot of the data to send (one copy)."""

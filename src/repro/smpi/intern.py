@@ -3,21 +3,18 @@
 The paper's ``SMPI_SHARED_MALLOC`` folds identical per-rank *user* arrays
 into one allocation (:mod:`repro.smpi.shared`).  At 10k+ ranks the same
 redundancy appears one layer down: every rank of a folded application
-packs byte-identical message payloads, builds identical buffer
-descriptors ``(count, datatype)`` and envelope metadata.  The pools here extend the folding to that rank state:
-values are stored once, handed out by reference, and reference-counted
-so the pool can drop them when the last user releases.
+packs byte-identical message payloads and stamps identical envelope
+metadata.  This module extends the folding to that rank state:
 
-Two pools exist in practice:
-
-* a process-global :class:`InternPool` (:func:`intern_descriptor`,
-  :func:`intern_meta`) for small immutable metadata, keyed by the
-  metadata tuple itself — these live for the process lifetime and are
-  never released;
+* :func:`intern_meta` folds small immutable metadata tuples through one
+  process-global dict: the first tuple seen is handed out for every
+  equal one, for the process lifetime;
 * a per-:class:`~repro.smpi.runtime.SmpiWorld` :class:`PayloadPool`
-  (``world.payload_pool``) folding packed message payloads, wired to the
-  world's :class:`~repro.smpi.memory.MemoryTracker` so the interned-vs-
-  naive byte gap is measurable (``MemoryReport.intern_naive_peak`` /
+  (``world.payload_pool``) folds packed message payloads, stored once,
+  handed out by reference and reference-counted so the pool drops them
+  when the last user releases.  It is wired to the world's
+  :class:`~repro.smpi.memory.MemoryTracker` so the interned-vs-naive
+  byte gap is measurable (``MemoryReport.intern_naive_peak`` /
   ``intern_stored_peak``).
 
 Payloads are keyed in two levels, so folding costs little when nothing
@@ -45,23 +42,40 @@ snapshot when it has one, else a copy).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
-__all__ = [
-    "InternPool",
-    "PayloadEntry",
-    "PayloadPool",
-    "BufferDescriptor",
-    "payload_key",
-    "intern_descriptor",
-]
+__all__ = ["PayloadEntry", "PayloadPool", "intern_meta", "payload_key"]
 
 
-class _Accounting:
-    """Counters shared by both pools.
+class PayloadEntry:
+    """One live interned payload: the handle a message holds until release."""
+
+    __slots__ = ("key", "value", "refcount", "borrowed")
+
+    def __init__(self, key: tuple, value: np.ndarray,
+                 borrowed: bool = False) -> None:
+        #: the :func:`payload_key` fingerprint (the entry's bucket)
+        self.key = key
+        #: the frozen payload array: pool-owned, or when ``borrowed`` a
+        #: read-only view of its one sender's buffer
+        self.value = value
+        self.refcount = 0
+        #: ``value`` is valid only until its sender's send completes
+        self.borrowed = borrowed
+
+
+class PayloadPool:
+    """Packed payloads folded by byte equality under a sampled fingerprint.
+
+    Each :func:`payload_key` fingerprint maps to a small bucket of live
+    entries whose bytes all differ.  An acquire compares the payload's
+    bytes only against the entries of its own bucket, which is empty
+    unless a live payload has the same fingerprint; the handle it returns
+    names the exact entry, so release stays exact when different payloads
+    share a fingerprint.  Counters and accounting are those of a store
+    keyed by the full bytes.
 
     ``on_account(naive_delta, stored_delta)`` is invoked on every change
     to the pool's byte accounting: *naive* bytes are what every acquirer
@@ -82,6 +96,7 @@ class _Accounting:
         self.naive_bytes = 0
         #: bytes the pool actually holds (current)
         self.stored_bytes = 0
+        self._buckets: dict[tuple, list[PayloadEntry]] = {}
 
     def _account(self, naive_delta: int, stored_delta: int) -> None:
         self.naive_bytes += naive_delta
@@ -104,111 +119,6 @@ class _Accounting:
             "stored_bytes": self.stored_bytes,
             "saved_bytes": self.saved_bytes,
         }
-
-
-@dataclass
-class _Entry:
-    value: Any
-    nbytes: int
-    refcount: int
-
-
-class InternPool(_Accounting):
-    """Reference-counted store of values under hashable content keys."""
-
-    def __init__(
-        self, on_account: Callable[[int, int], None] | None = None
-    ) -> None:
-        super().__init__(on_account)
-        self._entries: dict[Hashable, _Entry] = {}
-
-    def acquire(
-        self, key: Hashable, factory: Callable[[], Any], nbytes: int
-    ) -> Any:
-        """Return the value interned under ``key``, creating it on a miss.
-
-        ``factory`` builds the value only when ``key`` is new; ``nbytes``
-        is what one un-interned copy would cost.  Every acquire takes one
-        reference — pair it with :meth:`release`.
-        """
-        entry = self._entries.get(key)
-        if entry is not None:
-            return self.take(entry, nbytes)
-        self.acquires += 1
-        entry = self._entries[key] = _Entry(factory(), nbytes, 1)
-        self._account(nbytes, nbytes)
-        return entry.value
-
-    def take(self, entry: _Entry, nbytes: int) -> Any:
-        """:meth:`acquire` a live ``entry`` the caller found itself."""
-        self.acquires += 1
-        self.hits += 1
-        self.naive_bytes += nbytes
-        if self._on_account is not None:
-            self._on_account(nbytes, 0)
-        entry.refcount += 1
-        return entry.value
-
-    def release(self, key: Hashable) -> bool:
-        """Drop one reference; returns True when the entry was evicted.
-
-        Unknown keys are ignored (idempotent release), matching how
-        protocol teardown paths may race a normal delivery release.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return False
-        entry.refcount -= 1
-        self._account(-entry.nbytes, 0)
-        if entry.refcount <= 0:
-            self._account(0, -entry.nbytes)
-            del self._entries[key]
-            return True
-        return False
-
-    def refcount(self, key: Hashable) -> int:
-        """Current reference count of ``key`` (0 when not interned)."""
-        entry = self._entries.get(key)
-        return 0 if entry is None else entry.refcount
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class PayloadEntry:
-    """One live interned payload: the handle a message holds until release."""
-
-    __slots__ = ("key", "value", "refcount", "borrowed")
-
-    def __init__(self, key: tuple, value: np.ndarray,
-                 borrowed: bool = False) -> None:
-        #: the :func:`payload_key` fingerprint (the entry's bucket)
-        self.key = key
-        #: the frozen payload array: pool-owned, or when ``borrowed`` a
-        #: read-only view of its one sender's buffer
-        self.value = value
-        self.refcount = 0
-        #: ``value`` is valid only until its sender's send completes
-        self.borrowed = borrowed
-
-
-class PayloadPool(_Accounting):
-    """Packed payloads folded by byte equality under a sampled fingerprint.
-
-    Each :func:`payload_key` fingerprint maps to a small bucket of live
-    entries whose bytes all differ.  An acquire compares the payload's
-    bytes only against the entries of its own bucket, which is empty
-    unless a live payload has the same fingerprint; the handle it returns
-    names the exact entry, so release stays exact when different payloads
-    share a fingerprint.  Counters and accounting are those of
-    :class:`InternPool` keyed by the full bytes.
-    """
-
-    def __init__(
-        self, on_account: Callable[[int, int], None] | None = None
-    ) -> None:
-        super().__init__(on_account)
-        self._buckets: dict[tuple, list[PayloadEntry]] = {}
 
     def acquire(self, key: tuple, data: np.ndarray,
                 borrowed: bool = False) -> PayloadEntry:
@@ -314,54 +224,8 @@ def payload_key(data: np.ndarray) -> tuple:
     return (nbytes, hasher.digest())
 
 
-@dataclass(frozen=True)
-class BufferDescriptor:
-    """Immutable shape of a buffer: what every rank's spec has in common."""
-
-    count: int
-    type_name: str
-    type_size: int
-    type_extent: int
-
-    @property
-    def nbytes(self) -> int:
-        return self.count * self.type_size
-
-
-#: process-global pool for descriptors and envelope metadata; entries
-#: are tiny immutable records kept for the process lifetime (references
-#: are taken but never released — the folded copies were the point)
-DESCRIPTOR_POOL = InternPool()
-
-#: accounting estimate of one un-interned descriptor object (CPython
-#: object header + fields); only feeds the naive-vs-stored gap metric
-_DESCRIPTOR_COST = 64
-
-
-#: :data:`DESCRIPTOR_POOL` entries by the arguments that built their key,
-#: so a hit builds neither key nor factory.  The descriptor index keeps
-#: its datatypes alive, so it starts over at 4096 entries
-_DESCRIPTORS: dict[tuple, _Entry] = {}
-_METAS: dict[tuple, _Entry] = {}
-
-
-def intern_descriptor(count: int, datatype) -> BufferDescriptor:
-    """The interned :class:`BufferDescriptor` for ``(count, datatype)``."""
-    entry = _DESCRIPTORS.get((count, datatype))
-    if entry is not None:
-        return DESCRIPTOR_POOL.take(entry, _DESCRIPTOR_COST)
-    key = ("desc", count, datatype.name, datatype.size, datatype.extent)
-    value = DESCRIPTOR_POOL.acquire(
-        key,
-        lambda: BufferDescriptor(
-            count, datatype.name, datatype.size, datatype.extent
-        ),
-        _DESCRIPTOR_COST,
-    )
-    if len(_DESCRIPTORS) >= 4096:
-        _DESCRIPTORS.clear()
-    _DESCRIPTORS[count, datatype] = DESCRIPTOR_POOL._entries[key]
-    return value
+#: :func:`intern_meta`'s tuples, each the first of its value seen
+_METAS: dict[tuple, tuple] = {}
 
 
 def intern_meta(*fields: Hashable) -> tuple:
@@ -370,13 +234,7 @@ def intern_meta(*fields: Hashable) -> tuple:
     The protocol stamps every request with its interned envelope
     metadata ``(kind, tag, ctx, nbytes, ...)`` — at scale the population
     of distinct envelopes is tiny compared to the request count, so one
-    tuple serves thousands of requests.
+    tuple serves thousands of requests.  Equal fields always return the
+    same tuple object.
     """
-    entry = _METAS.get(fields)
-    if entry is not None:
-        return DESCRIPTOR_POOL.take(entry, _DESCRIPTOR_COST)
-    key = ("meta", *fields)
-    value = DESCRIPTOR_POOL.acquire(key, lambda: fields, _DESCRIPTOR_COST)
-    _METAS[fields] = DESCRIPTOR_POOL._entries[key]
-    return value
-
+    return _METAS.setdefault(fields, fields)

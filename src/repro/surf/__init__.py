@@ -16,7 +16,7 @@ affine and the contributed piece-wise linear model — live in
 
 from .action import Action, ActionState
 from .cpu_model import CpuModel
-from .engine import Engine, EngineStats
+from .engine import Engine
 from .maxmin import IncrementalMaxMin
 from .network_model import (
     AffineNetworkModel,
@@ -31,6 +31,7 @@ from .topologies import fat_tree, torus
 from .platform_xml import load_platform_xml, save_platform_xml
 from .resources import Host, Link, SharingPolicy
 from .routing import Route
+from .stats import EngineStats
 
 __all__ = [
     "Action",

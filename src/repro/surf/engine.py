@@ -41,15 +41,20 @@ action) costs one comparison on pop and is skipped rather than deleted.
 A share re-anchors the flows whose rate changed in one loop
 (:meth:`Engine._reanchor`), pushing each new deadline as it goes.
 
-Resources are *dynamic* (see ``docs/faults.md``): availability profiles
-scale a link's bandwidth or a host's speed over time, state profiles turn
-resources OFF and back ON, and :meth:`Engine.fail_resource` /
-:meth:`Engine.restore_resource` / :meth:`Engine.set_availability` script
-the same transitions directly.  Profile points are ordinary events on the
-engine's event loop (a dedicated min-heap of upcoming points feeds
-:meth:`Engine.next_deadline`), and capacity changes flow through the
-incremental solver as constraint updates — the affected component is
-re-solved and only the flows whose rate changed are re-anchored.
+This module is the kernel only: action factories and registration, the
+completion heap, the share, and the step loop.  Everything else that an
+engine does lives beside it and reaches it through narrow hooks:
+
+* resource failures, availability and profiles —
+  :class:`~repro.surf.dynamics.ResourceDynamics`, the engine's base
+  class, which feeds the step loop its timed events (the next profile
+  point, what is due once the clock moves, whether a point can end a
+  stall) and the resource state (a constraint's capacity, the dead check
+  of a new action);
+* the counter record — :class:`~repro.surf.stats.EngineStats`;
+* checkpoints — :func:`repro.offline.snapshot.snapshot_engine` and
+  :func:`~repro.offline.snapshot.restore_engine`, which own the whole
+  checkpoint layout.
 
 The historical scan-everything event loop and rebuild-everything share
 survive as test-only oracles (``tests/oracles.py``) that pin this engine
@@ -59,7 +64,6 @@ bit-for-bit under any mix of failures, recoveries and capacity noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from itertools import islice
 from operator import attrgetter
@@ -67,153 +71,23 @@ from operator import attrgetter
 from ..errors import SimulationError
 from ..log import bind_clock, get_logger
 from .action import Action, ActionState, ComputeAction, NetworkAction, SleepAction
-from .action import _ids as _action_ids
 from .cpu_model import CpuModel
+from .dynamics import ResourceDynamics
 from .maxmin import IncrementalMaxMin
 from .network_model import FactorsNetworkModel, NetworkModel
 from .platform import Platform
 from .resources import Host, Link, SharingPolicy
+from .stats import EngineStats
 
-__all__ = ["Engine", "EngineStats", "SNAPSHOT_VERSION"]
+__all__ = ["Engine"]
 
 _log = get_logger("surf")
-
-#: wire-format version of :meth:`Engine.snapshot` payloads; bump on any
-#: layout change so stale checkpoints are rejected instead of misread.
-#: v2: the ``"sharing"`` field is gone (every share is exact max-min)
-SNAPSHOT_VERSION = 2
 
 _INF = math.inf
 _by_aid = attrgetter("aid")
 
 
-class _Harvested:
-    """The action of a restored heap entry whose action was harvested
-    before the snapshot: its epoch, -1, matches no entry, so the entry
-    pops as stale."""
-
-    __slots__ = ()
-    epoch = -1
-
-
-_HARVESTED = _Harvested()
-
-
-@dataclass
-class EngineStats:
-    """Counters for the speed evaluation (Figs. 17/18).
-
-    ``partial_shares`` counts the share calls that re-solved only a strict
-    subset of the live flows (possibly none); ``flows_resolved`` is the
-    total number of flow rates recomputed across all shares, and
-    ``components_solved`` the number of connected components those
-    re-solves covered.
-
-    ``actions_touched`` counts per-action updates in the event loop: rate
-    re-anchors plus heap-popped expiries.  ``heap_pops`` and
-    ``stale_heap_entries`` instrument the completion heap itself.
-    """
-
-    steps: int = 0
-    shares: int = 0
-    actions_created: int = 0
-    actions_completed: int = 0
-    peak_concurrent: int = 0
-    partial_shares: int = 0
-    flows_resolved: int = 0
-    components_solved: int = 0
-    #: per-action updates performed by the event loop (see class docstring)
-    actions_touched: int = 0
-    #: completion-heap entries popped
-    heap_pops: int = 0
-    #: popped entries whose prediction was stale and skipped
-    stale_heap_entries: int = 0
-    #: utilization samples recorded on the attached timeline (0 unless
-    #: :meth:`Engine.enable_timeline` was called)
-    link_samples: int = 0
-    #: capacity changes applied (availability profiles + set_availability)
-    capacity_events: int = 0
-    #: resources turned OFF (state profiles + fail_resource)
-    resource_failures: int = 0
-    #: resources turned back ON (state profiles + restore_resource)
-    resource_restores: int = 0
-    #: scheduler resumes of an actor execution context (any backend)
-    ctx_switches: int = 0
-    #: ctx_switches served by the sole-runnable drain fast path (the
-    #: actor was resumed again directly, skipping a deque cycle)
-    ctx_fast_resumes: int = 0
-    #: progressive-filling rounds spent across all incremental shares (a
-    #: direct measure of solver work)
-    fill_rounds: int = 0
-    #: always 0: every share is solved to the exact max-min fixed point.
-    #: Kept only because the e2ebench golden counters pin it; it can go
-    #: once that golden file is regenerated
-    approx_events: int = 0
-    #: pt2pt match-queue entries examined across all matching attempts
-    #: (both ``index`` and ``scan`` modes count identically: one probe
-    #: per entry looked at, minimum one per attempt) — the cost metric
-    #: the matching ablation bench gates on
-    match_probes: int = 0
-    #: successful matches whose envelope carried no wildcard (the
-    #: indexed queues serve these from an O(1) bucket popleft)
-    match_fast_hits: int = 0
-    #: matching attempts resolved through a wildcard pattern
-    #: (ANY_SOURCE/ANY_TAG on either side)
-    wildcard_scans: int = 0
-    #: Request/Message/_PostedRecv objects served from a free-list pool
-    #: instead of freshly allocated (see docs/performance.md)
-    pooled_reuses: int = 0
-    extra: dict = field(default_factory=dict)
-
-    #: wire-format version stamped into :meth:`to_dict` payloads; bump it
-    #: whenever a counter changes meaning (renames/removals/additions), so
-    #: stale serialized stats — e.g. sweep memo-cache entries — are
-    #: rejected instead of silently misread.  v2: added the match/alloc
-    #: counters (match_probes, match_fast_hits, wildcard_scans,
-    #: pooled_reuses).
-    SCHEMA_VERSION = 2
-
-    def to_dict(self) -> dict:
-        """Serialize every counter to a plain-JSON-compatible dict.
-
-        The payload carries a ``schema_version`` field (see
-        :data:`SCHEMA_VERSION`) and round-trips exactly through
-        :meth:`from_dict`; the sweep memo cache persists it under
-        ``.repro-cache/``.
-        """
-        data = {"schema_version": self.SCHEMA_VERSION}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            data[spec.name] = dict(value) if spec.name == "extra" else value
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineStats":
-        """Rebuild an :class:`EngineStats` from a :meth:`to_dict` payload.
-
-        Raises :class:`~repro.errors.SimulationError` when the payload's
-        ``schema_version`` is missing or different from
-        :data:`SCHEMA_VERSION`, or when it carries counters this version
-        does not know — both mean the serialized stats come from an
-        incompatible build and must not be trusted.
-        """
-        payload = dict(data)
-        version = payload.pop("schema_version", None)
-        if version != cls.SCHEMA_VERSION:
-            raise SimulationError(
-                f"EngineStats schema_version {version!r} is not the "
-                f"supported version {cls.SCHEMA_VERSION}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise SimulationError(
-                f"EngineStats payload carries unknown counters {unknown}"
-            )
-        return cls(**payload)
-
-
-class Engine:
+class Engine(ResourceDynamics):
     """Sequential kernel simulating one platform."""
 
     def __init__(
@@ -241,34 +115,19 @@ class Engine:
         self._heap: list[tuple[float, int, int, Action]] = []
         #: actions that reached DONE/FAILED and await observer delivery
         self._finished: list[Action] = []
-        #: (completion-heap top, profile-heap top, date) of the last
+        #: (completion-heap top, next profile point, date) of the last
         #: :meth:`next_deadline`, for the :meth:`step` right after it
         self._peeked: tuple | None = None
         #: actions that entered RUNNING since the last share (to enroll)
         self._newly_running: list[Action] = []
         #: actions that left RUNNING since the last share (to retire)
         self._retired: list[Action] = []
-        self._dead_resources: set[str] = set()
-        #: per-resource capacity factor (1.0 when absent); maintained by
-        #: :meth:`set_availability` and read everywhere a constraint
-        #: capacity is built
-        self._availability: dict[str, float] = {}
-        #: callbacks ``listener(event, resource, now)`` invoked on every
-        #: resource transition — ``event`` is ``"fail"``, ``"restore"`` or
-        #: ``"capacity"`` (the SMPI runtime uses these for fault semantics
-        #: and failure tracing)
-        self.resource_listeners: list = []
-        #: installed profile cursors: [resource, kind, event iterator,
-        #: points pulled so far, profile] — the pull count is what a
-        #: snapshot records, so a restore can re-consume the same prefix
-        #: of the (possibly infinite) profile
-        self._profile_cursors: list[list] = []
-        #: min-heap of (time, cursor index, value) upcoming profile points
-        self._profile_heap: list[tuple[float, int, float]] = []
         #: per-resource utilization timeline; None (the default) keeps the
         #: share path free of any sampling work
         self.timeline = None
-        self._install_profiles()
+        # resource dynamics last: installing a profile may already fail a
+        # resource, which needs the state above
+        super().__init__()
         bind_clock(lambda: self.now)
 
     def enable_timeline(self):
@@ -328,7 +187,7 @@ class Engine:
                 name, size, (), latency=1e-7 + extra_latency,
                 rate_bound=min(rate_cap, 12.5e9), src=src, dst=dst,
             )
-        if self._dead_resources and self._route_is_dead(route.links):
+        if self._stillborn(route.links):
             action.fail()
         self._register(action)
         return action
@@ -338,7 +197,7 @@ class Engine:
         if isinstance(host, str):
             host = self.platform.host(host)
         action = ComputeAction(name, flops, host, self.cpu_model.action_bound(host))
-        if host.name in self._dead_resources:
+        if self._stillborn((host,)):
             action.fail()
         self._register(action)
         return action
@@ -454,13 +313,6 @@ class Engine:
                     heappush(heap, (deadline, aid, action.epoch, action))
         self.stats.actions_touched += touched
 
-    def _capacity_of(self, resource: "Link | Host") -> float:
-        """Current constraint capacity: nominal scaled by availability."""
-        base = (resource.bandwidth if isinstance(resource, Link)
-                else self.cpu_model.capacity(resource))
-        factor = self._availability.get(resource.name)
-        return base if factor is None else base * factor
-
     def _ensure_solver_constraint(self, resource: "Link | Host") -> None:
         """Register (or capacity-update) ``resource`` in the solver."""
         if isinstance(resource, Link):
@@ -498,12 +350,12 @@ class Engine:
         Peeks the completion heap, skipping stale entries.  Upcoming
         profile points (capacity changes, failures, recoveries) are
         events too — a flow stalled at rate 0 by a zero-availability
-        phase legitimately waits for the restoring point, so the profile
-        horizon bounds the result.
+        phase legitimately waits for the restoring point, so the next
+        point bounds the result.
         """
         if self._needs_share:
             self.share_resources()
-        horizon = self._next_profile_time()
+        horizon = self._next_point
         heap = self._heap
         stale = 0
         while heap:
@@ -518,46 +370,25 @@ class Engine:
             stats.stale_heap_entries += stale
         if heap:
             date = horizon if horizon < deadline else deadline
-            profiles = self._profile_heap
-            self._peeked = (heap[0], profiles[0] if profiles else None, date)
+            self._peeked = (heap[0], horizon, date)
             return date
         return self._stalled_horizon(horizon)
 
     def _stalled_horizon(self, horizon: float) -> float:
         """The next event when no pending action can finish on its own.
 
-        Such an action runs at rate 0.  A profile can free it only with a
-        positive availability point on each zero-capacity resource of its
-        path — never when its own rate bound is 0 — or end it with a 0
-        state point on any resource of its path.  When no scheduled profile
-        can do either for any pending action, the stall is permanent:
-        report inf, or periodic profiles elsewhere would step the clock
-        forever.
+        Such an action runs at rate 0, and only a scheduled profile point
+        can free or end it (:meth:`_stall_breaker`).  When no point can do
+        either for any pending action, the stall is permanent: report inf,
+        or periodic profiles elsewhere would step the clock forever.
         """
-        if not self.pending or horizon == math.inf:
+        if not self.pending or horizon == _INF:
             return horizon
-        restoring: set[str] = set()
-        failing: set[str] = set()
-        cursors = self._profile_cursors
-        for _date, cursor, _value in self._profile_heap:
-            resource, kind, _events, _pulls, profile = cursors[cursor]
-            values = [value for _t, value in profile.points]
-            if kind == "availability" and max(values) > 0:
-                restoring.add(resource.name)
-            elif kind == "state" and min(values) <= 0:
-                failing.add(resource.name)
+        breaks = self._stall_breaker()
         for action in self.pending.values():
-            if not action.is_pending:
-                continue
-            path = action.constraints()
-            if any(r.name in failing for r in path):
+            if action.is_pending and breaks(action):
                 return horizon
-            if action.rate_bound == 0:
-                continue  # held at 0 by its own bound: no capacity frees it
-            zero = [r.name for r in path if self._capacity_of(r) == 0.0]
-            if not zero or all(name in restoring for name in zero):
-                return horizon
-        return math.inf
+        return _INF
 
     def _stalled_error(self) -> SimulationError:
         stalled = ", ".join(a.name for a in islice(self.pending.values(), 8))
@@ -579,13 +410,13 @@ class Engine:
         if not self.pending:
             return []
         # the scheduler peeks (poll_progress) right before each step: its
-        # date stands while no share is due and both heap tops are the
-        # same entries, the completion one still live
+        # date stands while no share is due, the completion-heap top is
+        # the same live entry and the next profile point is unchanged
         peeked, self._peeked = self._peeked, None
-        heap, profiles = self._heap, self._profile_heap
+        heap = self._heap
         if (peeked is not None and not self._needs_share and heap
                 and peeked[0] is heap[0] and heap[0][2] == heap[0][3].epoch
-                and peeked[1] is (profiles[0] if profiles else None)):
+                and peeked[1] == self._next_point):
             date = peeked[2]
         else:
             date = self.next_deadline()
@@ -606,7 +437,8 @@ class Engine:
         if self._needs_share:
             self.share_resources()
         self.now = date
-        self._fire_profiles_due()
+        if self._next_point <= date:
+            self._fire_profiles_due()
         self._expire_lazy()
 
     def _expire_lazy(self) -> None:
@@ -666,7 +498,7 @@ class Engine:
             if not self.pending:
                 # nothing left to progress; still replay the profile points
                 # inside the window so resource state stays consistent
-                date = self._next_profile_time()
+                date = self._next_point
                 if date > target:
                     break  # idle until the target: warp below
             else:
@@ -741,8 +573,6 @@ class Engine:
         if action.is_pending:
             self._retire(action)
 
-    # -- dynamic resources: failure, recovery, availability ---------------------------
-
     def at(self, when: float, callback, fire_on_cancel: bool = True) -> Action:
         """Invoke ``callback()`` at absolute simulated time ``when``.
 
@@ -765,398 +595,3 @@ class Engine:
 
         action.observer = observer
         return action
-
-    def is_dead(self, resource: "Link | Host") -> bool:
-        """Whether ``resource`` is currently OFF (failed, not yet restored)."""
-        return resource.name in self._dead_resources
-
-    def fail_resource(self, resource: "Link | Host") -> None:
-        """Turn a link or host OFF: every action using it fails, now and
-        until :meth:`restore_resource` turns it back ON.
-
-        Mirrors SimGrid's resource failures: pending transfers/computes
-        crossing the resource turn FAILED (surfacing as errors in the
-        waiting ranks), and new actions over it fail immediately.
-        Idempotent while the resource is already down.
-        """
-        if resource.name in self._dead_resources:
-            return
-        self._dead_resources.add(resource.name)
-        self.stats.resource_failures += 1
-        for action in self.pending.values():
-            if action.is_pending and any(
-                res.name == resource.name for res in action.constraints()
-            ):
-                self._retire(action)
-        self._needs_share = True
-        self._notify("fail", resource)
-
-    def restore_resource(self, resource: "Link | Host") -> None:
-        """Turn a failed link or host back ON (recovery).
-
-        New actions over the resource work again immediately; the actions
-        its failure killed stay FAILED (retry is an upper-layer policy —
-        see ``SmpiConfig.comm_retries``).  No-op while the resource is up.
-        """
-        if resource.name not in self._dead_resources:
-            return
-        self._dead_resources.discard(resource.name)
-        self.stats.resource_restores += 1
-        self._needs_share = True
-        self._notify("restore", resource)
-
-    def set_availability(self, resource: "Link | Host", factor: float) -> None:
-        """Scale ``resource``'s capacity by ``factor`` from now on.
-
-        The constraint's capacity becomes ``nominal * factor``; the solver
-        re-solves the affected component at the next share and the lazy
-        heap re-anchors exactly the flows whose rate changed.  ``0.0``
-        stalls flows on the resource without failing them (they resume
-        when capacity returns); use :meth:`fail_resource` for hard
-        outages.  Unchanged factors are ignored.
-        """
-        if not math.isfinite(factor) or factor < 0:
-            raise SimulationError(
-                f"availability of {resource.name!r} must be finite and >= 0, "
-                f"got {factor}"
-            )
-        if factor == self._availability.get(resource.name, 1.0):
-            return
-        if factor == 1.0:
-            self._availability.pop(resource.name, None)
-        else:
-            self._availability[resource.name] = factor
-        self.stats.capacity_events += 1
-        if self._solver.has_constraint(resource):
-            # updates the registered capacity and marks the constraint
-            # dirty, so dependent flows re-solve at the next share
-            self._ensure_solver_constraint(resource)
-        self._needs_share = True
-        if self.timeline is not None:
-            self.timeline.record_capacity(
-                self.now, resource.name, self._capacity_of(resource),
-                kind="link" if isinstance(resource, Link) else "host",
-            )
-        self._notify("capacity", resource)
-
-    def _notify(self, event: str, resource: "Link | Host") -> None:
-        for listener in self.resource_listeners:
-            listener(event, resource, self.now)
-
-    def _route_is_dead(self, links) -> bool:
-        return any(link.name in self._dead_resources for link in links)
-
-    # -- availability/state profiles ------------------------------------------------
-
-    def attach_profile(self, resource: "Link | Host", profile,
-                       kind: str = "availability") -> None:
-        """Install a :class:`~repro.surf.profiles.Profile` on ``resource``.
-
-        ``kind`` is ``"availability"`` (points are capacity factors fed to
-        :meth:`set_availability`) or ``"state"`` (0 points fail the
-        resource, non-zero points restore it).  Points at or before the
-        current clock apply immediately; later ones fire as engine events.
-        Platform resources carrying ``availability_profile`` /
-        ``state_profile`` attributes are installed automatically at engine
-        construction.
-        """
-        if kind not in ("availability", "state"):
-            raise SimulationError(
-                f"unknown profile kind {kind!r} (availability or state)"
-            )
-        cursor = len(self._profile_cursors)
-        self._profile_cursors.append(
-            [resource, kind, profile.iter_events(), 0, profile])
-        self._advance_cursor(cursor)
-        self._fire_profiles_due()
-
-    def _install_profiles(self) -> None:
-        """Install the profiles attached to the platform's resources."""
-        for resource in (*self.platform.links, *self.platform.hosts):
-            for kind in ("availability", "state"):
-                profile = getattr(resource, f"{kind}_profile", None)
-                if profile is not None:
-                    self.attach_profile(resource, profile, kind)
-
-    def _advance_cursor(self, cursor: int) -> None:
-        """Schedule the next point of one profile (pulled one at a time,
-        so infinite periodic profiles never materialize)."""
-        record = self._profile_cursors[cursor]
-        entry = next(record[2], None)
-        record[3] += 1
-        if entry is not None:
-            heappush(self._profile_heap, (entry[0], cursor, entry[1]))
-
-    def _next_profile_time(self) -> float:
-        """Absolute date of the earliest scheduled profile point."""
-        return self._profile_heap[0][0] if self._profile_heap else math.inf
-
-    def _fire_profiles_due(self) -> None:
-        """Apply every profile point due at the current clock.
-
-        Same-time points fire in installation order (heap ties break on
-        the cursor index), keeping multi-profile scenarios deterministic.
-        """
-        heap = self._profile_heap
-        while heap and heap[0][0] <= self.now:
-            _t, cursor, value = heappop(heap)
-            resource, kind = self._profile_cursors[cursor][:2]
-            if kind == "state":
-                if value <= 0.0:
-                    self.fail_resource(resource)
-                else:
-                    self.restore_resource(resource)
-            else:
-                self.set_availability(resource, value)
-            self._advance_cursor(cursor)
-
-    # -- snapshot / restore (docs/scaling.md) -----------------------------------
-
-    def snapshot(self) -> dict:
-        """Serialize the engine's full dynamic state as a plain dict.
-
-        The payload is JSON-compatible (Python's ``json`` round-trips the
-        ``inf``/``nan`` values the numeric fields legitimately hold) and
-        :meth:`restore` rebuilds an engine from it that continues the run
-        **bit-identically** to the uninterrupted one: action ids, heap
-        tie-breaks, solver re-solve order and float trajectories are all
-        preserved.  Observers are *not* captured — they are closures into
-        the layer driving the engine, and that layer (see
-        ``repro.offline.snapshot``) re-attaches its own observers to the
-        actions :meth:`restore` returns.
-
-        A snapshot is only taken at a *quiescent* cut: every completion
-        already delivered.  The capture refuses (raising
-        :class:`SimulationError`) when undelivered completions are queued,
-        when an :meth:`at` callback is pending (its closure cannot be
-        serialized), when a timeline is attached (utilization series are
-        streamed, not checkpointed).
-        """
-        if self._instant_done or self._finished:
-            raise SimulationError(
-                "engine is not quiescent: completions await delivery "
-                "(step once more, then capture)"
-            )
-        if self.timeline is not None:
-            raise SimulationError(
-                "snapshot does not capture the utilization timeline; "
-                "checkpoint runs with tracing disabled"
-            )
-        for action in self.pending.values():
-            if action.name.startswith("at-"):
-                raise SimulationError(
-                    f"pending scheduled callback {action.name!r} cannot be "
-                    "snapshotted (its closure is not serializable)"
-                )
-
-        solver = self._solver
-        members = []
-        for aid in solver.flow_keys_in_seq_order():
-            try:
-                rate = solver.rate(aid)
-            except KeyError:  # enrolled but never solved (NaN sentinel)
-                rate = None
-            members.append([aid, rate])
-        retired_aids = {a.aid for a in self._retired}
-        actions = [self._serialize_action(a) for a in self.pending.values()]
-        actions += [self._serialize_action(a) for a in self._retired
-                    if a.aid not in self.pending]
-        return {
-            "version": SNAPSHOT_VERSION,
-            "now": self.now,
-            "stats": self.stats.to_dict(),
-            "availability": dict(self._availability),
-            "dead_resources": sorted(self._dead_resources),
-            "next_aid": _action_ids.peek,
-            "actions": actions,
-            "pending": list(self.pending),
-            "heap": [[deadline, aid, epoch]
-                     for deadline, aid, epoch, _action in self._heap],
-            "newly_running": [a.aid for a in self._newly_running],
-            "retired": sorted(retired_aids),
-            "needs_share": self._needs_share,
-            "members": members,
-            "dirty_cons": sorted(self._resource_ref(key)
-                                 for key in solver.dirty_constraint_keys()),
-            "dirty_flows": sorted(solver._dirty_flows),
-            "profiles": [
-                {"resource": self._resource_ref(record[0]),
-                 "kind": record[1], "pulls": record[3]}
-                for record in self._profile_cursors
-            ],
-            "profile_heap": [list(entry) for entry in self._profile_heap],
-        }
-
-    @staticmethod
-    def _resource_ref(resource: "Link | Host") -> list:
-        return ["host" if isinstance(resource, Host) else "link",
-                resource.name]
-
-    def _resource_by_ref(self, ref) -> "Link | Host":
-        rtype, name = ref
-        return (self.platform.host(name) if rtype == "host"
-                else self.platform.link(name))
-
-    def _serialize_action(self, action: Action) -> dict:
-        data = {
-            "aid": action.aid,
-            "name": action.name,
-            "state": action.state.name,
-            "remaining": action.remaining,
-            "latency_remaining": action.latency_remaining,
-            "rate": action.rate,
-            "rate_bound": action.rate_bound,
-            "weight": action.weight,
-            "start_time": action.start_time,
-            "finish_time": action.finish_time,
-            "last_touched": action.last_touched,
-            "deadline": action.deadline,
-            "epoch": action.epoch,
-        }
-        if isinstance(action, NetworkAction):
-            data["kind"] = "network"
-            data["src"] = action.src
-            data["dst"] = action.dst
-            data["size"] = action.size
-            data["routed"] = bool(action.links)
-        elif isinstance(action, ComputeAction):
-            data["kind"] = "compute"
-            data["host"] = action.host.name
-        elif isinstance(action, SleepAction):
-            data["kind"] = "sleep"
-        else:
-            raise SimulationError(
-                f"cannot snapshot action of type {type(action).__name__}"
-            )
-        return data
-
-    def _revive_action(self, data: dict) -> Action:
-        """Rebuild one serialized action, observer-less, slots verbatim."""
-        kind = data["kind"]
-        if kind == "network":
-            action = NetworkAction.__new__(NetworkAction)
-            if data["routed"]:
-                # re-derive the link tuple from the (frozen, hence
-                # identical) platform topology; the numeric state is
-                # never re-derived from the network model
-                action.links = self.platform.route(
-                    data["src"], data["dst"]).links
-            else:
-                action.links = ()
-            action.src = data["src"]
-            action.dst = data["dst"]
-            action.size = float(data["size"])
-            action.payload = None
-        elif kind == "compute":
-            action = ComputeAction.__new__(ComputeAction)
-            action.host = self.platform.host(data["host"])
-        elif kind == "sleep":
-            action = SleepAction.__new__(SleepAction)
-        else:
-            raise SimulationError(f"unknown serialized action kind {kind!r}")
-        action.aid = data["aid"]
-        action.name = data["name"]
-        action.state = ActionState[data["state"]]
-        action.remaining = data["remaining"]
-        action.latency_remaining = data["latency_remaining"]
-        action.rate = data["rate"]
-        action.rate_bound = data["rate_bound"]
-        action.weight = data["weight"]
-        action.start_time = data["start_time"]
-        action.finish_time = data["finish_time"]
-        action.last_touched = data["last_touched"]
-        action.deadline = data["deadline"]
-        action.epoch = data["epoch"]
-        action.observer = None
-        return action
-
-    @classmethod
-    def restore(
-        cls,
-        platform: Platform,
-        snap: dict,
-        network_model: NetworkModel | None = None,
-        cpu_model: CpuModel | None = None,
-    ) -> tuple["Engine", dict]:
-        """Rebuild an engine from a :meth:`snapshot` payload.
-
-        Returns ``(engine, actions)`` where ``actions`` maps each
-        serialized aid to its revived :class:`Action` so the driving
-        layer can re-attach observers.  ``platform`` must be the platform
-        the snapshot was taken on (same topology and nominal capacities),
-        and ``network_model``/``cpu_model`` must equal the original run's
-        for the continuation to stay bit-identical — the snapshot stores
-        every in-flight action's *numeric* state verbatim, but actions
-        created after the restore consult the models again.
-        """
-        version = snap.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise SimulationError(
-                f"engine snapshot version {version!r} is not the supported "
-                f"version {SNAPSHOT_VERSION}"
-            )
-        engine = cls(platform, network_model=network_model,
-                     cpu_model=cpu_model)
-        # undo the construction-time profile install; cursors are re-wound
-        # to their serialized positions below
-        engine._profile_cursors = []
-        engine._profile_heap = []
-
-        engine.now = snap["now"]
-        engine.stats = EngineStats.from_dict(snap["stats"])
-        engine._availability = dict(snap["availability"])
-        engine._dead_resources = set(snap["dead_resources"])
-        engine._needs_share = snap["needs_share"]
-
-        actions: dict[int, Action] = {}
-        for data in snap["actions"]:
-            action = engine._revive_action(data)
-            actions[action.aid] = action
-        engine.pending = {aid: actions[aid] for aid in snap["pending"]}
-        # an entry of an action the snapshot does not hold (harvested
-        # before the cut) is stale: bind it to an action it never matches
-        engine._heap = [(deadline, aid, epoch, actions.get(aid, _HARVESTED))
-                        for deadline, aid, epoch in snap["heap"]]
-        engine._newly_running = [actions[aid]
-                                 for aid in snap["newly_running"]]
-        engine._retired = [actions[aid] for aid in snap["retired"]]
-
-        # Solver: re-enroll every member flow in original seq order (so
-        # component re-solves sort members identically), seed the solved
-        # rates, then reset dirtiness to exactly the serialized cut.
-        # Component solves run progressive filling from scratch, so this
-        # state is indistinguishable from having solved its way here.
-        solver = engine._solver
-        for aid, rate in snap["members"]:
-            engine._enroll(actions[aid])
-            if rate is not None:
-                solver.seed_rate(aid, rate)
-        solver.clear_dirty()
-        for ref in snap["dirty_cons"]:
-            solver.mark_dirty(engine._resource_by_ref(ref))
-        for aid in snap["dirty_flows"]:
-            solver.mark_flow_dirty(aid)
-
-        # Profiles: re-open each (platform-attached) profile and discard
-        # the consumed prefix; the upcoming-point heap is restored
-        # verbatim so firing order and tie-breaks are preserved.
-        for spec in snap["profiles"]:
-            resource = engine._resource_by_ref(spec["resource"])
-            profile = getattr(resource, f"{spec['kind']}_profile", None)
-            if profile is None:
-                raise SimulationError(
-                    f"snapshot references a {spec['kind']} profile on "
-                    f"{resource.name!r} that the platform does not carry"
-                )
-            events = profile.iter_events()
-            for _ in range(spec["pulls"]):
-                next(events, None)
-            engine._profile_cursors.append(
-                [resource, spec["kind"], events, spec["pulls"], profile])
-        engine._profile_heap = [tuple(entry)
-                                for entry in snap["profile_heap"]]
-
-        # continue numbering where the original left off: heap ties break
-        # on aid and harvests deliver aid-sorted, so ids must line up
-        _action_ids.advance_to(snap["next_aid"])
-        return engine, actions

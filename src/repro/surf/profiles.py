@@ -5,8 +5,9 @@ profile** scales a link's bandwidth or a host's speed over time (capacity
 noise, background load, degraded operation), and a **state profile** turns
 the resource OFF (0) and back ON (1) — outages with recovery.  This
 module provides the profile representation and the SimGrid-compatible
-text format; :class:`~repro.surf.engine.Engine` consumes profiles and
-turns their points into capacity-change / failure / recovery events.
+text format; the engine's :class:`~repro.surf.dynamics.ResourceDynamics`
+consumes profiles and turns their points into capacity-change / failure
+/ recovery events.
 
 The file format is SimGrid's trace format::
 

@@ -210,7 +210,12 @@ class SnapshotStore:
         return sum(1 for _ in self.root.glob("snapshots/*/*.ckpt.json"))
 
     def get(self, key: str) -> dict | None:
-        """The stored checkpoint for ``key`` (None on miss/stale layout)."""
+        """The stored checkpoint for ``key`` (None on miss/stale layout).
+
+        :data:`~repro.offline.snapshot.CHECKPOINT_VERSION` guards the
+        whole payload, the engine part included, so comparing it is the
+        whole staleness check.
+        """
         from ..offline.snapshot import CHECKPOINT_VERSION
 
         path = self._path(key)

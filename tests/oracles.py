@@ -23,7 +23,9 @@ here, not in ``src/``, so the product keeps one path per layer:
 
 :func:`oracle_engine` picks the class for an ``(eager, full)`` pair, so
 the fuzz grids read ``oracle_engine(platform, eager=e, full=f)``.  None of
-the oracles can be snapshotted.
+the oracles can be snapshotted
+(:func:`~repro.offline.snapshot.snapshot_engine` takes the canonical
+engine only).
 
 * :class:`WalkMaxMin` — the walk-per-solve share: every solve walks each
   dirty component from its records and rebuilds the filling kernel's
@@ -45,8 +47,8 @@ the oracles can be snapshotted.
   bit.
 
 * :class:`DigestPayloadPool` — the original payload pool: a generic
-  :class:`~repro.smpi.intern.InternPool` keyed by a blake2b digest of the
-  whole payload (:func:`digest_key`), with the interface of
+  :class:`InternPool` keyed by a blake2b digest of the whole payload
+  (:func:`digest_key`), with the interface of
   :class:`~repro.smpi.intern.PayloadPool`.
 
 * :class:`TupleTimeline` — the utilization timeline as a list of
@@ -69,7 +71,7 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Iterator, TypeVar
+from typing import Any, Callable, Generic, Hashable, Iterator, TypeVar
 
 import numpy as np
 
@@ -78,7 +80,7 @@ from repro.simix import context as scheduler_module
 from repro.simix.contexts import ThreadContext
 from repro.simix.mailbox import MatchCounters
 from repro.smpi import pt2pt
-from repro.smpi.intern import InternPool, PayloadEntry
+from repro.smpi.intern import PayloadEntry, PayloadPool
 from repro.surf import Engine
 from repro.surf.action import Action, ActionState
 from repro.surf.maxmin import _EPS, IncrementalMaxMin
@@ -95,6 +97,7 @@ __all__ = [
     "EagerFullReshareEngine",
     "FlowSpec",
     "FullReshareEngine",
+    "InternPool",
     "MaxMinSystem",
     "RecomputeUsageMaxMin",
     "ScanMessageQueue",
@@ -290,16 +293,7 @@ def thread_contexts():
 # -- engine oracles ------------------------------------------------------------------
 
 
-class _NoSnapshot:
-    """Oracle engines exist to be compared, never checkpointed."""
-
-    def snapshot(self) -> dict:
-        raise SimulationError(
-            "snapshot supports the default lazy/incremental engine only"
-        )
-
-
-class EagerEngine(_NoSnapshot, Engine):
+class EagerEngine(Engine):
     """The historical O(P) event loop: no completion heap, every pending
     action examined at every event.  ``heap_pops`` and
     ``stale_heap_entries`` stay 0; ``actions_touched`` counts every visit.
@@ -317,7 +311,7 @@ class EagerEngine(_NoSnapshot, Engine):
     def next_deadline(self) -> float:
         if self._needs_share:
             self.share_resources()
-        horizon = self._next_profile_time()
+        horizon = self._next_point
         date = math.inf
         for action in self.pending.values():
             if action.is_pending and action.deadline < date:
@@ -335,7 +329,7 @@ class EagerEngine(_NoSnapshot, Engine):
                 self._expire(action)
 
 
-class FullReshareEngine(_NoSnapshot, Engine):
+class FullReshareEngine(Engine):
     """The historical rebuild-everything share.
 
     Every share enrols every RUNNING action, in ``pending`` order, into a
@@ -917,6 +911,74 @@ def solve_maxmin_vectorized(system: MaxMinSystem) -> np.ndarray:
 
 
 # -- payload pool oracle -------------------------------------------------------------
+
+
+@dataclass
+class _Entry:
+    value: Any
+    nbytes: int
+    refcount: int
+
+
+class InternPool(PayloadPool):
+    """Reference-counted store of values under hashable content keys.
+
+    The generic pool payload folding started from: one entry per key,
+    where :class:`~repro.smpi.intern.PayloadPool` keeps fingerprint
+    buckets.  It subclasses that pool only for its counters and byte
+    accounting, so the two report identical ``stats()``.
+    """
+
+    def __init__(
+        self, on_account: Callable[[int, int], None] | None = None
+    ) -> None:
+        super().__init__(on_account)
+        self._entries: dict[Hashable, _Entry] = {}
+
+    def acquire(
+        self, key: Hashable, factory: Callable[[], Any], nbytes: int
+    ) -> Any:
+        """Return the value interned under ``key``, creating it on a miss.
+
+        ``factory`` builds the value only when ``key`` is new; ``nbytes``
+        is what one un-interned copy would cost.  Every acquire takes one
+        reference — pair it with :meth:`release`.
+        """
+        self.acquires += 1
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits += 1
+            self._account(nbytes, 0)
+            entry.refcount += 1
+            return entry.value
+        entry = self._entries[key] = _Entry(factory(), nbytes, 1)
+        self._account(nbytes, nbytes)
+        return entry.value
+
+    def release(self, key: Hashable) -> bool:
+        """Drop one reference; returns True when the entry was evicted.
+
+        Unknown keys are ignored (idempotent release), matching how
+        protocol teardown paths may race a normal delivery release.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            return False
+        entry.refcount -= 1
+        self._account(-entry.nbytes, 0)
+        if entry.refcount <= 0:
+            self._account(0, -entry.nbytes)
+            del self._entries[key]
+            return True
+        return False
+
+    def refcount(self, key: Hashable) -> int:
+        """Current reference count of ``key`` (0 when not interned)."""
+        entry = self._entries.get(key)
+        return 0 if entry is None else entry.refcount
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def digest_key(data) -> tuple:

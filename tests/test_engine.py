@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
+from repro.offline.snapshot import snapshot_engine
 from repro.surf import (
     ConstantNetworkModel,
     Engine,
@@ -484,7 +485,7 @@ class TestLazyUpdates:
     def test_oracles_refuse_snapshot(self, eager, full):
         engine = oracle_engine(self._platform("os"), eager=eager, full=full)
         with pytest.raises(SimulationError, match="incremental engine only"):
-            engine.snapshot()
+            snapshot_engine(engine)
 
     def test_poll_progress_tracks_pending_events(self):
         engine = Engine(self._platform("pp"))

@@ -2,9 +2,9 @@
 
 Covers the three tentpole layers plus their satellites:
 
-* rank-state interning — ``InternPool`` refcounting, the two-level
-  ``PayloadPool`` against the whole-digest oracle, payload folding in
-  the protocol, ``SharedHeap`` refcount semantics, the enforcement
+* rank-state interning — the ``InternPool`` oracle's refcounting, the
+  two-level ``PayloadPool`` against the whole-digest oracle, payload
+  folding in the protocol, ``SharedHeap`` refcount semantics, the enforcement
   error's rank/shared breakdown;
 * streaming trace sinks — byte-identity with the in-memory exporters
   (CSV, Paje, TI) and the bounded open-window invariant;
@@ -22,16 +22,11 @@ from hypothesis import strategies as st
 from repro.errors import MpiError, OutOfMemoryError
 from repro.offline import record_trace, record_trace_streaming, replay_trace
 from repro.smpi import SmpiConfig, runtime, smpirun
-from repro.smpi.intern import (
-    InternPool,
-    PayloadPool,
-    intern_meta,
-    payload_key,
-)
+from repro.smpi.intern import PayloadPool, intern_meta, payload_key
 from repro.smpi.memory import MemoryTracker
 from repro.surf import cluster
 from repro.trace import CsvStreamSink, PajeStreamSink, Tracer, export_paje
-from tests.oracles import DigestPayloadPool
+from tests.oracles import DigestPayloadPool, InternPool
 
 
 def traffic_app(mpi):
@@ -94,49 +89,6 @@ class TestInternPool:
         t1 = intern_meta("send", 7, 0, 1024)
         t2 = intern_meta("send", 7, 0, 1024)
         assert t1 is t2
-
-    def test_interning_hits_keep_the_pool_accounting(self):
-        from repro.smpi.datatype import DOUBLE
-        from repro.smpi.intern import (
-            _DESCRIPTOR_COST,
-            DESCRIPTOR_POOL,
-            intern_descriptor,
-        )
-
-        for intern, args, key in (
-                (intern_meta, ("recv", 11, 3, 96), ("meta", "recv", 11, 3, 96)),
-                (intern_descriptor, (12, DOUBLE),
-                 ("desc", 12, DOUBLE.name, DOUBLE.size, DOUBLE.extent))):
-            first = intern(*args)
-            before = DESCRIPTOR_POOL.stats()
-            refs = DESCRIPTOR_POOL.refcount(key)
-            assert intern(*args) is first and intern(*args) is first
-            after = DESCRIPTOR_POOL.stats()
-            assert after["acquires"] - before["acquires"] == 2
-            assert after["hits"] - before["hits"] == 2
-            assert after["naive_bytes"] - before["naive_bytes"] \
-                == 2 * _DESCRIPTOR_COST
-            assert after["stored_bytes"] == before["stored_bytes"]
-            assert DESCRIPTOR_POOL.refcount(key) == refs + 2
-
-    def test_a_posted_receive_interns_only_its_meta(self):
-        from repro.smpi import request as rq
-        from repro.smpi.intern import DESCRIPTOR_POOL
-
-        acquires = []
-
-        def app(mpi):
-            comm = mpi.COMM_WORLD
-            if mpi.rank == 1:
-                before = DESCRIPTOR_POOL.stats()["acquires"]
-                req = comm.Irecv(np.zeros(16), 0, 5)
-                acquires.append(DESCRIPTOR_POOL.stats()["acquires"] - before)
-                rq.wait(req)
-            else:
-                comm.Send(np.ones(16), 1, 5)
-
-        smpirun(app, 2, cluster("rcv", 2))
-        assert acquires == [1]
 
 
 class TestSharedHeapRefcounting:

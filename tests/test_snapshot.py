@@ -16,10 +16,12 @@ from repro.errors import ConfigError, SimulationError
 from repro.nas import dt_app, dt_graph
 from repro.offline import (load_checkpoint, record_trace, replay_trace,
                            resume_replay, save_checkpoint)
+from repro.offline.snapshot import (CHECKPOINT_VERSION, restore_engine,
+                                    snapshot_engine)
 from repro.platforms import griffon
 from repro.smpi import SmpiConfig
 from repro.surf import cluster
-from repro.surf.engine import SNAPSHOT_VERSION, Engine
+from repro.surf.engine import Engine
 
 
 def pingpong(mpi, size=200_000, reps=4):
@@ -67,9 +69,8 @@ class TestEngineSnapshot:
 
     def test_snapshot_roundtrips_clock_and_actions(self):
         engine, _ = self._mid_run_engine()
-        snap = engine.snapshot()
-        assert snap["version"] == SNAPSHOT_VERSION
-        restored, actions = Engine.restore(cluster("es", 4), snap)
+        snap = snapshot_engine(engine)
+        restored, actions = restore_engine(cluster("es", 4), snap)
         assert restored.now == engine.now
         assert set(restored.pending) == set(engine.pending)
         for aid, action in engine.pending.items():
@@ -81,8 +82,8 @@ class TestEngineSnapshot:
 
     def test_restored_engine_finishes_identically(self):
         engine, _ = self._mid_run_engine()
-        snap = engine.snapshot()
-        restored, _ = Engine.restore(cluster("es", 4), snap)
+        snap = snapshot_engine(engine)
+        restored, _ = restore_engine(cluster("es", 4), snap)
         while engine.poll_progress():
             engine.step()
         while restored.poll_progress():
@@ -116,11 +117,11 @@ class TestEngineSnapshot:
 
         engine, harvested = engine_at_cut(Engine(cluster("hs", 6)))
         stale_at_cut = engine.stats.stale_heap_entries
-        snap = engine.snapshot()
+        snap = snapshot_engine(engine)
         assert all(len(entry) == 3 for entry in snap["heap"])
         held = {data["aid"] for data in snap["actions"]}
         assert sum(aid not in held for _d, aid, _e in snap["heap"]) == harvested
-        restored, _ = Engine.restore(cluster("hs", 6), snap)
+        restored, _ = restore_engine(cluster("hs", 6), snap)
         whole, resumed = finish(engine), finish(restored)
         assert restored.now == engine.now == 1.0
         assert whole.stale_heap_entries >= stale_at_cut + harvested
@@ -132,25 +133,70 @@ class TestEngineSnapshot:
         import json
 
         engine, _ = self._mid_run_engine()
-        snap = json.loads(json.dumps(engine.snapshot()))
-        restored, _ = Engine.restore(cluster("es", 4), snap)
+        snap = json.loads(json.dumps(snapshot_engine(engine)))
+        restored, _ = restore_engine(cluster("es", 4), snap)
         while engine.poll_progress():
             engine.step()
         while restored.poll_progress():
             restored.step()
         assert restored.now == engine.now
 
-    def test_restore_rejects_other_versions(self):
-        engine, _ = self._mid_run_engine()
-        snap = engine.snapshot()
-        snap["version"] = SNAPSHOT_VERSION + 1
-        with pytest.raises(SimulationError):
-            Engine.restore(cluster("es", 4), snap)
-        # version 1 snapshots carried the since-removed sharing mode; an
-        # approx-mode run must not continue silently under exact sharing
-        old = dict(engine.snapshot(), version=1, sharing="approx")
-        with pytest.raises(SimulationError, match="version 1 is not"):
-            Engine.restore(cluster("es", 4), old)
+    def test_snapshot_refuses_what_it_cannot_carry(self):
+        """Undelivered completions, an attached timeline and a pending
+        ``at`` callback each make the capture refuse."""
+        engine = Engine(cluster("rf", 2))
+        engine.sleep(0.0, "instant")  # delivered only by the next step
+        with pytest.raises(SimulationError, match="not quiescent"):
+            snapshot_engine(engine)
+        engine.step()
+        engine.at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="scheduled callback"):
+            snapshot_engine(engine)
+        traced = Engine(cluster("rf", 2))
+        traced.enable_timeline()
+        with pytest.raises(SimulationError, match="timeline"):
+            snapshot_engine(traced)
+
+    def test_dynamics_survive_a_json_round_trip(self):
+        """Profiles, availability and failures ride in the snapshot: the
+        restored engine fires the same points and finishes identically."""
+        import json
+
+        from repro.surf.profiles import Profile
+
+        def platform():
+            plat = cluster("dy", 4)
+            plat.link("dy-l0").availability_profile = Profile(
+                ((0.0, 1.0), (0.002, 0.5)), period=0.004)
+            plat.host("node-3").state_profile = Profile(
+                ((0.0, 1.0), (0.003, 0.0), (0.005, 1.0)), period=0.007)
+            return plat
+
+        engine = Engine(platform())
+        engine.set_availability(engine.platform.link("dy-l2"), 0.25)
+        engine.communicate("node-0", "node-1", 1_000_000, "over-profile")
+        engine.communicate("node-2", "node-1", 400_000, "over-quarter")
+        engine.execute("node-3", 5e8, "on-flaky-host")
+        engine.execute("node-2", 5e6, "steady")
+        engine.sleep(0.004, "nap")
+        engine.step()
+        engine.fail_resource(engine.platform.link("dy-l3"))
+        engine.communicate("node-3", "node-0", 1000, "born-dead")
+        for _ in range(3):
+            engine.step()
+        snap = json.loads(json.dumps(snapshot_engine(engine)))
+        assert snap["availability"]["dy-l2"] == 0.25
+        assert snap["dead_resources"] == ["dy-l3", "node-3"]
+        assert [p["kind"] for p in snap["profiles"]] == ["availability",
+                                                         "state"]
+        assert snap["profile_heap"]
+        restored, _ = restore_engine(platform(), snap)
+        engine.run()
+        restored.run()
+        assert restored.now.hex() == engine.now.hex() == "0x1.a75cd0bb6ed68p-7"
+        assert restored.stats == engine.stats
+        assert engine.stats.capacity_events > 1
+        assert engine.stats.resource_failures > 1
 
 
 class TestReplayCheckpoint:
@@ -300,6 +346,48 @@ class TestReplayCheckpoint:
         # the hit path resumed (no fresh capture) and left the store alone
         assert hit.checkpoint is None
         assert len(store) == 1
+
+    def test_other_checkpoint_versions_are_refused(self, tmp_path):
+        """One version guards the whole payload, the engine part included:
+        a newer layout and the version-1 layout are both refused."""
+        _online, trace = record_trace(pingpong, 2, griffon(2))
+        cold = replay_trace(trace, griffon(2))
+        ck = replay_trace(trace, griffon(2),
+                          checkpoint_at=cold.simulated_time / 2).checkpoint
+        assert ck["version"] == CHECKPOINT_VERSION
+        assert "version" not in ck["engine"]
+        for version in (CHECKPOINT_VERSION + 1, 1):
+            stale = dict(ck, version=version)
+            with pytest.raises(ConfigError, match=f"version {version} is not"):
+                resume_replay(trace, griffon(2), stale)
+            path = save_checkpoint(stale, tmp_path / f"v{version}.ckpt.json")
+            with pytest.raises(ConfigError, match=f"version {version} is not"):
+                load_checkpoint(path)
+
+    def test_snapshot_store_misses_a_checkpoint_of_the_old_layout(
+            self, tmp_path):
+        """A checkpoint stored before the engine part lost its own version
+        (outer version 1, engine version 1 inside) is a store miss: the
+        replay re-simulates to the cold clock and stores a current one."""
+        from repro.offline import warm_replay
+        from repro.sweep.cache import SnapshotStore
+
+        _online, trace = record_trace(pingpong, 2, griffon(2))
+        cold = replay_trace(trace, griffon(2))
+        cut = cold.simulated_time / 2
+        store = SnapshotStore(tmp_path / "cache")
+        key = store.key_for(trace, griffon(2), SmpiConfig(), cut)
+        old = replay_trace(trace, griffon(2), checkpoint_at=cut).checkpoint
+        old["version"] = 1
+        old["engine"]["version"] = 1
+        store.put(key, old)
+
+        warm = warm_replay(trace, griffon(2), cut, store)
+        assert warm.simulated_time == cold.simulated_time
+        assert warm.checkpoint is not None  # captured afresh, not resumed
+        stored = store.get(key)
+        assert stored["version"] == CHECKPOINT_VERSION == 2
+        assert "version" not in stored["engine"]
 
     def test_snapshot_store_key_tracks_config_and_cut(self, tmp_path):
         from repro.sweep.cache import SnapshotStore
