@@ -10,7 +10,8 @@ top of the same kernel, which makes the comparison concrete:
   envelopes and wait dependencies (SimGrid's TI-trace format in spirit);
 * :mod:`repro.offline.replay` — re-execute a trace on any platform /
   network model, without the application;
-* traces serialise to JSON for exchange (:class:`TiTrace.save`/``load``);
+* :mod:`repro.offline.trace` — the trace itself, one column set per
+  rank, serialised to JSON for exchange (:class:`TiTrace.save`/``load``);
 * :mod:`repro.offline.snapshot` — checkpoint a replay mid-run at a
   quiescent cut and resume it later (or in another process)
   bit-identically; the scale path's warm starts (``docs/scaling.md``).

@@ -1,9 +1,12 @@
 """Replaying time-independent traces (the off-line simulator).
 
-Each rank's replay actor walks its recorded event list: compute bursts
+Each rank's replay actor walks its recorded events: compute bursts
 become engine compute actions, message events re-post through the *same*
 point-to-point protocol the on-line simulator uses (payloads folded —
 a trace has no data), and wait events block on the recorded operations.
+The replayer reads the rank's :class:`~repro.offline.trace.RankEvents`
+columns directly — a kind code, then the arguments at a cursor into the
+integer or the compute-amount column — and builds no event object.
 The network model, platform and MPI protocol parameters are free to
 differ from the recording run — that is the point of off-line simulation.
 
@@ -34,7 +37,7 @@ from ..smpi.config import SmpiConfig
 from ..smpi.request import Request
 from ..smpi.runtime import SmpiResult, SmpiWorld, check_ctx
 from ..surf.platform import Platform
-from .trace import TiTrace
+from .trace import RECV, SEND, WAIT, TiTrace
 
 __all__ = ["replay_trace"]
 
@@ -47,7 +50,9 @@ class _RankReplayer:
     The :meth:`run` generator is what the actor runs; the attributes are
     what a snapshot serializes:
 
-    * ``next_index`` — the next trace event to process;
+    * ``next_index`` — the next trace event to process (a resumed run
+      finds its column cursors with
+      :meth:`~repro.offline.trace.RankEvents.cursor`);
     * ``live`` — in-flight requests by trace op id (issued, not waited);
     * ``blocked`` — what the rank is parked on right now:
       ``("compute", ExecActivity)``, ``("wait", [Request, ...])`` for a
@@ -109,43 +114,48 @@ class _RankReplayer:
                 yield from self._co_compute(activity, flops)
             else:  # "wait" / "drain"
                 yield from self._co_wait(payload)
-        events = self.events
-        while self.next_index < len(events):
-            event = events[self.next_index]
+        kinds, ints, flops = (self.events.kinds, self.events.ints,
+                              self.events.flops)
+        live = self.live
+        at, fat = self.events.cursor(self.next_index)
+        while self.next_index < len(kinds):
+            code = kinds[self.next_index]
             self.next_index += 1
-            kind = event.kind
-            if kind == "compute":
-                flops = event.args[0]
-                if flops <= 0:
-                    continue
-                actor = world.current_actor
-                activity = world.scheduler.execute(
-                    actor, flops, f"exec-r{rank}")
-                self.blocked = ("compute", (activity, flops))
-                yield from self._co_compute(activity, flops)
-            elif kind == "send":
-                op_id, dst, nbytes, tag, ctx = event.args
-                request = Request(world, "send", rank)
-                protocol.start_send(
-                    src=rank, dst=dst, tag=tag, ctx=ctx,
-                    data=_EMPTY, request=request, wire_bytes=nbytes,
-                )
-                self.live[op_id] = request
-            elif kind == "recv":
-                op_id, src, tag, ctx = event.args
-                request = Request(world, "recv", rank)
-                protocol.start_recv(
-                    dst=rank, source=src, tag=tag, ctx=ctx,
-                    buffer=None, request=request,
-                )
-                self.live[op_id] = request
-            else:  # wait
-                (op_ids,) = event.args
-                pending = [self.live.pop(i) for i in op_ids
-                           if i in self.live]
+            if code == WAIT:
+                end = at + 1 + ints[at]
+                pending = [live.pop(i) for i in ints[at + 1:end]
+                           if i in live]
+                at = end
                 if pending:
                     self.blocked = ("wait", pending)
                     yield from self._co_wait(pending)
+            elif code == SEND:
+                request = Request(world, "send", rank)
+                protocol.start_send(
+                    src=rank, dst=ints[at + 1], tag=ints[at + 3],
+                    ctx=ints[at + 4], data=_EMPTY, request=request,
+                    wire_bytes=ints[at + 2],
+                )
+                live[ints[at]] = request
+                at += 5
+            elif code == RECV:
+                request = Request(world, "recv", rank)
+                protocol.start_recv(
+                    dst=rank, source=ints[at + 1], tag=ints[at + 2],
+                    ctx=ints[at + 3], buffer=None, request=request,
+                )
+                live[ints[at]] = request
+                at += 4
+            else:  # compute
+                amount = flops[fat]
+                fat += 1
+                if amount <= 0:
+                    continue
+                actor = world.current_actor
+                activity = world.scheduler.execute(
+                    actor, amount, f"exec-r{rank}")
+                self.blocked = ("compute", (activity, amount))
+                yield from self._co_compute(activity, amount)
         # reap anything the application never waited on explicitly
         leftovers = list(self.live.values())
         self.live.clear()

@@ -16,7 +16,10 @@ A bucket lives only while it holds entries: the pop (or purge) that
 empties an exact ``(source, tag)`` bucket of the message queue, or a
 pattern bucket of the receive queue, deletes it, so a run with many
 distinct envelopes keeps no empty deques.  Every probe treats a missing
-bucket like an empty one, so pruning never changes a counter.
+bucket like an empty one, so pruning never changes a counter.  Each
+queue keeps the last deleted bucket as its one spare, and the next push
+that needs a new bucket takes it: a ring that re-sends on the same
+``(source, tag)`` allocates no deque per message.
 
 The queues are generic: a ``key`` callable extracts the ``(source, tag)``
 envelope from an item, and the wildcard sentinels are constructor
@@ -79,7 +82,7 @@ class IndexedMessageQueue(Generic[T]):
     __slots__ = (
         "name", "stats", "_key", "_any_source", "_any_tag", "_seq",
         "_exact", "_by_src", "_by_tag", "_all", "_live", "_dead",
-        "_src_indexed", "_tag_indexed",
+        "_src_indexed", "_tag_indexed", "_spare",
     )
 
     def __init__(
@@ -104,6 +107,8 @@ class IndexedMessageQueue(Generic[T]):
         self._dead = 0
         self._src_indexed = False
         self._tag_indexed = False
+        #: an emptied exact bucket, reused by the next one created
+        self._spare: deque | None = None
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -113,7 +118,12 @@ class IndexedMessageQueue(Generic[T]):
         self._seq += 1
         bucket = self._exact.get((src, tag))
         if bucket is None:
-            bucket = self._exact[(src, tag)] = deque()
+            bucket = self._spare
+            if bucket is None:
+                bucket = deque()
+            else:
+                self._spare = None
+            self._exact[(src, tag)] = bucket
         bucket.append(entry)
         self._all.append(entry)
         if self._src_indexed:
@@ -197,6 +207,7 @@ class IndexedMessageQueue(Generic[T]):
                 break
             if not view and not wildcard:
                 del self._exact[source, tag]
+                self._spare = view
         stats.match_probes += probes if probes else 1
         if item is not None:
             if wildcard:
@@ -264,7 +275,7 @@ class IndexedRecvQueue(Generic[T]):
     """
 
     __slots__ = ("name", "stats", "_key", "_any_source", "_any_tag",
-                 "_seq", "_buckets", "_n")
+                 "_seq", "_buckets", "_n", "_spare")
 
     def __init__(
         self,
@@ -282,12 +293,19 @@ class IndexedRecvQueue(Generic[T]):
         self._seq = 0
         self._buckets: dict[tuple[int, int], deque] = {}
         self._n = 0
+        #: an emptied bucket, reused by the next one created
+        self._spare: deque | None = None
 
     def push(self, item: T) -> None:
         pattern = self._key(item)
         bucket = self._buckets.get(pattern)
         if bucket is None:
-            bucket = self._buckets[pattern] = deque()
+            bucket = self._spare
+            if bucket is None:
+                bucket = deque()
+            else:
+                self._spare = None
+            self._buckets[pattern] = bucket
         bucket.append((self._seq, item))
         self._seq += 1
         self._n += 1
@@ -352,6 +370,7 @@ class IndexedRecvQueue(Generic[T]):
         bucket.popleft()
         if not bucket:
             del self._buckets[pattern]
+            self._spare = bucket
         self._n -= 1
 
     def remove_first(self, predicate: Callable[[T], bool]) -> T | None:

@@ -56,6 +56,14 @@ engine only).
   :class:`~repro.trace.timeline.Timeline` kept before its samples moved
   into ``array('d')`` columns.
 
+* :class:`ListTiTrace` with :class:`ListRankReplayer` — the TI trace as
+  one list of :class:`~repro.offline.trace.TiEvent` per rank, decoded
+  from the whole document at once, and the replayer that walks those
+  events one object at a time: the layout
+  :class:`~repro.offline.trace.TiTrace` kept before its events moved
+  into per-rank columns.  ``with list_replayer():`` makes
+  :func:`~repro.offline.replay.replay_trace` run the oracle replayer.
+
 * :func:`trace_csv` — the trace CSV as :mod:`csv` writes it: one list
   row per record or sample (:func:`comm_csv_row` …
   :func:`timeline_capacity_row`), serialised by ``csv.writer``.  The
@@ -68,6 +76,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -75,12 +84,16 @@ from typing import Any, Callable, Generic, Hashable, Iterator, TypeVar
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
+from repro.offline import replay as replay_module
+from repro.offline.replay import _EMPTY, _RankReplayer
+from repro.offline.trace import TiEvent
 from repro.simix import context as scheduler_module
 from repro.simix.contexts import ThreadContext
 from repro.simix.mailbox import MatchCounters
 from repro.smpi import pt2pt
 from repro.smpi.intern import PayloadEntry, PayloadPool
+from repro.smpi.request import Request
 from repro.surf import Engine
 from repro.surf.action import Action, ActionState
 from repro.surf.maxmin import _EPS, IncrementalMaxMin
@@ -98,6 +111,8 @@ __all__ = [
     "FlowSpec",
     "FullReshareEngine",
     "InternPool",
+    "ListRankReplayer",
+    "ListTiTrace",
     "MaxMinSystem",
     "RecomputeUsageMaxMin",
     "ScanMessageQueue",
@@ -105,6 +120,7 @@ __all__ = [
     "TupleTimeline",
     "VECTORIZE_THRESHOLD",
     "digest_key",
+    "list_replayer",
     "matching",
     "oracle_engine",
     "solve_maxmin",
@@ -1159,3 +1175,121 @@ class TupleTimeline:
         return [(name, self.kinds[name], self.capacities[name], t, usage)
                 for name, series in self._series.items()
                 for t, usage in series]
+
+
+# -- TI trace oracle ------------------------------------------------------------------
+
+
+@dataclass
+class ListTiTrace:
+    """A TI trace as one list of :class:`TiEvent` per rank."""
+
+    n_ranks: int
+    events: list[list[TiEvent]] = field(default_factory=list)
+    meta: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.events:
+            self.events = [[] for _ in range(self.n_ranks)]
+        if len(self.events) != self.n_ranks:
+            raise ConfigError("one event list per rank required")
+
+    def append(self, rank: int, event: TiEvent) -> None:
+        self.events[rank].append(event)
+
+    def total_messages(self) -> int:
+        return sum(1 for rank_events in self.events for e in rank_events
+                   if e.kind == "send")
+
+    def total_bytes(self) -> int:
+        return sum(e.args[2] for rank_events in self.events
+                   for e in rank_events if e.kind == "send")
+
+    def total_flops(self) -> float:
+        return sum(e.args[0] for rank_events in self.events
+                   for e in rank_events if e.kind == "compute")
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "format": "repro-ti-trace-1",
+            "n_ranks": self.n_ranks,
+            "meta": self.meta,
+            "events": [[e.to_json() for e in rank_events]
+                       for rank_events in self.events],
+        })
+
+    @classmethod
+    def from_json(cls, text: str) -> "ListTiTrace":
+        payload = json.loads(text)
+        if payload.get("format") != "repro-ti-trace-1":
+            raise ConfigError("not a repro TI trace")
+        return cls(
+            n_ranks=payload["n_ranks"],
+            events=[[TiEvent.from_json(row) for row in rank_events]
+                    for rank_events in payload["events"]],
+            meta=payload.get("meta", {}),
+        )
+
+
+class ListRankReplayer(_RankReplayer):
+    """The replayer reading one :class:`TiEvent` per step (no checkpoint
+    resume: it starts at the first event)."""
+
+    def run(self):
+        world = self.world
+        protocol = world.protocol
+        rank = self.rank
+        events = self.events
+        while self.next_index < len(events):
+            event = events[self.next_index]
+            self.next_index += 1
+            kind = event.kind
+            if kind == "compute":
+                flops = event.args[0]
+                if flops <= 0:
+                    continue
+                activity = world.scheduler.execute(
+                    world.current_actor, flops, f"exec-r{rank}")
+                self.blocked = ("compute", (activity, flops))
+                yield from self._co_compute(activity, flops)
+            elif kind == "send":
+                op_id, dst, nbytes, tag, ctx = event.args
+                request = Request(world, "send", rank)
+                protocol.start_send(
+                    src=rank, dst=dst, tag=tag, ctx=ctx,
+                    data=_EMPTY, request=request, wire_bytes=nbytes,
+                )
+                self.live[op_id] = request
+            elif kind == "recv":
+                op_id, src, tag, ctx = event.args
+                request = Request(world, "recv", rank)
+                protocol.start_recv(
+                    dst=rank, source=src, tag=tag, ctx=ctx,
+                    buffer=None, request=request,
+                )
+                self.live[op_id] = request
+            else:  # wait
+                (op_ids,) = event.args
+                pending = [self.live.pop(i) for i in op_ids
+                           if i in self.live]
+                if pending:
+                    self.blocked = ("wait", pending)
+                    yield from self._co_wait(pending)
+        leftovers = list(self.live.values())
+        self.live.clear()
+        if leftovers:
+            self.blocked = ("drain", leftovers)
+            yield from self._co_wait(leftovers)
+
+
+@contextmanager
+def list_replayer():
+    """Run :func:`~repro.offline.replay.replay_trace` on
+    :class:`ListRankReplayer` inside the block (give it a
+    :class:`ListTiTrace`)."""
+    saved = replay_module._RankReplayer
+    replay_module._RankReplayer = ListRankReplayer
+    try:
+        yield
+    finally:
+        replay_module._RankReplayer = saved

@@ -297,3 +297,57 @@ def test_probe_cost_scales_with_scan_not_index():
     assert scan.stats.match_probes == n * (n + 1) // 2
     assert idx.stats.match_probes == n
     assert scan.stats.match_probes / idx.stats.match_probes > 5
+
+
+class TestSpareBucket:
+    """An emptied bucket is kept as the queue's one spare and reused."""
+
+    def test_message_queue_reuses_the_emptied_bucket(self):
+        q = IndexedMessageQueue("q", _envelope)
+        q.push((1, 7, "a"))
+        first = q._exact[1, 7]
+        assert q.pop(1, 7) == (1, 7, "a")
+        assert (1, 7) not in q._exact and q._spare is first
+        q.push((2, 8, "b"))
+        assert q._exact[2, 8] is first and q._spare is None
+        assert q.pop(2, 8) == (2, 8, "b")
+
+    def test_recv_queue_reuses_the_emptied_bucket(self):
+        q = IndexedRecvQueue("q", _envelope)
+        q.push((ANY, 7, "a"))
+        first = q._buckets[ANY, 7]
+        assert q.pop(3, 7) == (ANY, 7, "a")
+        assert not q._buckets and q._spare is first
+        q.push((3, 7, "b"))
+        assert q._buckets[3, 7] is first and q._spare is None
+        assert q.pop(3, 7) == (3, 7, "b")
+
+    def test_one_spare_per_queue(self):
+        q = IndexedMessageQueue("q", _envelope)
+        for src in range(4):
+            q.push((src, 0, src))
+        buckets = [q._exact[src, 0] for src in range(4)]
+        for src in range(4):
+            q.pop(src, 0)
+        assert not q._exact and q._spare is buckets[-1]
+        q.push((9, 0, "x"))
+        q.push((9, 1, "y"))
+        assert q._exact[9, 0] is buckets[-1]
+        assert q._exact[9, 1] is not buckets[-1] and q._spare is None
+
+    def test_reuse_moves_no_counter(self):
+        counters = []
+        for reuse in (True, False):
+            q = IndexedMessageQueue("q", _envelope)
+            r = IndexedRecvQueue("r", _envelope, stats=q.stats)
+            for step in range(20):
+                q.push((step % 3, 0, step))
+                r.push((step % 2, ANY, step))
+                if not reuse:
+                    q._spare = r._spare = None
+                q.pop(step % 3, 0)
+                r.pop(step % 2, 5)
+            s = q.stats
+            counters.append((s.match_probes, s.match_fast_hits,
+                             s.wildcard_scans))
+        assert counters[0] == counters[1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,75 @@ class TestRecording:
     def test_event_kind_validated(self):
         with pytest.raises(ConfigError):
             TiEvent("teleport", ())
+
+
+def _document(rows: list) -> str:
+    """A two-rank trace whose rank 1 holds a valid compute and ``rows``."""
+    return json.dumps({"format": "repro-ti-trace-1", "n_ranks": 2,
+                       "meta": {}, "events": [[], [["compute", 1.0], *rows]]})
+
+
+class TestMalformedRows:
+    """A bad row is refused at load, naming its rank and event index."""
+
+    @pytest.mark.parametrize("row", [
+        ["compute"], ["compute", 1.0, 2.0], ["compute", "many"],
+        ["compute", None],
+    ])
+    def test_compute(self, row):
+        with pytest.raises(ConfigError, match="rank 1, event 1"):
+            TiTrace.from_json(_document([row]))
+
+    @pytest.mark.parametrize("row", [
+        ["send", 1, 1], ["send", 1, 1, 64, 0, 0, 9], ["send", 1, 1, 6.4, 0, 0],
+        ["send", 1, "1", 64, 0, 0], ["send", 1, 1, 64, 0, None],
+        ["send", 1, 1, 2**64, 0, 0],
+    ])
+    def test_send(self, row):
+        with pytest.raises(ConfigError, match="rank 1, event 1"):
+            TiTrace.from_json(_document([row]))
+
+    @pytest.mark.parametrize("row", [
+        ["recv", 1, 0], ["recv", 1, 0, 3, 0, 0], ["recv", 1, 0.5, 3, 0],
+        ["recv", 1, [0], 3, 0],
+    ])
+    def test_recv(self, row):
+        with pytest.raises(ConfigError, match="rank 1, event 1"):
+            TiTrace.from_json(_document([row]))
+
+    @pytest.mark.parametrize("row", [
+        ["wait"], ["wait", 1], ["wait", [1], [2]], ["wait", [1, 2.5]],
+        ["wait", {"1": 1}],
+    ])
+    def test_wait(self, row):
+        with pytest.raises(ConfigError, match="rank 1, event 1"):
+            TiTrace.from_json(_document([row]))
+
+    @pytest.mark.parametrize("row", [["teleport", 1], [], 7, "send"])
+    def test_unknown_or_shapeless(self, row):
+        with pytest.raises(ConfigError, match="rank 1, event 1"):
+            TiTrace.from_json(_document([row]))
+
+    def test_a_short_send_no_longer_reaches_the_replay(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(_document([["send", 1, 1]]), encoding="utf-8")
+        with pytest.raises(ConfigError, match="'send'"):
+            TiTrace.load(path)
+
+    def test_a_refused_append_changes_nothing(self):
+        trace = TiTrace(1)
+        trace.append(0, TiEvent("wait", ([1, 2],)))
+        for bad in (TiEvent("wait", ([3, "x"],)), TiEvent("wait", ((3,),)),
+                    TiEvent("send", (1, 2, 3, 4, 5.5))):
+            with pytest.raises(ConfigError, match="rank 0, event 1"):
+                trace.append(0, bad)
+        assert list(trace.events[0]) == [TiEvent("wait", ([1, 2],))]
+        assert list(trace.events[0].ints) == [2, 1, 2]
+
+    def test_the_rank_count_is_checked(self):
+        text = _document([]).replace('"n_ranks": 2', '"n_ranks": 3')
+        with pytest.raises(ConfigError, match="one event list per rank"):
+            TiTrace.from_json(text)
 
 
 class TestReplay:
