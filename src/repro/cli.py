@@ -15,11 +15,6 @@ Usage (see ``python -m repro --help``)::
     python -m repro run my_app.py -n 4 --record trace.json
     python -m repro replay trace.json --platform gdx
 
-    # checkpoint a replay mid-run, resume it later (docs/scaling.md)
-    python -m repro replay trace.json --platform gdx --checkpoint-at 1.5
-    python -m repro replay trace.json --platform gdx \\
-        --resume-from trace.json.ckpt.json
-
     # export an execution trace and analyse it
     python -m repro run my_app.py -n 4 --trace run.csv
     python -m repro run my_app.py -n 4 --trace run.paje --trace-format paje
@@ -212,34 +207,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "replay consumes a TI trace; re-exporting it as 'ti' would "
             "copy the input — use --trace-format csv or paje"
         )
-    if args.resume_from is not None and (args.trace or
-                                         args.checkpoint_at is not None):
-        raise ConfigError("--resume-from continues an untraced replay: it "
-                          "takes neither --trace nor --checkpoint-at")
     platform, engine = _scenario(args).build(trace.n_ranks)
-    if args.resume_from is not None:
-        from .offline import load_checkpoint, resume_replay
-
-        result = resume_replay(trace, platform,
-                               load_checkpoint(args.resume_from))
-        print(f"resumed from   : {args.resume_from}")
-    else:
-        result = replay_trace(trace, platform, config=_config_from_args(args),
-                              engine=engine,
-                              trace_sink=_trace_sink(args, trace.n_ranks),
-                              checkpoint_at=args.checkpoint_at)
-        if args.checkpoint_at is not None:
-            from .offline import save_checkpoint
-
-            if result.checkpoint is None:
-                print(f"checkpoint     : none (run ended before "
-                      f"t={args.checkpoint_at:g})")
-            else:
-                out = (args.checkpoint_out
-                       or f"{args.trace_file}.ckpt.json")
-                target = save_checkpoint(result.checkpoint, out)
-                print(f"checkpoint     : {target} "
-                      f"(cut at t={result.checkpoint['engine']['now']:g})")
+    result = replay_trace(trace, platform, config=_config_from_args(args),
+                          engine=engine,
+                          trace_sink=_trace_sink(args, trace.n_ranks))
     print(f"replaying      : {trace.summary()}")
     if "recorded_on" in trace.meta:
         recorded_t = trace.meta.get("recorded_simulated_time")
@@ -535,17 +506,6 @@ def make_parser() -> argparse.ArgumentParser:
     replay.add_argument("trace_file", metavar="trace",
                         help="time-independent trace JSON file")
     _add_sim_flags(replay)
-    replay.add_argument("--checkpoint-at", type=float, default=None,
-                        metavar="T",
-                        help="capture a resumable checkpoint at the first "
-                             "quiescent cut past simulated date T "
-                             "(requires tracing off; see docs/scaling.md)")
-    replay.add_argument("--checkpoint-out", default=None, metavar="FILE",
-                        help="where to write the --checkpoint-at capture "
-                             "(default: <trace>.ckpt.json)")
-    replay.add_argument("--resume-from", default=None, metavar="FILE",
-                        help="resume a checkpointed replay instead of "
-                             "starting from t=0 (bit-identical finish)")
     replay.set_defaults(func=_cmd_replay)
 
     trace = sub.add_parser("trace", help="analyse an exported trace")

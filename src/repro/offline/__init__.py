@@ -11,10 +11,7 @@ top of the same kernel, which makes the comparison concrete:
 * :mod:`repro.offline.replay` — re-execute a trace on any platform /
   network model, without the application;
 * :mod:`repro.offline.trace` — the trace itself, one column set per
-  rank, serialised to JSON for exchange (:class:`TiTrace.save`/``load``);
-* :mod:`repro.offline.snapshot` — checkpoint a replay mid-run at a
-  quiescent cut and resume it later (or in another process)
-  bit-identically; the scale path's warm starts (``docs/scaling.md``).
+  rank, serialised to JSON for exchange (:class:`TiTrace.save`/``load``).
 
 The replayer reproduces the on-line simulator's timing exactly for the
 platform the trace was recorded on (a strong cross-check, asserted in the
@@ -27,10 +24,7 @@ on-line simulation.
 
 from .record import record_trace, record_trace_streaming
 from .replay import replay_trace
-from .snapshot import (load_checkpoint, resume_replay, save_checkpoint,
-                       warm_replay)
 from .trace import TiEvent, TiTrace
 
-__all__ = ["TiEvent", "TiTrace", "load_checkpoint", "record_trace",
-           "record_trace_streaming", "replay_trace", "resume_replay",
-           "save_checkpoint", "warm_replay"]
+__all__ = ["TiEvent", "TiTrace", "record_trace", "record_trace_streaming",
+           "replay_trace"]

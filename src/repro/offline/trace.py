@@ -133,16 +133,6 @@ class RankEvents(Sequence):
                 f"{kind!r} event {args!r} ({exc!s})") from None
         self.kinds.append(code)
 
-    def cursor(self, index: int) -> tuple[int, int]:
-        """Positions in ``ints`` and ``flops`` of event ``index``'s args."""
-        at = 0
-        for code in islice(self.kinds, index):
-            if code == WAIT:
-                at += 1 + self.ints[at]
-            elif code != COMPUTE:
-                at += _ARITY[code]
-        return at, self.kinds.count(COMPUTE, 0, index)
-
     def rows(self) -> Iterator[list]:
         """Every event as its JSON row ``[kind, *args]``, in order."""
         ints, flops = self.ints.tolist(), self.flops.tolist()

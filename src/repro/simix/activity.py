@@ -12,9 +12,9 @@ sender is what the receiver's buffer is filled from at completion time.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Any
 
-from ..seq import Sequencer
 from ..surf.action import Action, ActionState
 from .contexts import run_blocking
 
@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Activity", "CommActivity", "ExecActivity", "SleepActivity"]
 
-_ids = Sequencer()
+_ids = itertools.count()
 
 
 class Activity:

@@ -51,12 +51,6 @@ class Scheduler:
         self._runnable: deque[Actor] = deque()
         self._current: Actor | None = None
         self._running = False
-        #: optional callback invoked at every *quiescent cut* of the main
-        #: loop: every live actor is blocked on an activity, no actor is
-        #: runnable, and the engine has not yet stepped.  Checkpointing
-        #: hooks in here (see repro.offline.snapshot) — the callback may
-        #: observe but must not mutate simulation state.
-        self.on_quiescent: Callable[[], None] | None = None
 
     # -- setup ------------------------------------------------------------------
 
@@ -131,8 +125,6 @@ class Scheduler:
                 self._drain_runnable()
                 if not self._live:
                     break
-                if self.on_quiescent is not None:
-                    self.on_quiescent()
                 # Step the engine until some completion made an actor
                 # runnable again (several steps may only expire latency
                 # phases or finish activities nobody waits on).  The

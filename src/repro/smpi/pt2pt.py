@@ -24,7 +24,7 @@ returns to :meth:`SmpiWorld.release_message` when it *closes* — payload
 delivered or terminally failed), and completed requests recycle through
 :meth:`SmpiWorld.release_request`.  Pooled objects draw fresh
 ``mid``/``rid`` numbers on reuse, so id streams — and therefore simulated
-clocks, snapshots and traces — are bit-identical with and without
+clocks and traces — are bit-identical with and without
 pooling.
 
 Payload bytes are copied once per message.  :meth:`Protocol.start_send`
@@ -86,8 +86,8 @@ class Message:
     data: np.ndarray
     eager: bool
     wire_bytes: int
-    #: drawn from the world's sequencer, so runs are reproducible within
-    #: one process and snapshots can restore it
+    #: drawn from the world's counter, so runs are reproducible within
+    #: one process
     mid: int
     send_req: Request | None = None
     recv_req: Request | None = None
@@ -200,18 +200,6 @@ class Protocol:
         recv.buffer = None
         if len(self._recv_pool) < 4096:
             self._recv_pool.append(recv)
-
-    def post_restored_recv(self, ctx: int, dst: int,
-                           recv: _PostedRecv) -> None:
-        """Re-queue a checkpointed posted receive (snapshot restore).
-
-        Goes through the same bookkeeping as :meth:`start_recv` so the
-        dead-rank source index survives a checkpoint/resume cycle.
-        """
-        posted, _unexpected = self._queues(ctx, dst)
-        posted.push(recv)
-        if recv.source != constants.ANY_SOURCE:
-            self._posted_sources.setdefault(recv.source, {})[(ctx, dst)] = None
 
     # -- send side ---------------------------------------------------------------------
 

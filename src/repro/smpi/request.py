@@ -15,10 +15,10 @@ persistent request makes it *inactive* rather than freeing it.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import MpiError
-from ..seq import Sequencer
 from ..simix.contexts import run_blocking
 from . import constants
 from .status import Status
@@ -51,9 +51,7 @@ __all__ = [
     "co_testsome",
 ]
 
-#: a Sequencer so replay checkpoints can record the position and a
-#: restored run can re-stamp the serialized rids, then fast-forward
-_ids = Sequencer()
+_ids = itertools.count()
 
 
 class Request:
@@ -62,9 +60,8 @@ class Request:
     Slotted and pooled: completed requests recycle through
     :meth:`~repro.smpi.runtime.SmpiWorld.release_request` /
     ``acquire_request`` free lists.  A recycled request draws a *fresh*
-    ``rid`` from the module sequencer, so the rid stream — which heap
-    tie-breaks and snapshots depend on — is identical with and without
-    pooling.
+    ``rid`` from the module counter, so the rid stream is identical with
+    and without pooling.
     """
 
     __slots__ = (

@@ -21,6 +21,7 @@ per-rank handle).
 from __future__ import annotations
 
 import inspect
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -28,7 +29,6 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..errors import ConfigError, MpiError, SimulationError
-from ..seq import Sequencer
 from ..simix import Scheduler
 from ..simix.actor import Actor
 from ..simix.contexts import run_blocking
@@ -71,11 +71,11 @@ class SmpiWorld:
         self.engine = engine or Engine(platform, network_model=network_model)
         self.scheduler = Scheduler(self.engine)
         #: per-world message-id allocator — per-run ids keep repeated
-        #: runs in one process byte-identical and snapshots restorable
-        self.msg_seq = Sequencer()
+        #: runs in one process byte-identical
+        self.msg_seq = itertools.count()
         #: free lists recycling completed requests/messages (bounded; a
         #: reuse draws fresh rid/mid numbers, so id streams — and thus
-        #: clocks and snapshots — are identical with and without pooling)
+        #: clocks — are identical with and without pooling)
         self._request_pool: list[Request] = []
         self._message_pool: list[Message] = []
         self.protocol = Protocol(self)
@@ -441,9 +441,6 @@ class SmpiResult:
     stats: Any
     trace: Tracer
     sampler_stats: dict = field(default_factory=dict)
-    #: mid-run checkpoint captured by ``replay_trace(checkpoint_at=...)``
-    #: (None otherwise); see :mod:`repro.offline.snapshot`
-    checkpoint: dict | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

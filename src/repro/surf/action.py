@@ -35,23 +35,21 @@ an entry whose epoch still matches belongs to a pending action.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import SimulationError
-from ..seq import Sequencer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .resources import Host, Link
 
 __all__ = ["ActionState", "Action", "NetworkAction", "ComputeAction", "SleepAction"]
 
-#: process-wide action id allocator.  A Sequencer (not itertools.count)
-#: because aids are ordering-significant — completion-heap ties break on
-#: aid and harvests deliver observers aid-sorted — so an engine snapshot
-#: records the position and a restore fast-forwards past every
-#: serialized aid, keeping restored and uninterrupted runs identical.
-_ids = Sequencer()
+#: process-wide action id allocator.  Aids are ordering-significant:
+#: completion-heap ties break on aid and harvests deliver observers
+#: aid-sorted.
+_ids = itertools.count()
 
 
 class ActionState(enum.Enum):

@@ -63,11 +63,9 @@ class ResourceDynamics:
         #: ``"capacity"`` (the SMPI runtime uses these for fault semantics
         #: and failure tracing)
         self.resource_listeners: list = []
-        #: installed profile cursors: [resource, kind, event iterator,
-        #: points pulled so far, profile] — the pull count is what a
-        #: snapshot records, so a restore can re-consume the same prefix
-        #: of the (possibly infinite) profile
-        self._profile_cursors: list[list] = []
+        #: installed profile cursors: (resource, kind, event iterator,
+        #: profile)
+        self._profile_cursors: list[tuple] = []
         #: min-heap of (time, cursor index, value) upcoming profile points
         self._profile_heap: list[tuple[float, int, float]] = []
         #: date of the earliest upcoming profile point (inf when none);
@@ -188,7 +186,7 @@ class ResourceDynamics:
             )
         cursor = len(self._profile_cursors)
         self._profile_cursors.append(
-            [resource, kind, profile.iter_events(), 0, profile])
+            (resource, kind, profile.iter_events(), profile))
         self._advance_cursor(cursor)
         self._fire_profiles_due()
 
@@ -203,9 +201,7 @@ class ResourceDynamics:
     def _advance_cursor(self, cursor: int) -> None:
         """Schedule the next point of one profile (pulled one at a time,
         so infinite periodic profiles never materialize)."""
-        record = self._profile_cursors[cursor]
-        entry = next(record[2], None)
-        record[3] += 1
+        entry = next(self._profile_cursors[cursor][2], None)
         heap = self._profile_heap
         if entry is not None:
             heappush(heap, (entry[0], cursor, entry[1]))
@@ -247,7 +243,7 @@ class ResourceDynamics:
         failing: set[str] = set()
         cursors = self._profile_cursors
         for _date, cursor, _value in self._profile_heap:
-            resource, kind, _events, _pulls, profile = cursors[cursor]
+            resource, kind, _events, profile = cursors[cursor]
             values = [value for _t, value in profile.points]
             if kind == "availability" and max(values) > 0:
                 restoring.add(resource.name)

@@ -51,10 +51,7 @@ engine does lives beside it and reaches it through narrow hooks:
   point, what is due once the clock moves, whether a point can end a
   stall) and the resource state (a constraint's capacity, the dead check
   of a new action);
-* the counter record — :class:`~repro.surf.stats.EngineStats`;
-* checkpoints — :func:`repro.offline.snapshot.snapshot_engine` and
-  :func:`~repro.offline.snapshot.restore_engine`, which own the whole
-  checkpoint layout.
+* the counter record — :class:`~repro.surf.stats.EngineStats`.
 
 The historical scan-everything event loop and rebuild-everything share
 survive as test-only oracles (``tests/oracles.py``) that pin this engine

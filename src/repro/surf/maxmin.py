@@ -598,57 +598,11 @@ class IncrementalMaxMin:
         (registrations last; a drained one holds no flow)."""
         return key in self._cons
 
-    # -- snapshot/restore support ---------------------------------------------
-
-    def seed_rate(self, key, rate: float) -> None:
-        """Set a flow's solved rate directly, without dirtying anything.
-
-        Snapshot restore uses this to re-create the exact post-solve
-        state: flows are re-added (which marks everything dirty), rates
-        seeded from the serialized run, and :meth:`clear_dirty` called —
-        after which the solver is indistinguishable from one that solved
-        its way here.  Component solves run progressive filling from
-        zero, independent of prior rates, so seeded membership +
-        capacities + rates give bit-identical continuations.
-        """
-        flow = self._flows[key]
-        flow.rate = rate
-        for record in flow.cons:
-            record.touched = True
-
-    def clear_dirty(self) -> None:
-        """Forget all dirtiness (snapshot restore bookkeeping)."""
-        self._dirty_flows.clear()
-        self._dirty_cons.clear()
-
-    def flow_keys_in_seq_order(self) -> list:
-        """Live flow keys in registration order.
-
-        A restore must re-add flows in this order: component solves sort
-        members by ``seq``, so preserving relative registration order is
-        what keeps re-solves deterministic across snapshot boundaries.
-        """
-        return [f.key for f in sorted(self._flows.values(),
-                                      key=lambda f: f.seq)]
-
     def mark_dirty(self, key) -> None:
         """Force re-solving of the component around constraint ``key``."""
         record = self._cons.get(key)
         if record is not None:
             self._dirty_cons[record] = None
-
-    def dirty_constraint_keys(self) -> list:
-        """Keys of the constraints marked dirty since the last solve."""
-        return [record.key for record in self._dirty_cons]
-
-    def mark_flow_dirty(self, key) -> None:
-        """Force re-solving of the component around flow ``key``.
-
-        Snapshot restore uses this (after :meth:`clear_dirty`) to re-mark
-        exactly the flows the serialized run had dirty at the cut.
-        """
-        if key in self._flows:
-            self._dirty_flows.add(key)
 
     def rate(self, key) -> float:
         """Last solved rate of flow ``key``."""

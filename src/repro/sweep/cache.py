@@ -11,7 +11,7 @@ everything that determines its outcome:
   source), entry point, rank count, parameters and arguments;
 * the full resolved :class:`~repro.smpi.SmpiConfig` (defaults included,
   so adding a config field with a new default does not thrash the
-  cache) and the execution-context selection.
+  cache).
 
 The fingerprint is serialized with sorted keys and hashed, so identical
 specs produce identical keys in any process on any machine; editing any
@@ -41,7 +41,7 @@ from ..surf import EngineStats
 from . import workloads
 from .spec import SweepPoint
 
-__all__ = ["ResultCache", "SnapshotStore", "point_fingerprint", "point_key"]
+__all__ = ["ResultCache", "point_fingerprint", "point_key"]
 
 #: version of the cache record layout (independent of the stats schema)
 CACHE_SCHEMA = 1
@@ -161,77 +161,3 @@ class ResultCache:
             return None
         return EngineStats.from_dict(record["stats"])
 
-
-class SnapshotStore:
-    """Content-addressed replay checkpoints (the sweep's warm starts).
-
-    Lives beside the result memo under the same cache root::
-
-        .repro-cache/snapshots/<key[:2]>/<key>.ckpt.json
-
-    The key hashes everything that determines the simulation trajectory
-    up to the cut: the trace's events, the platform XML, the resolved
-    protocol config and the cut date.  Replay resumption is bit-exact
-    (tests/test_snapshot.py), so a warm-started sweep point is
-    indistinguishable from a cold one — it just skips re-simulating the
-    common prefix.  Typical use: sweeping protocol parameters that only
-    matter *late* in a run, or re-running long workloads after a crash.
-    """
-
-    def __init__(self, root: str | Path = ".repro-cache"):
-        self.root = Path(root)
-
-    def _path(self, key: str) -> Path:
-        return self.root / "snapshots" / key[:2] / f"{key}.ckpt.json"
-
-    def key_for(self, trace, platform, config, checkpoint_at: float) -> str:
-        """SHA-256 key of the run prefix this checkpoint would capture."""
-        from ..surf.platform_xml import dumps_platform_xml
-
-        payload = json.dumps({
-            "schema": CACHE_SCHEMA,
-            "trace": {
-                "n_ranks": trace.n_ranks,
-                "events": [[e.to_json() for e in rank_events]
-                           for rank_events in trace.events],
-            },
-            "platform": dumps_platform_xml(platform),
-            "config": dataclasses.asdict(config),
-            "checkpoint_at": checkpoint_at,
-        }, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("snapshots/*/*.ckpt.json"))
-
-    def get(self, key: str) -> dict | None:
-        """The stored checkpoint for ``key`` (None on miss/stale layout).
-
-        :data:`~repro.offline.snapshot.CHECKPOINT_VERSION` guards the
-        whole payload, the engine part included, so comparing it is the
-        whole staleness check.
-        """
-        from ..offline.snapshot import CHECKPOINT_VERSION
-
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            checkpoint = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        if checkpoint.get("version") != CHECKPOINT_VERSION:
-            return None
-        return checkpoint
-
-    def put(self, key: str, checkpoint: dict) -> Path:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(checkpoint, separators=(",", ":")),
-                        encoding="utf-8")
-        return path

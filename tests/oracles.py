@@ -22,10 +22,7 @@ here, not in ``src/``, so the product keeps one path per layer:
 * :class:`EagerFullReshareEngine` — both at once.
 
 :func:`oracle_engine` picks the class for an ``(eager, full)`` pair, so
-the fuzz grids read ``oracle_engine(platform, eager=e, full=f)``.  None of
-the oracles can be snapshotted
-(:func:`~repro.offline.snapshot.snapshot_engine` takes the canonical
-engine only).
+the fuzz grids read ``oracle_engine(platform, eager=e, full=f)``.
 
 * :class:`WalkMaxMin` — the walk-per-solve share: every solve walks each
   dirty component from its records and rebuilds the filling kernel's
@@ -93,6 +90,7 @@ from repro.simix.contexts import ThreadContext
 from repro.simix.mailbox import MatchCounters
 from repro.smpi import pt2pt
 from repro.smpi.intern import PayloadEntry, PayloadPool
+from repro.smpi import request as rq
 from repro.smpi.request import Request
 from repro.surf import Engine
 from repro.surf.action import Action, ActionState
@@ -1232,17 +1230,14 @@ class ListTiTrace:
 
 
 class ListRankReplayer(_RankReplayer):
-    """The replayer reading one :class:`TiEvent` per step (no checkpoint
-    resume: it starts at the first event)."""
+    """The replayer reading one :class:`TiEvent` per step."""
 
     def run(self):
         world = self.world
         protocol = world.protocol
         rank = self.rank
-        events = self.events
-        while self.next_index < len(events):
-            event = events[self.next_index]
-            self.next_index += 1
+        live = {}
+        for event in self.events:
             kind = event.kind
             if kind == "compute":
                 flops = event.args[0]
@@ -1250,7 +1245,6 @@ class ListRankReplayer(_RankReplayer):
                     continue
                 activity = world.scheduler.execute(
                     world.current_actor, flops, f"exec-r{rank}")
-                self.blocked = ("compute", (activity, flops))
                 yield from self._co_compute(activity, flops)
             elif kind == "send":
                 op_id, dst, nbytes, tag, ctx = event.args
@@ -1259,7 +1253,7 @@ class ListRankReplayer(_RankReplayer):
                     src=rank, dst=dst, tag=tag, ctx=ctx,
                     data=_EMPTY, request=request, wire_bytes=nbytes,
                 )
-                self.live[op_id] = request
+                live[op_id] = request
             elif kind == "recv":
                 op_id, src, tag, ctx = event.args
                 request = Request(world, "recv", rank)
@@ -1267,19 +1261,16 @@ class ListRankReplayer(_RankReplayer):
                     dst=rank, source=src, tag=tag, ctx=ctx,
                     buffer=None, request=request,
                 )
-                self.live[op_id] = request
+                live[op_id] = request
             else:  # wait
                 (op_ids,) = event.args
-                pending = [self.live.pop(i) for i in op_ids
-                           if i in self.live]
+                pending = [live.pop(i) for i in op_ids if i in live]
                 if pending:
-                    self.blocked = ("wait", pending)
-                    yield from self._co_wait(pending)
-        leftovers = list(self.live.values())
-        self.live.clear()
+                    yield from rq.co_settle(pending)
+        leftovers = list(live.values())
+        live.clear()
         if leftovers:
-            self.blocked = ("drain", leftovers)
-            yield from self._co_wait(leftovers)
+            yield from rq.co_settle(leftovers)
 
 
 @contextmanager

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import pytest
@@ -22,22 +21,6 @@ def app(mpi):
 
 def other_entry(mpi):
     return "other"
-'''
-
-PINGPONG_SOURCE = '''
-import numpy as np
-
-def app(mpi):
-    comm = mpi.COMM_WORLD
-    buf = np.zeros(65536, dtype=np.uint8)
-    for rep in range(4):
-        if mpi.rank == 0:
-            comm.Send(buf, dest=1, tag=rep)
-            comm.Recv(buf, source=1, tag=rep)
-        else:
-            comm.Recv(buf, source=0, tag=rep)
-            comm.Send(buf, dest=0, tag=rep)
-    return mpi.rank
 '''
 
 
@@ -191,44 +174,6 @@ class TestCommands:
         line2 = next(l for l in replayed.splitlines()
                      if l.startswith("simulated"))
         assert line.split(":")[1] == line2.split(":")[1]
-
-    def test_replay_checkpoint_and_resume(self, tmp_path, capsys):
-        app_path = tmp_path / "pingpong.py"
-        app_path.write_text(PINGPONG_SOURCE)
-        trace_path = str(tmp_path / "t.json")
-        main(["run", str(app_path), "-n", "2", "--platform", "cluster:2",
-              "--record", trace_path])
-        recorded = capsys.readouterr().out
-        line = next(l for l in recorded.splitlines() if "simulated" in l)
-        value, unit = line.split(":")[1].split()
-        total = float(value) * {"s": 1.0, "ms": 1e-3, "us": 1e-6,
-                                "ns": 1e-9}[unit]
-
-        ckpt_path = str(tmp_path / "t.ckpt.json")
-        assert main(["replay", trace_path, "--platform", "cluster:2",
-                     "--checkpoint-at", str(total / 2),
-                     "--checkpoint-out", ckpt_path]) == 0
-        ckpt_out = capsys.readouterr().out
-        assert "checkpoint" in ckpt_out
-        assert os.path.exists(ckpt_path)
-
-        assert main(["replay", trace_path, "--platform", "cluster:2",
-                     "--resume-from", ckpt_path]) == 0
-        resumed = capsys.readouterr().out
-        assert "resumed from" in resumed
-        line2 = next(l for l in resumed.splitlines()
-                     if l.startswith("simulated"))
-        assert line.split(":")[1] == line2.split(":")[1]
-
-    def test_replay_rejects_checkpoint_with_resume(self, app_file, tmp_path,
-                                                   capsys):
-        trace_path = str(tmp_path / "t.json")
-        main(["run", app_file, "-n", "2", "--platform", "cluster:2",
-              "--record", trace_path])
-        capsys.readouterr()
-        assert main(["replay", trace_path, "--platform", "cluster:2",
-                     "--checkpoint-at", "0.001",
-                     "--resume-from", trace_path]) != 0
 
     def test_platforms_listing(self, capsys):
         assert main(["platforms"]) == 0
@@ -697,27 +642,20 @@ class TestTraceOutputs:
         assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("fmt", ["csv", "paje"])
-    def test_refused_checkpoint_leaves_no_file(self, app_file, tmp_path,
-                                               capsys, fmt):
-        """Checkpointing a traced replay is refused before the run: the
-        trace files the sink opened are removed with the refusal."""
-        recorded = tmp_path / "r.json"
-        assert main(["run", app_file, "-n", "2", "--platform", "cluster:2",
-                     "--record", str(recorded)]) == 0
-        before = sorted(tmp_path.iterdir())
-        assert main(["replay", str(recorded), "--platform", "cluster:2",
-                     "--trace-format", fmt, "--trace", str(tmp_path / "x"),
-                     "--checkpoint-at", "0.0001"]) == 2
-        assert "checkpointing requires tracing disabled" in \
-            capsys.readouterr().err
-        assert sorted(tmp_path.iterdir()) == before
+    def test_refused_replay_leaves_no_file(self, app_file, tmp_path, fmt):
+        """A replay refused before it runs (here for a rank count the
+        trace was not recorded with) removes the files its sink opened."""
+        from repro.offline import record_trace, replay_trace
+        from repro.trace import CsvStreamSink, PajeStreamSink
 
-    def test_resume_refuses_a_trace(self, app_file, tmp_path, capsys):
-        path = str(tmp_path / "t.json")
-        main(["run", app_file, "-n", "2", "--platform", "cluster:2",
-              "--record", path])
-        capsys.readouterr()
-        assert main(["replay", path, "--platform", "cluster:2",
-                     "--resume-from", path,
-                     "--trace", str(tmp_path / "x.csv")]) == 2
-        assert "--resume-from" in capsys.readouterr().err
+        _, trace = record_trace(load_app(app_file), 2,
+                                build_platform("cluster:2", 2))
+        before = sorted(tmp_path.iterdir())
+        target = tmp_path / f"t.{fmt}"
+        sink = (PajeStreamSink(target, 3) if fmt == "paje"
+                else CsvStreamSink(target))
+        assert sorted(tmp_path.iterdir()) != before  # the sink's files
+        with pytest.raises(ConfigError, match="cannot be replayed on 3"):
+            replay_trace(trace, build_platform("cluster:3", 3), n_ranks=3,
+                         trace_sink=sink)
+        assert sorted(tmp_path.iterdir()) == before

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ActorFailure, ConfigError, ContextError, DeadlockError
-from repro.offline import record_trace, replay_trace, resume_replay
+from repro.offline import record_trace, replay_trace
 from repro.simix import Scheduler
 from repro.simix import context as scheduler_module
 from repro.simix.actor import ActorKilled
@@ -114,14 +114,9 @@ class TestSelection:
         _online, trace = record_trace(_pingpong, 2, cluster("c", 2))
         assert set(context_kinds.values()) == {"thread"}
         context_kinds.clear()
-        cold = replay_trace(trace, cluster("c", 2), checkpoint_at=1e-4)
+        replay_trace(trace, cluster("c", 2))
         assert context_kinds == {"replay-0": "coroutine",
                                  "replay-1": "coroutine"}
-        context_kinds.clear()
-        warm = resume_replay(trace, cluster("c", 2), cold.checkpoint)
-        assert set(context_kinds.values()) == {"coroutine"}
-        assert len(context_kinds) == 2
-        assert warm.simulated_time == cold.simulated_time
 
     def test_env_var_override(self):
         """The thread oracle runs generator functions on threads; under

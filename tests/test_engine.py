@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.offline.snapshot import snapshot_engine
 from repro.surf import (
     ConstantNetworkModel,
     Engine,
@@ -21,6 +20,7 @@ from repro.surf.network_model import (
     RouteParams,
     PiecewiseSegment,
 )
+from repro.surf.profiles import Profile
 from tests.oracles import oracle_engine
 
 
@@ -422,16 +422,52 @@ class TestLazyUpdates:
         engine.run()
         return [(a.name, a.state.value, a.finish_time) for a in comms]
 
+    @staticmethod
+    def _dynamics_platform(tag):
+        """A link under an availability profile, a host under a state
+        profile."""
+        plat = cluster(tag, 4)
+        plat.link(f"{tag}-l0").availability_profile = Profile(
+            ((0.0, 1.0), (0.002, 0.5)), period=0.004)
+        plat.host("node-3").state_profile = Profile(
+            ((0.0, 1.0), (0.003, 0.0), (0.005, 1.0)), period=0.007)
+        return plat
+
+    @staticmethod
+    def _dynamics_workload(engine):
+        """Profiles, a scaled link and a failed one under six actions."""
+        tag = engine.platform.name
+        link = engine.platform.link
+        engine.set_availability(link(f"{tag}-l2"), 0.25)
+        acts = [
+            engine.communicate("node-0", "node-1", 1_000_000, "over-profile"),
+            engine.communicate("node-2", "node-1", 400_000, "over-quarter"),
+            engine.execute("node-3", 5e8, "on-flaky-host"),
+            engine.execute("node-2", 5e6, "steady"),
+            engine.sleep(0.004, "nap"),
+        ]
+        engine.step()
+        engine.fail_resource(link(f"{tag}-l3"))
+        acts.append(engine.communicate("node-3", "node-0", 1000, "born-dead"))
+        engine.run()
+        assert engine.now.hex() == "0x1.a75cd0bb6ed68p-7"
+        assert engine.stats.capacity_events > 1
+        assert engine.stats.resource_failures > 1
+        return [(a.name, a.state.value, a.finish_time) for a in acts]
+
     def _platform(self, tag):
         return cluster(tag, 8, backbone_bandwidth=None, split_duplex=True)
 
     def test_lazy_matches_eager_bit_for_bit(self):
-        lazy = Engine(self._platform("lz"))
-        eager = oracle_engine(self._platform("eg"), eager=True)
-        r_lazy = self._crossbar_workload(lazy)
-        r_eager = self._crossbar_workload(eager)
-        assert r_lazy == r_eager
-        assert lazy.now == eager.now
+        for platform, run in ((self._platform, self._crossbar_workload),
+                              (self._dynamics_platform,
+                               self._dynamics_workload)):
+            lazy = Engine(platform("lz"))
+            eager = oracle_engine(platform("eg"), eager=True)
+            r_lazy = run(lazy)
+            r_eager = run(eager)
+            assert r_lazy == r_eager
+            assert lazy.now == eager.now
 
     def test_lazy_touches_fewer_actions(self):
         lazy = Engine(self._platform("lt"))
@@ -480,12 +516,26 @@ class TestLazyUpdates:
         assert expiring.state is ActionState.DONE
         assert expiring.epoch > epoch
 
-    @pytest.mark.parametrize("eager, full", [(True, False), (False, True),
-                                             (True, True)])
-    def test_oracles_refuse_snapshot(self, eager, full):
-        engine = oracle_engine(self._platform("os"), eager=eager, full=full)
-        with pytest.raises(SimulationError, match="incremental engine only"):
-            snapshot_engine(engine)
+        # a harvested action's entries stay in the heap and each pops as
+        # stale: flows sharing one backbone speed up as others finish, so
+        # a finished flow leaves older, later-dated entries behind, and
+        # the sleep outlasts them all
+        engine = Engine(cluster("hs", 6))
+        engine.sleep(1.0, name="tail")
+        for i in range(6):
+            engine.communicate(f"node-{i}", f"node-{(i + 3) % 6}",
+                               200_000 * (i + 1), name=f"s{i}")
+        harvested = 0
+        while not harvested:
+            assert len(engine.pending) > 1, "the run ended without such a cut"
+            engine.step()
+            engine.poll_progress()  # the share retires the finished
+            harvested = sum(entry[1] not in engine.pending
+                            for entry in engine._heap)
+        stale = engine.stats.stale_heap_entries
+        engine.run()
+        assert engine.now == 1.0
+        assert engine.stats.stale_heap_entries >= stale + harvested
 
     def test_poll_progress_tracks_pending_events(self):
         engine = Engine(self._platform("pp"))

@@ -1,15 +1,13 @@
 """Tests for the constant-memory scale path (ISSUE 8).
 
-Covers the three tentpole layers plus their satellites:
+Covers its two layers:
 
 * rank-state interning — the ``InternPool`` oracle's refcounting, the
   two-level ``PayloadPool`` against the whole-digest oracle, payload
   folding in the protocol, ``SharedHeap`` refcount semantics, the enforcement
   error's rank/shared breakdown;
 * streaming trace sinks — byte-identity with the in-memory exporters
-  (CSV, Paje, TI) and the bounded open-window invariant;
-* engine snapshot/restore — bit-identical continuation (test_snapshot.py
-  holds the fuzz; the basics live here).
+  (CSV, Paje, TI) and the bounded open-window invariant.
 """
 
 from __future__ import annotations
